@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterator, Tuple
+from typing import Tuple
 
 
 class DataFormatError(ValueError):
@@ -100,6 +100,3 @@ def _is_decimal_literal(text: str) -> bool:
         fraction == "" or fraction.isdigit()
     )
 
-
-def iter_rows(rows) -> Iterator[Tuple[int, str]]:
-    return iter(rows)

@@ -19,7 +19,9 @@ Stieltjes coefficients:
 
 Composition through u = z/(1-z) concentrates binomial-sized cancellation
 (roughly log10 C(n, n/2) digits at index n), so both series are computed at
-a boosted internal precision and rounded down to the requested tag.
+a boosted internal precision and rounded down to the requested tag.  The
+series work runs on raw ``mpf`` values under one ``mp.workdps`` context; each
+output coefficient is tagged as ``BigReal`` once, at the requested precision.
 """
 
 from __future__ import annotations
@@ -67,29 +69,27 @@ def tiny_series(
 
     Built as log((s-1) zeta(s)) expanded in u = s-1 from the Stieltjes table,
     composed through u = z/(1-z), then series_log.  The constant term is
-    exactly zero; coefficient 1 is the Euler constant.
+    exactly zero; coefficient 1 is the Euler constant.  Reads gamma_0 to
+    gamma_{n_max-1} from the table.
     """
     if n_max < 1:
         raise ValueError("tiny_series needs n_max >= 1")
     if stieltjes is None:
         stieltjes = load_stieltjes()
-    stieltjes.require(n_max)
+    stieltjes.require(n_max - 1)
     work = precision + guard_digits(n_max)
     if stieltjes.digits < work:
         work = max(precision, stieltjes.digits)
     with mp.workdps(work + 10):
-        coeffs = [BigReal.one(work)]
+        coeffs = [mpmath.mpf(1)]
         fact = mpmath.mpf(1)
         for k in range(0, n_max):
             if k > 0:
                 fact *= k
             sign = -1 if k % 2 else 1
-            gamma_k = stieltjes.gamma(k).at_precision(work)
-            coeffs.append(gamma_k * sign / BigReal(fact, work))
-    u_series = PowerSeries(coeffs)
-    z_series = series_compose_zmap(u_series)
-    logged = series_log(z_series)
-    return logged.map(lambda c: c.at_precision(precision))
+            coeffs.append(sign * stieltjes.gamma(k).value / fact)
+        logged = series_log(series_compose_zmap(PowerSeries(coeffs)))
+    return logged.map(lambda c: BigReal(c, precision))
 
 
 def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> PowerSeries:
@@ -107,19 +107,15 @@ def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> PowerSeries:
     if n_max < 1:
         raise ValueError("trend_series needs n_max >= 1")
     work = precision + guard_digits(n_max)
-    lp = log_pi(work)
-    coeffs: List[BigReal] = [BigReal.zero(work)]
-    first = BigReal.one(work) - lp / 2 + polygamma_half(0, work) / 2
-    coeffs.append(first)
     with mp.workdps(work + 10):
+        coeffs = [mpmath.mpf(0)]
+        coeffs.append(1 - log_pi(work).value / 2 + polygamma_half(0, work).value / 2)
         for k in range(2, n_max + 1):
             sign = 1 if (k + 1) % 2 == 0 else -1
-            alternating = BigReal(sign, work) / k
             scale = mpmath.factorial(k) * mpmath.mpf(2) ** k
-            coeffs.append(alternating + polygamma_half(k - 1, work) / BigReal(scale, work))
-    u_series = PowerSeries(coeffs)
-    z_series = series_compose_zmap(u_series)
-    return z_series.map(lambda c: c.at_precision(precision))
+            coeffs.append(mpmath.mpf(sign) / k + polygamma_half(k - 1, work).value / scale)
+        z_series = series_compose_zmap(PowerSeries(coeffs))
+    return z_series.map(lambda c: BigReal(c, precision))
 
 
 @dataclass(frozen=True)

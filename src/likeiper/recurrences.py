@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -146,6 +146,23 @@ def predict_order_m(history: Sequence[Value], n: int, m: int) -> Value:
     return total
 
 
+def _predict_binomial(history: Sequence[Value], n: int, weight: Callable[[int], int]) -> Value:
+    """sum_{k=1}^{n-1} (-1)^(k-n+1) weight(k) history[k]; the empty sum is 0."""
+    if n < 1:
+        raise ValueError(f"a binomial prediction needs n >= 1, got n={n}")
+    if n - 1 >= len(history) and n > 1:
+        raise HistoryError(
+            f"prediction at n={n} needs history 1..{n - 1}, have 0..{len(history) - 1}"
+        )
+    total: Optional[Value] = None
+    for k in range(1, n):
+        term = history[k] * (parity_sign(k - n + 1) * weight(k))
+        total = term if total is None else total + term
+    if total is None:
+        return _zero_like(history[0]) if len(history) > 0 else Fraction(0)
+    return total
+
+
 def predict_full_history(history: Sequence[Value], n: int) -> Value:
     """The all-lower-indices binomial predictor
 
@@ -153,20 +170,7 @@ def predict_full_history(history: Sequence[Value], n: int) -> Value:
 
     At n = 4 this reads 4 h(3) - 6 h(2) + 4 h(1); the empty sum at n = 1 is 0.
     """
-    if n < 1:
-        raise ValueError("predict_full_history needs n >= 1")
-    if n - 1 >= len(history) and n > 1:
-        raise HistoryError(
-            f"prediction at n={n} needs history 1..{n - 1}, have 0..{len(history) - 1}"
-        )
-    total: Optional[Value] = None
-    for k in range(1, n):
-        term = history[k] * (parity_sign(k - n + 1) * binomial(n, k))
-        total = term if total is None else total + term
-    if total is None:
-        sample = history[0] if len(history) > 0 else None
-        return BigReal.zero(sample.precision) if isinstance(sample, BigReal) else Fraction(0)
-    return total
+    return _predict_binomial(history, n, lambda k: binomial(n, k))
 
 
 def predict_voros(history: Sequence[Value], n: int) -> Value:
@@ -177,20 +181,7 @@ def predict_voros(history: Sequence[Value], n: int) -> Value:
     At n = 2 it reads 4 h(1).  Same sign pattern as predict_full_history;
     the weights are the tail-suppressing C(2n, n-k) instead of C(n, k).
     """
-    if n < 1:
-        raise ValueError("predict_voros needs n >= 1")
-    if n - 1 >= len(history) and n > 1:
-        raise HistoryError(
-            f"prediction at n={n} needs history 1..{n - 1}, have 0..{len(history) - 1}"
-        )
-    total: Optional[Value] = None
-    for k in range(1, n):
-        term = history[k] * (parity_sign(k - n + 1) * binomial(2 * n, n - k))
-        total = term if total is None else total + term
-    if total is None:
-        sample = history[0] if len(history) > 0 else None
-        return BigReal.zero(sample.precision) if isinstance(sample, BigReal) else Fraction(0)
-    return total
+    return _predict_binomial(history, n, lambda k: binomial(2 * n, n - k))
 
 
 def _predict(scheme: RecurrenceScheme, history: Sequence[Value], n: int) -> Value:

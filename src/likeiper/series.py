@@ -1,15 +1,25 @@
 """Truncated power series and binomial-coefficient utilities.
 
 A ``PowerSeries`` is an immutable list of coefficients ``a[0..order]`` for
-``sum a_k z^k + O(z^(order+1))``.  Coefficients may be :class:`BigReal`
-(numeric mode) or :class:`fractions.Fraction` (exact mode); every operation
-here is written against the common field interface (``+ - * /``, multiplication
-and division by Python ints), so the two modes share one code path.  The exact
-mode exists so that identities can be tested with no rounding error at all.
+``sum a_k z^k + O(z^(order+1))``.  Every operation here is written against
+the common field interface (``+ - * /``, multiplication and division by Python
+ints) and takes its zeros from the operands (``c * 0``), so one code path
+serves three coefficient types:
+
+* raw ``mpmath.mpf`` -- the numeric kernel.  Callers enter one
+  ``mp.workdps`` context, run the series work on raw values, and tag each
+  result as :class:`BigReal` once, where it leaves the kernel;
+* :class:`BigReal` -- the same arithmetic with a precision tag on every
+  intermediate, at the cost of one wrapper object and one context switch per
+  operation;
+* :class:`fractions.Fraction` -- exact mode, so that identities can be tested
+  with no rounding error at all.
 
 The composition helper substitutes the Koebe-type map ``u = z/(1-z)``
 (coefficients 0,1,1,1,...) into a series in ``u``; that map is the pullback of
-the half-plane variable used throughout the coefficient computations.
+the half-plane variable used throughout the coefficient computations.  Since
+``u^k = sum_{n>=k} C(n-1, k-1) z^n``, the composition is a closed-form sum with
+exact integer weights: O(N^2) coefficient operations for order N.
 """
 
 from __future__ import annotations
@@ -18,9 +28,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
+import mpmath
+
 from .bigreal import BigReal
 
-Coefficient = Union[BigReal, Fraction]
+Coefficient = Union[mpmath.mpf, BigReal, Fraction]
 
 
 class SeriesOrderError(ValueError):
@@ -60,22 +72,6 @@ class PowerSeries:
         tail = ", ..." if len(self.coeffs) > 3 else ""
         return f"PowerSeries([{head}{tail}], order={self.order})"
 
-    # -- field plumbing ---------------------------------------------------------
-
-    def zero_coeff(self) -> Coefficient:
-        """Additive identity of this series' coefficient field."""
-        c = self.coeffs[0]
-        if isinstance(c, BigReal):
-            return BigReal.zero(c.precision)
-        return Fraction(0)
-
-    def one_coeff(self) -> Coefficient:
-        """Multiplicative identity of this series' coefficient field."""
-        c = self.coeffs[0]
-        if isinstance(c, BigReal):
-            return BigReal.one(c.precision)
-        return Fraction(1)
-
     def map(self, fn: Callable[[Coefficient], Coefficient]) -> "PowerSeries":
         return PowerSeries([fn(c) for c in self.coeffs])
 
@@ -95,11 +91,10 @@ def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the common order."""
     _require_same_order(a, b)
-    zero = a.zero_coeff()
     out = []
     for n in range(a.order + 1):
-        acc = zero
-        for k in range(n + 1):
+        acc = a.coeffs[0] * b.coeffs[n]
+        for k in range(1, n + 1):
             acc = acc + a.coeffs[k] * b.coeffs[n - k]
         out.append(acc)
     return PowerSeries(out)
@@ -113,7 +108,9 @@ def series_log(a: PowerSeries) -> PowerSeries:
         n * b_n = n * a_n - sum_{k=1}^{n-1} k * b_k * a_{n-k}
 
     which needs one division per coefficient and no transcendental calls.
-    The constant term of the result is exactly the field zero.
+    The constant term of the result is exactly the field zero.  A
+    :class:`BigReal` constant term may miss 1 by rounding at its tag; raw
+    ``mpf`` and ``Fraction`` constant terms must equal 1 exactly.
     """
     c0 = a.coeffs[0]
     if isinstance(c0, BigReal):
@@ -125,8 +122,7 @@ def series_log(a: PowerSeries) -> PowerSeries:
     else:
         if c0 != 1:
             raise SeriesDomainError(f"series_log needs constant term 1, got {c0}")
-    zero = a.zero_coeff()
-    b = [zero]
+    b = [c0 * 0]
     for n in range(1, a.order + 1):
         acc = a.coeffs[n] * n
         for k in range(1, n):
@@ -138,7 +134,7 @@ def series_log(a: PowerSeries) -> PowerSeries:
 def series_derivative(a: PowerSeries) -> PowerSeries:
     """Termwise derivative; the order drops by one."""
     if a.order == 0:
-        return PowerSeries([a.zero_coeff()])
+        return PowerSeries([a.coeffs[0] * 0])
     return PowerSeries([a.coeffs[k] * k for k in range(1, a.order + 1)])
 
 
@@ -155,31 +151,29 @@ def koebe_series(order: int, precision: int | None = None) -> PowerSeries:
     return PowerSeries([BigReal(n, precision) for n in range(order + 1)])
 
 
-def _geometric_shift(order: int, like: Coefficient) -> PowerSeries:
-    """``z/(1-z) = z + z^2 + ... + z^order`` in the field of ``like``."""
-    if isinstance(like, BigReal):
-        zero: Coefficient = BigReal.zero(like.precision)
-        one: Coefficient = BigReal.one(like.precision)
-    else:
-        zero, one = Fraction(0), Fraction(1)
-    return PowerSeries([zero] + [one] * order)
-
-
 def series_compose_zmap(a: PowerSeries) -> PowerSeries:
     """Substitute ``u = z/(1-z) = z + z^2 + z^3 + ...`` into a series in ``u``.
 
-    Horner evaluation: ``result = (...((a_N u + a_{N-1}) u + ...) u + a_0)``,
-    with every intermediate product truncated at ``a.order``.  Because the
-    substituted map has no constant term, the truncation is exact: coefficient
-    ``n`` of the result depends only on ``a_0..a_n``.
+    Closed form: ``u^k = sum_{n>=k} C(n-1, k-1) z^n``, so
+
+        [z^0] = a_0,    [z^n] = sum_{k=1}^{n} C(n-1, k-1) a_k   (n >= 1).
+
+    Coefficient ``n`` depends only on ``a_0..a_n``, so truncating at
+    ``a.order`` is exact.  The weights are exact integers and the whole
+    composition costs ``order*(order-1)/2`` coefficient multiplications, where
+    a Horner loop of truncated series products costs O(order^3).  With raw
+    ``mpf`` coefficients the caller's working precision must absorb the
+    cancellation the binomial weights bring (about log10 C(n-1, n/2) digits
+    at index ``n``).
     """
-    u = _geometric_shift(a.order, a.coeffs[0])
-    zero = a.zero_coeff()
-    acc = PowerSeries([a.coeffs[a.order]] + [zero] * a.order)
-    for k in range(a.order - 1, -1, -1):
-        acc = series_mul(acc, u)
-        acc = PowerSeries([acc.coeffs[0] + a.coeffs[k]] + list(acc.coeffs[1:]))
-    return acc
+    c = a.coeffs
+    out = [c[0]]
+    for n in range(1, a.order + 1):
+        acc = c[1]
+        for k in range(2, n + 1):
+            acc = acc + c[k] * math.comb(n - 1, k - 1)
+        out.append(acc)
+    return PowerSeries(out)
 
 
 def binomial(n: int, k: int) -> int:

@@ -138,21 +138,10 @@ def delta_bound(n: int, precision: int = DEFAULT_DIGITS) -> BigReal:
 
         |Delta(n)| < (1/2pi) (1/14)^(2n-1) (1/(2n-1)) (log(14/2pi) + 1/(2n-1)).
 
-    This is the density integral from the first-zero height; it does not
-    assume anything about the real parts of the zeros.
+    This is the density integral (``tail_integral``) from the first-zero
+    height; it does not assume anything about the real parts of the zeros.
     """
-    if n < 1:
-        raise ValueError("delta_bound needs n >= 1")
-    with mp.workdps(precision + 10):
-        twopi = 2 * mp.pi
-        inv = mpmath.mpf(1) / (2 * n - 1)
-        value = (
-            (1 / twopi)
-            * mpmath.mpf(14) ** (-(2 * n - 1))
-            * inv
-            * (mpmath.log(14 / twopi) + inv)
-        )
-        return BigReal(value, precision)
+    return tail_integral(n, 14, precision)
 
 
 @dataclass(frozen=True)

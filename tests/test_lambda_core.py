@@ -149,6 +149,12 @@ class TestLambdaTable:
         with pytest.raises(ConstantsError, match="missing gamma_81"):
             lambda_table(82, 30)
 
+    def test_last_stieltjes_coefficient_suffices(self):
+        # lambda(81) reads gamma_0..gamma_80, the whole shipped table
+        table = lambda_table(81, 30)
+        assert table.n_max == 81
+        assert table.lam(81) > 0
+
     def test_precision_stability(self):
         low = lambda_table(8, 30)
         high = lambda_table(8, 60)

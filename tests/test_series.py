@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,10 +24,45 @@ from likeiper import (
     series_log,
     series_mul,
 )
+from likeiper.lambda_core import tiny_series, trend_series
 
 
 def frac_series(*values):
     return PowerSeries([Fraction(v) for v in values])
+
+
+def horner_compose_zmap(coeffs):
+    """Reference for series_compose_zmap: Horner evaluation
+    acc <- acc * u + a_k with u = z/(1-z), on plain lists.  Multiplying by u
+    shifts the prefix sums: [z^m](acc * u) = acc_0 + ... + acc_{m-1}."""
+    order = len(coeffs) - 1
+    acc = [Fraction(0)] * (order + 1)
+    for a_k in reversed(coeffs):
+        acc = [Fraction(0)] + list(itertools.accumulate(acc))[:order]
+        acc[0] += a_k
+    return acc
+
+
+class Counted:
+    """A coefficient that counts the multiplications done on it in ``tally``."""
+
+    __slots__ = ("value", "tally")
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def __add__(self, other):
+        other = other.value if isinstance(other, Counted) else other
+        return Counted(self.value + other, self.tally)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        self.tally[0] += 1
+        other = other.value if isinstance(other, Counted) else other
+        return Counted(self.value * other, self.tally)
+
+    __rmul__ = __mul__
 
 
 class TestPowerSeries:
@@ -146,6 +182,65 @@ class TestComposeZmap:
         ca, cb = series_compose_zmap(sa), series_compose_zmap(sb)
         for n in range(5):
             assert lhs[n] == alpha * ca[n] + beta * cb[n]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=99), min_size=1, max_size=31
+        )
+    )
+    def test_matches_horner_reference(self, a):
+        assert list(series_compose_zmap(PowerSeries(a))) == horner_compose_zmap(a)
+
+    @pytest.mark.parametrize("order", [1, 10, 40, 80])
+    def test_multiplications_at_most_quadratic(self, order):
+        # a Horner loop of truncated products needs about order^3/6 of them
+        tally = [0]
+        a = [Counted(Fraction(k + 1, 2 * k + 3), tally) for k in range(order + 1)]
+        out = series_compose_zmap(PowerSeries(a))
+        assert tally[0] <= order * (order + 1) // 2
+        assert [c.value for c in out] == horner_compose_zmap([c.value for c in a])
+
+
+class TestRawMpfKernel:
+    """Raw mpf coefficients follow the same path as Fraction and BigReal."""
+
+    U = [Fraction(1)] + [Fraction((-1) ** k * (k + 2), 3 * k + 5) for k in range(12)]
+    V = [Fraction(1)] + [Fraction((5 * k) % 7 - 3, k + 4) for k in range(12)]
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: series_mul(a, b),
+            lambda a, b: series_log(a),
+            lambda a, b: series_compose_zmap(b),
+        ],
+        ids=["mul", "log", "compose_zmap"],
+    )
+    def test_agrees_with_exact(self, op):
+        exact = op(PowerSeries(self.U), PowerSeries(self.V))
+        with mp.workdps(60):
+            raw = op(*(PowerSeries([mpmath.mpf(c.numerator) / c.denominator for c in s])
+                       for s in (self.U, self.V)))
+            assert all(isinstance(c, mpmath.mpf) for c in raw)
+            for got, want in zip(raw, exact):
+                assert abs(got - mpmath.mpf(want.numerator) / want.denominator) < mpmath.mpf(10) ** -55
+        tagged = op(PowerSeries([big(c, 50) for c in self.U]), PowerSeries([big(c, 50) for c in self.V]))
+        for got, want in zip(tagged, exact):
+            assert isinstance(got, BigReal) and got.precision == 50
+            assert abs(got - big(want, 50)) < big(1, 50) / 10**45
+
+
+class TestKernelBoundary:
+    @pytest.mark.parametrize("build", [tiny_series, trend_series])
+    @pytest.mark.parametrize("precision", [20, 50])
+    def test_outputs_tagged_at_requested_precision(self, build, precision):
+        out = build(8, precision)
+        assert isinstance(out, PowerSeries)
+        assert out.order == 8
+        for c in out:
+            assert isinstance(c, BigReal)
+            assert c.precision == precision
 
 
 class TestKoebe:
