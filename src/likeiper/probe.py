@@ -15,13 +15,20 @@ line passed the diagnostic — a heuristic, not a proof.
 
 The complex zeta evaluation is a self-contained Euler-Maclaurin sum (the
 rest of the package only ever needs zeta at real integers), with parameters
-chosen from the requested precision and the height |Im s|.
+chosen from the requested precision and the height |Im s|.  zeta'(s) comes
+out of the same pass, differentiated analytically term by term, so each
+sample of f costs one sum; there are no finite differences.  The
+near-collision scan buckets the f values on a grid of cell size tol, so it
+is linear in the number of samples unless many values lie within tol of
+each other.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -38,13 +45,17 @@ class ProbeEvaluationError(ValueError):
     """Raised when f cannot be trusted at a point (pole or zero proximity)."""
 
 
-def zeta_complex(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
-    """zeta(s) for complex s by Euler-Maclaurin summation.
+def _zeta_and_deriv(s: ComplexLike, precision: int) -> Tuple[mpmath.mpc, mpmath.mpc]:
+    """zeta(s) and zeta'(s) from one Euler-Maclaurin pass.
 
     N direct terms, then Bernoulli corrections until they fall below the
     target; the remainder is comparable to the first omitted correction.
     N grows with both the precision and the height so the correction terms
     (whose ratio is roughly ((|Im s| + 2j)/(2 pi N))^2) actually decrease.
+    The derivative is taken term by term: n^(-s) contributes
+    -log(n) n^(-s), and each correction c_j R_j(s) N^(-s-2j+1), with R_j
+    the rising product s (s+1) ... (s+2j-2), contributes
+    c_j (R_j' - log(N) R_j) N^(-s-2j+1).
     """
     work = precision + 15
     with mp.workdps(work):
@@ -53,22 +64,34 @@ def zeta_complex(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmat
             raise ProbeEvaluationError("zeta has its pole at s = 1")
         height = abs(mpmath.im(sv))
         N = int(1.2 * work) + int(height) + 10
-        total = mpmath.mpc(0)
-        for n in range(1, N):
-            total += mpmath.power(n, -sv)
+        # n = 1 contributes 1 to zeta and, with log 1 = 0, nothing to zeta'
+        total = mpmath.mpc(1)
+        dtotal = mpmath.mpc(0)
+        for n in range(2, N):
+            log_n = mpmath.log(n)
+            term = mpmath.exp(-sv * log_n)
+            total += term
+            dtotal -= log_n * term
         Nf = mpmath.mpf(N)
-        total += mpmath.power(Nf, 1 - sv) / (sv - 1)
-        total += mpmath.power(Nf, -sv) / 2
+        log_N = mpmath.log(Nf)
+        power = mpmath.exp(-sv * log_N)
+        inv = 1 / (sv - 1)
+        head = Nf * power * inv
+        total += head + power / 2
+        dtotal -= head * (log_N + inv) + log_N * power / 2
         target = mpmath.mpf(10) ** (-(work + 5))
-        rising = sv
-        power = mpmath.power(Nf, -sv - 1)
+        rising, drising = sv, mpmath.mpc(1)
+        power /= Nf
         previous = None
         converged = False
         for j in range(1, 4 * N):
-            term = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * rising * power
+            weight = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * power
+            term = weight * rising
+            dterm = weight * (drising - log_N * rising)
             total += term
+            dtotal += dterm
             magnitude = abs(term)
-            if magnitude < target:
+            if magnitude < target and abs(dterm) < target:
                 converged = True
                 break
             if previous is not None and magnitude > previous:
@@ -77,31 +100,26 @@ def zeta_complex(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmat
                     "point too far outside the supported region"
                 )
             previous = magnitude
-            rising *= (sv + 2 * j - 1) * (sv + 2 * j)
+            a, b = sv + 2 * j - 1, sv + 2 * j
+            drising = drising * a * b + rising * (a + b)
+            rising *= a * b
             power /= Nf * Nf
         if not converged:
             raise ProbeEvaluationError(
                 f"zeta evaluation at {complex(sv)} missed the precision target"
             )
-        return +total
+        return +total, +dtotal
+
+
+def zeta_complex(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
+    """zeta(s) for complex s by Euler-Maclaurin summation."""
+    return _zeta_and_deriv(s, precision)[0]
 
 
 def zeta_deriv(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
-    """zeta'(s) by central differences with one Richardson step.
-
-    Step h = 10^(-precision/2); the h^2 truncation errors of the two central
-    differences cancel in (4 D(h/2) - D(h))/3, leaving O(h^4), and the inner
-    evaluations run at doubled precision so the 1/h roundoff amplification
-    stays far below the target.
-    """
-    inner = 2 * precision + 10
-    with mp.workdps(inner + 10):
-        sv = mpmath.mpc(s)
-        h = mpmath.mpf(10) ** (-(precision // 2 + 1))
-        d_h = (zeta_complex(sv + h, inner) - zeta_complex(sv - h, inner)) / (2 * h)
-        half = h / 2
-        d_half = (zeta_complex(sv + half, inner) - zeta_complex(sv - half, inner)) / (2 * half)
-        return +((4 * d_half - d_h) / 3)
+    """zeta'(s), differentiated analytically term by term in the same
+    Euler-Maclaurin pass that gives zeta(s) (no finite differences)."""
+    return _zeta_and_deriv(s, precision)[1]
 
 
 def f_eval(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
@@ -118,14 +136,13 @@ def f_eval(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
             raise ProbeEvaluationError(
                 f"s = {complex(sv)} too close to s = 1 for the quotient form"
             )
-        z = zeta_complex(sv, precision)
+        z, zp = _zeta_and_deriv(sv, precision)
         floor = mpmath.mpf(10) ** (-(precision // 2))
         if abs(z) < floor:
             raise ProbeEvaluationError(
                 f"|zeta({complex(sv)})| = {mpmath.nstr(abs(z), 5)} below safe floor "
                 "(too near a zero)"
             )
-        zp = zeta_deriv(sv, precision)
         gamma = euler_gamma(precision).value
         return +((sv + sv * (sv - 1) * zp / z) / gamma)
 
@@ -190,6 +207,45 @@ class LineProbeReport:
         return "\n".join(lines) + "\n"
 
 
+def _near_collisions(
+    points: List[Tuple[float, complex]], tol: float, step_gate: float
+) -> List[NearCollision]:
+    """Pairs of (param, f) points a < b with |f_a - f_b| < tol and
+    |param_a - param_b| > step_gate, ordered by a, then b.
+
+    Grid bucketing: a pair closer than tol lies in the same or adjacent
+    square cells when cells are at least tol wide, so each point is tested
+    only against the 3x3 cells around it.  Cells are a hair wider than tol
+    and no narrower than 2^-30 of the largest coordinate, which keeps each
+    cell index below 2^30 and its float rounding error far below the
+    2^-20 margin, so rounding cannot push a close pair two cells apart.
+    """
+    largest = max((max(abs(f.real), abs(f.imag)) for _, f in points), default=0.0)
+    cell = max(tol * (1 + 2.0**-20), largest * 2.0**-30)
+    keys = [(math.floor(f.real / cell), math.floor(f.imag / cell)) for _, f in points]
+    buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+    for index, key in enumerate(keys):
+        buckets[key].append(index)
+    near: List[NearCollision] = []
+    for a, (kx, ky) in enumerate(keys):
+        pa, fa = points[a]
+        neighbours = sorted(
+            b
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for b in buckets.get((kx + dx, ky + dy), ())
+            if b > a
+        )
+        for b in neighbours:
+            pb, fb = points[b]
+            if abs(pa - pb) <= step_gate:
+                continue
+            dist = abs(fa - fb)
+            if dist < tol:
+                near.append(NearCollision(param1=pa, param2=pb, distance=dist))
+    return near
+
+
 def line_probe(
     kind: str,
     fixed: float,
@@ -214,6 +270,8 @@ def line_probe(
         raise ValueError("line_probe needs samples >= 2")
     if not hi > lo:
         raise ValueError("line_probe needs hi > lo")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"line_probe needs a finite tol > 0, got {tol!r}")
     grid_step = (hi - lo) / (samples - 1)
     collected: List[ComplexSample] = []
     failures: List[SampleFailure] = []
@@ -239,17 +297,7 @@ def line_probe(
         )
     # Pair scan in plain floats: tol is far above double roundoff.
     points = [(c.param, complex(float(c.f_re), float(c.f_im))) for c in collected]
-    near: List[NearCollision] = []
-    step_gate = grid_step * (1 + 1e-9)
-    for a in range(len(points)):
-        pa, fa = points[a]
-        for b in range(a + 1, len(points)):
-            pb, fb = points[b]
-            if abs(pa - pb) <= step_gate:
-                continue
-            dist = abs(fa - fb)
-            if dist < tol:
-                near.append(NearCollision(param1=pa, param2=pb, distance=dist))
+    near = _near_collisions(points, tol, grid_step * (1 + 1e-9))
     return LineProbeReport(
         kind=kind,
         fixed=fixed,

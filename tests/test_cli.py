@@ -273,6 +273,16 @@ class TestProbe:
         assert code == 1
         assert "# sampled_injective: no" in out
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        code, out, err = run(
+            "probe", "--line", "im", "--b", "1", "--t0", "1", "--t1", "2",
+            "--samples", "4", "--tol", tol,
+        )
+        assert code == 2
+        assert "tol" in err
+        assert "sampled_injective" not in out
+
     def test_im_line_requires_b(self):
         code, _, err = run("probe", "--line", "im", "--t0", "0", "--t1", "1")
         assert code == 2

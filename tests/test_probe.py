@@ -6,10 +6,15 @@ circle of radius 0.3, must reproduce lambda_tiny(n)/gamma. Everything the
 probe reports flows through f_eval, so this one identity anchors it all.
 """
 
+import math
+
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+import likeiper.probe as probe_module
 from likeiper import (
     ProbeEvaluationError,
     euler_gamma,
@@ -19,7 +24,16 @@ from likeiper import (
     zeta_complex,
     zeta_deriv,
 )
-from likeiper.probe import DEFAULT_PROBE_DIGITS
+from likeiper.probe import DEFAULT_PROBE_DIGITS, NearCollision, _near_collisions
+
+
+# Grid samples from both 100-sample benchmark probe lines (b = 1 with
+# t = 30 i/99, and t = 14.134725 with b = 0.55 + 2.45 i/99) plus points off them.
+ORACLE_POINTS = (
+    [complex(1, 30 * i / 99) for i in (1, 25, 47, 73, 99)]
+    + [complex(0.55 + 2.45 * i / 99, 14.134725) for i in (0, 20, 60, 99)]
+    + [0, 2, complex(-1, 0.5)]
+)
 
 
 class TestZetaComplex:
@@ -60,6 +74,34 @@ class TestZetaDeriv:
         with mp.workdps(45):
             expected = mpmath.zeta(mpmath.mpc(s), derivative=1)
             assert abs(zeta_deriv(s, 30) - expected) < mpmath.mpf(10) ** -20
+
+
+class TestEngineOracle:
+    """zeta and zeta' against mpmath's independent evaluation at 30 more digits."""
+
+    @pytest.mark.parametrize("precision", [15, 30, 60])
+    @pytest.mark.parametrize("s", ORACLE_POINTS)
+    def test_relative_error_within_precision(self, s, precision):
+        with mp.workdps(precision + 30):
+            sv = mpmath.mpc(s)
+            bound = mpmath.mpf(10) ** -precision
+            z = mpmath.zeta(sv)
+            zp = mpmath.zeta(sv, derivative=1)
+            assert abs(zeta_complex(s, precision) - z) <= bound * abs(z)
+            assert abs(zeta_deriv(s, precision) - zp) <= bound * abs(zp)
+
+    def test_f_eval_runs_the_engine_once(self, monkeypatch):
+        calls = []
+        engine = probe_module._zeta_and_deriv
+
+        def counting(s, precision):
+            calls.append(s)
+            return engine(s, precision)
+
+        monkeypatch.setattr(probe_module, "_zeta_and_deriv", counting)
+        f_eval(complex(2, 3), 30)
+        f_eval(complex(1, 14.134725), 20)
+        assert len(calls) == 2
 
 
 class TestFEval:
@@ -165,6 +207,11 @@ class TestLineProbe:
         with pytest.raises(ValueError, match="hi > lo"):
             line_probe("im", 1.0, 2.0, 2.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            line_probe("im", 1.0, 1.0, 2.0, samples=4, precision=20, tol=tol)
+
     def test_tsv_format(self):
         report = line_probe("im", 1.0, 1.0, 2.0, samples=4, precision=20)
         text = report.to_tsv()
@@ -182,3 +229,53 @@ class TestLineProbe:
         a = line_probe("im", 1.0, 1.0, 3.0, samples=20, precision=20).to_tsv()
         b = line_probe("im", 1.0, 1.0, 3.0, samples=20, precision=20).to_tsv()
         assert a == b
+
+
+def brute_force_near_collisions(points, tol, step_gate):
+    """The all-pairs scan the grid bucketing must reproduce, pair for pair."""
+    near = []
+    for a in range(len(points)):
+        pa, fa = points[a]
+        for b in range(a + 1, len(points)):
+            pb, fb = points[b]
+            if abs(pa - pb) <= step_gate:
+                continue
+            dist = abs(fa - fb)
+            if dist < tol:
+                near.append(NearCollision(param1=pa, param2=pb, distance=dist))
+    return near
+
+
+@st.composite
+def probe_points(draw):
+    # Clusters around a few centres with offsets on the scale of tol (some
+    # exactly on cell edges) or far inside it, tol from far below to far
+    # above the spread of the points,
+    # and params on a grid so that neighbours sit exactly at the step gate.
+    tol = draw(st.sampled_from([1e-9, 1e-6, 0.01, 0.5, 3.0, 1e3]))
+    step = draw(st.sampled_from([0.1, 0.25, 1.0]))
+    centres = draw(
+        st.lists(
+            st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=3
+        )
+    )
+    offset = st.one_of(
+        st.integers(-3, 3).map(float), st.floats(-3, 3, allow_nan=False)
+    )
+    unit = draw(st.sampled_from([tol, tol / 1000]))
+    count = draw(st.integers(0, 40))
+    points = []
+    for i in range(count):
+        cx, cy = draw(st.sampled_from(centres))
+        dx, dy = draw(offset), draw(offset)
+        points.append((i * step, complex(cx + dx * unit, cy + dy * unit)))
+    return points, tol, step * (1 + 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_points())
+def test_grid_scan_matches_brute_force(case):
+    points, tol, step_gate = case
+    assert _near_collisions(points, tol, step_gate) == brute_force_near_collisions(
+        points, tol, step_gate
+    )
