@@ -17,18 +17,14 @@ The complex zeta evaluation is a self-contained Euler-Maclaurin sum (the
 rest of the package only ever needs zeta at real integers), with parameters
 chosen from the requested precision and the height |Im s|.  zeta'(s) comes
 out of the same pass, differentiated analytically term by term, so each
-sample of f costs one sum; there are no finite differences.  The
-near-collision scan buckets the f values on a grid of cell size tol, so it
-is linear in the number of samples unless many values lie within tol of
-each other.
+sample of f costs one sum; there are no finite differences.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -207,45 +203,6 @@ class LineProbeReport:
         return "\n".join(lines) + "\n"
 
 
-def _near_collisions(
-    points: List[Tuple[float, complex]], tol: float, step_gate: float
-) -> List[NearCollision]:
-    """Pairs of (param, f) points a < b with |f_a - f_b| < tol and
-    |param_a - param_b| > step_gate, ordered by a, then b.
-
-    Grid bucketing: a pair closer than tol lies in the same or adjacent
-    square cells when cells are at least tol wide, so each point is tested
-    only against the 3x3 cells around it.  Cells are a hair wider than tol
-    and no narrower than 2^-30 of the largest coordinate, which keeps each
-    cell index below 2^30 and its float rounding error far below the
-    2^-20 margin, so rounding cannot push a close pair two cells apart.
-    """
-    largest = max((max(abs(f.real), abs(f.imag)) for _, f in points), default=0.0)
-    cell = max(tol * (1 + 2.0**-20), largest * 2.0**-30)
-    keys = [(math.floor(f.real / cell), math.floor(f.imag / cell)) for _, f in points]
-    buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-    for index, key in enumerate(keys):
-        buckets[key].append(index)
-    near: List[NearCollision] = []
-    for a, (kx, ky) in enumerate(keys):
-        pa, fa = points[a]
-        neighbours = sorted(
-            b
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for b in buckets.get((kx + dx, ky + dy), ())
-            if b > a
-        )
-        for b in neighbours:
-            pb, fb = points[b]
-            if abs(pa - pb) <= step_gate:
-                continue
-            dist = abs(fa - fb)
-            if dist < tol:
-                near.append(NearCollision(param1=pa, param2=pb, distance=dist))
-    return near
-
-
 def line_probe(
     kind: str,
     fixed: float,
@@ -297,7 +254,17 @@ def line_probe(
         )
     # Pair scan in plain floats: tol is far above double roundoff.
     points = [(c.param, complex(float(c.f_re), float(c.f_im))) for c in collected]
-    near = _near_collisions(points, tol, grid_step * (1 + 1e-9))
+    near: List[NearCollision] = []
+    step_gate = grid_step * (1 + 1e-9)
+    for a in range(len(points)):
+        pa, fa = points[a]
+        for b in range(a + 1, len(points)):
+            pb, fb = points[b]
+            if abs(pa - pb) <= step_gate:
+                continue
+            dist = abs(fa - fb)
+            if dist < tol:
+                near.append(NearCollision(param1=pa, param2=pb, distance=dist))
     return LineProbeReport(
         kind=kind,
         fixed=fixed,

@@ -10,8 +10,6 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp
 
 import likeiper.probe as probe_module
@@ -24,7 +22,7 @@ from likeiper import (
     zeta_complex,
     zeta_deriv,
 )
-from likeiper.probe import DEFAULT_PROBE_DIGITS, NearCollision, _near_collisions
+from likeiper.probe import DEFAULT_PROBE_DIGITS
 
 
 # Grid samples from both 100-sample benchmark probe lines (b = 1 with
@@ -230,52 +228,3 @@ class TestLineProbe:
         b = line_probe("im", 1.0, 1.0, 3.0, samples=20, precision=20).to_tsv()
         assert a == b
 
-
-def brute_force_near_collisions(points, tol, step_gate):
-    """The all-pairs scan the grid bucketing must reproduce, pair for pair."""
-    near = []
-    for a in range(len(points)):
-        pa, fa = points[a]
-        for b in range(a + 1, len(points)):
-            pb, fb = points[b]
-            if abs(pa - pb) <= step_gate:
-                continue
-            dist = abs(fa - fb)
-            if dist < tol:
-                near.append(NearCollision(param1=pa, param2=pb, distance=dist))
-    return near
-
-
-@st.composite
-def probe_points(draw):
-    # Clusters around a few centres with offsets on the scale of tol (some
-    # exactly on cell edges) or far inside it, tol from far below to far
-    # above the spread of the points,
-    # and params on a grid so that neighbours sit exactly at the step gate.
-    tol = draw(st.sampled_from([1e-9, 1e-6, 0.01, 0.5, 3.0, 1e3]))
-    step = draw(st.sampled_from([0.1, 0.25, 1.0]))
-    centres = draw(
-        st.lists(
-            st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=3
-        )
-    )
-    offset = st.one_of(
-        st.integers(-3, 3).map(float), st.floats(-3, 3, allow_nan=False)
-    )
-    unit = draw(st.sampled_from([tol, tol / 1000]))
-    count = draw(st.integers(0, 40))
-    points = []
-    for i in range(count):
-        cx, cy = draw(st.sampled_from(centres))
-        dx, dy = draw(offset), draw(offset)
-        points.append((i * step, complex(cx + dx * unit, cy + dy * unit)))
-    return points, tol, step * (1 + 1e-9)
-
-
-@settings(max_examples=300, deadline=None)
-@given(probe_points())
-def test_grid_scan_matches_brute_force(case):
-    points, tol, step_gate = case
-    assert _near_collisions(points, tol, step_gate) == brute_force_near_collisions(
-        points, tol, step_gate
-    )
