@@ -5,19 +5,14 @@ trend part and a tiny oscillatory remainder, feeds them through binomial
 difference/recurrence approximation schemes, checks them against the first
 nontrivial zeta zeros, and scans the conjectured bound
 |lambda_tiny(n)| <= gamma * n.
+
+The package root re-exports the names the README and the tests use; every
+other name lives in its module (``likeiper.goldens.CellReport`` and so on).
 """
 
-from .bigreal import (
-    DEFAULT_DIGITS,
-    MIN_DIGITS,
-    BigReal,
-    PrecisionError,
-    big,
-)
+from .bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, big
 from .constants import (
     ConstantsError,
-    FundamentalConstants,
-    StieltjesTable,
     euler_gamma,
     fundamental_constants,
     load_stieltjes,
@@ -26,50 +21,21 @@ from .constants import (
     polygamma_half,
     zeta_int,
 )
-from .datafiles import DataFormatError, data_dir
-from .goldens import (
-    TABLE_IDS,
-    TABLE_NAMES,
-    CellReport,
-    GoldenCell,
-    GoldenTable,
-    TableReport,
-    load_golden,
-    recompute_table,
-    verify_table,
-)
+from .datafiles import DataFormatError
+from .goldens import load_golden, verify_table
 from .lambda_core import (
-    CoeffDecomposition,
     LambdaTable,
-    ScanRow,
     conjecture_scan,
-    guard_digits,
     lambda1_closed_form,
     lambda_table,
     psi_perturbation,
-    tiny_series,
-    trend_series,
 )
-from .probe import (
-    DEFAULT_PROBE_DIGITS,
-    ComplexSample,
-    LineProbeReport,
-    NearCollision,
-    ProbeEvaluationError,
-    SampleFailure,
-    f_eval,
-    line_probe,
-    zeta_complex,
-    zeta_deriv,
-)
+from .probe import ProbeEvaluationError, f_eval, line_probe, zeta_complex, zeta_deriv
 from .recurrences import (
-    EXACT_HISTORY,
     FULL_HISTORY,
     ORDER_M,
-    SELF_SEEDED,
     VOROS,
     HistoryError,
-    PredictionResult,
     RecurrenceScheme,
     closed_form_check_linear,
     discrete_derivative,
@@ -82,7 +48,6 @@ from .recurrences import (
     self_seeded_run,
 )
 from .series import (
-    BinomialTable,
     PowerSeries,
     SeriesDomainError,
     SeriesOrderError,
@@ -95,113 +60,6 @@ from .series import (
     series_log,
     series_mul,
 )
-from .zeros import (
-    InversionCheck,
-    ZeroDataError,
-    ZeroList,
-    delta_bound,
-    inversion_check,
-    load_zeros,
-    tail_integral,
-    z_partial,
-    z_tail_bound,
-)
+from .zeros import ZeroDataError, delta_bound, inversion_check, load_zeros, z_partial, z_tail_bound
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    # bigreal
-    "DEFAULT_DIGITS",
-    "MIN_DIGITS",
-    "BigReal",
-    "PrecisionError",
-    "big",
-    # series
-    "PowerSeries",
-    "SeriesDomainError",
-    "SeriesOrderError",
-    "BinomialTable",
-    "binomial",
-    "koebe_series",
-    "parity_sign",
-    "series_add",
-    "series_compose_zmap",
-    "series_derivative",
-    "series_log",
-    "series_mul",
-    # data files
-    "DataFormatError",
-    "data_dir",
-    # constants
-    "ConstantsError",
-    "FundamentalConstants",
-    "StieltjesTable",
-    "euler_gamma",
-    "fundamental_constants",
-    "load_stieltjes",
-    "log_pi",
-    "log_two",
-    "polygamma_half",
-    "zeta_int",
-    # lambda core
-    "CoeffDecomposition",
-    "LambdaTable",
-    "ScanRow",
-    "conjecture_scan",
-    "guard_digits",
-    "lambda1_closed_form",
-    "lambda_table",
-    "psi_perturbation",
-    "tiny_series",
-    "trend_series",
-    # recurrences
-    "EXACT_HISTORY",
-    "FULL_HISTORY",
-    "ORDER_M",
-    "SELF_SEEDED",
-    "VOROS",
-    "HistoryError",
-    "PredictionResult",
-    "RecurrenceScheme",
-    "closed_form_check_linear",
-    "discrete_derivative",
-    "model_predictor",
-    "phi_nlogn",
-    "predict_full_history",
-    "predict_order_m",
-    "predict_voros",
-    "prediction_run",
-    "self_seeded_run",
-    # zeros
-    "InversionCheck",
-    "ZeroDataError",
-    "ZeroList",
-    "delta_bound",
-    "inversion_check",
-    "load_zeros",
-    "tail_integral",
-    "z_partial",
-    "z_tail_bound",
-    # probe
-    "DEFAULT_PROBE_DIGITS",
-    "ComplexSample",
-    "LineProbeReport",
-    "NearCollision",
-    "ProbeEvaluationError",
-    "SampleFailure",
-    "f_eval",
-    "line_probe",
-    "zeta_complex",
-    "zeta_deriv",
-    # goldens
-    "TABLE_IDS",
-    "TABLE_NAMES",
-    "CellReport",
-    "GoldenCell",
-    "GoldenTable",
-    "TableReport",
-    "load_golden",
-    "recompute_table",
-    "verify_table",
-]

@@ -69,10 +69,6 @@ class BigReal:
     def one(cls, precision: int = DEFAULT_DIGITS) -> "BigReal":
         return cls(1, precision)
 
-    def at_precision(self, precision: int) -> "BigReal":
-        """Re-tag (and round) this value at a different working precision."""
-        return BigReal(self.value, precision)
-
     # -- arithmetic ------------------------------------------------------------
 
     @staticmethod

@@ -23,7 +23,6 @@ from .probe import DEFAULT_PROBE_DIGITS, line_probe
 from .recurrences import (
     FULL_HISTORY,
     ORDER_M,
-    SELF_SEEDED,
     VOROS,
     HistoryError,
     RecurrenceScheme,
@@ -219,7 +218,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
     d = config.delimiter
 
     if seed_mode == "initial":
-        scheme = RecurrenceScheme(kind=scheme.kind, m=scheme.m, seed_mode=SELF_SEEDED)
         lam1 = lambda1_closed_form(config.digits)
         c = big(c_text, config.digits) if c_text is not None else None
         values = self_seeded_run(scheme, lam1, c=c, n_max=config.n_max)

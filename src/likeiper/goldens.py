@@ -38,19 +38,6 @@ from .recurrences import (
     predict_voros,
 )
 
-__all__ = [
-    "GoldenCell",
-    "GoldenTable",
-    "CellReport",
-    "TableReport",
-    "TABLE_NAMES",
-    "TABLE_IDS",
-    "tables_dir",
-    "load_golden",
-    "recompute_table",
-    "verify_table",
-]
-
 #: Golden table names in source order; numeric ids 1..5 address the first five.
 TABLE_NAMES: Tuple[str, ...] = (
     "ratio_order2",
@@ -110,9 +97,6 @@ class GoldenTable:
 
     def cell(self, row: int, column: str) -> GoldenCell:
         return self.cells[(row, column)]
-
-    def column_cells(self, column: str) -> List[GoldenCell]:
-        return [self.cells[(row, column)] for row in self.rows if (row, column) in self.cells]
 
     @property
     def flagged_cells(self) -> List[GoldenCell]:
@@ -313,19 +297,6 @@ class CellReport:
         if not self.cell.flagged:
             return True
         return self.matches and not self.printed_matches
-
-    def describe(self) -> str:
-        status = "ok" if self.matches else "MISMATCH"
-        text = (
-            f"row {self.cell.row:>3} {self.cell.column:<6} {status}"
-            f"  printed={self.cell.printed}"
-        )
-        if self.cell.flagged:
-            text += f"  corrected={self.cell.expect}"
-        if not self.matches:
-            text += f"  recomputed={self.recomputed.digits_str(self.cell.places + 4)}"
-            text += f"  |diff|={float(self.deviation):.3e}"
-        return text
 
 
 @dataclass(frozen=True)

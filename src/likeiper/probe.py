@@ -219,12 +219,18 @@ def line_probe(
     A near-collision is a pair of successful samples with
     |f1 - f2| < tol while |param1 - param2| > grid step (adjacent samples
     get close by continuity alone, so they never count).  Individual
-    evaluation failures (pole or zero proximity) are recorded, not fatal.
+    evaluation failures (pole or zero proximity) are recorded, not fatal,
+    but fewer than two evaluated samples leave no pair to compare and raise
+    ``ProbeEvaluationError``.
     """
     if kind not in (VARY_RE, VARY_IM):
         raise ValueError(f"kind must be '{VARY_RE}' or '{VARY_IM}', got {kind!r}")
     if samples < 2:
         raise ValueError("line_probe needs samples >= 2")
+    if not all(math.isfinite(x) for x in (fixed, lo, hi)):
+        raise ValueError(
+            f"line_probe needs a finite line, got fixed={fixed!r}, range [{lo!r}, {hi!r}]"
+        )
     if not hi > lo:
         raise ValueError("line_probe needs hi > lo")
     if not (math.isfinite(tol) and tol > 0):
@@ -251,6 +257,11 @@ def line_probe(
                 f_re=BigReal(mpmath.re(f), precision),
                 f_im=BigReal(mpmath.im(f), precision),
             )
+        )
+    if len(collected) < 2:
+        raise ProbeEvaluationError(
+            f"only {len(collected)} of {samples} samples evaluated, so no pair can be "
+            f"compared; first failure at {failures[0].param!r}: {failures[0].reason}"
         )
     # Pair scan in plain floats: tol is far above double roundoff.
     points = [(c.param, complex(float(c.f_re), float(c.f_im))) for c in collected]

@@ -11,10 +11,19 @@ This module implements those predictors:
                           lambda(n) ~ sum_{k<n} (-1)^(k-n+1) C(n,k) lambda(k);
 * ``predict_voros``     - the central-binomial variant with weights C(2n, n-k).
 
-Each can run on exact history (true lower-index values substituted at every
-step) or self-seeded (its own predictions fed back in).  The closed-form
-families the self-seeded runs collapse to (n*l1, n^2*l1, n(n+1)/2*l1, and the
-general quadratic [(c/2-1)n(n-1)+n]*l1) make sharp exactness tests.
+All three are one alternating binomial sum with a different weight, and one
+kernel computes them: weight C(m, n-k) for order m, C(n, k) for the full
+history, C(2n, n-k) for Voros.  The sum runs over k >= 1, so the boundary
+convention value(0) = 0 needs no code.  The sums work on any field type
+(``BigReal``, or ``Fraction`` for exact tests) and take their zeros from the
+operands (``x * 0``).
+
+The mode is the function called: ``prediction_run`` predicts from exact
+history (true lower-index values substituted at every step) and
+``self_seeded_run`` feeds the scheme's own predictions back in.  The
+closed-form families the self-seeded runs collapse to (n*l1, n^2*l1,
+n(n+1)/2*l1, and the general quadratic [(c/2-1)n(n-1)+n]*l1) make sharp
+exactness tests.
 
 ``phi_nlogn`` and ``model_predictor`` evaluate the operator on the explicit
 large-n model g(k) = (1/2) k log k + (c + gamma) k, where the binomial sums
@@ -40,9 +49,6 @@ ORDER_M = "order_m"
 FULL_HISTORY = "full_history"
 VOROS = "voros"
 
-EXACT_HISTORY = "exact_history"
-SELF_SEEDED = "self_seeded"
-
 
 class HistoryError(ValueError):
     """Raised when a predictor lacks the lower-index values it needs."""
@@ -50,17 +56,15 @@ class HistoryError(ValueError):
 
 @dataclass(frozen=True)
 class RecurrenceScheme:
-    """A predictor family plus its seeding mode.
+    """A predictor family.
 
     ``kind`` is one of ``order_m`` (requires ``m >= 2``), ``full_history``,
-    ``voros``.  ``seed_mode`` is ``exact_history`` (true lower-index values
-    substituted everywhere) or ``self_seeded`` (predictions fed back in,
-    started from explicit initial values).
+    ``voros``.  ``initial`` holds the values at indices 2..m that an order-m
+    scheme with m > 2 starts from when it self-seeds.
     """
 
     kind: str
     m: Optional[int] = None
-    seed_mode: str = EXACT_HISTORY
     initial: Optional[Tuple[Value, ...]] = None
 
     def __post_init__(self):
@@ -71,8 +75,6 @@ class RecurrenceScheme:
                 raise ValueError("order_m schemes need m >= 2")
         elif self.m is not None:
             raise ValueError(f"{self.kind} takes no order parameter")
-        if self.seed_mode not in (EXACT_HISTORY, SELF_SEEDED):
-            raise ValueError(f"unknown seed mode {self.seed_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -82,22 +84,6 @@ class PredictionResult:
     exact: Optional[Value] = None
     abs_error: Optional[Value] = None
     rel_error: Optional[Value] = None
-
-
-def _value_at(history: Sequence[Value], k: int, what: str) -> Value:
-    """history[k] with the boundary convention value(0) = 0."""
-    if k < 0:
-        raise HistoryError(f"{what}: needs index {k} < 0 (insufficient history)")
-    if k == 0:
-        sample = history[0] if len(history) > 0 else None
-        if isinstance(sample, BigReal):
-            return BigReal.zero(sample.precision)
-        return Fraction(0)
-    if k >= len(history):
-        raise HistoryError(
-            f"{what}: needs index {k} but history covers only 0..{len(history) - 1}"
-        )
-    return history[k]
 
 
 def discrete_derivative(f: Sequence[Value], n: int, m: int) -> Value:
@@ -123,13 +109,35 @@ def discrete_derivative(f: Sequence[Value], n: int, m: int) -> Value:
     return total
 
 
+def _predict_binomial(history: Sequence[Value], n: int, weight: Callable[[int], int]) -> Value:
+    """sum_{k=1}^{n-1} (-1)^(k-n+1) weight(k) history[k], zero weights skipped.
+
+    The empty sum is ``history[0] * 0``, so it comes back in the history's
+    own type (and, for ``BigReal``, at its tag).
+    """
+    if n < 1:
+        raise ValueError(f"a binomial prediction needs n >= 1, got n={n}")
+    if n > len(history):
+        raise HistoryError(
+            f"prediction at n={n} needs history 0..{n - 1}, have 0..{len(history) - 1}"
+        )
+    total: Optional[Value] = None
+    for k in range(1, n):
+        w = weight(k)
+        if w:
+            term = history[k] * (parity_sign(k - n + 1) * w)
+            total = term if total is None else total + term
+    return history[0] * 0 if total is None else total
+
+
 def predict_order_m(history: Sequence[Value], n: int, m: int) -> Value:
     """Solve Delta^m = 0 at the top index for the value at n:
 
         predicted = sum_{j=1}^{m} (-1)^(j+1) C(m,j) history[n-j]
 
-    with the boundary convention value(0) = 0.  Requires n >= m (an index
-    below 0 is not defined by any convention).
+    with the boundary convention value(0) = 0, which holds because the
+    kernel's sum starts at index 1.  Requires n >= m (an index below 0 is
+    not defined by any convention).
     """
     if m < 2:
         raise ValueError("predict_order_m needs m >= 2")
@@ -137,30 +145,7 @@ def predict_order_m(history: Sequence[Value], n: int, m: int) -> Value:
         raise HistoryError(
             f"order-{m} prediction at n={n} would need an index below 0"
         )
-    total = None
-    for j in range(1, m + 1):
-        term = _value_at(history, n - j, f"order-{m} prediction at n={n}") * (
-            parity_sign(j + 1) * binomial(m, j)
-        )
-        total = term if total is None else total + term
-    return total
-
-
-def _predict_binomial(history: Sequence[Value], n: int, weight: Callable[[int], int]) -> Value:
-    """sum_{k=1}^{n-1} (-1)^(k-n+1) weight(k) history[k]; the empty sum is 0."""
-    if n < 1:
-        raise ValueError(f"a binomial prediction needs n >= 1, got n={n}")
-    if n - 1 >= len(history) and n > 1:
-        raise HistoryError(
-            f"prediction at n={n} needs history 1..{n - 1}, have 0..{len(history) - 1}"
-        )
-    total: Optional[Value] = None
-    for k in range(1, n):
-        term = history[k] * (parity_sign(k - n + 1) * weight(k))
-        total = term if total is None else total + term
-    if total is None:
-        return _zero_like(history[0]) if len(history) > 0 else Fraction(0)
-    return total
+    return _predict_binomial(history, n, lambda k: binomial(m, n - k))
 
 
 def predict_full_history(history: Sequence[Value], n: int) -> Value:
@@ -210,10 +195,7 @@ def prediction_run(
         abs_err = rel_err = None
         if exact is not None:
             abs_err = abs(predicted - exact)
-            if isinstance(exact, Fraction):
-                rel_err = abs_err / abs(exact) if exact != 0 else None
-            elif exact != 0:
-                rel_err = abs_err / abs(exact)
+            rel_err = abs_err / abs(exact) if exact != 0 else None
         results.append(
             PredictionResult(n=n, predicted=predicted, exact=exact, abs_error=abs_err, rel_error=rel_err)
         )
@@ -234,11 +216,9 @@ def self_seeded_run(
     Higher-order schemes need explicit ``scheme.initial`` values for
     indices 2..m.
     """
-    if scheme.seed_mode != SELF_SEEDED:
-        raise ValueError("self_seeded_run needs a scheme in self_seeded mode")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    values: List[Value] = [_zero_like(lambda1), lambda1]
+    values: List[Value] = [lambda1 * 0, lambda1]
     if scheme.kind == VOROS:
         if c is not None:
             raise ValueError(
@@ -263,12 +243,6 @@ def self_seeded_run(
     return values[1 : n_max + 1]
 
 
-def _zero_like(value: Value) -> Value:
-    if isinstance(value, BigReal):
-        return BigReal.zero(value.precision)
-    return Fraction(0)
-
-
 def closed_form_check_linear(
     alpha: Value, beta: Value, n_max: int
 ) -> List[Tuple[int, Value, Value]]:
@@ -284,7 +258,7 @@ def closed_form_check_linear(
     so n = 1 has nothing to predict from.
     """
     rows = []
-    history = [_zero_like(alpha)] + [alpha * k + beta for k in range(1, n_max)]
+    history = [alpha * 0] + [alpha * k + beta for k in range(1, n_max)]
     for n in range(2, n_max + 1):
         predicted = predict_full_history(history[:n], n)
         residual = predicted - alpha * n

@@ -185,45 +185,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class BinomialTable:
-    """Dense Pascal-triangle rows up to ``n_max``, for hot inner loops.
-
-    Built additively (each entry is the sum of the two above it) and
-    cross-checked at the corners against the multiplicative formula.
-    """
-
-    __slots__ = ("n_max", "rows")
-
-    def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError("BinomialTable needs n_max >= 0")
-        rows = [[1]]
-        for n in range(1, n_max + 1):
-            prev = rows[-1]
-            row = [1]
-            for k in range(1, n):
-                row.append(prev[k - 1] + prev[k])
-            row.append(1)
-            rows.append(row)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-        # consistency spot-check against the independent implementation
-        if n_max >= 1:
-            mid = n_max // 2
-            if self.rows[n_max][mid] != math.comb(n_max, mid):
-                raise AssertionError("Pascal construction disagrees with math.comb")
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("BinomialTable is immutable")
-
-    def get(self, n: int, k: int) -> int:
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"row {n} outside table (0..{self.n_max})")
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
-
-
 def parity_sign(exponent: int) -> int:
     """(-1)**exponent computed safely for any integer sign of the exponent."""
     return -1 if exponent % 2 else 1

@@ -28,7 +28,6 @@ from mpmath import mp
 from likeiper import (
     FULL_HISTORY,
     ORDER_M,
-    SELF_SEEDED,
     VOROS,
     RecurrenceScheme,
     binomial,
@@ -401,15 +400,15 @@ def test_criterion_09_property_suites(table32, stieltjes):
     lam1 = Fraction(17, 5)
     n_max = 32
 
-    order2 = RecurrenceScheme(kind=ORDER_M, m=2, seed_mode=SELF_SEEDED)
+    order2 = RecurrenceScheme(kind=ORDER_M, m=2)
     got = self_seeded_run(order2, lam1, c=Fraction(2), n_max=n_max)
     assert got == [n * lam1 for n in range(1, n_max + 1)]
 
-    voros = RecurrenceScheme(kind=VOROS, seed_mode=SELF_SEEDED)
+    voros = RecurrenceScheme(kind=VOROS)
     got = self_seeded_run(voros, lam1, n_max=n_max)
     assert got == [n * n * lam1 for n in range(1, n_max + 1)]
 
-    full = RecurrenceScheme(kind=FULL_HISTORY, seed_mode=SELF_SEEDED)
+    full = RecurrenceScheme(kind=FULL_HISTORY)
     got = self_seeded_run(full, lam1, c=Fraction(4), n_max=n_max)
     assert got == [n * n * lam1 for n in range(1, n_max + 1)]
     got = self_seeded_run(full, lam1, c=Fraction(3), n_max=n_max)

@@ -283,6 +283,22 @@ class TestProbe:
         assert "tol" in err
         assert "sampled_injective" not in out
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (("--line", "im", "--b", "inf", "--t0", "0", "--t1", "1"), "finite line"),
+            (("--line", "re", "--t", "nan", "--b0", "0.5", "--b1", "1"), "finite line"),
+            # both samples lie within 1e-6 of the pole at s = 1
+            (("--line", "re", "--t", "0", "--b0", "0.9999999", "--b1", "1.0000001"),
+             "0 of 2 samples evaluated"),
+        ],
+    )
+    def test_no_verdict_without_evidence(self, line, message):
+        code, out, err = run("probe", *line, "--samples", "2")
+        assert code == 2
+        assert message in err
+        assert "sampled_injective" not in out
+
     def test_im_line_requires_b(self):
         code, _, err = run("probe", "--line", "im", "--t0", "0", "--t1", "1")
         assert code == 2

@@ -204,11 +204,31 @@ class TestLineProbe:
             line_probe("im", 1.0, 0.0, 1.0, samples=1)
         with pytest.raises(ValueError, match="hi > lo"):
             line_probe("im", 1.0, 2.0, 2.0)
+        for fixed, lo, hi in [
+            (math.inf, 0.0, 1.0),
+            (math.nan, 0.0, 1.0),
+            (1.0, -math.inf, 1.0),
+            (1.0, 0.0, math.inf),
+            (1.0, 0.0, math.nan),
+        ]:
+            with pytest.raises(ValueError, match="finite line"):
+                line_probe("im", fixed, lo, hi, samples=2, precision=20)
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tol"):
             line_probe("im", 1.0, 1.0, 2.0, samples=4, precision=20, tol=tol)
+
+    @pytest.mark.parametrize(
+        "kind, fixed, lo, hi, evaluated",
+        [
+            ("re", 0.0, 0.9999999, 1.0000001, 0),  # both samples next to the pole
+            ("im", 1.0, 0.0, 1.0, 1),  # t = 0 is the pole, t = 1 has no partner
+        ],
+    )
+    def test_fewer_than_two_evaluated_samples_raise(self, kind, fixed, lo, hi, evaluated):
+        with pytest.raises(ProbeEvaluationError, match=f"only {evaluated} of 2 samples evaluated"):
+            line_probe(kind, fixed, lo, hi, samples=2, precision=20)
 
     def test_tsv_format(self):
         report = line_probe("im", 1.0, 1.0, 2.0, samples=4, precision=20)

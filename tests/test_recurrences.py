@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -9,7 +11,6 @@ from mpmath import mp
 from likeiper import (
     FULL_HISTORY,
     ORDER_M,
-    SELF_SEEDED,
     VOROS,
     BigReal,
     HistoryError,
@@ -26,6 +27,7 @@ from likeiper import (
     prediction_run,
     self_seeded_run,
 )
+from likeiper import recurrences
 
 
 def poly_values(coeffs, upto):
@@ -163,6 +165,68 @@ class TestPredictVoros:
             predict_voros([Fraction(0)], 3)
 
 
+def _sign(exponent):
+    return -1 if exponent % 2 else 1
+
+
+def reference_order_m(history, n, m):
+    """sum_{j=1}^{m} (-1)^(j+1) C(m,j) history[n-j], reading history[0] as 0."""
+    return sum(
+        _sign(j + 1) * math.comb(m, j) * (history[n - j] if n > j else 0)
+        for j in range(1, m + 1)
+    )
+
+
+def reference_full_history(history, n):
+    """sum_{k=1}^{n-1} (-1)^(k-n+1) C(n,k) history[k]."""
+    return sum(_sign(k - n + 1) * math.comb(n, k) * history[k] for k in range(1, n))
+
+
+def reference_voros(history, n):
+    """sum_{k=1}^{n-1} (-1)^(k-n+1) C(2n, n-k) history[k]."""
+    return sum(_sign(k - n + 1) * math.comb(2 * n, n - k) * history[k] for k in range(1, n))
+
+
+class TestPredictorsMatchDocstringSums:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        history=st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=50), min_size=1, max_size=12
+        ),
+        tag=st.integers(min_value=15, max_value=60),
+        data=st.data(),
+    )
+    def test_exact_histories(self, history, tag, data):
+        # history[0] is arbitrary: no predictor may read it as a value
+        n = len(history)
+        assert predict_full_history(history, n) == reference_full_history(history, n)
+        assert predict_voros(history, n) == reference_voros(history, n)
+        if n >= 2:
+            m = data.draw(st.integers(min_value=2, max_value=n), label="m")
+            assert predict_order_m(history, n, m) == reference_order_m(history, n, m)
+
+        # zeros come back in the history's own type, BigReal at its tag
+        tagged = [big(x, tag) for x in history]
+        for predict in (predict_full_history, predict_voros):
+            empty = predict(history, 1)
+            assert type(empty) is Fraction and empty == 0
+            empty = predict(tagged, 1)
+            assert isinstance(empty, BigReal) and empty.precision == tag
+            assert empty.to_fraction() == 0
+        seen = []
+
+        def spy(values, n):
+            seen.append(values[0])
+            return predict_voros(values, n)
+
+        with mock.patch.object(recurrences, "predict_voros", spy):
+            self_seeded_run(RecurrenceScheme(kind=VOROS), history[-1], n_max=3)
+            self_seeded_run(RecurrenceScheme(kind=VOROS), tagged[-1], n_max=3)
+        assert type(seen[0]) is Fraction and seen[0] == 0
+        assert isinstance(seen[-1], BigReal) and seen[-1].precision == tag
+        assert seen[-1].to_fraction() == 0
+
+
 class TestSchemeValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -180,27 +244,23 @@ class TestSchemeValidation:
         with pytest.raises(ValueError):
             RecurrenceScheme(kind=VOROS, m=2)
 
-    def test_bad_seed_mode(self):
-        with pytest.raises(ValueError):
-            RecurrenceScheme(kind=VOROS, seed_mode="psychic")
-
 
 class TestSelfSeeded:
     def test_voros_squares(self):
-        scheme = RecurrenceScheme(kind=VOROS, seed_mode=SELF_SEEDED)
+        scheme = RecurrenceScheme(kind=VOROS)
         lam1 = Fraction(1)
         values = self_seeded_run(scheme, lam1, n_max=12)
         assert values == [Fraction(n * n) for n in range(1, 13)]
 
     def test_voros_rejects_c(self):
-        scheme = RecurrenceScheme(kind=VOROS, seed_mode=SELF_SEEDED)
+        scheme = RecurrenceScheme(kind=VOROS)
         with pytest.raises(ValueError, match="no c accepted"):
             self_seeded_run(scheme, Fraction(1), c=Fraction(2))
 
     @pytest.mark.parametrize("c", [2, 3, 4, 7])
     def test_full_history_closed_form(self, c):
         # lambda2 = c lambda1 propagates to ((c/2 - 1) n (n-1) + n) lambda1
-        scheme = RecurrenceScheme(kind=FULL_HISTORY, seed_mode=SELF_SEEDED)
+        scheme = RecurrenceScheme(kind=FULL_HISTORY)
         lam1 = Fraction(5, 3)
         values = self_seeded_run(scheme, lam1, c=Fraction(c), n_max=16)
         for n in range(1, 17):
@@ -208,24 +268,24 @@ class TestSelfSeeded:
             assert values[n - 1] == expected
 
     def test_order2_linear(self):
-        scheme = RecurrenceScheme(kind=ORDER_M, m=2, seed_mode=SELF_SEEDED)
+        scheme = RecurrenceScheme(kind=ORDER_M, m=2)
         lam1 = Fraction(1)
         values = self_seeded_run(scheme, lam1, c=Fraction(2), n_max=10)
         assert values == [Fraction(n) for n in range(1, 11)]
 
     def test_order2_affine(self):
         # c != 2 makes the order-2 iteration the affine line 1 + (n-1)(c-1)
-        scheme = RecurrenceScheme(kind=ORDER_M, m=2, seed_mode=SELF_SEEDED)
+        scheme = RecurrenceScheme(kind=ORDER_M, m=2)
         values = self_seeded_run(scheme, Fraction(1), c=Fraction(3), n_max=8)
         assert values == [Fraction(1 + (n - 1) * 2) for n in range(1, 9)]
 
     def test_missing_c(self):
-        scheme = RecurrenceScheme(kind=FULL_HISTORY, seed_mode=SELF_SEEDED)
+        scheme = RecurrenceScheme(kind=FULL_HISTORY)
         with pytest.raises(ValueError, match="initial condition"):
             self_seeded_run(scheme, Fraction(1))
 
     def test_order3_needs_explicit_initial(self):
-        scheme = RecurrenceScheme(kind=ORDER_M, m=3, seed_mode=SELF_SEEDED)
+        scheme = RecurrenceScheme(kind=ORDER_M, m=3)
         with pytest.raises(ValueError, match="initial values"):
             self_seeded_run(scheme, Fraction(1))
 
@@ -233,19 +293,13 @@ class TestSelfSeeded:
         scheme = RecurrenceScheme(
             kind=ORDER_M,
             m=3,
-            seed_mode=SELF_SEEDED,
             initial=(Fraction(4), Fraction(9)),
         )
         values = self_seeded_run(scheme, Fraction(1), n_max=10)
         assert values == [Fraction(n * n) for n in range(1, 11)]
 
-    def test_requires_self_seeded_mode(self):
-        scheme = RecurrenceScheme(kind=VOROS)
-        with pytest.raises(ValueError, match="self_seeded"):
-            self_seeded_run(scheme, Fraction(1))
-
     def test_bad_n_max(self):
-        scheme = RecurrenceScheme(kind=VOROS, seed_mode=SELF_SEEDED)
+        scheme = RecurrenceScheme(kind=VOROS)
         with pytest.raises(ValueError):
             self_seeded_run(scheme, Fraction(1), n_max=0)
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +9,6 @@ from mpmath import mp
 
 from likeiper import (
     BigReal,
-    BinomialTable,
     PowerSeries,
     SeriesDomainError,
     SeriesOrderError,
@@ -288,18 +286,6 @@ class TestBinomial:
     @given(n=st.integers(min_value=0, max_value=64))
     def test_row_sums(self, n):
         assert sum(binomial(n, k) for k in range(n + 1)) == 2**n
-
-    def test_table_matches_comb_and_recurrence(self):
-        table = BinomialTable(20)
-        for n in range(21):
-            for k in range(n + 1):
-                assert table.get(n, k) == math.comb(n, k)
-                if 0 < k < n:
-                    assert table.get(n, k) == table.get(n - 1, k - 1) + table.get(n - 1, k)
-
-    def test_entries_are_ints(self):
-        table = BinomialTable(12)
-        assert all(isinstance(table.get(12, k), int) for k in range(13))
 
 
 class TestParitySign:
