@@ -6,20 +6,21 @@ gamma_k are expensive, and a fixed table keeps results reproducible.  The
 loader cross-validates the table's gamma_0 entry against an independently
 computed Euler constant before anything downstream can consume it.
 
-``zeta_int`` evaluates zeta at integer arguments >= 2 by Euler-Maclaurin
-summation with an explicit error-term cutoff; it exists so the polygamma
-values at 1/2 (used by the trend computation) do not depend on any library
-zeta routine.
+``zeta_ints`` gives zeta(2..K), which ``zeta_int`` and ``polygamma_half`` wrap,
+from one fixed-point (2^wp-scaled int) Euler-Maclaurin pass with an explicit
+error cutoff and no library zeta routine; it shares each n^-k across k, and the
+weights B_2j/(2j)! (one lazily built table per wp) with the probe's complex sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import bernfrac, dps_to_prec, from_man_exp, ifac
 
 from .bigreal import BigReal, DEFAULT_DIGITS
 from .datafiles import DataFormatError, default_stieltjes_path, parse_indexed_table
@@ -121,45 +122,64 @@ def _min_value_digits(rows) -> int:
     return min(digit_count(text) for _, text in rows)
 
 
-def zeta_int(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
-    """zeta(k) for integer k >= 2 by Euler-Maclaurin summation.
+_BERNOULLI_WEIGHTS: Dict[int, List[int]] = {}  # wp -> [weight 1, weight 2, ...]
 
-    With N direct terms and correction terms through the Bernoulli number
-    B_{2j}, the remainder is bounded by the first omitted correction term;
-    terms are added until they drop below the target or stop shrinking.
+
+def bernoulli_weight(j: int, wp: int) -> int:
+    """B_2j/(2j)! (j >= 1) as a 2^wp-scaled int, from one table per wp that all
+    Euler-Maclaurin tails share and that grows on demand, never at import."""
+    table = _BERNOULLI_WEIGHTS.setdefault(wp, [])
+    for i in range(len(table) + 1, j + 1):
+        num, den = bernfrac(2 * i)
+        # a slice, not append: two threads filling entry i store the same value
+        table[i - 1 : i] = [((num << (wp + 1)) // (den * ifac(2 * i)) + 1) >> 1]
+    return table[j - 1]
+
+
+def zeta_ints(k_max: int, precision: int = DEFAULT_DIGITS) -> Dict[int, mpmath.mpf]:
+    """zeta(k) for every integer 2 <= k <= k_max from one fixed-point pass.
+
+    Euler-Maclaurin with N = max(10, precision) direct terms, n^-k one integer
+    division of n^-(k-1).  Each k's tail adds c_j q_j, c_j = B_2j/(2j)!,
+    q_j = k (k+1) ... (k+2j-2) N^(-k-2j+1), until a term is below
+    10^-(precision+10).  Values are mpf at precision + 15 digits.
     """
+    if not isinstance(k_max, int) or k_max < 1:
+        raise ConstantsError(f"zeta_ints needs an integer k_max >= 1, got {k_max!r}")
+    prec = dps_to_prec(precision + 15)
+    wp, N = prec + 10, max(10, precision)
+    one, target = 1 << wp, (1 << wp) // 10 ** (precision + 10)
+    sums = [one] * (k_max + 1)  # sum over n < N of n^-k; n = 1 gives one
+    for n in range(2, N):
+        power = one
+        for k in range(1, k_max + 1):
+            power //= n
+            sums[k] += power
+    values = {}
+    for k in range(2, k_max + 1):
+        power = one // N**k
+        total = sums[k] + N * power // (k - 1) + power // 2
+        q, previous = k * power // N, None
+        for j in range(1, 200):
+            term = bernoulli_weight(j, wp) * q >> wp
+            total += term
+            if abs(term) < target:
+                break
+            if previous is not None and abs(term) >= previous:
+                raise ConstantsError(f"zeta({k}) correction terms stopped converging at j={j}")
+            previous = abs(term)
+            q = q * ((k + 2 * j - 1) * (k + 2 * j)) // (N * N)
+        else:  # pragma: no cover - loop bound generous
+            raise ConstantsError(f"zeta({k}) did not reach target precision")
+        values[k] = mp.make_mpf(from_man_exp(total, -wp, prec, "n"))
+    return values
+
+
+def zeta_int(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
+    """zeta(k) for integer k >= 2 (``zeta_ints`` at one k)."""
     if not isinstance(k, int) or k < 2:
         raise ConstantsError(f"zeta_int needs an integer k >= 2, got {k!r}")
-    work = precision + 15
-    with mp.workdps(work):
-        N = max(10, precision)
-        s = mpmath.mpf(k)
-        total = mpmath.fsum(mpmath.mpf(n) ** (-s) for n in range(1, N))
-        Nf = mpmath.mpf(N)
-        total += Nf ** (1 - s) / (s - 1)
-        total += Nf ** (-s) / 2
-        target = mpmath.mpf(10) ** (-(precision + 10))
-        # correction term j: B_{2j}/(2j)! * (s)(s+1)...(s+2j-2) * N^(-s-2j+1)
-        rising = s  # product of (s+i) for i = 0..2j-2, started at j = 1
-        power = Nf ** (-s - 1)
-        previous = None
-        for j in range(1, 200):
-            term = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * rising * power
-            total += term
-            magnitude = abs(term)
-            if magnitude < target:
-                break
-            if previous is not None and magnitude >= previous:
-                raise ConstantsError(
-                    f"zeta_int({k}) correction terms stopped converging at j={j}"
-                )
-            previous = magnitude
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-            power /= Nf * Nf
-        else:  # pragma: no cover - loop bound generous
-            raise ConstantsError(f"zeta_int({k}) did not reach target precision")
-        value = +total
-    return BigReal(value, precision)
+    return BigReal(zeta_ints(k, precision)[k], precision)
 
 
 def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
@@ -173,11 +193,9 @@ def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
         raise ConstantsError(f"polygamma_half needs an integer k >= 0, got {k!r}")
     if k == 0:
         return -(euler_gamma(precision) + 2 * log_two(precision))
-    sign = -1 if (k + 1) % 2 else 1
     with mp.workdps(precision + 10):
-        factor = mpmath.factorial(k) * (mpmath.mpf(2) ** (k + 1) - 1)
-        value = sign * factor * zeta_int(k + 1, precision + 5).value
-    return BigReal(value, precision)
+        factor = (-1) ** (k + 1) * mpmath.factorial(k) * (mpmath.mpf(2) ** (k + 1) - 1)
+        return BigReal(factor * zeta_ints(k + 1, precision + 5)[k + 1], precision)
 
 
 @dataclass(frozen=True)

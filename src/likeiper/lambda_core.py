@@ -40,6 +40,7 @@ from .constants import (
     load_stieltjes,
     log_pi,
     polygamma_half,
+    zeta_ints,
 )
 from .series import (
     PowerSeries,
@@ -101,19 +102,20 @@ def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> PowerSeries:
 
     whose Taylor coefficients come from polygamma values at 1/2:
     the u^1 coefficient is 1 - (log pi)/2 + psi(1/2)/2 and the u^k coefficient
-    (k >= 2) is (-1)^(k+1)/k + psi^(k-1)(1/2) / (2^k k!).  The constant term
-    vanishes (log Gamma(1/2) = (log pi)/2), so composition needs no log.
+    (k >= 2) is (-1)^(k+1)/k + psi^(k-1)(1/2) / (2^k k!) =
+    (-1)^k ((1 - 2^-k) zeta(k) - 1) / k, from one ``zeta_ints`` pass.  The
+    constant term vanishes (log Gamma(1/2) = (log pi)/2), so composition
+    needs no log.
     """
     if n_max < 1:
         raise ValueError("trend_series needs n_max >= 1")
     work = precision + guard_digits(n_max)
+    zetas = zeta_ints(n_max, work + 5)
     with mp.workdps(work + 10):
         coeffs = [mpmath.mpf(0)]
         coeffs.append(1 - log_pi(work).value / 2 + polygamma_half(0, work).value / 2)
         for k in range(2, n_max + 1):
-            sign = 1 if (k + 1) % 2 == 0 else -1
-            scale = mpmath.factorial(k) * mpmath.mpf(2) ** k
-            coeffs.append(mpmath.mpf(sign) / k + polygamma_half(k - 1, work).value / scale)
+            coeffs.append((-1) ** k * ((1 - mpmath.ldexp(1, -k)) * zetas[k] - 1) / k)
         z_series = series_compose_zmap(PowerSeries(coeffs))
     return z_series.map(lambda c: BigReal(c, precision))
 

@@ -18,19 +18,25 @@ rest of the package only ever needs zeta at real integers), with parameters
 chosen from the requested precision and the height |Im s|.  zeta'(s) comes
 out of the same pass, differentiated analytically term by term, so each
 sample of f costs one sum; there are no finite differences.
+
+The sum runs in fixed point on (re, im) pairs of 2^wp-scaled ints (the idiom
+of F. Johansson, Numer. Algorithms 69 (2015)): a smallest-prime-factor sieve
+leaves exp and cos/sin to primes, Re s < 0 lifts wp by the digits the direct
+terms cancel, and the weights B_2j/(2j)! come from ``constants``' table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_man_exp, log_int_fixed, mpf_cos_sin, mpf_exp, to_fixed
 
 from .bigreal import BigReal
-from .constants import euler_gamma
+from .constants import bernoulli_weight, euler_gamma
 
 DEFAULT_PROBE_DIGITS = 30
 
@@ -41,70 +47,90 @@ class ProbeEvaluationError(ValueError):
     """Raised when f cannot be trusted at a point (pole or zero proximity)."""
 
 
-def _zeta_and_deriv(s: ComplexLike, precision: int) -> Tuple[mpmath.mpc, mpmath.mpc]:
-    """zeta(s) and zeta'(s) from one Euler-Maclaurin pass.
+def _mul(a: Sequence[int], b: Sequence[int], wp: int) -> Tuple[int, int]:
+    """a * b for complex numbers held as (re, im) pairs of 2^wp-scaled ints."""
+    return (a[0] * b[0] - a[1] * b[1]) >> wp, (a[0] * b[1] + a[1] * b[0]) >> wp
 
-    N direct terms, then Bernoulli corrections until they fall below the
-    target; the remainder is comparable to the first omitted correction.
-    N grows with both the precision and the height so the correction terms
-    (whose ratio is roughly ((|Im s| + 2j)/(2 pi N))^2) actually decrease.
-    The derivative is taken term by term: n^(-s) contributes
-    -log(n) n^(-s), and each correction c_j R_j(s) N^(-s-2j+1), with R_j
-    the rising product s (s+1) ... (s+2j-2), contributes
-    c_j (R_j' - log(N) R_j) N^(-s-2j+1).
+
+def _zeta_and_deriv(s: ComplexLike, precision: int) -> Tuple[mpmath.mpc, mpmath.mpc]:
+    """zeta(s) and zeta'(s) from one Euler-Maclaurin pass in fixed point.
+
+    N direct terms, N grown with the precision and the height so the Bernoulli
+    corrections c_j P_j N^(-s) (c_j = B_2j/(2j)!, P_j = s (s+1) ... (s+2j-2)
+    N^(1-2j), ratio about ((|Im s| + 2j)/(2 pi N))^2) decrease until one is
+    below the target.  zeta' is taken term by term: -log(n) n^(-s) and
+    c_j (P_j' - log(N) P_j) N^(-s).
     """
     work = precision + 15
     with mp.workdps(work):
         sv = mpmath.mpc(s)
-        if sv == 1:
-            raise ProbeEvaluationError("zeta has its pole at s = 1")
-        height = abs(mpmath.im(sv))
-        N = int(1.2 * work) + int(height) + 10
-        # n = 1 contributes 1 to zeta and, with log 1 = 0, nothing to zeta'
-        total = mpmath.mpc(1)
-        dtotal = mpmath.mpc(0)
-        for n in range(2, N):
-            log_n = mpmath.log(n)
-            term = mpmath.exp(-sv * log_n)
-            total += term
-            dtotal -= log_n * term
-        Nf = mpmath.mpf(N)
-        log_N = mpmath.log(Nf)
-        power = mpmath.exp(-sv * log_N)
-        inv = 1 / (sv - 1)
-        head = Nf * power * inv
-        total += head + power / 2
-        dtotal -= head * (log_N + inv) + log_N * power / 2
-        target = mpmath.mpf(10) ** (-(work + 5))
-        rising, drising = sv, mpmath.mpc(1)
-        power /= Nf
-        previous = None
-        converged = False
-        for j in range(1, 4 * N):
-            weight = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * power
-            term = weight * rising
-            dterm = weight * (drising - log_N * rising)
-            total += term
-            dtotal += dterm
-            magnitude = abs(term)
-            if magnitude < target and abs(dterm) < target:
-                converged = True
-                break
-            if previous is not None and magnitude > previous:
-                raise ProbeEvaluationError(
-                    f"zeta evaluation at {complex(sv)} stopped converging (j={j}); "
-                    "point too far outside the supported region"
-                )
-            previous = magnitude
-            a, b = sv + 2 * j - 1, sv + 2 * j
-            drising = drising * a * b + rising * (a + b)
-            rising *= a * b
-            power /= Nf * Nf
-        if not converged:
+    N = int(1.2 * work) + int(abs(sv.imag)) + 10
+    # Direct terms reach N^(-Re s) and cancel, so Re s < 0 lifts the digits;
+    # the extra bits absorb N roundings of about |s| log N ulps each.
+    lift = math.ceil(max(0.0, -float(sv.real)) * math.log10(N))
+    wp = dps_to_prec(work + 5 + lift) + 2 * N.bit_length() + 10
+    one = 1 << wp
+    sre, sim = to_fixed(sv.real._mpf_, wp), to_fixed(sv.imag._mpf_, wp)
+    if (sre, sim) == (one, 0):
+        raise ProbeEvaluationError("zeta has its pole at s = 1")
+    # n^(-s) for n <= N: exp and cos/sin at primes, one multiply per composite
+    spf = list(range(N + 1))
+    for p in range(2, math.isqrt(N) + 1):
+        spf[p * p :: p] = [min(q, p) for q in spf[p * p :: p]]
+    logs, powers = [0, 0], [(0, 0), (one, 0)]
+    for n in range(2, N + 1):
+        p, m = spf[n], n // spf[n]
+        if m == 1:
+            log_n = log_int_fixed(n, wp)
+            mag = to_fixed(mpf_exp(from_man_exp(-sre * log_n >> wp, -wp), wp), wp)
+            cos, sin = mpf_cos_sin(from_man_exp(-sim * log_n >> wp, -wp), wp)
+            powers.append((mag * to_fixed(cos, wp) >> wp, mag * to_fixed(sin, wp) >> wp))
+        else:
+            log_n = logs[p] + logs[m]
+            powers.append(_mul(powers[p], powers[m], wp))
+        logs.append(log_n)
+    z = [sum(v[i] for v in powers[:N]) for i in (0, 1)]
+    dz = [-sum(log * v[i] for log, v in zip(logs[:N], powers[:N])) >> wp for i in (0, 1)]
+
+    # The rest has the factor w = N^(-s), applied at the end: w (N/(s-1) + 1/2),
+    # s-derivative -w (N/(s-1) (log N + 1/(s-1)) + log(N)/2), and corrections.
+    log_N, w = logs[N], powers[N]
+    den = (sre - one) ** 2 + sim * sim
+    inv = ((sre - one) << 2 * wp) // den, (-sim << 2 * wp) // den  # 1/(s-1)
+    d_inv = _mul(inv, (log_N + inv[0], inv[1]), wp)
+    tail = [N * inv[0] + one // 2, N * inv[1]]
+    dtail = [-N * d_inv[0] - log_N // 2, -N * d_inv[1]]
+    limit = (one // 10 ** (work + 5)) ** 2 << 2 * wp  # target^2 for |term|^2 |w|^2
+    w2 = w[0] * w[0] + w[1] * w[1]
+    P, dP = (sre // N, sim // N), (one // N, 0)
+    previous = None
+    for j in range(1, 4 * N):
+        c = bernoulli_weight(j, wp)
+        term = [c * x >> wp for x in P]
+        dterm = [c * (dx - (log_N * x >> wp)) >> wp for x, dx in zip(P, dP)]
+        tail = [x + y for x, y in zip(tail, term)]
+        dtail = [x + y for x, y in zip(dtail, dterm)]
+        magnitude = term[0] ** 2 + term[1] ** 2
+        if magnitude * w2 < limit and (dterm[0] ** 2 + dterm[1] ** 2) * w2 < limit:
+            break
+        if previous is not None and magnitude > previous:
             raise ProbeEvaluationError(
-                f"zeta evaluation at {complex(sv)} missed the precision target"
+                f"zeta evaluation at {complex(sv)} stopped converging (j={j}); "
+                "point too far outside the supported region"
             )
-        return +total, +dtotal
+        previous = magnitude
+        # a = s + 2j - 1, b = s + 2j: P <- P ab / N^2, P' <- (P' ab + P (a + b)) / N^2
+        a, b = (sre + (2 * j - 1) * one, sim), (sre + 2 * j * one, sim)
+        ab, a_plus_b = _mul(a, b, wp), (a[0] + b[0], 2 * sim)
+        dP = [(x + y) // (N * N) for x, y in zip(_mul(dP, ab, wp), _mul(P, a_plus_b, wp))]
+        P = [x // (N * N) for x in _mul(P, ab, wp)]
+    else:
+        raise ProbeEvaluationError(f"zeta evaluation at {complex(sv)} missed the precision target")
+    prec = dps_to_prec(work)
+    return tuple(
+        mp.make_mpc(tuple(from_man_exp(x + y, -wp, prec, "n") for x, y in zip(v, _mul(w, t, wp))))
+        for v, t in ((z, tail), (dz, dtail))
+    )
 
 
 def zeta_complex(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
@@ -220,8 +246,9 @@ def line_probe(
     |f1 - f2| < tol while |param1 - param2| > grid step (adjacent samples
     get close by continuity alone, so they never count).  Individual
     evaluation failures (pole or zero proximity) are recorded, not fatal,
-    but fewer than two evaluated samples leave no pair to compare and raise
-    ``ProbeEvaluationError``.
+    but a verdict needs a pair to compare: fewer than two evaluated samples,
+    or evaluated samples that are all grid neighbours (always the case with
+    ``samples=2``), raise ``ProbeEvaluationError``.
     """
     if kind not in (VARY_RE, VARY_IM):
         raise ValueError(f"kind must be '{VARY_RE}' or '{VARY_IM}', got {kind!r}")
@@ -263,10 +290,15 @@ def line_probe(
             f"only {len(collected)} of {samples} samples evaluated, so no pair can be "
             f"compared; first failure at {failures[0].param!r}: {failures[0].reason}"
         )
+    step_gate = grid_step * (1 + 1e-9)
+    if collected[-1].param - collected[0].param <= step_gate:
+        raise ProbeEvaluationError(
+            f"the {len(collected)} evaluated samples of {samples} are all grid neighbours, "
+            "so no pair more than one grid step apart can be compared"
+        )
     # Pair scan in plain floats: tol is far above double roundoff.
     points = [(c.param, complex(float(c.f_re), float(c.f_im))) for c in collected]
     near: List[NearCollision] = []
-    step_gate = grid_step * (1 + 1e-9)
     for a in range(len(points)):
         pa, fa = points[a]
         for b in range(a + 1, len(points)):

@@ -291,6 +291,8 @@ class TestProbe:
             # both samples lie within 1e-6 of the pole at s = 1
             (("--line", "re", "--t", "0", "--b0", "0.9999999", "--b1", "1.0000001"),
              "0 of 2 samples evaluated"),
+            # both samples evaluate, but two samples are always grid neighbours
+            (("--line", "im", "--b", "2", "--t0", "1", "--t1", "2"), "all grid neighbours"),
         ],
     )
     def test_no_verdict_without_evidence(self, line, message):
@@ -298,6 +300,27 @@ class TestProbe:
         assert code == 2
         assert message in err
         assert "sampled_injective" not in out
+
+    def test_no_verdict_from_grid_neighbours_only(self):
+        # samples 1.0000015 and 1.0000025 evaluate; the two next to the pole fail
+        code, out, err = run(
+            "probe", "--line", "re", "--t", "0", "--b0", "0.9999995", "--b1", "1.0000025",
+            "--samples", "4", "--digits", "15",
+        )
+        assert code == 2
+        assert "the 2 evaluated samples of 4 are all grid neighbours" in err
+        assert "sampled_injective" not in out
+
+    def test_trivial_zeros_fail_far_left(self):
+        # s = -42 and -40 are trivial zeros; the samples between are accurate
+        code, out, _ = run(
+            "probe", "--line", "re", "--t", "0", "--b0", "-42", "--b1", "-40",
+            "--samples", "5", "--digits", "30",
+        )
+        assert code == 0
+        assert "# failed at -42.0:" in out and "# failed at -40.0:" in out
+        assert [row[0] for row in data_rows(out)] == ["-41.5", "-41.0", "-40.5"]
+        assert data_rows(out)[0][1].startswith("-1077.2554981142721049379986380")
 
     def test_im_line_requires_b(self):
         code, _, err = run("probe", "--line", "im", "--t0", "0", "--t1", "1")

@@ -25,7 +25,7 @@ from likeiper import (
     polygamma_half,
     zeta_int,
 )
-from likeiper.constants import default_stieltjes_path
+from likeiper.constants import default_stieltjes_path, zeta_ints
 
 
 def brent_mcmillan_gamma(dps: int = 70, n: int = 35) -> mpmath.mpf:
@@ -109,6 +109,23 @@ class TestZetaInt:
             zeta_int(1, 50)
         with pytest.raises(ValueError):
             zeta_int(0, 50)
+        with pytest.raises(ValueError):
+            zeta_ints(0, 50)
+
+
+class TestZetaInts:
+    """The batched pass against mpmath's independent zeta at 20 more digits."""
+
+    @pytest.mark.parametrize("precision", [30, 100, 200])
+    def test_every_k_matches_library(self, precision):
+        # run at the global default precision: a value converted back at the
+        # ambient 15 digits would fail here
+        assert mp.dps == 15
+        values = zeta_ints(120, precision)
+        assert sorted(values) == list(range(2, 121))
+        with mp.workdps(precision + 20):
+            for k, value in values.items():
+                assert abs(value - mp.zeta(k)) < mp.mpf(10) ** -(precision + 5), k
 
 
 class TestPolygammaHalf:

@@ -7,6 +7,9 @@ probe reports flows through f_eval, so this one identity anchors it all.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -74,19 +77,51 @@ class TestZetaDeriv:
             assert abs(zeta_deriv(s, 30) - expected) < mpmath.mpf(10) ** -20
 
 
-class TestEngineOracle:
-    """zeta and zeta' against mpmath's independent evaluation at 30 more digits."""
+# Far up the critical strip, where N grows with |Im s|.
+HIGH_POINTS = [complex(0.5, 100), complex(2, 500), complex(-0.5, 500)]
+# Re s << 0: direct terms reach N^(-Re s) and cancel; the kernel lifts its
+# precision by that many digits.
+LIFTED_POINTS = [-21, -41, -101, complex(-30, 50)]
 
-    @pytest.mark.parametrize("precision", [15, 30, 60])
-    @pytest.mark.parametrize("s", ORACLE_POINTS)
+
+class TestEngineOracle:
+    """zeta and zeta' against mpmath's independent evaluation at 30 more digits.
+
+    The kernel runs with the global precision left at mpmath's default 15
+    digits, so a value converted back at the ambient precision would fail.
+    """
+
+    @pytest.mark.parametrize("precision", [15, 30, 60, 100])
+    @pytest.mark.parametrize("s", ORACLE_POINTS + HIGH_POINTS + LIFTED_POINTS)
     def test_relative_error_within_precision(self, s, precision):
+        assert mp.dps == 15
+        got, dgot = probe_module._zeta_and_deriv(s, precision)
         with mp.workdps(precision + 30):
             sv = mpmath.mpc(s)
             bound = mpmath.mpf(10) ** -precision
             z = mpmath.zeta(sv)
             zp = mpmath.zeta(sv, derivative=1)
-            assert abs(zeta_complex(s, precision) - z) <= bound * abs(z)
-            assert abs(zeta_deriv(s, precision) - zp) <= bound * abs(zp)
+            assert abs(got - z) <= bound * abs(z)
+            assert abs(dgot - zp) <= bound * abs(zp)
+
+    def test_f_eval_far_left_of_the_strip(self):
+        # without the lift this printed -12600.197... with no error
+        got = f_eval(-41.5, 30)
+        with mp.workdps(120):
+            s = mpmath.mpf(-41.5)
+            zeta, dzeta = mpmath.zeta(s), mpmath.zeta(s, derivative=1)
+            expected = (s + s * (s - 1) * dzeta / zeta) / mpmath.euler
+            assert abs(got - expected) <= mpmath.mpf(10) ** -30 * abs(expected)
+            assert abs(expected + 1077) < 1
+
+    def test_nothing_is_built_at_import(self):
+        code = (
+            "import likeiper, likeiper.constants as c; "
+            "assert c._BERNOULLI_WEIGHTS == {}, c._BERNOULLI_WEIGHTS; "
+            "likeiper.f_eval(2, 20); assert c._BERNOULLI_WEIGHTS"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
     def test_f_eval_runs_the_engine_once(self, monkeypatch):
         calls = []
@@ -229,6 +264,22 @@ class TestLineProbe:
     def test_fewer_than_two_evaluated_samples_raise(self, kind, fixed, lo, hi, evaluated):
         with pytest.raises(ProbeEvaluationError, match=f"only {evaluated} of 2 samples evaluated"):
             line_probe(kind, fixed, lo, hi, samples=2, precision=20)
+
+    @pytest.mark.parametrize(
+        "kind, fixed, lo, hi, samples, evaluated",
+        [
+            # the first two samples lie within 1e-6 of the pole at s = 1
+            ("re", 0.0, 0.9999995, 1.0000025, 4, 2),
+            # two samples are always grid neighbours
+            ("im", 2.0, 1.0, 2.0, 2, 2),
+        ],
+    )
+    def test_only_grid_neighbours_evaluated_raise(self, kind, fixed, lo, hi, samples, evaluated):
+        with pytest.raises(
+            ProbeEvaluationError,
+            match=f"the {evaluated} evaluated samples of {samples} are all grid neighbours",
+        ):
+            line_probe(kind, fixed, lo, hi, samples=samples, precision=15)
 
     def test_tsv_format(self):
         report = line_probe("im", 1.0, 1.0, 2.0, samples=4, precision=20)
