@@ -5,35 +5,36 @@ of working precision it was computed at.  Arithmetic between two values is
 carried out at (and tagged with) the *minimum* of the two precisions, so a
 result can never silently claim more accuracy than its least accurate input.
 
-All operations run under a local ``mpmath`` working-precision context; nothing
-here mutates the global ``mpmath.mp`` state.
+Every operation is one ``mpmath.libmp`` call on the raw ``_mpf_`` tuples,
+rounded to nearest at the bits of ``tag + 5`` digits: the call mpmath's own
+operators make, without their per-operation context switch.  Nothing here
+reads or mutates the global ``mpmath.mp`` state.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from typing import Union
 
 import mpmath
-from mpmath import mp
+from mpmath.libmp import (dps_to_prec, from_int, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul,
+                          mpf_neg, mpf_pos, mpf_pow_int, mpf_sub, round_nearest, to_float, to_str)
 
 DEFAULT_DIGITS = 50
 MIN_DIGITS = 10
 
 _Number = Union[int, str, Fraction, "BigReal", mpmath.mpf]
 
+_make = mpmath.mp.make_mpf  # wraps a raw tuple as it is: no rounding, no context read
+
 
 class PrecisionError(ValueError):
     """Raised for precision tags below the supported minimum."""
 
 
-def _check_precision(precision: int) -> int:
-    if not isinstance(precision, int) or precision < MIN_DIGITS:
-        raise PrecisionError(
-            f"precision must be an integer >= {MIN_DIGITS}, got {precision!r}"
-        )
-    return precision
+def _bits(precision: int) -> int:
+    """Working bits of a value tagged with ``precision`` digits."""
+    return dps_to_prec(precision + 5)
 
 
 class BigReal:
@@ -42,18 +43,25 @@ class BigReal:
     __slots__ = ("value", "precision")
 
     def __init__(self, value: _Number, precision: int = DEFAULT_DIGITS):
-        _check_precision(precision)
+        if not isinstance(precision, int) or precision < MIN_DIGITS:
+            raise PrecisionError(
+                f"precision must be an integer >= {MIN_DIGITS}, got {precision!r}"
+            )
         if isinstance(value, BigReal):
             precision = min(precision, value.precision)
-            raw = value.value
+            value = value.value
+        prec = _bits(precision)
+        if type(value) is mpmath.mpf:
+            raw = mpf_pos(value._mpf_, prec, round_nearest)
+        elif isinstance(value, int):
+            raw = from_int(value, prec, round_nearest)
+        elif isinstance(value, Fraction):
+            # the numerator is rounded first, as mpf(numerator) / denominator
+            raw = mpf_div(from_int(value.numerator, prec, round_nearest),
+                          from_int(value.denominator), prec, round_nearest)
         else:
-            raw = value
-        with mp.workdps(precision + 5):
-            if isinstance(raw, Fraction):
-                mpf_value = mpmath.mpf(raw.numerator) / raw.denominator
-            else:
-                mpf_value = mpmath.mpf(raw)
-        object.__setattr__(self, "value", mpf_value)
+            raw = mpmath.mpf(value, prec=prec, rounding=round_nearest)._mpf_
+        object.__setattr__(self, "value", _make(raw))
         object.__setattr__(self, "precision", precision)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -77,59 +85,54 @@ class BigReal:
             return other
         return BigReal(other, precision)
 
-    def _binary(self, other: _Number, op) -> "BigReal":
+    def _binary(self, other: _Number, op, swap: bool = False) -> "BigReal":
         other = self._coerce(other, self.precision)
         precision = min(self.precision, other.precision)
-        with mp.workdps(precision + 5):
-            result = op(self.value, other.value)
-        return BigReal(result, precision)
+        a, b = self.value._mpf_, other.value._mpf_
+        if swap:
+            a, b = b, a
+        return BigReal(_make(op(a, b, _bits(precision), round_nearest)), precision)
+
+    def _unary(self, op, *args) -> "BigReal":
+        raw = op(self.value._mpf_, *args, _bits(self.precision), round_nearest)
+        return BigReal(_make(raw), self.precision)
 
     def __add__(self, other: _Number) -> "BigReal":
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, mpf_add)
 
     __radd__ = __add__
 
     def __sub__(self, other: _Number) -> "BigReal":
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, mpf_sub)
 
     def __rsub__(self, other: _Number) -> "BigReal":
-        return self._binary(other, lambda a, b: b - a)
+        return self._binary(other, mpf_sub, swap=True)
 
     def __mul__(self, other: _Number) -> "BigReal":
-        return self._binary(other, lambda a, b: a * b)
+        return self._binary(other, mpf_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: _Number) -> "BigReal":
-        return self._binary(other, lambda a, b: a / b)
+        return self._binary(other, mpf_div)
 
     def __rtruediv__(self, other: _Number) -> "BigReal":
-        return self._binary(other, lambda a, b: b / a)
+        return self._binary(other, mpf_div, swap=True)
 
     def __pow__(self, exponent: int) -> "BigReal":
         if not isinstance(exponent, int):
             raise TypeError("BigReal exponent must be an integer")
-        with mp.workdps(self.precision + 5):
-            result = self.value ** exponent
-        return BigReal(result, self.precision)
+        return self._unary(mpf_pow_int, exponent)
 
     def __neg__(self) -> "BigReal":
-        # mpmath rounds every operation (even unary minus) to the ambient
-        # context, so sign flips must run under this value's own precision
-        with mp.workdps(self.precision + 5):
-            value = -self.value
-        return BigReal(value, self.precision)
+        return self._unary(mpf_neg)
 
     def __abs__(self) -> "BigReal":
-        with mp.workdps(self.precision + 5):
-            value = abs(self.value)
-        return BigReal(value, self.precision)
+        return self._unary(mpf_abs)
 
     # -- comparisons (on the underlying values) --------------------------------
 
     def _cmp_value(self, other: _Number) -> mpmath.mpf:
-        if isinstance(other, BigReal):
-            return other.value
         return self._coerce(other, self.precision).value
 
     def __eq__(self, other) -> bool:
@@ -159,7 +162,7 @@ class BigReal:
     # -- conversions and formatting ---------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.value)
+        return to_float(self.value._mpf_, rnd=round_nearest)
 
     def to_fraction(self) -> Fraction:
         """Exact rational value of the underlying binary float.
@@ -176,30 +179,25 @@ class BigReal:
     def to_decimal_string(self, places: int) -> str:
         """Fixed-point decimal string, round-half-even, exact quantization.
 
-        The underlying binary value is converted exactly through ``Fraction``
-        before quantizing, so formatting is deterministic and platform
-        independent (byte-identical across runs).
+        The binary value ``man * 2**exp`` is scaled by ``10**places`` and
+        rounded on integers, so formatting is exact at any magnitude,
+        deterministic and platform independent (byte-identical across runs).
         """
-        frac = self.to_fraction()
-        quantum = Decimal(1).scaleb(-places) if places > 0 else Decimal(1)
-        # Decimal division context: give it enough digits for the quantize.
-        import decimal as _decimal
-
-        with _decimal.localcontext() as ctx:
-            ctx.prec = self.precision + places + 20
-            dec = Decimal(frac.numerator) / Decimal(frac.denominator)
-            quantized = dec.quantize(quantum, rounding=ROUND_HALF_EVEN)
-            if quantized == 0:
-                quantized = abs(quantized)  # never print -0
-            # format "f" keeps fixed-point notation at any magnitude, where
-            # str() would switch to scientific below 1e-6
-            return format(quantized, "f")
+        sign, man, exp, _ = self.value._mpf_
+        if man == 0 and exp != 0:
+            raise ValueError("cannot format a non-finite value")
+        denominator = 1 << max(-exp, 0)
+        units, rest = divmod(int(man) * 10**places << max(exp, 0), denominator)
+        if 2 * rest + (units & 1) > denominator:  # above half, or half and odd
+            units += 1
+        text = str(units).rjust(places + 1, "0")
+        if places:
+            text = f"{text[:-places]}.{text[-places:]}"
+        return "-" + text if sign and units else text  # never print -0
 
     def digits_str(self, significant: int | None = None) -> str:
         """Significant-digit string (mpmath ``nstr``), default = the tag."""
-        n = significant if significant is not None else self.precision
-        with mp.workdps(self.precision + 5):
-            return mpmath.nstr(self.value, n)
+        return to_str(self.value._mpf_, self.precision if significant is None else significant)
 
     def __repr__(self) -> str:
         return f"BigReal({self.digits_str(min(self.precision, 20))!r}, precision={self.precision})"
@@ -213,12 +211,13 @@ class BigReal:
         difference below 0.5*10^-D.
         """
         other = self._coerce(other, self.precision)
-        with mp.workdps(max(self.precision, other.precision) + 5):
-            diff = abs(self.value - other.value)
-            tol = mpmath.mpf(5) * mpmath.mpf(10) ** (-digits - 1)
-            if abs(self.value) < 1:
-                return diff < tol
-            return diff / abs(self.value) < tol
+        prec = _bits(max(self.precision, other.precision))
+        size = mpf_abs(self.value._mpf_)
+        diff = mpf_abs(mpf_sub(self.value._mpf_, other.value._mpf_, prec, round_nearest))
+        if not mpf_lt(size, from_int(1)):
+            diff = mpf_div(diff, size, prec, round_nearest)
+        power = mpf_pow_int(from_int(10), -digits - 1, prec, round_nearest)
+        return mpf_lt(diff, mpf_mul(from_int(5), power, prec, round_nearest))
 
 
 def big(value: _Number, precision: int = DEFAULT_DIGITS) -> BigReal:

@@ -10,8 +10,7 @@ serves three coefficient types:
   ``mp.workdps`` context, run the series work on raw values, and tag each
   result as :class:`BigReal` once, where it leaves the kernel;
 * :class:`BigReal` -- the same arithmetic with a precision tag on every
-  intermediate, at the cost of one wrapper object and one context switch per
-  operation;
+  intermediate, at the cost of one wrapper object per operation;
 * :class:`fractions.Fraction` -- exact mode, so that identities can be tested
   with no rounding error at all.
 

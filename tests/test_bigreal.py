@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -176,3 +176,145 @@ def test_decimal_string_deterministic_bytes():
     x = big("0.2076389205543248037915", 50)
     outs = {x.to_decimal_string(20) for _ in range(5)}
     assert outs == {"0.20763892055432480379"}
+
+
+# -- reference semantics -------------------------------------------------------
+#
+# Each operation used to run the mpmath operator under ``mp.workdps(tag + 5)``
+# and round its result again on construction.  These oracles keep that
+# definition; the libmp implementation must give the same bits and tags.
+
+
+def _old_value(raw, precision):
+    with mp.workdps(precision + 5):
+        if isinstance(raw, Fraction):
+            return mpmath.mpf(raw.numerator) / raw.denominator
+        return mpmath.mpf(raw)
+
+
+def _old_construct(raw, precision):
+    if isinstance(raw, BigReal):
+        precision = min(precision, raw.precision)
+        raw = raw.value
+    return _old_value(raw, precision)._mpf_, precision
+
+
+def _old_binary(x, other, op):
+    if isinstance(other, BigReal):
+        b, b_prec = other.value, other.precision
+    else:
+        b, b_prec = _old_value(other, x.precision), x.precision
+    precision = min(x.precision, b_prec)
+    with mp.workdps(precision + 5):
+        result = op(x.value, b)
+    return _old_value(result, precision)._mpf_, precision
+
+
+def _old_unary(x, op):
+    with mp.workdps(x.precision + 5):
+        result = op(x.value)
+    return _old_value(result, x.precision)._mpf_, x.precision
+
+
+def _outcome(compute):
+    try:
+        result = compute()
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+    return result if isinstance(result, tuple) else (result.value._mpf_, result.precision)
+
+
+_tags = st.integers(min_value=MIN_DIGITS, max_value=90)
+_decimal_texts = st.builds(
+    lambda sign, digits, exp: f"{sign}{digits}e{exp}",
+    st.sampled_from(["", "-"]),
+    st.integers(min_value=0, max_value=10**70).map(str),
+    st.integers(min_value=-90, max_value=70),
+)
+_raw_mpfs = st.builds(
+    lambda man, exp: mpmath.mpf((man, exp), prec=1000),
+    st.integers(min_value=-(2**600), max_value=2**600),
+    st.integers(min_value=-700, max_value=300),
+)
+_plain = st.one_of(
+    st.integers(min_value=-(10**80), max_value=10**80),
+    _decimal_texts,
+    st.builds(Fraction, st.integers(-(10**120), 10**120), st.integers(1, 10**30)),
+    _raw_mpfs,
+)
+_bigreals = st.builds(BigReal, _plain, _tags)
+
+_BINARY = [
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a * b,
+    lambda a, b: a / b,
+]
+_UNARY = [lambda a: -a, abs] + [lambda a, k=k: a**k for k in (-3, -1, 0, 1, 2, 7)]
+
+
+@pytest.mark.parametrize("ambient", [5, 500])
+@settings(max_examples=150, deadline=None)
+@given(x=_bigreals, other=st.one_of(_bigreals, _plain), data=st.data())
+def test_operations_bit_identical_to_context_semantics(ambient, x, other, data):
+    op = data.draw(st.sampled_from(_BINARY))
+    unary = data.draw(st.sampled_from(_UNARY))
+    expected = [
+        _outcome(lambda: _old_binary(x, other, op)),
+        _outcome(lambda: _old_binary(x, other, lambda a, b: op(b, a))),
+        _outcome(lambda: _old_unary(x, unary)),
+        _old_construct(other, x.precision),
+    ]
+    with mp.workdps(ambient):
+        got = [
+            _outcome(lambda: op(x, other)),
+            _outcome(lambda: op(other, x)),
+            _outcome(lambda: unary(x)),
+            _outcome(lambda: BigReal(other, x.precision)),
+        ]
+    assert got == expected
+
+
+def _decimal_oracle(x, places):
+    """``to_decimal_string`` by ``Decimal`` quantize of the exact binary value,
+    with a context sized from the value's magnitude."""
+    sign, man, exp, _ = x.value._mpf_
+    text = f"{man << exp}" if exp >= 0 else f"{man * 5**-exp}E{exp}"
+    exact = Decimal(("-" if sign else "") + text)
+    with localcontext() as ctx:
+        ctx.prec = max(exact.adjusted(), 0) + places + 5
+        quantized = exact.quantize(Decimal(f"1E-{places}"), rounding=ROUND_HALF_EVEN)
+    if quantized == 0:
+        quantized = abs(quantized)
+    return format(quantized, "f")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    digits=st.integers(min_value=1, max_value=10**70),
+    exp=st.integers(min_value=-80, max_value=60),
+    sign=st.sampled_from(["", "-"]),
+    precision=_tags,
+    places=st.sampled_from([0, 1, 12, 50, 60]),
+)
+def test_decimal_string_matches_exact_quantize(digits, exp, sign, precision, places):
+    # magnitudes from 10^-80 to 10^60
+    x = BigReal(f"{sign}0.{digits}e{exp + 1}", precision)
+    assert x.to_decimal_string(places) == _decimal_oracle(x, places)
+
+
+@pytest.mark.parametrize(
+    "text, places, expected",
+    [("2.5", 0, "2"), ("3.5", 0, "4"), ("0.125", 2, "0.12"), ("-0.125", 2, "-0.12"),
+     ("-1e-70", 0, "0"), ("-1e-70", 1, "0.0"), ("-1e-70", 60, "0." + "0" * 60)],
+)
+def test_decimal_string_exact_ties_and_signed_zero(text, places, expected):
+    x = big(text, 20)
+    assert x.to_decimal_string(places) == expected == _decimal_oracle(x, places)
+
+
+def test_decimal_string_beyond_the_digit_tag():
+    # 10^45 carries far more integer digits than its 10-digit tag
+    x = BigReal(10**45, 10)
+    sign, man, exp, _ = x.value._mpf_
+    assert x.to_decimal_string(10) == f"{man << exp}." + "0" * 10

@@ -190,6 +190,14 @@ class TestApprox:
             n = int(row[0])
             assert Decimal(row[2]) == n * n
 
+    def test_self_seeded_values_beyond_the_digit_tag(self):
+        # values here reach 10^35, far more integer digits than --digits 10
+        code, out, err = run(
+            "approx", "--scheme", "d", "--seed", "initial:2", "--n-max", "100", "--digits", "10"
+        )
+        assert code == 0 and err == ""
+        assert [int(r[0]) for r in data_rows(out)] == list(range(1, 101))
+
     def test_order_spec_equivalent_to_named(self):
         named = run("approx", "--scheme", "b", "--seed", "exact", "--n-max", "9")
         spelled = run("approx", "--scheme", "m:3", "--seed", "exact", "--n-max", "9")
