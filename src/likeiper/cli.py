@@ -2,15 +2,16 @@
 approximation-scheme runs, the conjecture scan, zero-sum consistency checks,
 and injectivity line probes.
 
-Exit codes: 0 success, 1 a verification/consistency check failed, 2 bad
-input, configuration, or data files.
+Each subcommand accepts only the options it reads; any other option, or one
+its mode does not read, exits 2.  Exit codes: 0 success, 1 a
+verification/consistency check failed, 2 bad input, configuration, or data
+files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -42,44 +43,26 @@ _EXIT_CHECK_FAILED = 1
 _EXIT_BAD_INPUT = 2
 
 
-@dataclass
-class RunConfig:
-    digits: int
-    n_max: int
-    stieltjes_path: Optional[Path]
-    zeros_path: Optional[Path]
-    output_format: str  # "tsv" | "csv"
-    out: Optional[Path]
-
-    @property
-    def delimiter(self) -> str:
-        return "\t" if self.output_format == "tsv" else ","
+def _check_options(args: argparse.Namespace) -> None:
+    """Validate the shared options the subcommand has."""
+    if args.digits < MIN_DIGITS:
+        raise PrecisionError(f"--digits must be >= {MIN_DIGITS}, got {args.digits}")
+    if getattr(args, "n_max", 1) < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
+    for option in ("stieltjes", "zeros"):
+        path = getattr(args, option, None)
+        if path is not None and not path.is_file():
+            raise DataFormatError(f"--{option}: no such file: {path}")
 
 
-def _config_from(args: argparse.Namespace, default_digits: int = DEFAULT_DIGITS) -> RunConfig:
-    digits = args.digits if args.digits is not None else default_digits
-    if digits < MIN_DIGITS:
-        raise PrecisionError(f"--digits must be >= {MIN_DIGITS}, got {digits}")
-    n_max = args.n_max if getattr(args, "n_max", None) is not None else 32
-    if n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {n_max}")
-    for label, path in (("--stieltjes", args.stieltjes), ("--zeros", args.zeros)):
-        if path is not None and not Path(path).is_file():
-            raise DataFormatError(f"{label}: no such file: {path}")
-    return RunConfig(
-        digits=digits,
-        n_max=n_max,
-        stieltjes_path=Path(args.stieltjes) if args.stieltjes else None,
-        zeros_path=Path(args.zeros) if args.zeros else None,
-        output_format=args.format,
-        out=Path(args.out) if args.out else None,
-    )
+def _delimiter(args: argparse.Namespace) -> str:
+    return "," if args.format == "csv" else "\t"
 
 
-def _emit(lines: Sequence[str], config: RunConfig) -> None:
+def _emit(lines: Sequence[str], args: argparse.Namespace) -> None:
     text = "\n".join(lines) + "\n"
-    if config.out is not None:
-        config.out.write_text(text)
+    if args.out is not None:
+        args.out.write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -98,23 +81,21 @@ def _yesno(flag: bool) -> str:
 
 
 def cmd_lambda(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    stieltjes = load_stieltjes(config.stieltjes_path) if config.stieltjes_path else None
-    table = lambda_table(config.n_max, config.digits, stieltjes)
-    d = config.delimiter
+    table = lambda_table(args.n_max, args.digits, load_stieltjes(args.stieltjes))
+    d = _delimiter(args)
     lines = [d.join(("n", "trend_over_n", "tiny_over_n", "lambda"))]
-    for n in range(1, config.n_max + 1):
+    for n in range(1, args.n_max + 1):
         lines.append(
             d.join(
                 (
                     str(n),
-                    _fmt(table.trend_over_n(n), config.digits),
-                    _fmt(table.tiny_over_n(n), config.digits),
-                    _fmt(table.lam(n), config.digits),
+                    _fmt(table.trend_over_n(n), args.digits),
+                    _fmt(table.tiny_over_n(n), args.digits),
+                    _fmt(table.lam(n), args.digits),
                 )
             )
         )
-    _emit(lines, config)
+    _emit(lines, args)
     return _EXIT_OK
 
 
@@ -163,9 +144,8 @@ def _verify_lines(report: TableReport, delimiter: str) -> List[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    report = verify_table(args.table, config.digits)
-    _emit(_verify_lines(report, config.delimiter), config)
+    report = verify_table(args.table, args.digits)
+    _emit(_verify_lines(report, _delimiter(args)), args)
     unflagged_ok = all(r.matches for r in report.reports if not r.cell.flagged)
     return _EXIT_OK if unflagged_ok else _EXIT_CHECK_FAILED
 
@@ -211,35 +191,38 @@ def _parse_seed(text: str) -> tuple[str, Optional[str]]:
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     scheme = _parse_scheme(args.scheme)
-    target = args.target or _default_target(scheme)
     seed_mode, c_text = _parse_seed(args.seed)
-    d = config.delimiter
+    d = _delimiter(args)
 
     if seed_mode == "initial":
-        lam1 = lambda1_closed_form(config.digits)
-        c = big(c_text, config.digits) if c_text is not None else None
-        values = self_seeded_run(scheme, lam1, c=c, n_max=config.n_max)
+        if args.stieltjes is not None or args.target is not None:
+            raise ValueError(
+                "--seed initial runs from the closed-form lambda(1); "
+                "it reads no --stieltjes and no --target"
+            )
+        lam1 = lambda1_closed_form(args.digits)
+        c = big(c_text, args.digits) if c_text is not None else None
+        values = self_seeded_run(scheme, lam1, c=c, n_max=args.n_max)
         lines = [d.join(("n", "predicted", "ratio_to_lambda1"))]
         for n, value in enumerate(values, start=1):
             lines.append(
-                d.join((str(n), _fmt(value, config.digits), _fmt(value / lam1, config.digits)))
+                d.join((str(n), _fmt(value, args.digits), _fmt(value / lam1, args.digits)))
             )
-        _emit(lines, config)
+        _emit(lines, args)
         return _EXIT_OK
 
-    stieltjes = load_stieltjes(config.stieltjes_path) if config.stieltjes_path else None
-    table = lambda_table(config.n_max, config.digits, stieltjes)
+    target = args.target or _default_target(scheme)
+    table = lambda_table(args.n_max, args.digits, load_stieltjes(args.stieltjes))
     history = {
         "tiny": table.tiny_history,
         "trend": table.trend_history,
         "lambda": table.lambda_history,
     }[target]()
     n_lo = max(2, scheme.m or 2)
-    if n_lo > config.n_max:
-        raise ValueError(f"--n-max {config.n_max} below the scheme's first index {n_lo}")
-    results = prediction_run(scheme, history, n_lo, config.n_max)
+    if n_lo > args.n_max:
+        raise ValueError(f"--n-max {args.n_max} below the scheme's first index {n_lo}")
+    results = prediction_run(scheme, history, n_lo, args.n_max)
     # tiny/trend tabulations are conventionally per-n coefficients
     normalize = target in ("tiny", "trend")
     lines = [d.join(("n", "predicted", "exact", "abs_error", "rel_error"))]
@@ -250,14 +233,14 @@ def cmd_approx(args: argparse.Namespace) -> int:
             d.join(
                 (
                     str(r.n),
-                    _fmt(predicted, config.digits),
-                    _fmt(exact, config.digits),
-                    _fmt(abs(predicted - exact), config.digits),
-                    _fmt(r.rel_error, config.digits),
+                    _fmt(predicted, args.digits),
+                    _fmt(exact, args.digits),
+                    _fmt(abs(predicted - exact), args.digits),
+                    _fmt(r.rel_error, args.digits),
                 )
             )
         )
-    _emit(lines, config)
+    _emit(lines, args)
     return _EXIT_OK
 
 
@@ -267,16 +250,14 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    stieltjes = load_stieltjes(config.stieltjes_path) if config.stieltjes_path else None
-    rows = conjecture_scan(config.n_max, config.digits, stieltjes)
-    d = config.delimiter
+    rows = conjecture_scan(args.n_max, args.digits, load_stieltjes(args.stieltjes))
+    d = _delimiter(args)
     lines = [d.join(("n", "ratio", "within_bound"))]
     for row in rows:
-        lines.append(d.join((str(row.n), _fmt(row.ratio, config.digits), _yesno(row.within_bound))))
+        lines.append(d.join((str(row.n), _fmt(row.ratio, args.digits), _yesno(row.within_bound))))
     violations = [row for row in rows if not row.within_bound]
     lines.append(f"# violations: {len(violations)}")
-    _emit(lines, config)
+    _emit(lines, args)
     return _EXIT_OK if not violations else _EXIT_CHECK_FAILED
 
 
@@ -286,51 +267,51 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    zeros = load_zeros(config.zeros_path)
-    d = config.delimiter
+    if args.stieltjes is not None and not args.inversion:
+        raise ValueError("--stieltjes is read only with --inversion")
+    zeros = load_zeros(args.zeros)
+    d = _delimiter(args)
     lines = []
     for warning in zeros.warnings:
         lines.append(f"# warning: {warning}")
     if args.inversion:
-        stieltjes = load_stieltjes(config.stieltjes_path) if config.stieltjes_path else None
-        table = lambda_table(config.n_max, config.digits, stieltjes)
+        table = lambda_table(args.n_max, args.digits, load_stieltjes(args.stieltjes))
         lines.append(
             d.join(("n", "lhs", "z_partial", "residual", "bound_plus_allowance", "consistent"))
         )
         all_consistent = True
-        for n in range(1, config.n_max + 1):
-            chk = inversion_check(n, table, zeros, config.digits)
+        for n in range(1, args.n_max + 1):
+            chk = inversion_check(n, table, zeros, args.digits)
             all_consistent &= chk.consistent
             lines.append(
                 d.join(
                     (
                         str(n),
-                        _fmt(chk.lhs, config.digits),
-                        _fmt(chk.z_truncated, config.digits),
-                        _fmt(chk.residual, config.digits),
-                        _fmt(chk.tail_bound + chk.allowance, config.digits),
+                        _fmt(chk.lhs, args.digits),
+                        _fmt(chk.z_truncated, args.digits),
+                        _fmt(chk.residual, args.digits),
+                        _fmt(chk.tail_bound + chk.allowance, args.digits),
                         _yesno(chk.consistent),
                     )
                 )
             )
         lines.append(f"# result: {'pass' if all_consistent else 'FAIL'}")
-        _emit(lines, config)
+        _emit(lines, args)
         return _EXIT_OK if all_consistent else _EXIT_CHECK_FAILED
 
     lines.append(d.join(("j", "z_partial", "z_tail_bound", "delta_bound")))
-    for j in range(1, config.n_max + 1):
+    for j in range(1, args.n_max + 1):
         lines.append(
             d.join(
                 (
                     str(j),
-                    _fmt(z_partial(j, zeros, config.digits), config.digits),
-                    _fmt(z_tail_bound(j, zeros, config.digits), config.digits),
-                    _fmt(delta_bound(j, config.digits), config.digits),
+                    _fmt(z_partial(j, zeros, args.digits), args.digits),
+                    _fmt(z_tail_bound(j, zeros, args.digits), args.digits),
+                    _fmt(delta_bound(j, args.digits), args.digits),
                 )
             )
         )
-    _emit(lines, config)
+    _emit(lines, args)
     return _EXIT_OK
 
 
@@ -340,7 +321,6 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    config = _config_from(args, default_digits=DEFAULT_PROBE_DIGITS)
     if args.line == "im":
         if args.b is None:
             raise ValueError("--line im needs --b (fixed real part)")
@@ -354,7 +334,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         if lo is None or hi is None:
             raise ValueError("--line re needs --b0 and --b1 (real range)")
     report = line_probe(
-        args.line, fixed, lo, hi, samples=args.samples, precision=config.digits, tol=args.tol
+        args.line, fixed, lo, hi, samples=args.samples, precision=args.digits, tol=args.tol
     )
     lines = report.to_tsv().splitlines()
     lines.append(f"# failures: {len(report.failures)}")
@@ -366,7 +346,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
             f"# collision {pair.param1!r} vs {pair.param2!r} distance {pair.distance!r}"
         )
     lines.append(f"# sampled_injective: {_yesno(report.sampled_injective)}")
-    _emit(lines, config)
+    _emit(lines, args)
     return _EXIT_OK if report.sampled_injective else _EXIT_CHECK_FAILED
 
 
@@ -376,20 +356,23 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Shared options in parent parsers, one per group that subcommands take together.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=None,
-                        help=f"working precision in decimal digits (default {DEFAULT_DIGITS}; "
-                             f"probe defaults to {DEFAULT_PROBE_DIGITS})")
-    common.add_argument("--n-max", type=int, default=None, dest="n_max",
-                        help="largest index n (default 32)")
-    common.add_argument("--stieltjes", default=None, metavar="PATH",
-                        help="alternate Stieltjes-constant table")
-    common.add_argument("--zeros", default=None, metavar="PATH",
-                        help="alternate zero-ordinate table")
+    common.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+                        help=f"working precision in decimal digits (default {DEFAULT_DIGITS})")
     common.add_argument("--format", choices=("tsv", "csv"), default="tsv",
                         help="output delimiter (default tsv)")
-    common.add_argument("--out", default=None, metavar="PATH",
-                        help="write output to a file instead of standard output")
+    lambdas = argparse.ArgumentParser(add_help=False)
+    lambdas.add_argument("--n-max", type=int, default=32, dest="n_max",
+                         help="largest index n (default 32)")
+    lambdas.add_argument("--stieltjes", type=Path, default=None, metavar="PATH",
+                         help="alternate Stieltjes-constant table")
+    zeros = argparse.ArgumentParser(add_help=False)
+    zeros.add_argument("--zeros", type=Path, default=None, metavar="PATH",
+                       help="alternate zero-ordinate table")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=None, metavar="PATH",
+                     help="write output to a file instead of standard output")
 
     parser = argparse.ArgumentParser(
         prog="likeiper",
@@ -398,48 +381,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lambda", parents=[common],
-                       help="emit n, trend/n, tiny/n, lambda(n)")
-    p.set_defaults(handler=cmd_lambda)
+    def command(name, handler, summary, parents):
+        """A subcommand with the given shared option groups and --out."""
+        p = sub.add_parser(name, parents=[*parents, out], help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="recompute a golden table and report per-cell agreement")
+    command("lambda", cmd_lambda, "emit n, trend/n, tiny/n, lambda(n)", [common, lambdas])
+
+    p = command("verify", cmd_verify,
+                "recompute a golden table and report per-cell agreement", [common])
     p.add_argument("--table", required=True,
                    choices=tuple(TABLE_IDS) + tuple(TABLE_IDS.values()),
                    help="golden table: 1=order-2 ratios, 2=order-3 ratios, "
                         "3=tiny full-history, 4=trend full-history, 5=n log n sums")
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("approx", parents=[common],
-                       help="run an approximation scheme against exact history "
-                            "or self-seeded from lambda(1)")
+    p = command("approx", cmd_approx,
+                "run an approximation scheme against exact history "
+                "or self-seeded from lambda(1)", [common, lambdas])
     p.add_argument("--scheme", required=True,
                    help="a1 (order-2), b (order-3), d (full history), "
                         "a2 (central binomial), or m:<order>")
     p.add_argument("--target", choices=("tiny", "trend", "lambda"), default=None,
                    help="history to predict (default: lambda for a2, tiny otherwise); "
-                        "tiny/trend output is per-n normalized")
+                        "tiny/trend output is per-n normalized; exact seed only")
     p.add_argument("--seed", default="exact",
                    help="exact (predict from true history), or initial:<c> "
                         "(self-seeded with lambda(2) = c*lambda(1)); bare 'initial' "
                         "for schemes that self-seed from lambda(1) alone")
-    p.set_defaults(handler=cmd_approx)
 
-    p = sub.add_parser("scan", parents=[common],
-                       help="scan the bound |lambda_tiny(n)| <= gamma*n")
-    p.set_defaults(handler=cmd_scan)
+    command("scan", cmd_scan, "scan the bound |lambda_tiny(n)| <= gamma*n", [common, lambdas])
 
-    p = sub.add_parser("zeros", parents=[common],
-                       help="zero-sum partial sums and tail bounds; --inversion for "
-                            "the lambda <-> zero-sum consistency check")
+    p = command("zeros", cmd_zeros,
+                "zero-sum partial sums and tail bounds; --inversion for "
+                "the lambda <-> zero-sum consistency check", [common, lambdas, zeros])
     p.add_argument("--inversion", action="store_true",
                    help="check the alternating central-binomial combination of "
-                        "lambda values against the truncated zero sums")
-    p.set_defaults(handler=cmd_zeros)
+                        "lambda values against the truncated zero sums "
+                        "(the only mode that reads --stieltjes)")
 
-    p = sub.add_parser("probe", parents=[common],
-                       help="sample the normalized zeta map along a line and "
-                            "flag near-collisions (output is always TSV)")
+    p = command("probe", cmd_probe,
+                "sample the normalized zeta map along a line and "
+                "flag near-collisions (output is always TSV)", [])
+    p.add_argument("--digits", type=int, default=DEFAULT_PROBE_DIGITS,
+                   help=f"working precision in decimal digits (default {DEFAULT_PROBE_DIGITS})")
     p.add_argument("--line", choices=("re", "im"), required=True,
                    help="re: vary the real part at fixed --t; im: vary the "
                         "imaginary part at fixed --b")
@@ -452,15 +437,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200, help="grid size (default 200)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="near-collision distance threshold (default 1e-6)")
-    p.set_defaults(handler=cmd_probe)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.handler(args)
     except (
         DataFormatError,

@@ -23,7 +23,7 @@ from mpmath import mp
 from mpmath.libmp import bernfrac, dps_to_prec, from_man_exp, ifac
 
 from .bigreal import BigReal, DEFAULT_DIGITS
-from .datafiles import DataFormatError, default_stieltjes_path, parse_indexed_table
+from .datafiles import default_stieltjes_path, parse_indexed_table
 
 
 class ConstantsError(ValueError):
@@ -55,7 +55,6 @@ class StieltjesTable:
 
     entries: Dict[int, BigReal]
     digits: int
-    source: str = ""
 
     @property
     def k_max(self) -> int:
@@ -78,7 +77,7 @@ class StieltjesTable:
                 )
 
 
-def load_stieltjes(path: Optional[Path] = None, precision: Optional[int] = None) -> StieltjesTable:
+def load_stieltjes(path: Optional[Path] = None) -> StieltjesTable:
     """Load and validate a Stieltjes-coefficient table.
 
     Validation: the file must contain contiguous indices starting at 0, and
@@ -91,8 +90,6 @@ def load_stieltjes(path: Optional[Path] = None, precision: Optional[int] = None)
         path = default_stieltjes_path()
     metadata, rows = parse_indexed_table(path)
     digits = int(metadata.get("digits", 0)) or _min_value_digits(rows)
-    if precision is not None:
-        digits = min(digits, precision)
     if digits < 10:
         raise ConstantsError(f"{path}: table digit count {digits} too small")
     entries: Dict[int, BigReal] = {}
@@ -111,7 +108,7 @@ def load_stieltjes(path: Optional[Path] = None, precision: Optional[int] = None)
             f"{path}: gamma_0 entry {entries[0].digits_str(20)} does not match "
             f"the Euler constant {reference.digits_str(20)}"
         )
-    return StieltjesTable(entries=entries, digits=digits, source=metadata.get("source", str(path)))
+    return StieltjesTable(entries=entries, digits=digits)
 
 
 def _min_value_digits(rows) -> int:

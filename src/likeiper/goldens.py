@@ -24,11 +24,12 @@ one iff their difference is below ``10**-places``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .bigreal import DEFAULT_DIGITS, BigReal, big
-from .constants import fundamental_constants
+from .constants import euler_gamma
 from .datafiles import DataFormatError, data_dir
 from .lambda_core import conjecture_scan, lambda_table
 from .recurrences import (
@@ -88,7 +89,6 @@ class GoldenCell:
 class GoldenTable:
     name: str
     columns: Tuple[str, ...]
-    note: str
     cells: Dict[Tuple[int, str], GoldenCell]
 
     @property
@@ -170,12 +170,7 @@ def load_golden(name: str) -> GoldenTable:
                 cells[(row, column)] = cell
     if not cells:
         raise DataFormatError(f"{path}: no data rows")
-    return GoldenTable(
-        name=name,
-        columns=columns,
-        note=metadata.get("note", ""),
-        cells=cells,
-    )
+    return GoldenTable(name=name, columns=columns, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -185,24 +180,16 @@ def load_golden(name: str) -> GoldenTable:
 Builder = Callable[[int], Dict[Tuple[int, str], BigReal]]
 
 
-def _build_ratio_order_m(m: int, n_hi: int, precision: int) -> Dict[Tuple[int, str], BigReal]:
-    table = lambda_table(n_hi, precision)
-    gamma = fundamental_constants(precision).gamma
+def _build_ratio_order_m(m: int, precision: int) -> Dict[Tuple[int, str], BigReal]:
+    table = lambda_table(11, precision)
+    gamma = euler_gamma(precision)
     history = table.tiny_history()
     out: Dict[Tuple[int, str], BigReal] = {}
-    for n in range(2, n_hi + 1):
+    for n in range(2, 12):
         if n >= m:
             out[(n, "pred")] = predict_order_m(history, n, m) / (gamma * n)
         out[(n, "exact")] = table.tiny_part(n) / (gamma * n)
     return out
-
-
-def _build_ratio_order2(precision: int) -> Dict[Tuple[int, str], BigReal]:
-    return _build_ratio_order_m(2, 11, precision)
-
-
-def _build_ratio_order3(precision: int) -> Dict[Tuple[int, str], BigReal]:
-    return _build_ratio_order_m(3, 11, precision)
 
 
 def _build_tiny_fullhistory(precision: int) -> Dict[Tuple[int, str], BigReal]:
@@ -256,8 +243,8 @@ def _build_scan_ratios(precision: int) -> Dict[Tuple[int, str], BigReal]:
 
 
 _BUILDERS: Dict[str, Builder] = {
-    "ratio_order2": _build_ratio_order2,
-    "ratio_order3": _build_ratio_order3,
+    "ratio_order2": partial(_build_ratio_order_m, 2),
+    "ratio_order3": partial(_build_ratio_order_m, 3),
     "tiny_fullhistory": _build_tiny_fullhistory,
     "trend_fullhistory": _build_trend_fullhistory,
     "nlogn_sums": _build_nlogn_sums,

@@ -176,8 +176,6 @@ VARY_IM = "im"
 @dataclass(frozen=True)
 class ComplexSample:
     param: float
-    s_re: BigReal
-    s_im: BigReal
     f_re: BigReal
     f_im: BigReal
 
@@ -267,10 +265,9 @@ def line_probe(
     failures: List[SampleFailure] = []
     for i in range(samples):
         param = lo + i * grid_step
-        if kind == VARY_RE:
-            s = mpmath.mpc(param, fixed)
-        else:
-            s = mpmath.mpc(fixed, param)
+        # a Python complex is exact for float parts; f_eval converts it at its
+        # own precision, so the caller's mp.dps cannot round the point
+        s = complex(param, fixed) if kind == VARY_RE else complex(fixed, param)
         try:
             f = f_eval(s, precision)
         except ProbeEvaluationError as exc:
@@ -279,8 +276,6 @@ def line_probe(
         collected.append(
             ComplexSample(
                 param=param,
-                s_re=BigReal(mpmath.re(s), precision),
-                s_im=BigReal(mpmath.im(s), precision),
                 f_re=BigReal(mpmath.re(f), precision),
                 f_im=BigReal(mpmath.im(f), precision),
             )

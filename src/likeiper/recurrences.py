@@ -12,11 +12,21 @@ This module implements those predictors:
 * ``predict_voros``     - the central-binomial variant with weights C(2n, n-k).
 
 All three are one alternating binomial sum with a different weight, and one
-kernel computes them: weight C(m, n-k) for order m, C(n, k) for the full
-history, C(2n, n-k) for Voros.  The sum runs over k >= 1, so the boundary
-convention value(0) = 0 needs no code.  The sums work on any field type
-(``BigReal``, or ``Fraction`` for exact tests) and take their zeros from the
-operands (``x * 0``).
+kernel, ``_predict_binomial``, computes them: weight C(m, n-k) for order m,
+C(n, k) for the full history, C(2n, n-k) for Voros.  The sum runs over
+k >= 1 by default, so the boundary convention value(0) = 0 needs no code.
+Every other alternating binomial sum in the package is the same kernel:
+
+* ``discrete_derivative`` - the kernel at n = m + 1, weight C(m, k), from k = 0;
+* ``phi_nlogn``           - phi1 is (-1)^(n-1) times the full-history
+                            predictor of k log k;
+* ``model_predictor``     - (-1)^(n-1) phi1 / 2 + (c + gamma) n, since the
+                            full-history predictor is linear and maps k to n;
+* ``zeros.inversion_check`` - its left side is
+                            (-1)^(n-1) (lambda_n - predict_voros(lambda, n)).
+
+The sums work on any field type (``BigReal``, raw ``mpf``, or ``Fraction``
+for exact tests) and take their zeros from the operands (``x * 0``).
 
 The mode is the function called: ``prediction_run`` predicts from exact
 history (true lower-index values substituted at every step) and
@@ -98,22 +108,16 @@ def discrete_derivative(f: Sequence[Value], n: int, m: int) -> Value:
         raise ValueError("difference order m must be >= 0")
     if m > n:
         raise HistoryError(f"order m={m} exceeds available index range 0..{n}")
-    if len(f) < m + 1:
-        raise HistoryError(
-            f"sequence covers 0..{len(f) - 1}, need 0..{m}"
-        )
-    total = None
-    for k in range(m + 1):
-        term = f[m - k] * (parity_sign(k) * binomial(m, k))
-        total = term if total is None else total + term
-    return total
+    return _predict_binomial(f, m + 1, lambda k: binomial(m, k), lowest=0)
 
 
-def _predict_binomial(history: Sequence[Value], n: int, weight: Callable[[int], int]) -> Value:
-    """sum_{k=1}^{n-1} (-1)^(k-n+1) weight(k) history[k], zero weights skipped.
+def _predict_binomial(
+    history: Sequence[Value], n: int, weight: Callable[[int], int], lowest: int = 1
+) -> Value:
+    """sum_{k=lowest}^{n-1} (-1)^(k-n+1) weight(k) history[k], zero weights skipped.
 
-    The empty sum is ``history[0] * 0``, so it comes back in the history's
-    own type (and, for ``BigReal``, at its tag).
+    Terms are added in ascending k.  The empty sum is ``history[0] * 0``, so
+    it comes back in the history's own type (and, for ``BigReal``, at its tag).
     """
     if n < 1:
         raise ValueError(f"a binomial prediction needs n >= 1, got n={n}")
@@ -122,7 +126,7 @@ def _predict_binomial(history: Sequence[Value], n: int, weight: Callable[[int], 
             f"prediction at n={n} needs history 0..{n - 1}, have 0..{len(history) - 1}"
         )
     total: Optional[Value] = None
-    for k in range(1, n):
+    for k in range(lowest, n):
         w = weight(k)
         if w:
             term = history[k] * (parity_sign(k - n + 1) * w)
@@ -272,43 +276,32 @@ def phi_nlogn(n: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, BigReal
         phi1(n) = sum_{k=1}^{n-1} (-1)^k C(n,k) k log k        (1 log 1 = 0)
         phi2(n) = (-1)^(n-1) n log n
 
-    phi1 carries the raw alternating sign as printed in the source tables
-    (no global (-1)^(n-1) factor); the empty sum at n = 1 is 0.
+    phi1 carries the raw alternating sign as printed in the source tables,
+    so it is (-1)^(n-1) times the full-history predictor of k log k; the
+    empty sum at n = 1 is 0.
     """
     if n < 1:
         raise ValueError("phi_nlogn needs n >= 1")
     with mp.workdps(precision + 10):
-        phi1 = mpmath.mpf(0)
-        for k in range(2, n):  # k=1 contributes 1*log(1) = 0
-            phi1 += parity_sign(k) * binomial(n, k) * k * mpmath.log(k)
+        k_log_k = [mpmath.mpf(0)] + [k * mpmath.log(k) for k in range(1, n)]
+        phi1 = predict_full_history(k_log_k, n) * parity_sign(n - 1)
         phi2 = mpmath.mpf(0)
         if n > 1:
             phi2 = parity_sign(n - 1) * n * mpmath.log(n)
         return BigReal(phi1, precision), BigReal(phi2, precision)
 
 
-def model_predictor(
-    n: int,
-    precision: int = DEFAULT_DIGITS,
-    raw_printed_signs: bool = False,
-) -> BigReal:
+def model_predictor(n: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     """Full-history predictor applied to the explicit large-n model
 
         g(k) = (1/2) k log k + (c + gamma) k,
 
-    where c = (gamma - 1 - log 2pi)/2.  Default signs follow the
-    predict_full_history convention (-1)^(k-n+1), which makes the operator
-    consistent with the recurrence it models; ``raw_printed_signs`` selects
-    the plain (-1)^k weighting instead (a global factor (-1)^(n-1) apart).
+    where c = (gamma - 1 - log 2pi)/2.  The predictor is linear and maps the
+    sequence k to n exactly, so this is (-1)^(n-1) phi1(n) / 2 + (c + gamma) n.
     """
     if n < 2:
         raise ValueError("model_predictor needs n >= 2")
     consts = fundamental_constants(precision + 10)
-    with mp.workdps(precision + 10):
-        slope = consts.c_model.value + consts.gamma.value
-        total = mpmath.mpf(0)
-        for k in range(1, n):
-            g = k * mpmath.log(k) / 2 + slope * k if k > 1 else slope
-            sign = parity_sign(k) if raw_printed_signs else parity_sign(k - n + 1)
-            total += sign * binomial(n, k) * g
+    phi1, _ = phi_nlogn(n, precision + 10)
+    total = phi1 * parity_sign(n - 1) / 2 + (consts.c_model + consts.gamma) * n
     return BigReal(total, precision)

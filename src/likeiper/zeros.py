@@ -24,7 +24,8 @@ from mpmath import mp
 from .bigreal import BigReal, DEFAULT_DIGITS
 from .datafiles import default_zeros_path, parse_indexed_table
 from .lambda_core import LambdaTable
-from .series import binomial, parity_sign
+from .recurrences import predict_voros
+from .series import parity_sign
 
 
 class ZeroDataError(ValueError):
@@ -37,7 +38,6 @@ class ZeroList:
 
     ordinates: Tuple[BigReal, ...]
     digits: int
-    source: str = ""
     warnings: Tuple[str, ...] = ()
 
     @property
@@ -85,7 +85,6 @@ def load_zeros(path: Optional[Path] = None) -> ZeroList:
     return ZeroList(
         ordinates=tuple(ordinates),
         digits=digits,
-        source=metadata.get("source", str(path)),
         warnings=tuple(warnings),
     )
 
@@ -169,8 +168,9 @@ def inversion_check(
 ) -> InversionCheck:
     """Check sum_{k=0}^n (-1)^(k-1) C(2n, n-k) lambda_k = Z(n) within bounds.
 
-    The k = 0 term vanishes (lambda_0 = 0 by convention).  The right side is
-    only available truncated, so consistency means
+    The k = 0 term vanishes (lambda_0 = 0 by convention), so the left side
+    is (-1)^(n-1) (lambda_n - predict_voros(lambda, n)), at the table's tag.
+    The right side is only available truncated, so consistency means
 
         |LHS - z_partial(n)| <= z_tail_bound(n) + allowance
 
@@ -185,10 +185,8 @@ def inversion_check(
         )
     if allowance is None:
         allowance = BigReal(1, precision) / (10 ** 40)
-    lhs = BigReal.zero(precision)
-    for k in range(1, n + 1):
-        weight = parity_sign(k - 1) * binomial(2 * n, n - k)
-        lhs = lhs + lambdas.lam(k) * weight
+    history = lambdas.lambda_history()
+    lhs = (history[n] - predict_voros(history, n)) * parity_sign(n - 1)
     z_trunc = z_partial(n, zeros, precision)
     bound = z_tail_bound(n, zeros, precision)
     residual = abs(lhs - z_trunc)

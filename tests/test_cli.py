@@ -6,6 +6,7 @@ from decimal import Decimal
 import pytest
 
 from likeiper.cli import main
+from likeiper.datafiles import default_stieltjes_path, default_zeros_path
 from likeiper.goldens import load_golden, tables_dir
 
 
@@ -348,6 +349,48 @@ class TestProbe:
         row = data_rows(out)[0]
         # 30-digit formatting: 30 places after the decimal point
         assert len(row[1].split(".")[1]) == 30
+
+
+STIELTJES = str(default_stieltjes_path())
+ZEROS = str(default_zeros_path())
+PROBE = ("probe", "--line", "im", "--b", "1", "--t0", "1", "--t1", "2", "--samples", "4")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--table", "1", "--n-max", "5"),
+        ("verify", "--table", "1", "--stieltjes", STIELTJES),
+        ("verify", "--table", "1", "--zeros", ZEROS),
+        PROBE + ("--n-max", "999"),
+        PROBE + ("--stieltjes", STIELTJES),
+        PROBE + ("--zeros", ZEROS),
+        PROBE + ("--format", "csv"),
+        ("lambda", "--n-max", "3", "--zeros", ZEROS),
+        ("approx", "--scheme", "d", "--n-max", "3", "--zeros", ZEROS),
+        ("scan", "--n-max", "3", "--zeros", ZEROS),
+        # options only one mode reads
+        ("approx", "--scheme", "a2", "--seed", "initial", "--n-max", "3", "--stieltjes", STIELTJES),
+        ("approx", "--scheme", "d", "--seed", "initial:2", "--n-max", "3", "--target", "lambda"),
+        ("zeros", "--n-max", "3", "--stieltjes", STIELTJES),
+    ],
+    ids=[
+        "verify-n-max", "verify-stieltjes", "verify-zeros",
+        "probe-n-max", "probe-stieltjes", "probe-zeros", "probe-format",
+        "lambda-zeros", "approx-zeros", "scan-zeros",
+        "approx-initial-stieltjes", "approx-initial-target", "zeros-stieltjes-without-inversion",
+    ],
+)
+def test_unread_option_exits_2(argv):
+    # argparse rejects an option the subcommand lacks with SystemExit(2)
+    try:
+        code, out, err = run(*argv)
+    except SystemExit as exc:
+        code, out = exc.code, ""
+    else:
+        assert "likeiper: error:" in err
+    assert code == 2
+    assert out == ""
 
 
 class TestCommonValidation:

@@ -168,11 +168,6 @@ class TestStieltjesTable:
     def test_gamma1_oracle(self, stieltjes):
         assert agrees(stieltjes.gamma(1), euler_maclaurin_gamma1(), 35)
 
-    def test_precision_clamp(self):
-        table = load_stieltjes(precision=30)
-        assert table.digits == 30
-        assert table.gamma(0).precision == 30
-
     def test_default_path_exists(self):
         assert default_stieltjes_path().is_file()
 

@@ -232,6 +232,17 @@ class TestLineProbe:
         for nc in report.near_collisions:
             assert abs(nc.param1 - nc.param2) > step * 1.5
 
+    @pytest.mark.parametrize("kind", ["re", "im"])
+    def test_output_independent_of_ambient_dps(self, kind):
+        # the sample points are exact floats; rounding them at the caller's
+        # mp.dps (5 digits is about 20 bits) would move every f value
+        fixed, lo, hi = (14.134725, 0.55, 3.0) if kind == "re" else (0.55, 13.9, 14.3)
+        outputs = []
+        for dps in (5, 15, 500):
+            with mp.workdps(dps):
+                outputs.append(line_probe(kind, fixed, lo, hi, samples=5, precision=30).to_tsv())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="kind"):
             line_probe("diagonal", 1.0, 0.0, 1.0)

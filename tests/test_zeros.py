@@ -6,6 +6,7 @@ vanish between consecutive ones, which catches shifted or duplicated rows.
 The closed-form tail integral is checked against adaptive quadrature.
 """
 
+import math
 from pathlib import Path
 
 import mpmath
@@ -19,6 +20,7 @@ from likeiper import (
     big,
     delta_bound,
     inversion_check,
+    lambda_table,
     load_zeros,
     z_partial,
     z_tail_bound,
@@ -215,6 +217,19 @@ class TestInversionCheck:
         )
         check = inversion_check(2, tampered, zeros, 50)
         assert not check.consistent
+
+    @pytest.mark.parametrize("digits", [30, 50, 100])
+    def test_lhs_bit_identical_to_ascending_loop(self, zeros, digits):
+        # oracle: the alternating central-binomial sum added in ascending k
+        # from a zero at the table's tag, as the check was first written
+        table = lambda_table(32, digits)
+        for n in range(1, 33):
+            expected = BigReal.zero(digits)
+            for k in range(1, n + 1):
+                expected = expected + table.lam(k) * ((-1) ** (k - 1) * math.comb(2 * n, n - k))
+            lhs = inversion_check(n, table, zeros, digits).lhs
+            assert lhs.precision == expected.precision
+            assert lhs.value._mpf_ == expected.value._mpf_, n
 
     def test_argument_validation(self, table7, zeros):
         with pytest.raises(ValueError):
