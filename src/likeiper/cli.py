@@ -11,6 +11,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -355,6 +356,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parsing does not mutate it
 def _build_parser() -> argparse.ArgumentParser:
     # Shared options in parent parsers, one per group that subcommands take together.
     common = argparse.ArgumentParser(add_help=False)

@@ -26,6 +26,7 @@ output coefficient is tagged as ``BigReal`` once, at the requested precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -59,6 +60,11 @@ def guard_digits(n_max: int) -> int:
     can cancel; pad generously.
     """
     return max(15, int(0.302 * n_max) + 5)
+
+
+def binomial_guard_digits(m: int) -> int:
+    """Digits a sum with weights C(m, k) can cancel: ceil(log10 C(m, m // 2))."""
+    return math.ceil(math.log10(math.comb(m, m // 2)))
 
 
 def tiny_series(

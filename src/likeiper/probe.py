@@ -23,13 +23,16 @@ The sum runs in fixed point on (re, im) pairs of 2^wp-scaled ints (the idiom
 of F. Johansson, Numer. Algorithms 69 (2015)): a smallest-prime-factor sieve
 leaves exp and cos/sin to primes, Re s < 0 lifts wp by the digits the direct
 terms cancel, and the weights B_2j/(2j)! come from ``constants``' table.
+Along a line each prime's power is stepped, p^(-s') = p^(-s) p^(-delta) for
+the exact difference delta of the points, so exp and cos/sin run about once
+per prime and distinct grid step, not once per sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -52,7 +55,17 @@ def _mul(a: Sequence[int], b: Sequence[int], wp: int) -> Tuple[int, int]:
     return (a[0] * b[0] - a[1] * b[1]) >> wp, (a[0] * b[1] + a[1] * b[0]) >> wp
 
 
-def _zeta_and_deriv(s: ComplexLike, precision: int) -> Tuple[mpmath.mpc, mpmath.mpc]:
+def _power(log_n: int, re: int, im: int, wp: int) -> Tuple[int, int]:
+    """n^(-(re + i im)) from log n, in fixed point; a zero part costs no exp or cos/sin."""
+    mag = to_fixed(mpf_exp(from_man_exp(-re * log_n >> wp, -wp), wp), wp) if re else 1 << wp
+    if not im:
+        return mag, 0
+    cos, sin = mpf_cos_sin(from_man_exp(-im * log_n >> wp, -wp), wp)
+    return mag * to_fixed(cos, wp) >> wp, mag * to_fixed(sin, wp) >> wp
+
+
+def _zeta_and_deriv(s: ComplexLike, precision: int, line: Optional[dict] = None,
+                    guard: int = 0) -> Tuple[mpmath.mpc, mpmath.mpc]:
     """zeta(s) and zeta'(s) from one Euler-Maclaurin pass in fixed point.
 
     N direct terms, N grown with the precision and the height so the Bernoulli
@@ -60,7 +73,15 @@ def _zeta_and_deriv(s: ComplexLike, precision: int) -> Tuple[mpmath.mpc, mpmath.
     N^(1-2j), ratio about ((|Im s| + 2j)/(2 pi N))^2) decrease until one is
     below the target.  zeta' is taken term by term: -log(n) n^(-s) and
     c_j (P_j' - log(N) P_j) N^(-s).
+
+    ``line``, one probe line's state, keeps each prime's last p^(-s), s and
+    wp; a prime with none at this wp (first evaluated sample, new prime, new
+    lift or N) steps from p^0 = 1.  p^(-delta), delta the exact fixed-point
+    difference, is kept under (p, delta, wp); the float grid lo + i step has
+    few deltas.  Lines run lo -> hi, so |p^(-delta)| <= 1 and k steps add
+    O(k) ulps, which ``guard``, the step count's bit length, absorbs.
     """
+    line = {} if line is None else line
     work = precision + 15
     with mp.workdps(work):
         sv = mpmath.mpc(s)
@@ -68,7 +89,7 @@ def _zeta_and_deriv(s: ComplexLike, precision: int) -> Tuple[mpmath.mpc, mpmath.
     # Direct terms reach N^(-Re s) and cancel, so Re s < 0 lifts the digits;
     # the extra bits absorb N roundings of about |s| log N ulps each.
     lift = math.ceil(max(0.0, -float(sv.real)) * math.log10(N))
-    wp = dps_to_prec(work + 5 + lift) + 2 * N.bit_length() + 10
+    wp = dps_to_prec(work + 5 + lift) + 2 * N.bit_length() + 10 + guard
     one = 1 << wp
     sre, sim = to_fixed(sv.real._mpf_, wp), to_fixed(sv.imag._mpf_, wp)
     if (sre, sim) == (one, 0):
@@ -82,9 +103,13 @@ def _zeta_and_deriv(s: ComplexLike, precision: int) -> Tuple[mpmath.mpc, mpmath.
         p, m = spf[n], n // spf[n]
         if m == 1:
             log_n = log_int_fixed(n, wp)
-            mag = to_fixed(mpf_exp(from_man_exp(-sre * log_n >> wp, -wp), wp), wp)
-            cos, sin = mpf_cos_sin(from_man_exp(-sim * log_n >> wp, -wp), wp)
-            powers.append((mag * to_fixed(cos, wp) >> wp, mag * to_fixed(sin, wp) >> wp))
+            held = line.get(n)  # the multiply by p^0 = 1 is exact
+            held = held if held and held[2] == wp else (0, 0, wp, (one, 0))
+            step = (n, sre - held[0], sim - held[1], wp)
+            if step not in line:
+                line[step] = _power(log_n, step[1], step[2], wp)
+            powers.append(_mul(held[3], line[step], wp))
+            line[n] = (sre, sim, wp, powers[n])
         else:
             log_n = logs[p] + logs[m]
             powers.append(_mul(powers[p], powers[m], wp))
@@ -150,15 +175,20 @@ def f_eval(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
     Rejects points too close to s = 1 (the formula has a 0/0 there; the
     analytic continuation exists but the quotient form does not) and points
     where |zeta(s)| < 10^(-precision/2) (log-derivative blows up near a
-    zero, and roundoff with it).
+    zero, and roundoff with it).  It is a one-point line of ``_f_on_line``.
     """
+    return _f_on_line(s, precision, {}, 0)
+
+
+def _f_on_line(s: ComplexLike, precision: int, line: dict, guard: int) -> mpmath.mpc:
+    """f(s) as a sample of a probe line; ``line`` and ``guard`` as in ``_zeta_and_deriv``."""
     with mp.workdps(precision + 15):
         sv = mpmath.mpc(s)
         if abs(sv - 1) < mpmath.mpf(10) ** (-6):
             raise ProbeEvaluationError(
                 f"s = {complex(sv)} too close to s = 1 for the quotient form"
             )
-        z, zp = _zeta_and_deriv(sv, precision)
+        z, zp = _zeta_and_deriv(sv, precision, line, guard)
         floor = mpmath.mpf(10) ** (-(precision // 2))
         if abs(z) < floor:
             raise ProbeEvaluationError(
@@ -263,13 +293,14 @@ def line_probe(
     grid_step = (hi - lo) / (samples - 1)
     collected: List[ComplexSample] = []
     failures: List[SampleFailure] = []
+    line, guard = {}, (samples - 1).bit_length()  # see _zeta_and_deriv
     for i in range(samples):
         param = lo + i * grid_step
-        # a Python complex is exact for float parts; f_eval converts it at its
-        # own precision, so the caller's mp.dps cannot round the point
+        # a Python complex is exact for float parts; _f_on_line converts it at
+        # its own precision, so the caller's mp.dps cannot round the point
         s = complex(param, fixed) if kind == VARY_RE else complex(fixed, param)
         try:
-            f = f_eval(s, precision)
+            f = _f_on_line(s, precision, line, guard)
         except ProbeEvaluationError as exc:
             failures.append(SampleFailure(param=param, reason=str(exc)))
             continue

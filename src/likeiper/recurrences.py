@@ -51,6 +51,7 @@ from mpmath import mp
 
 from .bigreal import BigReal, DEFAULT_DIGITS
 from .constants import fundamental_constants
+from .lambda_core import binomial_guard_digits
 from .series import binomial, parity_sign
 
 Value = Union[BigReal, Fraction]
@@ -282,7 +283,7 @@ def phi_nlogn(n: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, BigReal
     """
     if n < 1:
         raise ValueError("phi_nlogn needs n >= 1")
-    with mp.workdps(precision + 10):
+    with mp.workdps(precision + 10 + binomial_guard_digits(n)):  # the C(n, k) cancel
         k_log_k = [mpmath.mpf(0)] + [k * mpmath.log(k) for k in range(1, n)]
         phi1 = predict_full_history(k_log_k, n) * parity_sign(n - 1)
         phi2 = mpmath.mpf(0)

@@ -18,6 +18,7 @@ from likeiper import (
     psi_perturbation,
 )
 from likeiper.lambda_core import (
+    binomial_guard_digits,
     conjecture_scan,
     guard_digits,
     tiny_series,
@@ -186,6 +187,11 @@ class TestGuardDigits:
 
         for n_max in (40, 64, 100, 200):
             assert guard_digits(n_max) >= math.log10(math.comb(n_max, n_max // 2)) + 2
+
+    @pytest.mark.parametrize("m, digits", [(0, 0), (1, 0), (2, 1), (5, 1), (32, 9), (60, 18), (120, 35)])
+    def test_binomial_guard_is_ceil_log10_central_binomial(self, m, digits):
+        # C(5, 2) = 10 needs exactly 1 digit; C(32, 16) = 601080390 needs 9
+        assert binomial_guard_digits(m) == digits
 
 
 class TestPsiPerturbation:

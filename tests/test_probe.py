@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -17,6 +18,7 @@ from mpmath import mp
 
 import likeiper.probe as probe_module
 from likeiper import (
+    BigReal,
     ProbeEvaluationError,
     euler_gamma,
     f_eval,
@@ -127,9 +129,9 @@ class TestEngineOracle:
         calls = []
         engine = probe_module._zeta_and_deriv
 
-        def counting(s, precision):
+        def counting(s, precision, *line):
             calls.append(s)
-            return engine(s, precision)
+            return engine(s, precision, *line)
 
         monkeypatch.setattr(probe_module, "_zeta_and_deriv", counting)
         f_eval(complex(2, 3), 30)
@@ -310,3 +312,91 @@ class TestLineProbe:
         b = line_probe("im", 1.0, 1.0, 3.0, samples=20, precision=20).to_tsv()
         assert a == b
 
+
+def _distinct_steps(params):
+    """The exact differences of consecutive float parameters."""
+    return {Fraction(b) - Fraction(a) for a, b in zip(params, params[1:])}
+
+
+class TestLineStepping:
+    """line_probe steps each prime's p^(-s) from one sample to the next.
+
+    The engine is spied on inside ``line_probe`` itself, so the values
+    checked are the stepped ones the probe uses.
+    """
+
+    @staticmethod
+    def _probe_engine(monkeypatch, kind, fixed, lo, hi, samples, precision):
+        seen = []
+        engine = probe_module._zeta_and_deriv
+
+        def recording(s, precision, *line):
+            z, zp = engine(s, precision, *line)
+            seen.append((s, z, zp))
+            return z, zp
+
+        monkeypatch.setattr(probe_module, "_zeta_and_deriv", recording)
+        report = line_probe(kind, fixed, lo, hi, samples=samples, precision=precision)
+        return report, seen
+
+    @pytest.mark.parametrize(
+        "kind, fixed, lo, hi, samples, min_steps",
+        [
+            # N = 64 + int(t) at 30 digits: its bit length, so wp, changes at t = 64
+            ("im", 0.5, 60.0, 68.0, 40, 1),
+            # the lift ceil(-Re s log10 N) goes 2, 1, 0 digits
+            ("re", 30.0, -1.0, 1.0, 21, 1),
+            # the first sample is the pole, so the first evaluated one is t = step
+            ("im", 1.0, 0.0, 4.0, 12, 1),
+            # a long line: ten distinct exact float steps
+            ("im", 2.0, 0.3, 17.9, 90, 8),
+        ],
+    )
+    def test_stepped_values_match_mpmath(
+        self, monkeypatch, kind, fixed, lo, hi, samples, min_steps
+    ):
+        precision = 30
+        report, seen = self._probe_engine(monkeypatch, kind, fixed, lo, hi, samples, precision)
+        assert len(seen) >= len(report.samples) > 1
+        params = [float(s.real if kind == "re" else s.imag) for s, _, _ in seen]
+        assert len(_distinct_steps(params)) >= min_steps
+        with mp.workdps(precision + 30):
+            bound = mpmath.mpf(10) ** -precision
+            for s, got, dgot in seen:
+                sv = mpmath.mpc(s)
+                z, zp = mpmath.zeta(sv), mpmath.zeta(sv, derivative=1)
+                assert abs(got - z) <= bound * abs(z), s
+                assert abs(dgot - zp) <= bound * abs(zp), s
+
+    def test_first_sample_at_the_pole(self, monkeypatch):
+        report, seen = self._probe_engine(monkeypatch, "im", 1.0, 0.0, 4.0, 12, 30)
+        assert [f.param for f in report.failures] == [0.0]
+        assert seen[0][0] == complex(1.0, 4.0 / 11)
+
+    @pytest.mark.parametrize(
+        "kind, fixed, lo, hi, samples",
+        [("im", 1.0, 0.0, 30.0, 100), ("re", 30.0, -1.0, 1.0, 21), ("im", 0.5, 60.0, 68.0, 40)],
+    )
+    def test_rows_match_one_point_f_eval(self, kind, fixed, lo, hi, samples):
+        report = line_probe(kind, fixed, lo, hi, samples=samples, precision=30)
+        rows = [line for line in report.to_tsv().splitlines() if not line.startswith("#")]
+        assert len(rows) == len(report.samples) > 0
+        for row, sample in zip(rows, report.samples):
+            p = sample.param
+            f = f_eval(complex(p, fixed) if kind == "re" else complex(fixed, p), 30)
+            re_f, im_f = (BigReal(x, 30).to_decimal_string(30) for x in (f.real, f.imag))
+            assert row == f"{p!r}\t{re_f}\t{im_f}"
+
+    def test_exp_and_cos_sin_once_per_prime_and_step(self, monkeypatch):
+        # the 100-sample benchmark im line; t <= 30 at 30 digits gives N <= 94
+        calls = []
+        for name in ("mpf_exp", "mpf_cos_sin"):
+            original = getattr(probe_module, name)
+            monkeypatch.setattr(
+                probe_module, name, lambda *a, _f=original: calls.append(1) or _f(*a)
+            )
+        report = line_probe("im", 1.0, 0.0, 30.0, samples=100, precision=30)
+        steps = _distinct_steps([s.param for s in report.samples])
+        primes = sum(all(p % q for q in range(2, p)) for p in range(2, 95))
+        assert (primes, len(steps)) == (24, 8)
+        assert len(calls) <= primes * (len(steps) + 1)

@@ -435,6 +435,15 @@ class TestPhiNlogn:
         with pytest.raises(ValueError):
             phi_nlogn(0)
 
+    @pytest.mark.parametrize("n", [60, 80, 120])
+    def test_accurate_to_its_tag_past_the_table(self, n):
+        # phi1 cancels about log10 C(n, n/2) digits; a fixed 10-digit guard
+        # was off by 3.4e-22 at n = 60 and 9.4e-4 at n = 120
+        got, reference = phi_nlogn(n, 30), phi_nlogn(n, 100)
+        with mp.workdps(110):
+            for value, exact in zip(got, reference):
+                assert abs(value.value - exact.value) <= mp.mpf(10) ** -30 * abs(exact.value)
+
 
 class TestModelPredictor:
     def test_needs_n_at_least_2(self):
