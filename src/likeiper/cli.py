@@ -271,6 +271,10 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     if args.stieltjes is not None and not args.inversion:
         raise ValueError("--stieltjes is read only with --inversion")
     zeros = load_zeros(args.zeros)
+    if args.digits > zeros.digits:
+        raise PrecisionError(
+            f"--digits {args.digits} exceeds the {zeros.digits} digits of the zero table"
+        )
     d = _delimiter(args)
     lines = []
     for warning in zeros.warnings:
@@ -280,14 +284,12 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         lines.append(
             d.join(("n", "lhs", "z_partial", "residual", "bound_plus_allowance", "consistent"))
         )
-        all_consistent = True
-        for n in range(1, args.n_max + 1):
-            chk = inversion_check(n, table, zeros, args.digits)
-            all_consistent &= chk.consistent
+        checks = inversion_check(args.n_max, table, zeros, args.digits)
+        for chk in checks:
             lines.append(
                 d.join(
                     (
-                        str(n),
+                        str(chk.n),
                         _fmt(chk.lhs, args.digits),
                         _fmt(chk.z_truncated, args.digits),
                         _fmt(chk.residual, args.digits),
@@ -296,17 +298,18 @@ def cmd_zeros(args: argparse.Namespace) -> int:
                     )
                 )
             )
+        all_consistent = all(chk.consistent for chk in checks)
         lines.append(f"# result: {'pass' if all_consistent else 'FAIL'}")
         _emit(lines, args)
         return _EXIT_OK if all_consistent else _EXIT_CHECK_FAILED
 
     lines.append(d.join(("j", "z_partial", "z_tail_bound", "delta_bound")))
-    for j in range(1, args.n_max + 1):
+    for j, z in enumerate(z_partial(args.n_max, zeros, args.digits), 1):
         lines.append(
             d.join(
                 (
                     str(j),
-                    _fmt(z_partial(j, zeros, args.digits), args.digits),
+                    _fmt(z, args.digits),
                     _fmt(z_tail_bound(j, zeros, args.digits), args.digits),
                     _fmt(delta_bound(j, args.digits), args.digits),
                 )

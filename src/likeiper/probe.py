@@ -192,8 +192,7 @@ def _f_on_line(s: ComplexLike, precision: int, line: dict, guard: int) -> mpmath
         floor = mpmath.mpf(10) ** (-(precision // 2))
         if abs(z) < floor:
             raise ProbeEvaluationError(
-                f"|zeta({complex(sv)})| = {mpmath.nstr(abs(z), 5)} below safe floor "
-                "(too near a zero)"
+                f"|zeta({complex(sv)})| below safe floor 1e-{precision // 2} (too near a zero)"
             )
         gamma = euler_gamma(precision).value
         return +((sv + sv * (sv - 1) * zp / z) / gamma)

@@ -253,9 +253,20 @@ class TestZeros:
         path.write_text(
             "# digits: 20\n1\t14.134725141734693790\n2\t21.022039638771554993\n"
         )
-        code, out, _ = run("zeros", "--n-max", "2", "--zeros", str(path))
+        code, out, _ = run("zeros", "--n-max", "2", "--digits", "20", "--zeros", str(path))
         assert code == 0
         assert any(line.startswith("# warning:") for line in out.splitlines())
+
+    @pytest.mark.parametrize("mode", [(), ("--inversion",)])
+    def test_digits_beyond_zero_table_exit_2(self, tmp_path, mode):
+        code, out, err = run("zeros", *mode, "--n-max", "2", "--digits", "51")
+        assert code == 2 and out == ""
+        assert "--digits 51 exceeds the 50 digits of the zero table" in err
+        path = tmp_path / "zeros.tsv"
+        path.write_text("# digits: 20\n1\t14.134725141734693790\n")
+        code, _, err = run("zeros", *mode, "--n-max", "2", "--digits", "21", "--zeros", str(path))
+        assert code == 2
+        assert "--digits 21 exceeds the 20 digits of the zero table" in err
 
     def test_missing_zero_file(self, tmp_path):
         code, _, err = run("zeros", "--zeros", str(tmp_path / "nope.tsv"))
@@ -330,6 +341,15 @@ class TestProbe:
         assert "# failed at -42.0:" in out and "# failed at -40.0:" in out
         assert [row[0] for row in data_rows(out)] == ["-41.5", "-41.0", "-40.5"]
         assert data_rows(out)[0][1].startswith("-1077.2554981142721049379986380")
+
+    def test_trivial_zero_failure_quotes_only_the_floor(self):
+        # zeta(-42) = 0 exactly: the message gives the floor, not sub-ulp noise
+        code, out, _ = run("probe", "--line", "re", "--t", "0", "--b0", "-42", "--b1", "-40")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("# failed")] == [
+            "# failed at -42.0: |zeta((-42+0j))| below safe floor 1e-15 (too near a zero)",
+            "# failed at -40.0: |zeta((-40+0j))| below safe floor 1e-15 (too near a zero)",
+        ]
 
     def test_im_line_requires_b(self):
         code, _, err = run("probe", "--line", "im", "--t0", "0", "--t1", "1")

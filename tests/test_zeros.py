@@ -25,6 +25,8 @@ from likeiper import (
     z_partial,
     z_tail_bound,
 )
+from likeiper.recurrences import predict_voros
+from likeiper.series import parity_sign
 from likeiper.zeros import tail_integral
 
 
@@ -79,21 +81,21 @@ class TestOrdinateOracle:
 
 class TestZPartial:
     def test_descending_in_j(self, zeros):
-        values = [z_partial(j, zeros, 50) for j in range(1, 9)]
+        values = [z_partial(j, zeros, 50)[j - 1] for j in range(1, 9)]
         for a, b in zip(values, values[1:]):
             assert a > b > 0
 
     @pytest.mark.parametrize("j", range(1, 9))
     def test_dominated_by_first_zero_scale(self, zeros, j):
         bound = big("14.134", 50) ** (-(2 * j - 1))
-        assert abs(z_partial(j, zeros, 50)) < bound
+        assert abs(z_partial(j, zeros, 50)[j - 1]) < bound
 
     def test_direct_recomputation(self, zeros):
         with mp.workdps(60):
             expected = mpmath.fsum(
                 (mpmath.mpf(1) / 4 + t.value**2) ** -3 for t in zeros.ordinates
             )
-            got = z_partial(3, zeros, 50)
+            got = z_partial(3, zeros, 50)[2]
             assert abs(got.value - expected) < mpmath.mpf(10) ** -45
 
     def test_rejects_j_below_1(self, zeros):
@@ -101,9 +103,71 @@ class TestZPartial:
             z_partial(0, zeros)
 
     def test_deterministic(self, zeros):
-        a = z_partial(4, zeros, 50).to_decimal_string(40)
-        b = z_partial(4, zeros, 50).to_decimal_string(40)
+        a = z_partial(4, zeros, 50)[3].to_decimal_string(40)
+        b = z_partial(4, zeros, 50)[3].to_decimal_string(40)
         assert a == b
+
+
+def _fsum_oracle(j, zeros, precision):
+    """sum_k (1/4 + t_k^2)^(-j) by mpmath.fsum at precision + 30 digits."""
+    with mp.workdps(precision + 30):
+        return mpmath.fsum((mpmath.mpf(1) / 4 + t.value**2) ** -j for t in zeros.ordinates)
+
+
+def _short_table(tmp_path, count):
+    path = tmp_path / f"zeros{count}.tsv"
+    rows = ["14.134725141734693790", "21.022039638771554993"][:count]
+    path.write_text("# digits: 20\n" + "".join(f"{k}\t{t}\n" for k, t in enumerate(rows, 1)))
+    return load_zeros(path)
+
+
+class TestZPartialKernel:
+    """The one-pass fixed-point kernel against an independent fsum oracle."""
+
+    @staticmethod
+    def _assert_matches_oracle(zeros, precision, j_max):
+        tag = min(precision, zeros.digits)
+        values = z_partial(j_max, zeros, precision)
+        assert len(values) == j_max
+        for j, got in enumerate(values, 1):
+            assert got.precision == tag
+            expected = _fsum_oracle(j, zeros, precision)
+            with mp.workdps(precision + 30):
+                error = abs(got.value - expected) / expected
+            assert error < mpmath.mpf(10) ** -(tag + 4), (j, error)
+
+    @pytest.mark.parametrize("precision", [12, 30, 50])
+    def test_shipped_table_through_j_80(self, zeros, precision):
+        self._assert_matches_oracle(zeros, precision, 80)
+
+    @pytest.mark.parametrize("precision", [12, 30, 50])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_and_two_ordinate_tables(self, tmp_path, count, precision):
+        self._assert_matches_oracle(_short_table(tmp_path, count), precision, 80)
+
+    def test_tag_capped_at_table_digits(self, zeros):
+        # the shipped ordinates carry 50 digits, so 100 requested digits give 50
+        assert [z.precision for z in z_partial(3, zeros, 100)] == [50, 50, 50]
+        assert [z.precision for z in z_partial(3, zeros, 30)] == [30, 30, 30]
+
+    def test_prefix_of_longer_pass(self, zeros):
+        short, long = z_partial(5, zeros, 50), z_partial(32, zeros, 50)
+        assert [z.value._mpf_ for z in short] == [z.value._mpf_ for z in long[:5]]
+
+
+def _per_n_inversion_row(n, lambdas, zeros, precision):
+    """One inversion row as first written: a per-n mpf loop for Z(n)."""
+    with mp.workdps(precision + 10):
+        total = mpmath.mpf(0)
+        quarter = mpmath.mpf(1) / 4
+        for t in zeros.ordinates:
+            total += (quarter + t.value * t.value) ** (-n)
+        z_trunc = BigReal(total, precision)
+    history = lambdas.lambda_history()
+    lhs = (history[n] - predict_voros(history, n)) * parity_sign(n - 1)
+    bound = z_tail_bound(n, zeros, precision)
+    allowance = BigReal(1, precision) / (10 ** 40)
+    return lhs, z_trunc, bound, allowance, abs(lhs - z_trunc) <= bound + allowance
 
 
 class TestTailIntegral:
@@ -179,30 +243,30 @@ class TestDeltaBound:
 class TestInversionCheck:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_consistent_through_7(self, table7, zeros, n):
-        check = inversion_check(n, table7, zeros, 50)
+        check = inversion_check(n, table7, zeros, 50)[n - 1]
         assert check.consistent
         assert check.residual <= check.tail_bound + check.allowance
 
     def test_n1_residual_and_bound(self, table7, zeros):
-        check = inversion_check(1, table7, zeros, 50)
+        check = inversion_check(1, table7, zeros, 50)[0]
         assert check.residual.to_decimal_string(9) == "0.003110857"
         assert check.tail_bound.to_decimal_string(9) == "0.006228509"
 
     def test_n1_brackets_lambda1(self, table7, zeros):
         # lambda(1) equals the full zero sum, so it must sit between the
         # truncated sum and the truncated sum plus the tail bound
-        check = inversion_check(1, table7, zeros, 50)
+        check = inversion_check(1, table7, zeros, 50)[0]
         assert check.lhs.agrees_to(table7.lam(1), 45)
         gap = check.lhs - check.z_truncated
         assert BigReal.zero(50) < gap < check.tail_bound
 
     def test_residual_magnitudes(self, table7, zeros):
-        assert inversion_check(2, table7, zeros, 50).residual.to_decimal_string(11) == "0.00000001582"
-        r5 = inversion_check(5, table7, zeros, 50).residual
+        assert inversion_check(2, table7, zeros, 50)[1].residual.to_decimal_string(11) == "0.00000001582"
+        r5 = inversion_check(5, table7, zeros, 50)[4].residual
         assert big("2.8e-23", 50) < r5 < big("2.9e-23", 50)
 
     def test_zero_allowance_still_consistent_for_n2(self, table7, zeros):
-        check = inversion_check(2, table7, zeros, 50, allowance=BigReal.zero(50))
+        check = inversion_check(2, table7, zeros, 50, allowance=BigReal.zero(50))[1]
         assert check.consistent
 
     def test_tampered_lambda_detected(self, table7, zeros):
@@ -215,7 +279,7 @@ class TestInversionCheck:
             tiny=table7.tiny,
             total=tuple(bumped),
         )
-        check = inversion_check(2, tampered, zeros, 50)
+        check = inversion_check(2, tampered, zeros, 50)[1]
         assert not check.consistent
 
     @pytest.mark.parametrize("digits", [30, 50, 100])
@@ -227,9 +291,21 @@ class TestInversionCheck:
             expected = BigReal.zero(digits)
             for k in range(1, n + 1):
                 expected = expected + table.lam(k) * ((-1) ** (k - 1) * math.comb(2 * n, n - k))
-            lhs = inversion_check(n, table, zeros, digits).lhs
+            lhs = inversion_check(n, table, zeros, digits)[n - 1].lhs
             assert lhs.precision == expected.precision
             assert lhs.value._mpf_ == expected.value._mpf_, n
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_rows_bit_identical_to_per_n_loop(self, zeros, digits):
+        table = lambda_table(32, digits)
+        rows = inversion_check(32, table, zeros, digits)
+        assert [row.n for row in rows] == list(range(1, 33))
+        for row in rows:
+            expected = _per_n_inversion_row(row.n, table, zeros, digits)
+            got = (row.lhs, row.z_truncated, row.tail_bound, row.allowance)
+            for a, b in zip(got, expected):
+                assert (a.precision, a.value._mpf_) == (b.precision, b.value._mpf_), row.n
+            assert row.consistent == expected[4]
 
     def test_argument_validation(self, table7, zeros):
         with pytest.raises(ValueError):
