@@ -6,60 +6,13 @@ difference/recurrence approximation schemes, checks them against the first
 nontrivial zeta zeros, and scans the conjectured bound
 |lambda_tiny(n)| <= gamma * n.
 
-The package root re-exports the names the README and the tests use; every
-other name lives in its module (``likeiper.goldens.CellReport`` and so on).
+The package root re-exports only the four names of the README's Library
+example; every other name lives in its module (``likeiper.bigreal.BigReal``,
+``likeiper.goldens.verify_table`` and so on), and ``import likeiper`` loads
+neither the CLI, the fixture verifier nor the probe.
 """
 
-from .bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, big
-from .constants import (
-    ConstantsError,
-    euler_gamma,
-    fundamental_constants,
-    load_stieltjes,
-    log_pi,
-    log_two,
-    polygamma_half,
-    zeta_int,
-)
-from .datafiles import DataFormatError
-from .goldens import load_golden, verify_table
-from .lambda_core import (
-    LambdaTable,
-    conjecture_scan,
-    lambda1_closed_form,
-    lambda_table,
-    psi_perturbation,
-)
-from .probe import ProbeEvaluationError, f_eval, line_probe, zeta_complex, zeta_deriv
-from .recurrences import (
-    FULL_HISTORY,
-    ORDER_M,
-    VOROS,
-    HistoryError,
-    RecurrenceScheme,
-    closed_form_check_linear,
-    discrete_derivative,
-    model_predictor,
-    phi_nlogn,
-    predict_full_history,
-    predict_order_m,
-    predict_voros,
-    prediction_run,
-    self_seeded_run,
-)
-from .series import (
-    PowerSeries,
-    SeriesDomainError,
-    SeriesOrderError,
-    binomial,
-    koebe_series,
-    parity_sign,
-    series_add,
-    series_compose_zmap,
-    series_derivative,
-    series_log,
-    series_mul,
-)
-from .zeros import ZeroDataError, delta_bound, inversion_check, load_zeros, z_partial, z_tail_bound
+from .lambda_core import conjecture_scan, lambda_table
+from .zeros import inversion_check, load_zeros
 
 __version__ = "1.0.0"

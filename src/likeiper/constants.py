@@ -23,7 +23,7 @@ from mpmath import mp
 from mpmath.libmp import bernfrac, dps_to_prec, from_man_exp, ifac
 
 from .bigreal import BigReal, DEFAULT_DIGITS
-from .datafiles import default_stieltjes_path, parse_indexed_table
+from .datafiles import default_stieltjes_path, parse_indexed_table, table_digits
 
 
 class ConstantsError(ValueError):
@@ -89,7 +89,7 @@ def load_stieltjes(path: Optional[Path] = None) -> StieltjesTable:
     if path is None:
         path = default_stieltjes_path()
     metadata, rows = parse_indexed_table(path)
-    digits = int(metadata.get("digits", 0)) or _min_value_digits(rows)
+    digits = table_digits(metadata, rows)
     if digits < 10:
         raise ConstantsError(f"{path}: table digit count {digits} too small")
     entries: Dict[int, BigReal] = {}
@@ -109,14 +109,6 @@ def load_stieltjes(path: Optional[Path] = None) -> StieltjesTable:
             f"the Euler constant {reference.digits_str(20)}"
         )
     return StieltjesTable(entries=entries, digits=digits)
-
-
-def _min_value_digits(rows) -> int:
-    def digit_count(text: str) -> int:
-        body = text.lstrip("+-")
-        return len(body.replace(".", "").lstrip("0"))
-
-    return min(digit_count(text) for _, text in rows)
 
 
 _BERNOULLI_WEIGHTS: Dict[int, List[int]] = {}  # wp -> [weight 1, weight 2, ...]

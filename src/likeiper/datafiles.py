@@ -87,6 +87,13 @@ def parse_indexed_table(path: Path) -> Tuple[dict, list]:
     return metadata, rows
 
 
+def table_digits(metadata: dict, rows: list) -> int:
+    """The ``# digits:`` header, else the significant digits of the shortest value."""
+    return int(metadata.get("digits", 0)) or min(
+        len(text.lstrip("+-").replace(".", "").lstrip("0")) for _, text in rows
+    )
+
+
 def _is_decimal_literal(text: str) -> bool:
     body = text.strip()
     if body.startswith(("+", "-")):

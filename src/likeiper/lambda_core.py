@@ -43,13 +43,7 @@ from .constants import (
     polygamma_half,
     zeta_ints,
 )
-from .series import (
-    PowerSeries,
-    koebe_series,
-    series_compose_zmap,
-    series_log,
-    series_mul,
-)
+from .series import PowerSeries, series_compose_zmap, series_log
 
 
 def guard_digits(n_max: int) -> int:
@@ -206,71 +200,6 @@ def lambda1_closed_form(precision: int = DEFAULT_DIGITS) -> BigReal:
     """lambda(1) = 1 + gamma/2 - (1/2) log(4 pi), the classical closed form."""
     consts = fundamental_constants(precision)
     return BigReal.one(precision) + consts.gamma / 2 - consts.log4pi / 2
-
-
-@dataclass(frozen=True)
-class CoeffDecomposition:
-    """Normalized tiny coefficients and their perturbation-series form.
-
-    ``a`` holds a_n = lambda_tiny(n)/(n gamma) for n = 1..n_max, with a_1 = 1
-    exactly by construction (it is gamma/gamma).  ``psi_coeffs`` is the series
-    whose index-m coefficient is the second difference
-    (lambda_tiny(m+1) - 2 lambda_tiny(m) + lambda_tiny(m-1))/gamma with
-    lambda_tiny(0) = lambda_tiny(-1) = 0; multiplying it by the extremal map
-    K(z) = z/(1-z)^2 telescopes the differences back to n * a_n.
-    """
-
-    n_max: int
-    precision: int
-    gamma: BigReal
-    a: Tuple[BigReal, ...]  # a_n at position n-1
-    psi_coeffs: PowerSeries
-
-    def a_n(self, n: int) -> BigReal:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside 1..{self.n_max}")
-        return self.a[n - 1]
-
-    def reconstruct(self) -> List[BigReal]:
-        """Coefficients of K(z) * psi-series: entry n should equal n * a_n.
-
-        Covers n = 0..n_max: the psi series (order n_max - 1) is padded with
-        one zero, which is harmless because K has no constant term, so the
-        z^n_max coefficient draws only on psi indices below n_max.
-        """
-        k = koebe_series(self.n_max, self.precision)
-        padded = PowerSeries(list(self.psi_coeffs.coeffs) + [BigReal.zero(self.precision)])
-        product = series_mul(k, padded)
-        return list(product.coeffs)
-
-
-def psi_perturbation(
-    n_max: int,
-    precision: int = DEFAULT_DIGITS,
-    stieltjes: Optional[StieltjesTable] = None,
-) -> CoeffDecomposition:
-    if n_max < 1:
-        raise ValueError("psi_perturbation needs n_max >= 1")
-    table = lambda_table(n_max, precision, stieltjes)
-    gamma = euler_gamma(precision)
-    a_vals: List[BigReal] = [BigReal.one(precision)]
-    for n in range(2, n_max + 1):
-        a_vals.append(table.tiny_part(n) / (gamma * n))
-
-    def tiny_at(k: int) -> BigReal:
-        return table.tiny_part(k) if k >= 1 else BigReal.zero(precision)
-
-    psi: List[BigReal] = []
-    for m in range(0, n_max):
-        second_diff = tiny_at(m + 1) - 2 * tiny_at(m) + tiny_at(m - 1)
-        psi.append(second_diff / gamma)
-    return CoeffDecomposition(
-        n_max=n_max,
-        precision=precision,
-        gamma=gamma,
-        a=tuple(a_vals),
-        psi_coeffs=PowerSeries(psi),
-    )
 
 
 @dataclass(frozen=True)

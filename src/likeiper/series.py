@@ -4,13 +4,11 @@ A ``PowerSeries`` is an immutable list of coefficients ``a[0..order]`` for
 ``sum a_k z^k + O(z^(order+1))``.  Every operation here is written against
 the common field interface (``+ - * /``, multiplication and division by Python
 ints) and takes its zeros from the operands (``c * 0``), so one code path
-serves three coefficient types:
+serves two coefficient types:
 
 * raw ``mpmath.mpf`` -- the numeric kernel.  Callers enter one
   ``mp.workdps`` context, run the series work on raw values, and tag each
-  result as :class:`BigReal` once, where it leaves the kernel;
-* :class:`BigReal` -- the same arithmetic with a precision tag on every
-  intermediate, at the cost of one wrapper object per operation;
+  result as ``BigReal`` once, where it leaves the kernel;
 * :class:`fractions.Fraction` -- exact mode, so that identities can be tested
   with no rounding error at all.
 
@@ -29,9 +27,7 @@ from typing import Callable, Sequence, Union
 
 import mpmath
 
-from .bigreal import BigReal
-
-Coefficient = Union[mpmath.mpf, BigReal, Fraction]
+Coefficient = Union[mpmath.mpf, Fraction]
 
 
 class SeriesOrderError(ValueError):
@@ -82,11 +78,6 @@ def _require_same_order(a: PowerSeries, b: PowerSeries) -> None:
         )
 
 
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    _require_same_order(a, b)
-    return PowerSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the common order."""
     _require_same_order(a, b)
@@ -107,20 +98,12 @@ def series_log(a: PowerSeries) -> PowerSeries:
         n * b_n = n * a_n - sum_{k=1}^{n-1} k * b_k * a_{n-k}
 
     which needs one division per coefficient and no transcendental calls.
-    The constant term of the result is exactly the field zero.  A
-    :class:`BigReal` constant term may miss 1 by rounding at its tag; raw
-    ``mpf`` and ``Fraction`` constant terms must equal 1 exactly.
+    The constant term of the result is exactly the field zero, and the
+    constant term of ``a`` must equal 1 exactly.
     """
     c0 = a.coeffs[0]
-    if isinstance(c0, BigReal):
-        tol = BigReal(1, c0.precision) / (10 ** max(c0.precision - 2, 1))
-        if abs(c0 - 1) > tol:
-            raise SeriesDomainError(
-                f"series_log needs constant term 1, got {c0.digits_str(20)}"
-            )
-    else:
-        if c0 != 1:
-            raise SeriesDomainError(f"series_log needs constant term 1, got {c0}")
+    if c0 != 1:
+        raise SeriesDomainError(f"series_log needs constant term 1, got {c0}")
     b = [c0 * 0]
     for n in range(1, a.order + 1):
         acc = a.coeffs[n] * n
@@ -128,26 +111,6 @@ def series_log(a: PowerSeries) -> PowerSeries:
             acc = acc - (b[k] * k) * a.coeffs[n - k]
         b.append(acc / n)
     return PowerSeries(b)
-
-
-def series_derivative(a: PowerSeries) -> PowerSeries:
-    """Termwise derivative; the order drops by one."""
-    if a.order == 0:
-        return PowerSeries([a.coeffs[0] * 0])
-    return PowerSeries([a.coeffs[k] * k for k in range(1, a.order + 1)])
-
-
-def koebe_series(order: int, precision: int | None = None) -> PowerSeries:
-    """The extremal map ``K(z) = z/(1-z)^2 = z + 2 z^2 + 3 z^3 + ...``.
-
-    Coefficients 0, 1, 2, ..., order.  With ``precision=None`` the coefficients
-    are exact ``Fraction`` values, otherwise ``BigReal`` at ``precision``.
-    """
-    if order < 1:
-        raise SeriesOrderError("koebe_series needs order >= 1")
-    if precision is None:
-        return PowerSeries([Fraction(n) for n in range(order + 1)])
-    return PowerSeries([BigReal(n, precision) for n in range(order + 1)])
 
 
 def series_compose_zmap(a: PowerSeries) -> PowerSeries:

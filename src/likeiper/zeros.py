@@ -24,7 +24,7 @@ from mpmath.libmp import (dps_to_prec, fone, from_man_exp, mpf_add, mpf_div, mpf
                           round_down, round_nearest, to_fixed)
 
 from .bigreal import BigReal, DEFAULT_DIGITS
-from .datafiles import default_zeros_path, parse_indexed_table
+from .datafiles import default_zeros_path, parse_indexed_table, table_digits
 from .lambda_core import LambdaTable
 from .recurrences import predict_voros
 from .series import parity_sign
@@ -60,12 +60,13 @@ def load_zeros(path: Optional[Path] = None) -> ZeroList:
     Hard failures: non-increasing ordinates, or a first ordinate outside
     (14.1, 14.2) — both indicate a corrupt or mislabeled file.  A file with
     very few ordinates is accepted but carries a warning, since tail bounds
-    then dominate every partial sum.
+    then dominate every partial sum.  Without a ``# digits:`` header the
+    ordinates are tagged with the significant digits of the shortest one.
     """
     if path is None:
         path = default_zeros_path()
     metadata, rows = parse_indexed_table(path)
-    digits = int(metadata.get("digits", 0)) or 30
+    digits = table_digits(metadata, rows)
     ordinates: List[BigReal] = []
     previous = None
     for index, text in rows:

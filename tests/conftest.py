@@ -1,6 +1,8 @@
 import pytest
 
-from likeiper import lambda_table, load_stieltjes, load_zeros
+from likeiper.constants import load_stieltjes
+from likeiper.lambda_core import lambda_table
+from likeiper.zeros import load_zeros
 
 
 @pytest.fixture(scope="session")

@@ -25,32 +25,25 @@ from math import factorial
 import mpmath
 from mpmath import mp
 
-from likeiper import (
+from likeiper.bigreal import BigReal, big
+from likeiper.constants import fundamental_constants
+from likeiper.goldens import load_golden, verify_table
+from likeiper.lambda_core import conjecture_scan, lambda_table
+from likeiper.probe import line_probe, zeta_complex
+from likeiper.recurrences import (
     FULL_HISTORY,
     ORDER_M,
     VOROS,
     RecurrenceScheme,
-    binomial,
-    conjecture_scan,
-    delta_bound,
     discrete_derivative,
-    fundamental_constants,
-    inversion_check,
-    lambda_table,
-    line_probe,
-    load_golden,
-    parity_sign,
     phi_nlogn,
     predict_full_history,
     predict_order_m,
     predict_voros,
     self_seeded_run,
-    verify_table,
-    z_partial,
-    z_tail_bound,
-    zeta_complex,
 )
-from likeiper.bigreal import BigReal, big
+from likeiper.series import binomial, parity_sign
+from likeiper.zeros import delta_bound, inversion_check, z_partial, z_tail_bound
 
 DIGITS = 50
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from likeiper import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, big
+from likeiper.bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, big
 
 
 class TestConstruction:

@@ -267,6 +267,13 @@ class TestZeros:
         code, _, err = run("zeros", *mode, "--n-max", "2", "--digits", "21", "--zeros", str(path))
         assert code == 2
         assert "--digits 21 exceeds the 20 digits of the zero table" in err
+        # no header: the tag is the significant digits of the shortest ordinate
+        shipped = default_zeros_path().read_text().splitlines()
+        rows = [line.split("\t") for line in shipped if not line.startswith("#")][:10]
+        path.write_text("".join(f"{k}\t{Decimal(t):.10f}\n" for k, t in rows))
+        code, out, err = run("zeros", *mode, "--n-max", "2", "--digits", "13", "--zeros", str(path))
+        assert code == 2 and out == ""
+        assert "--digits 13 exceeds the 12 digits of the zero table" in err
 
     def test_missing_zero_file(self, tmp_path):
         code, _, err = run("zeros", "--zeros", str(tmp_path / "nope.tsv"))

@@ -13,10 +13,9 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from likeiper import (
-    BigReal,
+from likeiper.bigreal import BigReal, big
+from likeiper.constants import (
     ConstantsError,
-    big,
     euler_gamma,
     fundamental_constants,
     load_stieltjes,
@@ -24,8 +23,9 @@ from likeiper import (
     log_two,
     polygamma_half,
     zeta_int,
+    zeta_ints,
 )
-from likeiper.constants import default_stieltjes_path, zeta_ints
+from likeiper.datafiles import default_stieltjes_path
 
 
 def brent_mcmillan_gamma(dps: int = 70, n: int = 35) -> mpmath.mpf:

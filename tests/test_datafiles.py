@@ -2,8 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from likeiper import DataFormatError
 from likeiper.datafiles import (
+    DataFormatError,
     data_dir,
     default_stieltjes_path,
     default_zeros_path,

@@ -2,7 +2,8 @@ import shutil
 
 import pytest
 
-from likeiper import DataFormatError, big
+from likeiper.bigreal import big
+from likeiper.datafiles import DataFormatError
 from likeiper.goldens import (
     TABLE_IDS,
     TABLE_NAMES,

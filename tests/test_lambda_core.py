@@ -9,18 +9,14 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from likeiper import (
-    BigReal,
-    ConstantsError,
-    big,
-    lambda1_closed_form,
-    lambda_table,
-    psi_perturbation,
-)
+from likeiper.bigreal import BigReal, big
+from likeiper.constants import ConstantsError
 from likeiper.lambda_core import (
     binomial_guard_digits,
     conjecture_scan,
     guard_digits,
+    lambda1_closed_form,
+    lambda_table,
     tiny_series,
     trend_series,
 )
@@ -194,47 +190,6 @@ class TestGuardDigits:
         assert binomial_guard_digits(m) == digits
 
 
-class TestPsiPerturbation:
-    def test_a1_exactly_one(self):
-        dec = psi_perturbation(8, 50)
-        assert dec.a_n(1).to_fraction() == 1
-
-    def test_a_positive_with_single_minimum(self):
-        # a_n falls from a_1 = 1 to a minimum at n = 28, then turns upward
-        dec = psi_perturbation(32, 50)
-        values = list(dec.a)
-        for i, v in enumerate(values):
-            assert v > 0, f"a_{i + 1} not positive"
-        for i in range(27):
-            assert values[i] > values[i + 1]
-        for i in range(27, 31):
-            assert values[i] < values[i + 1]
-
-    def test_reconstruct_telescopes(self):
-        dec = psi_perturbation(10, 50)
-        rec = dec.reconstruct()
-        assert len(rec) == 11
-        assert rec[0].to_fraction() == 0
-        for n in range(1, 11):
-            assert rec[n].agrees_to(dec.a_n(n) * n, 45)
-
-    def test_index_errors(self):
-        dec = psi_perturbation(4, 40)
-        with pytest.raises(IndexError):
-            dec.a_n(0)
-        with pytest.raises(IndexError):
-            dec.a_n(5)
-
-    def test_matches_table_ratio(self, table12):
-        from likeiper import euler_gamma
-
-        dec = psi_perturbation(ORACLE_N, 50)
-        gamma = euler_gamma(50)
-        for n in range(1, ORACLE_N + 1):
-            expected = table12.tiny_part(n) / (gamma * n)
-            assert dec.a_n(n).agrees_to(expected, 45)
-
-
 class TestConjectureScan:
     def test_first_ratio_is_one(self):
         rows = conjecture_scan(4, 50)
@@ -247,8 +202,19 @@ class TestConjectureScan:
         assert [r.n for r in rows] == list(range(1, 17))
         assert all(r.within_bound for r in rows)
 
+    def test_a_positive_with_single_minimum(self):
+        # a_n = lambda_tiny(n)/(n gamma) falls from a_1 = 1 to a minimum at n = 28,
+        # then turns upward
+        values = [row.ratio for row in conjecture_scan(32, 50)]
+        for i, v in enumerate(values):
+            assert v > 0, f"a_{i + 1} not positive"
+        for i in range(27):
+            assert values[i] > values[i + 1]
+        for i in range(27, 31):
+            assert values[i] < values[i + 1]
+
     def test_ratio_matches_definition(self, table12):
-        from likeiper import euler_gamma
+        from likeiper.constants import euler_gamma
 
         rows = conjecture_scan(ORACLE_N, 50)
         gamma = euler_gamma(50)

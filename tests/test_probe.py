@@ -17,17 +17,16 @@ import pytest
 from mpmath import mp
 
 import likeiper.probe as probe_module
-from likeiper import (
-    BigReal,
+from likeiper.bigreal import BigReal
+from likeiper.constants import euler_gamma
+from likeiper.probe import (
+    DEFAULT_PROBE_DIGITS,
     ProbeEvaluationError,
-    euler_gamma,
     f_eval,
-    lambda_table,
     line_probe,
     zeta_complex,
     zeta_deriv,
 )
-from likeiper.probe import DEFAULT_PROBE_DIGITS
 
 
 # Grid samples from both 100-sample benchmark probe lines (b = 1 with
@@ -64,7 +63,7 @@ class TestZetaComplex:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_agrees_with_real_path(self, k):
-        from likeiper import zeta_int
+        from likeiper.constants import zeta_int
 
         with mp.workdps(40):
             diff = abs(zeta_complex(k, 30) - zeta_int(k, 30).value)
@@ -118,9 +117,9 @@ class TestEngineOracle:
 
     def test_nothing_is_built_at_import(self):
         code = (
-            "import likeiper, likeiper.constants as c; "
+            "import likeiper.cli, likeiper.constants as c; "
             "assert c._BERNOULLI_WEIGHTS == {}, c._BERNOULLI_WEIGHTS; "
-            "likeiper.f_eval(2, 20); assert c._BERNOULLI_WEIGHTS"
+            "likeiper.probe.f_eval(2, 20); assert c._BERNOULLI_WEIGHTS"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -8,18 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from likeiper import (
+from likeiper.bigreal import BigReal, big
+from likeiper.recurrences import (
     FULL_HISTORY,
     ORDER_M,
     VOROS,
-    BigReal,
     HistoryError,
     RecurrenceScheme,
-    big,
     closed_form_check_linear,
     discrete_derivative,
     model_predictor,
-    parity_sign,
     phi_nlogn,
     predict_full_history,
     predict_order_m,
@@ -27,6 +25,7 @@ from likeiper import (
     prediction_run,
     self_seeded_run,
 )
+from likeiper.series import parity_sign
 from likeiper import recurrences
 
 
@@ -466,7 +465,7 @@ class TestModelPredictor:
 
     def test_assembles_from_phi_sums(self):
         # by linearity: predictor(g) = (1/2) (-1)^(n-1) phi1(n) + (c+gamma) n
-        from likeiper import fundamental_constants
+        from likeiper.constants import fundamental_constants
 
         n = 16
         consts = fundamental_constants(50)
@@ -477,7 +476,7 @@ class TestModelPredictor:
     def test_deviation_from_smooth_model_is_half_phi_gap(self):
         # predictor(g)/n - ((1/2) log n + c + gamma) = (phi2 - phi1)/(2n)
         # with the (-1)^(n-1) factor folded in; check the magnitudes agree
-        from likeiper import fundamental_constants
+        from likeiper.constants import fundamental_constants
 
         n = 16
         consts = fundamental_constants(50)

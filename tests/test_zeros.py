@@ -13,21 +13,19 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from likeiper import (
-    BigReal,
-    LambdaTable,
+from likeiper.bigreal import BigReal, big
+from likeiper.lambda_core import LambdaTable, lambda_table
+from likeiper.recurrences import predict_voros
+from likeiper.series import parity_sign
+from likeiper.zeros import (
     ZeroDataError,
-    big,
     delta_bound,
     inversion_check,
-    lambda_table,
     load_zeros,
+    tail_integral,
     z_partial,
     z_tail_bound,
 )
-from likeiper.recurrences import predict_voros
-from likeiper.series import parity_sign
-from likeiper.zeros import tail_integral
 
 
 class TestLoadZeros:
