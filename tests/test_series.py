@@ -84,14 +84,26 @@ class TestMul:
 
     def test_koebe_times_one_minus_z_squared(self):
         # K(z) = z/(1-z)^2 = z + 2 z^2 + 3 z^3 + ..., so K(z) (1-z)^2 = z
-        for order in (2, 4, 5, 9, 16):
-            koebe = frac_series(*range(order + 1))
-            square = frac_series(1, -2, 1, *[0] * (order - 2))
-            assert list(series_mul(koebe, square)) == [0, 1] + [0] * (order - 1)
+        koebe = frac_series(0, 1, 2, 3, 4)
+        square = frac_series(1, -2, 1, 0, 0)  # (1-z)^2
+        product = series_mul(koebe, square)
+        assert list(product) == [Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
 
     def test_order_mismatch(self):
         with pytest.raises(SeriesOrderError):
             series_mul(frac_series(1, 2), frac_series(1, 2, 3))
+
+
+class TestKoebe:
+    """K(z) = sum n z^n, written out as explicit coefficient lists."""
+
+    def test_functional_identity_multiple_orders(self):
+        for order in (2, 5, 9, 16):
+            k = frac_series(*range(order + 1))
+            sq = frac_series(1, -2, 1, *[0] * (order - 2))
+            product = series_mul(k, sq)
+            expected = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
+            assert list(product) == expected
 
 
 class TestLog:
