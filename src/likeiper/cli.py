@@ -2,10 +2,12 @@
 approximation-scheme runs, the conjecture scan, zero-sum consistency checks,
 and injectivity line probes.
 
-Each subcommand accepts only the options it reads; any other option, or one
-its mode does not read, exits 2.  Exit codes: 0 success, 1 a
+Every numeric table goes through one writer, ``_table``: cells joined by the
+``--format`` delimiter, ``BigReal`` cells at ``--digits`` places.  Each
+subcommand accepts only the options it reads; any other option, or one its
+mode does not read, exits 2.  Exit codes: 0 success, 1 a
 verification/consistency check failed, 2 bad input, configuration, or data
-files.
+files (every library error is a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
+
+import mpmath
 
 from .bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, big
-from .constants import ConstantsError, load_stieltjes
+from .constants import load_stieltjes
 from .datafiles import DataFormatError
 from .goldens import TABLE_IDS, TableReport, verify_table
 from .lambda_core import conjecture_scan, lambda1_closed_form, lambda_table
@@ -26,18 +30,23 @@ from .recurrences import (
     FULL_HISTORY,
     ORDER_M,
     VOROS,
-    HistoryError,
     RecurrenceScheme,
     prediction_run,
     self_seeded_run,
 )
-from .zeros import ZeroDataError, delta_bound, inversion_check, load_zeros, z_partial, z_tail_bound
+from .zeros import delta_bound, inversion_check, load_zeros, z_partial, z_tail_bound
 
 __all__ = ["main"]
 
-#: scheme ids: a1 = order-2, b = order-3, d = full history, a2 = central
-#: binomial (Voros); "m:k" selects the order-k scheme.
-_SCHEME_IDS = ("a1", "b", "d", "a2")
+#: named schemes and the history each predicts by default: a1 = order-2,
+#: b = order-3, d = full history, a2 = central binomial (Voros).  "m:k"
+#: selects the order-k scheme, which predicts tiny.
+_SCHEMES = {
+    "a1": (RecurrenceScheme(kind=ORDER_M, m=2), "tiny"),
+    "b": (RecurrenceScheme(kind=ORDER_M, m=3), "tiny"),
+    "d": (RecurrenceScheme(kind=FULL_HISTORY), "tiny"),
+    "a2": (RecurrenceScheme(kind=VOROS), "lambda"),
+}
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -68,8 +77,14 @@ def _emit(lines: Sequence[str], args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(value: BigReal, places: int) -> str:
-    return value.to_decimal_string(places)
+def _table(args: argparse.Namespace, header: Sequence[str], rows: Iterable[tuple]) -> List[str]:
+    """The header and rows joined by the --format delimiter; a ``BigReal``
+    cell prints at --digits places, any other cell with ``str()``."""
+    d = _delimiter(args)
+    return [d.join(header)] + [
+        d.join(c.to_decimal_string(args.digits) if isinstance(c, BigReal) else str(c) for c in row)
+        for row in rows
+    ]
 
 
 def _yesno(flag: bool) -> str:
@@ -83,20 +98,9 @@ def _yesno(flag: bool) -> str:
 
 def cmd_lambda(args: argparse.Namespace) -> int:
     table = lambda_table(args.n_max, args.digits, load_stieltjes(args.stieltjes))
-    d = _delimiter(args)
-    lines = [d.join(("n", "trend_over_n", "tiny_over_n", "lambda"))]
-    for n in range(1, args.n_max + 1):
-        lines.append(
-            d.join(
-                (
-                    str(n),
-                    _fmt(table.trend_over_n(n), args.digits),
-                    _fmt(table.tiny_over_n(n), args.digits),
-                    _fmt(table.lam(n), args.digits),
-                )
-            )
-        )
-    _emit(lines, args)
+    rows = ((n, table.trend_over_n(n), table.tiny_over_n(n), table.lam(n))
+            for n in range(1, args.n_max + 1))
+    _emit(_table(args, ("n", "trend_over_n", "tiny_over_n", "lambda"), rows), args)
     return _EXIT_OK
 
 
@@ -139,16 +143,14 @@ def _verify_lines(report: TableReport, delimiter: str) -> List[str]:
                     f"diff={float(r.deviation):.3e}",
                 )
         lines.append(delimiter.join(fields))
-    passed = all(r.matches for r in unflagged)
-    lines.append(f"# result: {'pass' if passed else 'FAIL'}")
+    lines.append(f"# result: {'pass' if report.passed else 'FAIL'}")
     return lines
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_table(args.table, args.digits)
     _emit(_verify_lines(report, _delimiter(args)), args)
-    unflagged_ok = all(r.matches for r in report.reports if not r.cell.flagged)
-    return _EXIT_OK if unflagged_ok else _EXIT_CHECK_FAILED
+    return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -156,45 +158,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_scheme(text: str) -> RecurrenceScheme:
-    if text == "a1":
-        return RecurrenceScheme(kind=ORDER_M, m=2)
-    if text == "b":
-        return RecurrenceScheme(kind=ORDER_M, m=3)
-    if text == "d":
-        return RecurrenceScheme(kind=FULL_HISTORY)
-    if text == "a2":
-        return RecurrenceScheme(kind=VOROS)
-    if text.startswith("m:"):
-        try:
-            m = int(text[2:])
-        except ValueError:
-            raise ValueError(f"bad order in scheme {text!r}; use m:<integer>")
-        return RecurrenceScheme(kind=ORDER_M, m=m)
-    raise ValueError(
-        f"unknown scheme {text!r}; choose from {', '.join(_SCHEME_IDS)} or m:<order>"
-    )
+def _parse_scheme(text: str) -> tuple[RecurrenceScheme, str]:
+    """Returns the scheme and the history it predicts by default."""
+    if text in _SCHEMES:
+        return _SCHEMES[text]
+    if not text.startswith("m:"):
+        raise ValueError(
+            f"unknown scheme {text!r}; choose from {', '.join(_SCHEMES)} or m:<order>"
+        )
+    try:
+        m = int(text[2:])
+    except ValueError:
+        raise ValueError(f"bad order in scheme {text!r}; use m:<integer>")
+    return RecurrenceScheme(kind=ORDER_M, m=m), "tiny"
 
 
-def _default_target(scheme: RecurrenceScheme) -> str:
-    return "lambda" if scheme.kind == VOROS else "tiny"
-
-
-def _parse_seed(text: str) -> tuple[str, Optional[str]]:
-    """Returns (mode, c_text): ("exact", None) or ("initial", c or None)."""
-    if text == "exact":
-        return "exact", None
-    if text == "initial":
-        return "initial", None
-    if text.startswith("initial:"):
-        return "initial", text[len("initial:"):]
-    raise ValueError(f"bad --seed {text!r}; use exact, initial, or initial:<c>")
+def _parse_seed(text: str, digits: int) -> tuple[str, Optional[BigReal]]:
+    """Returns (mode, c): ("exact", None) or ("initial", c or None)."""
+    if text in ("exact", "initial"):
+        return text, None
+    if not text.startswith("initial:"):
+        raise ValueError(f"bad --seed {text!r}; use exact, initial, or initial:<c>")
+    c = big(text[len("initial:"):], digits)
+    if not mpmath.isfinite(c.value):
+        raise ValueError(f"bad --seed {text!r}; c must be finite")
+    return "initial", c
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    scheme = _parse_scheme(args.scheme)
-    seed_mode, c_text = _parse_seed(args.seed)
-    d = _delimiter(args)
+    scheme, default_target = _parse_scheme(args.scheme)
+    seed_mode, c = _parse_seed(args.seed, args.digits)
 
     if seed_mode == "initial":
         if args.stieltjes is not None or args.target is not None:
@@ -203,17 +196,12 @@ def cmd_approx(args: argparse.Namespace) -> int:
                 "it reads no --stieltjes and no --target"
             )
         lam1 = lambda1_closed_form(args.digits)
-        c = big(c_text, args.digits) if c_text is not None else None
         values = self_seeded_run(scheme, lam1, c=c, n_max=args.n_max)
-        lines = [d.join(("n", "predicted", "ratio_to_lambda1"))]
-        for n, value in enumerate(values, start=1):
-            lines.append(
-                d.join((str(n), _fmt(value, args.digits), _fmt(value / lam1, args.digits)))
-            )
-        _emit(lines, args)
+        rows = ((n, value, value / lam1) for n, value in enumerate(values, start=1))
+        _emit(_table(args, ("n", "predicted", "ratio_to_lambda1"), rows), args)
         return _EXIT_OK
 
-    target = args.target or _default_target(scheme)
+    target = args.target or default_target
     table = lambda_table(args.n_max, args.digits, load_stieltjes(args.stieltjes))
     history = {
         "tiny": table.tiny_history,
@@ -226,22 +214,12 @@ def cmd_approx(args: argparse.Namespace) -> int:
     results = prediction_run(scheme, history, n_lo, args.n_max)
     # tiny/trend tabulations are conventionally per-n coefficients
     normalize = target in ("tiny", "trend")
-    lines = [d.join(("n", "predicted", "exact", "abs_error", "rel_error"))]
+    rows = []
     for r in results:
         predicted = r.predicted / r.n if normalize else r.predicted
         exact = r.exact / r.n if normalize else r.exact
-        lines.append(
-            d.join(
-                (
-                    str(r.n),
-                    _fmt(predicted, args.digits),
-                    _fmt(exact, args.digits),
-                    _fmt(abs(predicted - exact), args.digits),
-                    _fmt(r.rel_error, args.digits),
-                )
-            )
-        )
-    _emit(lines, args)
+        rows.append((r.n, predicted, exact, abs(predicted - exact), r.rel_error))
+    _emit(_table(args, ("n", "predicted", "exact", "abs_error", "rel_error"), rows), args)
     return _EXIT_OK
 
 
@@ -252,10 +230,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     rows = conjecture_scan(args.n_max, args.digits, load_stieltjes(args.stieltjes))
-    d = _delimiter(args)
-    lines = [d.join(("n", "ratio", "within_bound"))]
-    for row in rows:
-        lines.append(d.join((str(row.n), _fmt(row.ratio, args.digits), _yesno(row.within_bound))))
+    lines = _table(args, ("n", "ratio", "within_bound"),
+                   ((row.n, row.ratio, _yesno(row.within_bound)) for row in rows))
     violations = [row for row in rows if not row.within_bound]
     lines.append(f"# violations: {len(violations)}")
     _emit(lines, args)
@@ -275,46 +251,25 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         raise PrecisionError(
             f"--digits {args.digits} exceeds the {zeros.digits} digits of the zero table"
         )
-    d = _delimiter(args)
-    lines = []
-    for warning in zeros.warnings:
-        lines.append(f"# warning: {warning}")
+    lines = [f"# warning: {warning}" for warning in zeros.warnings]
     if args.inversion:
         table = lambda_table(args.n_max, args.digits, load_stieltjes(args.stieltjes))
-        lines.append(
-            d.join(("n", "lhs", "z_partial", "residual", "bound_plus_allowance", "consistent"))
-        )
         checks = inversion_check(args.n_max, table, zeros, args.digits)
-        for chk in checks:
-            lines.append(
-                d.join(
-                    (
-                        str(chk.n),
-                        _fmt(chk.lhs, args.digits),
-                        _fmt(chk.z_truncated, args.digits),
-                        _fmt(chk.residual, args.digits),
-                        _fmt(chk.tail_bound + chk.allowance, args.digits),
-                        _yesno(chk.consistent),
-                    )
-                )
-            )
+        lines += _table(
+            args, ("n", "lhs", "z_partial", "residual", "bound_plus_allowance", "consistent"),
+            ((chk.n, chk.lhs, chk.z_truncated, chk.residual, chk.tail_bound + chk.allowance,
+              _yesno(chk.consistent)) for chk in checks),
+        )
         all_consistent = all(chk.consistent for chk in checks)
         lines.append(f"# result: {'pass' if all_consistent else 'FAIL'}")
         _emit(lines, args)
         return _EXIT_OK if all_consistent else _EXIT_CHECK_FAILED
 
-    lines.append(d.join(("j", "z_partial", "z_tail_bound", "delta_bound")))
-    for j, z in enumerate(z_partial(args.n_max, zeros, args.digits), 1):
-        lines.append(
-            d.join(
-                (
-                    str(j),
-                    _fmt(z, args.digits),
-                    _fmt(z_tail_bound(j, zeros, args.digits), args.digits),
-                    _fmt(delta_bound(j, args.digits), args.digits),
-                )
-            )
-        )
+    lines += _table(
+        args, ("j", "z_partial", "z_tail_bound", "delta_bound"),
+        ((j, z, z_tail_bound(j, zeros, args.digits), delta_bound(j, args.digits))
+         for j, z in enumerate(z_partial(args.n_max, zeros, args.digits), 1)),
+    )
     _emit(lines, args)
     return _EXIT_OK
 
@@ -451,15 +406,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_options(args)
         return args.handler(args)
-    except (
-        DataFormatError,
-        ZeroDataError,
-        ConstantsError,
-        PrecisionError,
-        HistoryError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"likeiper: error: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
 

@@ -89,9 +89,7 @@ def load_stieltjes(path: Optional[Path] = None) -> StieltjesTable:
     if path is None:
         path = default_stieltjes_path()
     metadata, rows = parse_indexed_table(path)
-    digits = table_digits(metadata, rows)
-    if digits < 10:
-        raise ConstantsError(f"{path}: table digit count {digits} too small")
+    digits = table_digits(path, metadata, rows, ConstantsError)
     entries: Dict[int, BigReal] = {}
     expected = 0
     for index, text in rows:

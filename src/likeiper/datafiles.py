@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Tuple
+from typing import Tuple, Type
+
+from .bigreal import MIN_DIGITS
 
 
 class DataFormatError(ValueError):
@@ -87,11 +89,15 @@ def parse_indexed_table(path: Path) -> Tuple[dict, list]:
     return metadata, rows
 
 
-def table_digits(metadata: dict, rows: list) -> int:
-    """The ``# digits:`` header, else the significant digits of the shortest value."""
-    return int(metadata.get("digits", 0)) or min(
+def table_digits(path: Path, metadata: dict, rows: list, error: Type[ValueError]) -> int:
+    """The ``# digits:`` header, else the significant digits of the shortest
+    value; a count below ``MIN_DIGITS`` raises ``error``, naming the file."""
+    digits = int(metadata.get("digits", 0)) or min(
         len(text.lstrip("+-").replace(".", "").lstrip("0")) for _, text in rows
     )
+    if digits < MIN_DIGITS:
+        raise error(f"{path}: table digit count {digits} too small (minimum {MIN_DIGITS})")
+    return digits
 
 
 def _is_decimal_literal(text: str) -> bool:

@@ -304,6 +304,11 @@ class TableReport:
     def stale_flags(self) -> List[CellReport]:
         return [r for r in self.reports if not r.flag_consistent]
 
+    @property
+    def passed(self) -> bool:
+        """The verdict: every unflagged cell matches and no flag is stale."""
+        return self.ok and not self.stale_flags
+
     def report_for(self, row: int, column: str) -> CellReport:
         for r in self.reports:
             if r.cell.row == row and r.cell.column == column:

@@ -66,7 +66,7 @@ def load_zeros(path: Optional[Path] = None) -> ZeroList:
     if path is None:
         path = default_zeros_path()
     metadata, rows = parse_indexed_table(path)
-    digits = table_digits(metadata, rows)
+    digits = table_digits(path, metadata, rows, ZeroDataError)
     ordinates: List[BigReal] = []
     previous = None
     for index, text in rows:

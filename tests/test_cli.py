@@ -1,7 +1,10 @@
 import contextlib
 import io
+import re
+import shlex
 import shutil
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -110,17 +113,29 @@ class TestVerify:
         summary = out.splitlines()[1]
         assert summary == "# cells: 64  unflagged-ok: 50/50  flagged: 14"
 
-    def test_corrupted_fixture_fails(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "old, new, marker",
+        [
+            ("4.158883083359", "4.158883083333", "recomputed="),
+            # a wrong correction: the flagged cell is not reproduced
+            ("-16.635532333438", "-16.635532333400", "correction-reproduced=no"),
+            # a stale flag: the printed value equals its correction
+            ("-16.635553233343!", "-16.635532333438!", "printed-refuted=no"),
+        ],
+        ids=["unflagged-mismatch", "wrong-correction", "stale-flag"],
+    )
+    def test_corrupted_fixture_fails(self, monkeypatch, tmp_path, old, new, marker):
         data = tmp_path / "data"
         shutil.copytree(tables_dir().parent, data)
         path = data / "tables" / "nlogn_sums.tsv"
-        text = path.read_text().replace("4.158883083359", "4.158883083333")
-        path.write_text(text)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
         monkeypatch.setenv("LIKEIPER_DATA_DIR", str(data))
         code, out, _ = run("verify", "--table", "5")
         assert code == 1
         assert "# result: FAIL" in out
-        assert any("MISMATCH" in line and "recomputed=" in line for line in out.splitlines())
+        assert any(marker in line for line in out.splitlines())
 
     def test_deterministic(self):
         assert run("verify", "--table", "4") == run("verify", "--table", "4")
@@ -213,6 +228,10 @@ class TestApprox:
         code, _, err = run("approx", "--scheme", "d", "--seed", "initial:abc")
         assert code == 2
         assert "likeiper: error:" in err
+        for c in ("nan", "inf"):
+            code, out, err = run("approx", "--scheme", "d", "--seed", f"initial:{c}")
+            assert code == 2 and out == ""
+            assert f"likeiper: error: bad --seed 'initial:{c}'; c must be finite" in err
 
     def test_order3_cannot_self_seed_from_lambda1_alone(self):
         code, _, err = run("approx", "--scheme", "b", "--seed", "initial:3")
@@ -274,6 +293,16 @@ class TestZeros:
         code, out, err = run("zeros", *mode, "--n-max", "2", "--digits", "13", "--zeros", str(path))
         assert code == 2 and out == ""
         assert "--digits 13 exceeds the 12 digits of the zero table" in err
+
+    @pytest.mark.parametrize("header", ["", "# digits: 8\n"], ids=["no-header", "header"])
+    def test_zero_table_below_digit_floor_exit_2(self, tmp_path, header):
+        shipped = default_zeros_path().read_text().splitlines()
+        rows = [line.split("\t") for line in shipped if not line.startswith("#")][:10]
+        path = tmp_path / "zeros.tsv"
+        path.write_text(header + "".join(f"{k}\t{Decimal(t):.6f}\n" for k, t in rows))
+        code, out, err = run("zeros", "--n-max", "2", "--digits", "10", "--zeros", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}: table digit count 8 too small" in err
 
     def test_missing_zero_file(self, tmp_path):
         code, _, err = run("zeros", "--zeros", str(tmp_path / "nope.tsv"))
@@ -376,6 +405,47 @@ class TestProbe:
         row = data_rows(out)[0]
         # 30-digit formatting: 30 places after the decimal point
         assert len(row[1].split(".")[1]) == 30
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lambda", "--n-max", "4", "--digits", "20"),
+        ("approx", "--scheme", "b", "--n-max", "5", "--digits", "20"),
+        ("approx", "--scheme", "a2", "--seed", "initial", "--n-max", "4", "--digits", "20"),
+        ("scan", "--n-max", "4", "--digits", "20"),
+        ("zeros", "--n-max", "4", "--digits", "20"),
+        ("zeros", "--inversion", "--n-max", "4", "--digits", "20"),
+        ("verify", "--table", "3", "--digits", "20"),
+    ],
+    ids=["lambda", "approx-exact", "approx-seeded", "scan", "zeros", "zeros-inversion", "verify"],
+)
+def test_csv_is_tsv_with_commas(argv):
+    tsv, csv = run(*argv), run(*argv, "--format", "csv")
+    assert "\t" in tsv[1]
+    assert csv == (tsv[0], tsv[1].replace("\t", ","), tsv[2])
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+#: (argv, shown lines) of each ``$ likeiper ...`` block in the README
+README_EXAMPLES = [
+    (shlex.split(command), shown.splitlines())
+    for command, shown in re.findall(r"^```\n\$ likeiper ([^\n]*)\n(.*?)^```", README, re.M | re.S)
+]
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES, ids=[a[0] for a, _ in README_EXAMPLES])
+def test_readme_example(argv, shown):
+    """Every line the README shows appears in the output, in order; ``...`` is a wildcard."""
+    lines = iter(run(*argv)[1].splitlines())
+    for expected in shown:
+        if expected != "...":
+            pattern = ".*".join(map(re.escape, expected.split("...")))
+            assert any(re.fullmatch(pattern, line) for line in lines), expected
+
+
+def test_readme_has_six_examples():
+    assert len(README_EXAMPLES) == 6
 
 
 STIELTJES = str(default_stieltjes_path())

@@ -7,7 +7,6 @@ The closed-form tail integral is checked against adaptive quadrature.
 """
 
 import math
-from pathlib import Path
 
 import mpmath
 import pytest
