@@ -7,13 +7,16 @@ result can never silently claim more accuracy than its least accurate input.
 
 Every operation is one ``mpmath.libmp`` call on the raw ``_mpf_`` tuples,
 rounded to nearest at the bits of ``tag + 5`` digits: the call mpmath's own
-operators make, without their per-operation context switch.  Nothing here
+operators make, without their per-operation context switch.  A plain operand
+(``int``, ``Fraction``, ``str``, ``mpf``) is rounded to those bits as
+``BigReal(operand, tag)`` would be, with no object made for it.  Nothing here
 reads or mutates the global ``mpmath.mp`` state.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import mpmath
@@ -32,9 +35,23 @@ class PrecisionError(ValueError):
     """Raised for precision tags below the supported minimum."""
 
 
+@lru_cache(maxsize=None)
 def _bits(precision: int) -> int:
     """Working bits of a value tagged with ``precision`` digits."""
     return dps_to_prec(precision + 5)
+
+
+def _raw(value: _Number, prec: int) -> tuple:
+    """The ``_mpf_`` tuple of ``value`` (not a ``BigReal``), rounded to nearest at ``prec`` bits."""
+    if type(value) is mpmath.mpf:
+        return mpf_pos(value._mpf_, prec, round_nearest)
+    if isinstance(value, int):
+        return from_int(value, prec, round_nearest)
+    if isinstance(value, Fraction):
+        # the numerator is rounded first, as mpf(numerator) / denominator
+        return mpf_div(from_int(value.numerator, prec, round_nearest),
+                       from_int(value.denominator), prec, round_nearest)
+    return mpmath.mpf(value, prec=prec, rounding=round_nearest)._mpf_
 
 
 class BigReal:
@@ -50,18 +67,7 @@ class BigReal:
         if isinstance(value, BigReal):
             precision = min(precision, value.precision)
             value = value.value
-        prec = _bits(precision)
-        if type(value) is mpmath.mpf:
-            raw = mpf_pos(value._mpf_, prec, round_nearest)
-        elif isinstance(value, int):
-            raw = from_int(value, prec, round_nearest)
-        elif isinstance(value, Fraction):
-            # the numerator is rounded first, as mpf(numerator) / denominator
-            raw = mpf_div(from_int(value.numerator, prec, round_nearest),
-                          from_int(value.denominator), prec, round_nearest)
-        else:
-            raw = mpmath.mpf(value, prec=prec, rounding=round_nearest)._mpf_
-        object.__setattr__(self, "value", _make(raw))
+        object.__setattr__(self, "value", _make(_raw(value, _bits(precision))))
         object.__setattr__(self, "precision", precision)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -79,16 +85,14 @@ class BigReal:
 
     # -- arithmetic ------------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other: _Number, precision: int) -> "BigReal":
-        if isinstance(other, BigReal):
-            return other
-        return BigReal(other, precision)
-
     def _binary(self, other: _Number, op, swap: bool = False) -> "BigReal":
-        other = self._coerce(other, self.precision)
-        precision = min(self.precision, other.precision)
-        a, b = self.value._mpf_, other.value._mpf_
+        precision = self.precision
+        if isinstance(other, BigReal):
+            precision = min(precision, other.precision)
+            b = other.value._mpf_
+        else:  # rounded as BigReal(other, precision) would be, without making one
+            b = _raw(other, _bits(precision))
+        a = self.value._mpf_
         if swap:
             a, b = b, a
         return BigReal(_make(op(a, b, _bits(precision), round_nearest)), precision)
@@ -133,7 +137,9 @@ class BigReal:
     # -- comparisons (on the underlying values) --------------------------------
 
     def _cmp_value(self, other: _Number) -> mpmath.mpf:
-        return self._coerce(other, self.precision).value
+        if isinstance(other, BigReal):
+            return other.value
+        return _make(_raw(other, _bits(self.precision)))
 
     def __eq__(self, other) -> bool:
         try:
@@ -210,7 +216,7 @@ class BigReal:
         Absolute difference below 0.5*10^-D when |self| < 1, otherwise relative
         difference below 0.5*10^-D.
         """
-        other = self._coerce(other, self.precision)
+        other = other if isinstance(other, BigReal) else BigReal(other, self.precision)
         prec = _bits(max(self.precision, other.precision))
         size = mpf_abs(self.value._mpf_)
         diff = mpf_abs(mpf_sub(self.value._mpf_, other.value._mpf_, prec, round_nearest))

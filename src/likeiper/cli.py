@@ -179,7 +179,12 @@ def _parse_seed(text: str, digits: int) -> tuple[str, Optional[BigReal]]:
         return text, None
     if not text.startswith("initial:"):
         raise ValueError(f"bad --seed {text!r}; use exact, initial, or initial:<c>")
-    c = big(text[len("initial:"):], digits)
+    try:
+        c = big(text[len("initial:"):], digits)
+        if mpmath.isfinite(c.value):
+            c.to_decimal_string(digits)  # past Python's int-string limit (1e999999) it fails
+    except ValueError:
+        raise ValueError(f"bad --seed {text!r}; c must be a finite decimal number") from None
     if not mpmath.isfinite(c.value):
         raise ValueError(f"bad --seed {text!r}; c must be finite")
     return "initial", c

@@ -25,8 +25,8 @@ Every other alternating binomial sum in the package is the same kernel:
 * ``zeros.inversion_check`` - its left side is
                             (-1)^(n-1) (lambda_n - predict_voros(lambda, n)).
 
-The sums work on any field type (``BigReal``, raw ``mpf``, or ``Fraction``
-for exact tests) and take their zeros from the operands (``x * 0``).
+The kernel sums raw ``mpf`` or exact ``Fraction`` values and takes its zeros from
+the operands (``x * 0``); a ``BigReal`` history is summed raw, then tagged once.
 
 The mode is the function called: ``prediction_run`` predicts from exact
 history (true lower-index values substituted at every step) and
@@ -118,7 +118,8 @@ def _predict_binomial(
     """sum_{k=lowest}^{n-1} (-1)^(k-n+1) weight(k) history[k], zero weights skipped.
 
     Terms are added in ascending k.  The empty sum is ``history[0] * 0``, so
-    it comes back in the history's own type (and, for ``BigReal``, at its tag).
+    it comes back in the history's own type.  A ``BigReal`` history is summed as
+    raw ``mpf`` at its smallest tag's working precision; only the sum is tagged.
     """
     if n < 1:
         raise ValueError(f"a binomial prediction needs n >= 1, got n={n}")
@@ -126,6 +127,11 @@ def _predict_binomial(
         raise HistoryError(
             f"prediction at n={n} needs history 0..{n - 1}, have 0..{len(history) - 1}"
         )
+    if isinstance(history[0], BigReal):
+        tag = min(h.precision for h in history[:n])
+        with mp.workdps(tag + 5):
+            raw = _predict_binomial([h.value for h in history[:n]], n, _rounded_weight(weight), lowest)
+        return BigReal(raw, tag)
     total: Optional[Value] = None
     for k in range(lowest, n):
         w = weight(k)
@@ -133,6 +139,14 @@ def _predict_binomial(
             term = history[k] * (parity_sign(k - n + 1) * w)
             total = term if total is None else total + term
     return history[0] * 0 if total is None else total
+
+
+def _rounded_weight(weight: Callable[[int], int]) -> Callable[[int], int]:
+    """``weight`` rounded to the working precision, as ``BigReal`` rounds an int operand."""
+    def rounded(k: int) -> int:
+        w = weight(k)
+        return w if w.bit_length() <= mp.prec else int(mpmath.mpf(w))
+    return rounded
 
 
 def predict_order_m(history: Sequence[Value], n: int, m: int) -> Value:
@@ -241,7 +255,7 @@ def self_seeded_run(
                 f"order-{scheme.m} self-seeding needs explicit initial values "
                 f"for indices 2..{scheme.m}"
             )
-        values.extend(scheme.initial)
+        values.extend(lambda1 * 0 + v for v in scheme.initial)  # in lambda1's type
         start = scheme.m + 1
     for n in range(start, n_max + 1):
         values.append(_predict(scheme, values, n))

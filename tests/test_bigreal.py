@@ -1,3 +1,4 @@
+import operator
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import (dps_to_prec, from_int, from_str, mpf_add, mpf_div, mpf_mul,
+                          mpf_pos, mpf_sub, round_nearest)
 
 from likeiper.bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, big
 
@@ -318,3 +321,51 @@ def test_decimal_string_beyond_the_digit_tag():
     x = BigReal(10**45, 10)
     sign, man, exp, _ = x.value._mpf_
     assert x.to_decimal_string(10) == f"{man << exp}." + "0" * 10
+
+
+# -- operators as direct libmp calls --------------------------------------------
+
+# integers from random bytes, so that the bits past the working precision are
+# not mostly zero, as they are for powers of two and small values
+_wide_ints = st.builds(lambda sign, raw: sign * int.from_bytes(raw, "big"),
+                       st.sampled_from([1, -1]), st.binary(min_size=1, max_size=60))
+_OPERANDS = {
+    "int": _wide_ints,
+    "Fraction": st.builds(Fraction, st.integers(-(10**120), 10**120), st.integers(1, 10**30)),
+    "str": _decimal_texts,
+    "mpf": st.builds(lambda man, exp: mpmath.mpf((man, exp), prec=1000),
+                     _wide_ints, st.integers(min_value=-700, max_value=300)),
+    "BigReal": _bigreals,
+}
+_LIBMP = [(operator.add, mpf_add), (operator.sub, mpf_sub),
+          (operator.mul, mpf_mul), (operator.truediv, mpf_div)]
+
+
+def _libmp_operand(other, prec):
+    """``other`` as the libmp call takes it: a ``BigReal``'s own tuple, any
+    other operand rounded to nearest at ``prec`` bits."""
+    if isinstance(other, BigReal):
+        return other.value._mpf_
+    if isinstance(other, int):
+        return from_int(other, prec, round_nearest)
+    if isinstance(other, Fraction):
+        return mpf_div(from_int(other.numerator, prec, round_nearest),
+                       from_int(other.denominator), prec, round_nearest)
+    if isinstance(other, str):
+        return from_str(other, prec, round_nearest)
+    return mpf_pos(other._mpf_, prec, round_nearest)
+
+
+@pytest.mark.parametrize("kind", sorted(_OPERANDS))
+@settings(max_examples=80, deadline=None)
+@given(x=_bigreals, data=st.data())
+def test_operators_are_one_libmp_call_at_the_smaller_tag(kind, x, data):
+    other = data.draw(_OPERANDS[kind], label="other")
+    op, libmp_op = data.draw(st.sampled_from(_LIBMP), label="op")
+    tag = min(x.precision, other.precision) if kind == "BigReal" else x.precision
+    prec = dps_to_prec(tag + 5)
+    a, b = x.value._mpf_, _libmp_operand(other, prec)  # at x's tag unless other is a BigReal
+    expected = [_outcome(lambda: (libmp_op(a, b, prec, round_nearest), tag)),
+                _outcome(lambda: (libmp_op(b, a, prec, round_nearest), tag))]
+    got = [_outcome(lambda: op(x, other)), _outcome(lambda: op(other, x))]
+    assert got == expected

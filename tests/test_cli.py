@@ -225,9 +225,12 @@ class TestApprox:
         assert "likeiper: error:" in err
 
     def test_bad_seed_constant(self):
-        code, _, err = run("approx", "--scheme", "d", "--seed", "initial:abc")
-        assert code == 2
-        assert "likeiper: error:" in err
+        for c in ("abc", "1e999999"):
+            code, out, err = run("approx", "--scheme", "d", "--seed", f"initial:{c}")
+            assert code == 2 and out == ""
+            assert err == (
+                f"likeiper: error: bad --seed 'initial:{c}'; c must be a finite decimal number\n"
+            )
         for c in ("nan", "inf"):
             code, out, err = run("approx", "--scheme", "d", "--seed", f"initial:{c}")
             assert code == 2 and out == ""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from likeiper.bigreal import BigReal, big
+from likeiper.lambda_core import lambda_table
 from likeiper.recurrences import (
     FULL_HISTORY,
     ORDER_M,
@@ -25,7 +26,7 @@ from likeiper.recurrences import (
     prediction_run,
     self_seeded_run,
 )
-from likeiper.series import parity_sign
+from likeiper.series import binomial, parity_sign
 from likeiper import recurrences
 
 
@@ -238,6 +239,93 @@ class TestPredictorsMatchDocstringSums:
         assert seen[-1].to_fraction() == 0
 
 
+def oracle_binomial(history, n, weight, lowest=1):
+    """The kernel as it ran on ``BigReal`` values before it read their raw
+    ``mpf``: one ``BigReal`` for each integer weight, then the product, then
+    the running sum, each rounded at its operands' smaller tag."""
+    total = None
+    for k in range(lowest, n):
+        w = weight(k)
+        if w:
+            term = history[k] * BigReal(parity_sign(k - n + 1) * w, history[k].precision)
+            total = term if total is None else total + term
+    return history[0] * 0 if total is None else total
+
+
+def _bits(x):
+    return x.value._mpf_, x.precision
+
+
+def _weight(scheme, n):
+    """The kernel weight of ``scheme``'s prediction at n."""
+    if scheme.kind == ORDER_M:
+        return lambda k: binomial(scheme.m, n - k)
+    if scheme.kind == FULL_HISTORY:
+        return lambda k: binomial(n, k)
+    return lambda k: binomial(2 * n, n - k)
+
+
+@pytest.fixture(scope="module", params=[10, 20, 50, 100])
+def tagged_histories(request):
+    """lambda and lambda_tiny histories of lambda_table(32, d).  At d = 10 the
+    Voros weights C(2n, n-k) outgrow the 53 working bits from n = 29 on."""
+    table = lambda_table(32, request.param)
+    return table.lambda_history(), table.tiny_history()
+
+
+class TestKernelMatchesPerTermBigReal:
+    def test_every_predictor_bit_identical(self, tagged_histories):
+        for history in tagged_histories:
+            for n in range(1, len(history) + 1):
+                assert _bits(predict_full_history(history, n)) == _bits(
+                    oracle_binomial(history, n, lambda k: binomial(n, k)))
+                assert _bits(predict_voros(history, n)) == _bits(
+                    oracle_binomial(history, n, lambda k: binomial(2 * n, n - k)))
+                for m in (2, 3, 4):
+                    if n >= m:
+                        assert _bits(predict_order_m(history, n, m)) == _bits(
+                            oracle_binomial(history, n, lambda k: binomial(m, n - k)))
+                if n <= 12:
+                    m = n - 1
+                    assert _bits(discrete_derivative(history, m, m)) == _bits(
+                        oracle_binomial(history, n, lambda k: binomial(m, k), lowest=0))
+
+    def test_runs_bit_identical(self, tagged_histories):
+        history = tagged_histories[0]
+        for scheme in (RecurrenceScheme(kind=FULL_HISTORY), RecurrenceScheme(kind=VOROS),
+                       RecurrenceScheme(kind=ORDER_M, m=3)):
+            for r in prediction_run(scheme, history, 3, 32):
+                assert _bits(r.predicted) == _bits(
+                    oracle_binomial(history, r.n, _weight(scheme, r.n)))
+        values = self_seeded_run(RecurrenceScheme(kind=VOROS), history[1], n_max=32)
+        expected = [history[0], history[1]]
+        for n in range(2, 33):
+            expected.append(oracle_binomial(expected, n, _weight(RecurrenceScheme(kind=VOROS), n)))
+        assert [_bits(v) for v in values] == [_bits(v) for v in expected[1:]]
+
+    def test_mixed_tags_give_the_smallest_tag_of_the_terms_read(self):
+        exact = [Fraction(0)] + [Fraction(3 * k * k - 7, 11 + k) for k in range(1, 12)]
+        tags = [40, 60, 25, 90, 33, 70, 45, 60, 50, 80, 35, 12]
+        history = [big(x, t) for x, t in zip(exact, tags)]
+        for n in range(1, 12):
+            for predict in (predict_full_history, predict_voros):
+                result = predict(history, n)
+                assert result.precision == min(tags[:n])  # history[n] is not read
+                reference = predict(exact, n)
+                scale = sum(abs(x) for x in exact[:n]) * math.comb(2 * n, n) * n
+                bound = scale * Fraction(1, 10 ** (result.precision + 4))
+                assert abs(result.to_fraction() - reference) <= bound
+
+    def test_fraction_histories_stay_exact(self):
+        exact = [Fraction(0)] + [Fraction(k**3 - 2, 2 * k + 1) for k in range(1, 15)]
+        for n in range(2, 15):
+            result = predict_voros(exact, n)
+            assert type(result) is Fraction and result == reference_voros(exact, n)
+            assert predict_order_m(exact, n, 2) == reference_order_m(exact, n, 2)
+        assert discrete_derivative(exact, 14, 4) == sum(
+            _sign(k) * math.comb(4, k) * exact[4 - k] for k in range(5))
+
+
 class TestSchemeValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -308,6 +396,10 @@ class TestSelfSeeded:
         )
         values = self_seeded_run(scheme, Fraction(1), n_max=10)
         assert values == [Fraction(n * n) for n in range(1, 11)]
+        # exact initial values join a BigReal lambda1 at its tag
+        values = self_seeded_run(scheme, big(1, 30), n_max=10)
+        assert all(v.precision == 30 for v in values)
+        assert [v.to_fraction() for v in values] == [Fraction(n * n) for n in range(1, 11)]
 
     def test_bad_n_max(self):
         scheme = RecurrenceScheme(kind=VOROS)
