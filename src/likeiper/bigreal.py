@@ -15,6 +15,7 @@ reads or mutates the global ``mpmath.mp`` state.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -29,6 +30,7 @@ MIN_DIGITS = 10
 _Number = Union[int, str, Fraction, "BigReal", mpmath.mpf]
 
 _make = mpmath.mp.make_mpf  # wraps a raw tuple as it is: no rounding, no context read
+_str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit (< 3.10.7)
 
 
 class PrecisionError(ValueError):
@@ -188,6 +190,7 @@ class BigReal:
         The binary value ``man * 2**exp`` is scaled by ``10**places`` and
         rounded on integers, so formatting is exact at any magnitude,
         deterministic and platform independent (byte-identical across runs).
+        Past Python's int-string digit limit it raises ``ValueError``; the limit is never changed.
         """
         sign, man, exp, _ = self.value._mpf_
         if man == 0 and exp != 0:
@@ -196,6 +199,13 @@ class BigReal:
         units, rest = divmod(int(man) * 10**places << max(exp, 0), denominator)
         if 2 * rest + (units & 1) > denominator:  # above half, or half and odd
             units += 1
+        limit = _str_digits_limit()
+        if limit and units.bit_length() > 3 * limit:  # below 2^(3 limit) < 10^limit it prints
+            digits = int(units.bit_length() * 0.3010299956639812)  # units has this or one more
+            digits += units >= 10**digits
+            if digits > limit:
+                raise ValueError(f"cannot print a value with {digits - places} integer digits at"
+                                 f" {places} places: past Python's {limit}-digit int-string limit")
         text = str(units).rjust(places + 1, "0")
         if places:
             text = f"{text[:-places]}.{text[-places:]}"

@@ -14,9 +14,8 @@ weights B_2j/(2j)! (one lazily built table per wp) with the probe's complex sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import mpmath
 from mpmath import mp
@@ -49,8 +48,7 @@ def log_two(precision: int = DEFAULT_DIGITS) -> BigReal:
     return BigReal(value, precision)
 
 
-@dataclass(frozen=True)
-class StieltjesTable:
+class StieltjesTable(NamedTuple):
     """Stieltjes coefficients gamma_0..gamma_{k_max} at a common digit count."""
 
     entries: Dict[int, BigReal]
@@ -185,15 +183,14 @@ def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
         return BigReal(factor * zeta_ints(k + 1, precision + 5)[k + 1], precision)
 
 
-@dataclass(frozen=True)
-class FundamentalConstants:
+class FundamentalConstants(NamedTuple):
     """The handful of constants the asymptotic-model formulas share."""
 
     precision: int
-    gamma: BigReal = field(repr=False)
-    log2pi: BigReal = field(repr=False)
-    log4pi: BigReal = field(repr=False)
-    c_model: BigReal = field(repr=False)
+    gamma: BigReal
+    log2pi: BigReal
+    log4pi: BigReal
+    c_model: BigReal
 
 
 def fundamental_constants(precision: int = DEFAULT_DIGITS) -> FundamentalConstants:

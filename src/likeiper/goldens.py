@@ -23,10 +23,9 @@ one iff their difference is below ``10**-places``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .bigreal import DEFAULT_DIGITS, BigReal, big
 from .constants import euler_gamma
@@ -61,8 +60,7 @@ def _places_of(text: str) -> int:
     return len(text.split(".", 1)[1]) if "." in text else 0
 
 
-@dataclass(frozen=True)
-class GoldenCell:
+class GoldenCell(NamedTuple):
     """One printed cell of a golden table."""
 
     row: int
@@ -85,8 +83,7 @@ class GoldenCell:
         return big(1, precision) / big(10, precision) ** self.places
 
 
-@dataclass(frozen=True)
-class GoldenTable:
+class GoldenTable(NamedTuple):
     name: str
     columns: Tuple[str, ...]
     cells: Dict[Tuple[int, str], GoldenCell]
@@ -266,8 +263,7 @@ def recompute_table(name: str, precision: int = DEFAULT_DIGITS) -> Dict[Tuple[in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellReport:
+class CellReport(NamedTuple):
     """Outcome of comparing one recomputed value with its golden cell."""
 
     cell: GoldenCell
@@ -286,11 +282,10 @@ class CellReport:
         return self.matches and not self.printed_matches
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     table: GoldenTable
     precision: int
-    reports: Tuple[CellReport, ...] = field(default_factory=tuple)
+    reports: Tuple[CellReport, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -27,8 +27,7 @@ output coefficient is tagged as ``BigReal`` once, at the requested precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mp
@@ -120,8 +119,7 @@ def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> PowerSeries:
     return z_series.map(lambda c: BigReal(c, precision))
 
 
-@dataclass(frozen=True)
-class LambdaTable:
+class LambdaTable(NamedTuple):
     """lambda(n) = trend + tiny for n = 1..n_max, plus the /n coefficients."""
 
     n_max: int
@@ -202,8 +200,7 @@ def lambda1_closed_form(precision: int = DEFAULT_DIGITS) -> BigReal:
     return BigReal.one(precision) + consts.gamma / 2 - consts.log4pi / 2
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     n: int
     ratio: BigReal
     within_bound: bool

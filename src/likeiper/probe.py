@@ -31,8 +31,7 @@ per prime and distinct grid step, not once per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -202,28 +201,24 @@ VARY_RE = "re"
 VARY_IM = "im"
 
 
-@dataclass(frozen=True)
-class ComplexSample:
+class ComplexSample(NamedTuple):
     param: float
     f_re: BigReal
     f_im: BigReal
 
 
-@dataclass(frozen=True)
-class SampleFailure:
+class SampleFailure(NamedTuple):
     param: float
     reason: str
 
 
-@dataclass(frozen=True)
-class NearCollision:
+class NearCollision(NamedTuple):
     param1: float
     param2: float
     distance: float
 
 
-@dataclass(frozen=True)
-class LineProbeReport:
+class LineProbeReport(NamedTuple):
     kind: str
     fixed: float
     lo: float

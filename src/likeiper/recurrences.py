@@ -42,9 +42,8 @@ telescope to elementary closed forms up to an O(1/n) defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -65,8 +64,13 @@ class HistoryError(ValueError):
     """Raised when a predictor lacks the lower-index values it needs."""
 
 
-@dataclass(frozen=True)
-class RecurrenceScheme:
+class _SchemeFields(NamedTuple):
+    kind: str
+    m: Optional[int] = None
+    initial: Optional[Tuple[Value, ...]] = None
+
+
+class RecurrenceScheme(_SchemeFields):
     """A predictor family.
 
     ``kind`` is one of ``order_m`` (requires ``m >= 2``), ``full_history``,
@@ -74,22 +78,24 @@ class RecurrenceScheme:
     scheme with m > 2 starts from when it self-seeds.
     """
 
-    kind: str
-    m: Optional[int] = None
-    initial: Optional[Tuple[Value, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (ORDER_M, FULL_HISTORY, VOROS):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == ORDER_M:
-            if self.m is None or self.m < 2:
+    def __new__(cls, kind, m=None, initial=None):
+        if kind not in (ORDER_M, FULL_HISTORY, VOROS):
+            raise ValueError(f"unknown scheme kind {kind!r}")
+        if kind == ORDER_M:
+            if m is None or m < 2:
                 raise ValueError("order_m schemes need m >= 2")
-        elif self.m is not None:
-            raise ValueError(f"{self.kind} takes no order parameter")
+        elif m is not None:
+            raise ValueError(f"{kind} takes no order parameter")
+        return super().__new__(cls, kind, m, initial)
+
+    @classmethod
+    def _make(cls, iterable) -> RecurrenceScheme:  # so that _replace validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PredictionResult:
+class PredictionResult(NamedTuple):
     n: int
     predicted: Value
     exact: Optional[Value] = None

@@ -14,9 +14,8 @@ table carries provenance in its header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mp
@@ -25,9 +24,10 @@ from mpmath.libmp import (dps_to_prec, fone, from_man_exp, mpf_add, mpf_div, mpf
 
 from .bigreal import BigReal, DEFAULT_DIGITS
 from .datafiles import default_zeros_path, parse_indexed_table, table_digits
-from .lambda_core import LambdaTable
-from .recurrences import predict_voros
 from .series import parity_sign
+
+if TYPE_CHECKING:
+    from .lambda_core import LambdaTable
 
 
 _QUARTER = from_man_exp(1, -2)
@@ -37,8 +37,7 @@ class ZeroDataError(ValueError):
     """Raised for unusable zero-ordinate files."""
 
 
-@dataclass(frozen=True)
-class ZeroList:
+class ZeroList(NamedTuple):
     """Validated, strictly increasing zero ordinates t_1 < t_2 < ..."""
 
     ordinates: Tuple[BigReal, ...]
@@ -160,8 +159,7 @@ def delta_bound(n: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     return tail_integral(n, 14, precision)
 
 
-@dataclass(frozen=True)
-class InversionCheck:
+class InversionCheck(NamedTuple):
     """One row of the lambda <-> zero-sum consistency check."""
 
     n: int
@@ -194,6 +192,8 @@ def inversion_check(
     with a tiny allowance (default 10^-40) for the rounding of the lambda
     values themselves.  One ``z_partial`` pass gives every Z(n).
     """
+    from .recurrences import predict_voros  # here, so that loading zeros loads no predictor
+
     if n_max < 1:
         raise ValueError("inversion_check needs n_max >= 1")
     if lambdas.n_max < n_max:

@@ -3,6 +3,7 @@ import io
 import re
 import shlex
 import shutil
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -235,6 +236,19 @@ class TestApprox:
             code, out, err = run("approx", "--scheme", "d", "--seed", f"initial:{c}")
             assert code == 2 and out == ""
             assert f"likeiper: error: bad --seed 'initial:{c}'; c must be finite" in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python has no int-string digit limit")
+    def test_value_past_int_string_limit_exit_2(self):
+        # c itself prints, but the seeded rows grow past c; the library names
+        # the value's integer digits and the limit instead of Python's own message
+        code, out, err = run("approx", "--scheme", "d", "--seed", "initial:1e4280",
+                             "--n-max", "100", "--digits", "10")
+        assert code == 2 and out == ""
+        assert err == (
+            "likeiper: error: cannot print a value with 4291 integer digits at 10 places: "
+            f"past Python's {sys.get_int_max_str_digits()}-digit int-string limit\n"
+        )
 
     def test_order3_cannot_self_seed_from_lambda1_alone(self):
         code, _, err = run("approx", "--scheme", "b", "--seed", "initial:3")

@@ -1,6 +1,7 @@
 """The package root's contract: the README's Library example and what importing loads."""
 
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -8,7 +9,15 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import likeiper
+from likeiper.constants import FundamentalConstants, StieltjesTable
+from likeiper.goldens import CellReport, GoldenCell, GoldenTable, TableReport
+from likeiper.lambda_core import LambdaTable, ScanRow
+from likeiper.probe import ComplexSample, LineProbeReport, NearCollision, SampleFailure
+from likeiper.recurrences import VOROS, PredictionResult, RecurrenceScheme
+from likeiper.zeros import InversionCheck, ZeroList
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +56,41 @@ def test_import_loads_neither_cli_goldens_nor_probe():
         "loaded = {'likeiper.cli', 'likeiper.goldens', 'likeiper.probe'} & set(sys.modules); "
         "assert not loaded, loaded"
     )
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    run_fresh(
+        "import sys, likeiper.cli; "
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
+
+
+def test_loading_the_tables_does_not_load_the_predictors():
+    run_fresh(
+        "import sys, likeiper, likeiper.constants, likeiper.zeros; "
+        "assert 'likeiper.recurrences' not in sys.modules"
+    )
+
+
+RECORDS = [StieltjesTable, FundamentalConstants, GoldenCell, GoldenTable, CellReport, TableReport,
+           LambdaTable, ScanRow, ComplexSample, SampleFailure, NearCollision, LineProbeReport,
+           RecurrenceScheme, PredictionResult, ZeroList, InversionCheck]
+
+
+@pytest.mark.parametrize("record_type", RECORDS, ids=lambda t: t.__name__)
+def test_records_are_immutable(record_type):
+    fields = list(inspect.signature(record_type).parameters)
+    assert fields
+    if record_type is RecurrenceScheme:
+        record = RecurrenceScheme(kind=VOROS)
+    else:
+        record = record_type(*[0] * len(fields))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_cli_import_loads_every_traced_module():

@@ -326,22 +326,30 @@ class TestKernelMatchesPerTermBigReal:
             _sign(k) * math.comb(4, k) * exact[4 - k] for k in range(5))
 
 
+def assert_scheme_rejected(message, kind, m=None):
+    """Keyword and positional construction, and _replace, all validate."""
+    for make in (lambda: RecurrenceScheme(kind=kind, m=m), lambda: RecurrenceScheme(kind, m),
+                 lambda: RecurrenceScheme(kind=VOROS)._replace(kind=kind, m=m)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
 class TestSchemeValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RecurrenceScheme(kind="mystery")
+        assert_scheme_rejected("unknown scheme kind 'mystery'", "mystery")
 
     def test_order_m_needs_m(self):
-        with pytest.raises(ValueError):
-            RecurrenceScheme(kind=ORDER_M)
-        with pytest.raises(ValueError):
-            RecurrenceScheme(kind=ORDER_M, m=1)
+        assert_scheme_rejected("order_m schemes need m >= 2", ORDER_M)
+        assert_scheme_rejected("order_m schemes need m >= 2", ORDER_M, 1)
 
     def test_other_kinds_reject_m(self):
-        with pytest.raises(ValueError):
-            RecurrenceScheme(kind=FULL_HISTORY, m=3)
-        with pytest.raises(ValueError):
-            RecurrenceScheme(kind=VOROS, m=2)
+        assert_scheme_rejected("full_history takes no order parameter", FULL_HISTORY, 3)
+        assert_scheme_rejected("voros takes no order parameter", VOROS, 2)
+
+    def test_valid_schemes(self):
+        assert RecurrenceScheme(ORDER_M, 3) == RecurrenceScheme(kind=ORDER_M, m=3, initial=None)
+        assert RecurrenceScheme(kind=VOROS).m is None
+        assert RecurrenceScheme(kind=ORDER_M, m=2)._replace(m=4).m == 4
 
 
 class TestSelfSeeded:
