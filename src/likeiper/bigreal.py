@@ -75,16 +75,6 @@ class BigReal:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("BigReal is immutable")
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls, precision: int = DEFAULT_DIGITS) -> "BigReal":
-        return cls(0, precision)
-
-    @classmethod
-    def one(cls, precision: int = DEFAULT_DIGITS) -> "BigReal":
-        return cls(1, precision)
-
     # -- arithmetic ------------------------------------------------------------
 
     def _binary(self, other: _Number, op, swap: bool = False) -> "BigReal":

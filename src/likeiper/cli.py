@@ -195,6 +195,12 @@ def cmd_approx(args: argparse.Namespace) -> int:
     seed_mode, c = _parse_seed(args.seed, args.digits)
 
     if seed_mode == "initial":
+        if scheme.m is not None and scheme.m > 2:
+            raise ValueError(
+                f"--seed initial: scheme {args.scheme} needs initial values at indices "
+                f"2..{scheme.m}, which no option supplies; only a1, m:2, d and a2 "
+                "self-seed from the command line"
+            )
         if args.stieltjes is not None or args.target is not None:
             raise ValueError(
                 "--seed initial runs from the closed-form lambda(1); "

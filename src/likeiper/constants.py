@@ -181,33 +181,3 @@ def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     with mp.workdps(precision + 10):
         factor = (-1) ** (k + 1) * mpmath.factorial(k) * (mpmath.mpf(2) ** (k + 1) - 1)
         return BigReal(factor * zeta_ints(k + 1, precision + 5)[k + 1], precision)
-
-
-class FundamentalConstants(NamedTuple):
-    """The handful of constants the asymptotic-model formulas share."""
-
-    precision: int
-    gamma: BigReal
-    log2pi: BigReal
-    log4pi: BigReal
-    c_model: BigReal
-
-
-def fundamental_constants(precision: int = DEFAULT_DIGITS) -> FundamentalConstants:
-    """gamma, log 2pi, log 4pi, and the model's additive constant
-
-        c = (gamma - 1 - log 2pi) / 2,
-
-    which is the constant term in the large-n model (1/2) log n + c + gamma
-    for the normalized coefficients.
-    """
-    gamma = euler_gamma(precision)
-    with mp.workdps(precision + 10):
-        l2pi = mpmath.log(2 * mp.pi)
-        l4pi = mpmath.log(4 * mp.pi)
-    log2pi = BigReal(l2pi, precision)
-    log4pi = BigReal(l4pi, precision)
-    c_model = (gamma - 1 - log2pi) / 2
-    return FundamentalConstants(
-        precision=precision, gamma=gamma, log2pi=log2pi, log4pi=log4pi, c_model=c_model
-    )

@@ -21,7 +21,8 @@ Composition through u = z/(1-z) concentrates binomial-sized cancellation
 (roughly log10 C(n, n/2) digits at index n), so both series are computed at
 a boosted internal precision and rounded down to the requested tag.  The
 series work runs on raw ``mpf`` values under one ``mp.workdps`` context; each
-output coefficient is tagged as ``BigReal`` once, at the requested precision.
+series comes back as a plain tuple of coefficients, each tagged as ``BigReal``
+once, at the requested precision.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ from mpmath import mp
 
 from .bigreal import BigReal, DEFAULT_DIGITS
 from .constants import (
+    ConstantsError,
     StieltjesTable,
     euler_gamma,
-    fundamental_constants,
     load_stieltjes,
     log_pi,
     polygamma_half,
     zeta_ints,
 )
-from .series import PowerSeries, series_compose_zmap, series_log
+from .series import series_compose_zmap, series_log
 
 
 def guard_digits(n_max: int) -> int:
@@ -64,22 +65,25 @@ def tiny_series(
     n_max: int,
     precision: int = DEFAULT_DIGITS,
     stieltjes: Optional[StieltjesTable] = None,
-) -> PowerSeries:
+) -> Tuple[BigReal, ...]:
     """Series with index-n coefficient lambda_tiny(n)/n, n = 0..n_max.
 
     Built as log((s-1) zeta(s)) expanded in u = s-1 from the Stieltjes table,
     composed through u = z/(1-z), then series_log.  The constant term is
     exactly zero; coefficient 1 is the Euler constant.  Reads gamma_0 to
-    gamma_{n_max-1} from the table.
+    gamma_{n_max-1} from the table, and raises ``ConstantsError`` when
+    ``precision`` exceeds the table's digits.
     """
     if n_max < 1:
         raise ValueError("tiny_series needs n_max >= 1")
     if stieltjes is None:
         stieltjes = load_stieltjes()
     stieltjes.require(n_max - 1)
-    work = precision + guard_digits(n_max)
-    if stieltjes.digits < work:
-        work = max(precision, stieltjes.digits)
+    if precision > stieltjes.digits:
+        raise ConstantsError(
+            f"precision {precision} exceeds the {stieltjes.digits} digits of the Stieltjes table"
+        )
+    work = min(precision + guard_digits(n_max), stieltjes.digits)
     with mp.workdps(work + 10):
         coeffs = [mpmath.mpf(1)]
         fact = mpmath.mpf(1)
@@ -88,11 +92,11 @@ def tiny_series(
                 fact *= k
             sign = -1 if k % 2 else 1
             coeffs.append(sign * stieltjes.gamma(k).value / fact)
-        logged = series_log(series_compose_zmap(PowerSeries(coeffs)))
-    return logged.map(lambda c: BigReal(c, precision))
+        logged = series_log(series_compose_zmap(coeffs))
+    return tuple(BigReal(c, precision) for c in logged)
 
 
-def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> PowerSeries:
+def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:
     """Series with index-n coefficient lambda_trend(n)/n, n = 0..n_max.
 
     The trend is [z^n] log(s * pi^(-s/2) * Gamma(s/2)); in u = s-1 the log is
@@ -115,8 +119,8 @@ def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> PowerSeries:
         coeffs.append(1 - log_pi(work).value / 2 + polygamma_half(0, work).value / 2)
         for k in range(2, n_max + 1):
             coeffs.append((-1) ** k * ((1 - mpmath.ldexp(1, -k)) * zetas[k] - 1) / k)
-        z_series = series_compose_zmap(PowerSeries(coeffs))
-    return z_series.map(lambda c: BigReal(c, precision))
+        z_series = series_compose_zmap(coeffs)
+    return tuple(BigReal(c, precision) for c in z_series)
 
 
 class LambdaTable(NamedTuple):
@@ -155,13 +159,13 @@ class LambdaTable(NamedTuple):
 
     def tiny_history(self) -> List[BigReal]:
         """[0, lambda_tiny(1), ..., lambda_tiny(n_max)]; index = n."""
-        return [BigReal.zero(self.precision)] + list(self.tiny)
+        return [BigReal(0, self.precision)] + list(self.tiny)
 
     def trend_history(self) -> List[BigReal]:
-        return [BigReal.zero(self.precision)] + list(self.trend)
+        return [BigReal(0, self.precision)] + list(self.trend)
 
     def lambda_history(self) -> List[BigReal]:
-        return [BigReal.zero(self.precision)] + list(self.total)
+        return [BigReal(0, self.precision)] + list(self.total)
 
 
 def lambda_table(
@@ -196,8 +200,9 @@ def lambda_table(
 
 def lambda1_closed_form(precision: int = DEFAULT_DIGITS) -> BigReal:
     """lambda(1) = 1 + gamma/2 - (1/2) log(4 pi), the classical closed form."""
-    consts = fundamental_constants(precision)
-    return BigReal.one(precision) + consts.gamma / 2 - consts.log4pi / 2
+    with mp.workdps(precision + 10):
+        log4pi = BigReal(mpmath.log(4 * mp.pi), precision)
+    return BigReal(1, precision) + euler_gamma(precision) / 2 - log4pi / 2
 
 
 class ScanRow(NamedTuple):
@@ -220,6 +225,6 @@ def conjecture_scan(
     gamma = euler_gamma(precision)
     rows: List[ScanRow] = []
     for n in range(1, n_max + 1):
-        ratio = series[n] / gamma if n > 1 else BigReal.one(precision)
+        ratio = series[n] / gamma if n > 1 else BigReal(1, precision)
         rows.append(ScanRow(n=n, ratio=ratio, within_bound=abs(ratio) <= 1))
     return rows

@@ -42,6 +42,7 @@ telescope to elementary closed forms up to an O(1/n) defect.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -49,9 +50,9 @@ import mpmath
 from mpmath import mp
 
 from .bigreal import BigReal, DEFAULT_DIGITS
-from .constants import fundamental_constants
+from .constants import euler_gamma
 from .lambda_core import binomial_guard_digits
-from .series import binomial, parity_sign
+from .series import parity_sign
 
 Value = Union[BigReal, Fraction]
 
@@ -115,7 +116,7 @@ def discrete_derivative(f: Sequence[Value], n: int, m: int) -> Value:
         raise ValueError("difference order m must be >= 0")
     if m > n:
         raise HistoryError(f"order m={m} exceeds available index range 0..{n}")
-    return _predict_binomial(f, m + 1, lambda k: binomial(m, k), lowest=0)
+    return _predict_binomial(f, m + 1, lambda k: math.comb(m, k), lowest=0)
 
 
 def _predict_binomial(
@@ -170,7 +171,7 @@ def predict_order_m(history: Sequence[Value], n: int, m: int) -> Value:
         raise HistoryError(
             f"order-{m} prediction at n={n} would need an index below 0"
         )
-    return _predict_binomial(history, n, lambda k: binomial(m, n - k))
+    return _predict_binomial(history, n, lambda k: math.comb(m, n - k))
 
 
 def predict_full_history(history: Sequence[Value], n: int) -> Value:
@@ -180,7 +181,7 @@ def predict_full_history(history: Sequence[Value], n: int) -> Value:
 
     At n = 4 this reads 4 h(3) - 6 h(2) + 4 h(1); the empty sum at n = 1 is 0.
     """
-    return _predict_binomial(history, n, lambda k: binomial(n, k))
+    return _predict_binomial(history, n, lambda k: math.comb(n, k))
 
 
 def predict_voros(history: Sequence[Value], n: int) -> Value:
@@ -191,7 +192,7 @@ def predict_voros(history: Sequence[Value], n: int) -> Value:
     At n = 2 it reads 4 h(1).  Same sign pattern as predict_full_history;
     the weights are the tail-suppressing C(2n, n-k) instead of C(n, k).
     """
-    return _predict_binomial(history, n, lambda k: binomial(2 * n, n - k))
+    return _predict_binomial(history, n, lambda k: math.comb(2 * n, n - k))
 
 
 def _predict(scheme: RecurrenceScheme, history: Sequence[Value], n: int) -> Value:
@@ -322,7 +323,11 @@ def model_predictor(n: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     """
     if n < 2:
         raise ValueError("model_predictor needs n >= 2")
-    consts = fundamental_constants(precision + 10)
-    phi1, _ = phi_nlogn(n, precision + 10)
-    total = phi1 * parity_sign(n - 1) / 2 + (consts.c_model + consts.gamma) * n
+    work = precision + 10
+    gamma = euler_gamma(work)
+    with mp.workdps(work + 10):
+        log2pi = BigReal(mpmath.log(2 * mp.pi), work)
+    c = (gamma - 1 - log2pi) / 2
+    phi1, _ = phi_nlogn(n, work)
+    total = phi1 * parity_sign(n - 1) / 2 + (c + gamma) * n
     return BigReal(total, precision)

@@ -20,13 +20,13 @@ from __future__ import annotations
 import time
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 from mpmath import mp
 
 from likeiper.bigreal import BigReal, big
-from likeiper.constants import fundamental_constants
+from likeiper.constants import euler_gamma
 from likeiper.goldens import load_golden, verify_table
 from likeiper.lambda_core import conjecture_scan, lambda_table
 from likeiper.probe import line_probe, zeta_complex
@@ -42,7 +42,7 @@ from likeiper.recurrences import (
     predict_voros,
     self_seeded_run,
 )
-from likeiper.series import binomial, parity_sign
+from likeiper.series import parity_sign
 from likeiper.zeros import delta_bound, inversion_check, z_partial, z_tail_bound
 
 DIGITS = 50
@@ -157,9 +157,9 @@ def test_recurrence_columns_within_propagated_rounding_noise(table7):
             cell = golden.cell(n, column)
             recomputed = predictor(history[:n], n)
             if column == "a1":
-                weight_sum = sum(binomial(n, k) for k in range(1, n))
+                weight_sum = sum(comb(n, k) for k in range(1, n))
             else:
-                weight_sum = sum(binomial(2 * n, n - k) for k in range(1, n))
+                weight_sum = sum(comb(2 * n, n - k) for k in range(1, n))
             bound = half_ulp20 * weight_sum
             dev = abs(recomputed - big(cell.target, DIGITS))
             assert dev <= bound, (
@@ -238,7 +238,7 @@ def test_criterion_04_ratio_tables_to_three_decimals_and_orientation(table15):
         assert not bad, f"{name}: unflagged mismatches {[(r.cell.row, r.cell.column) for r in bad]}"
         assert not report.stale_flags, f"{name}: stale correction flags"
 
-    gamma = fundamental_constants(DIGITS).gamma
+    gamma = euler_gamma(DIGITS)
     history = table15.tiny_history()
 
     # row 11, quoted in the release checklist for both schemes
@@ -348,7 +348,7 @@ def test_criterion_08_conjecture_scan_to_64(stieltjes):
     assert len(rows) == 64
     violations = [row.n for row in rows if not row.within_bound]
     assert not violations, f"bound violated at {violations}"
-    assert rows[0].ratio == BigReal.one(DIGITS)
+    assert rows[0].ratio == BigReal(1, DIGITS)
 
     golden = load_golden("scan_ratios")
     spots = {}

@@ -42,8 +42,8 @@ class TestConstruction:
             x.value = 2
 
     def test_helpers(self):
-        assert float(BigReal.zero()) == 0.0
-        assert float(BigReal.one()) == 1.0
+        assert float(BigReal(0)) == 0.0
+        assert float(BigReal(1)) == 1.0
         assert big("2", 12).precision == 12
 
 
@@ -102,7 +102,7 @@ class TestComparisons:
         assert big(3) != 4
 
     def test_bool_and_hash(self):
-        assert not BigReal.zero()
+        assert not BigReal(0)
         assert big(1)
         assert hash(big(2, 30)) == hash(big(2, 50))
 

@@ -251,9 +251,16 @@ class TestApprox:
         )
 
     def test_order3_cannot_self_seed_from_lambda1_alone(self):
-        code, _, err = run("approx", "--scheme", "b", "--seed", "initial:3")
-        assert code == 2
-        assert "initial values" in err
+        # no option supplies the values at indices 2..k that order k >= 3 needs
+        for scheme, top in (("b", 3), ("m:4", 4)):
+            for seed in ("initial", "initial:3"):
+                code, out, err = run("approx", "--scheme", scheme, "--seed", seed)
+                assert code == 2 and out == ""
+                assert err == (
+                    f"likeiper: error: --seed initial: scheme {scheme} needs initial values at "
+                    f"indices 2..{top}, which no option supplies; only a1, m:2, d and a2 "
+                    "self-seed from the command line\n"
+                )
 
 
 class TestScan:
@@ -512,6 +519,17 @@ class TestCommonValidation:
         code, _, err = run("lambda", "--digits", "5")
         assert code == 2
         assert "--digits must be >= 10" in err
+
+    @pytest.mark.parametrize("command", ["lambda", "scan"])
+    def test_digits_beyond_stieltjes_table_exit_2(self, command):
+        code, out, err = run(command, "--n-max", "1", "--digits", "101")
+        assert code == 2 and out == ""
+        assert err == (
+            "likeiper: error: precision 101 exceeds the 100 digits of the Stieltjes table\n"
+        )
+        code, out, _ = run(command, "--n-max", "1", "--digits", "100")
+        assert code == 0
+        assert len(data_rows(out)) == 1
 
     def test_n_max_floor(self):
         code, _, err = run("lambda", "--n-max", "0")

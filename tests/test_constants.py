@@ -17,7 +17,6 @@ from likeiper.bigreal import BigReal, big
 from likeiper.constants import (
     ConstantsError,
     euler_gamma,
-    fundamental_constants,
     load_stieltjes,
     log_pi,
     log_two,
@@ -26,6 +25,8 @@ from likeiper.constants import (
     zeta_ints,
 )
 from likeiper.datafiles import default_stieltjes_path
+from likeiper.lambda_core import lambda1_closed_form
+from likeiper.recurrences import model_predictor
 
 
 def brent_mcmillan_gamma(dps: int = 70, n: int = 35) -> mpmath.mpf:
@@ -210,24 +211,29 @@ class TestLoadErrors:
         assert table.digits == 30
 
 
+def model_constant(precision):
+    """The large-n model's c, read off model_predictor: phi1(2) = -2 * 1 log 1 = 0,
+    so the predictor at n = 2 is 2 (c + gamma)."""
+    return model_predictor(2, precision) / 2 - euler_gamma(precision)
+
+
 class TestFundamentalConstants:
+    """The constants lambda1_closed_form and model_predictor build for themselves."""
+
     def test_model_constant_digits(self):
-        fc = fundamental_constants(50)
-        assert fc.c_model.to_decimal_string(4) == "-1.1303"
+        assert model_constant(50).to_decimal_string(4) == "-1.1303"
 
     def test_fields_consistent(self):
-        fc = fundamental_constants(60)
-        assert fc.gamma.agrees_to(euler_gamma(60), 55)
-        # log(4 pi) - log(2 pi) = log 2
-        assert (fc.log4pi - fc.log2pi).agrees_to(log_two(60), 55)
         with mp.workdps(70):
-            assert agrees(fc.log2pi, mp.log(2 * mp.pi), 55)
+            assert agrees(lambda1_closed_form(60), 1 + mp.euler / 2 - mp.log(4 * mp.pi) / 2, 55)
+        # log(4 pi) - log(2 pi) = log 2 turns lambda(1) = 1 + gamma/2 - log(4 pi)/2
+        # and c = (gamma - 1 - log 2pi)/2 into lambda(1) = c + (3 - log 2)/2
+        assert lambda1_closed_form(60).agrees_to(model_constant(60) + (3 - log_two(60)) / 2, 55)
 
     def test_c_model_definition(self):
         # c = (gamma - 1 - log 2pi) / 2
-        fc = fundamental_constants(60)
-        direct = (fc.gamma - big(1, 60) - fc.log2pi) / 2
-        assert fc.c_model.agrees_to(direct, 55)
+        with mp.workdps(70):
+            assert agrees(model_constant(60), (mp.euler - 1 - mp.log(2 * mp.pi)) / 2, 55)
 
     def test_log_helpers(self):
         with mp.workdps(70):

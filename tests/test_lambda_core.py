@@ -152,6 +152,12 @@ class TestLambdaTable:
         assert table.n_max == 81
         assert table.lam(81) > 0
 
+    def test_precision_beyond_stieltjes_digits_raises(self):
+        # the shipped table carries 100 digits; a 101st would be rounding noise
+        with pytest.raises(ConstantsError, match="precision 101 exceeds the 100 digits"):
+            tiny_series(3, 101)
+        assert len(tiny_series(3, 100)) == 4
+
     def test_precision_stability(self):
         low = lambda_table(8, 30)
         high = lambda_table(8, 60)

@@ -1,5 +1,7 @@
-"""The package root's contract: the README's Library example and what importing loads."""
+"""The package's contract: the README's Library example, each module's public
+names, and what importing loads."""
 
+import ast
 import importlib.util
 import inspect
 import os
@@ -12,7 +14,7 @@ from types import ModuleType
 import pytest
 
 import likeiper
-from likeiper.constants import FundamentalConstants, StieltjesTable
+from likeiper.constants import StieltjesTable
 from likeiper.goldens import CellReport, GoldenCell, GoldenTable, TableReport
 from likeiper.lambda_core import LambdaTable, ScanRow
 from likeiper.probe import ComplexSample, LineProbeReport, NearCollision, SampleFailure
@@ -50,6 +52,56 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "True"
 
 
+#: The public names each module defines itself (imports into it not counted).
+#: A name joins or leaves the package's surface only by an edit here.
+PUBLIC_SURFACE = {
+    "__init__": set(),
+    "__main__": set(),
+    "bigreal": {"BigReal", "DEFAULT_DIGITS", "MIN_DIGITS", "PrecisionError", "big"},
+    "cli": {"cmd_approx", "cmd_lambda", "cmd_probe", "cmd_scan", "cmd_verify", "cmd_zeros",
+            "main"},
+    "constants": {"ConstantsError", "StieltjesTable", "bernoulli_weight", "euler_gamma",
+                  "load_stieltjes", "log_pi", "log_two", "polygamma_half", "zeta_int",
+                  "zeta_ints"},
+    "datafiles": {"DataFormatError", "data_dir", "default_stieltjes_path", "default_zeros_path",
+                  "parse_indexed_table", "table_digits"},
+    "goldens": {"Builder", "CellReport", "GoldenCell", "GoldenTable", "TABLE_IDS", "TABLE_NAMES",
+                "TableReport", "load_golden", "recompute_table", "tables_dir", "verify_table"},
+    "lambda_core": {"LambdaTable", "ScanRow", "binomial_guard_digits", "conjecture_scan",
+                    "guard_digits", "lambda1_closed_form", "lambda_table", "tiny_series",
+                    "trend_series"},
+    "probe": {"ComplexLike", "ComplexSample", "DEFAULT_PROBE_DIGITS", "LineProbeReport",
+              "NearCollision", "ProbeEvaluationError", "SampleFailure", "VARY_IM", "VARY_RE",
+              "f_eval", "line_probe", "zeta_complex", "zeta_deriv"},
+    "recurrences": {"FULL_HISTORY", "HistoryError", "ORDER_M", "PredictionResult",
+                    "RecurrenceScheme", "VOROS", "Value", "closed_form_check_linear",
+                    "discrete_derivative", "model_predictor", "phi_nlogn", "predict_full_history",
+                    "predict_order_m", "predict_voros", "prediction_run", "self_seeded_run"},
+    "series": {"Coefficient", "SeriesDomainError", "SeriesOrderError", "parity_sign",
+               "series_compose_zmap", "series_log", "series_mul"},
+    "zeros": {"InversionCheck", "ZeroDataError", "ZeroList", "delta_bound", "inversion_check",
+              "load_zeros", "tail_integral", "z_partial", "z_tail_bound"},
+}
+
+
+def defined_names(path: Path) -> set:
+    """Public names bound at a module's top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_public_surface():
+    package = Path(likeiper.__file__).parent
+    surface = {path.stem: defined_names(path) for path in package.glob("*.py")}
+    assert surface == PUBLIC_SURFACE
+
+
 def test_import_loads_neither_cli_goldens_nor_probe():
     run_fresh(
         "import sys, likeiper; "
@@ -73,7 +125,7 @@ def test_loading_the_tables_does_not_load_the_predictors():
     )
 
 
-RECORDS = [StieltjesTable, FundamentalConstants, GoldenCell, GoldenTable, CellReport, TableReport,
+RECORDS = [StieltjesTable, GoldenCell, GoldenTable, CellReport, TableReport,
            LambdaTable, ScanRow, ComplexSample, SampleFailure, NearCollision, LineProbeReport,
            RecurrenceScheme, PredictionResult, ZeroList, InversionCheck]
 

@@ -26,7 +26,7 @@ from likeiper.recurrences import (
     prediction_run,
     self_seeded_run,
 )
-from likeiper.series import binomial, parity_sign
+from likeiper.series import parity_sign
 from likeiper import recurrences
 
 
@@ -137,7 +137,7 @@ class TestPredictFullHistory:
 
     def test_empty_sum_at_n1(self):
         assert predict_full_history([Fraction(0)], 1) == 0
-        zero = predict_full_history([BigReal.zero(40)], 1)
+        zero = predict_full_history([BigReal(0, 40)], 1)
         assert isinstance(zero, BigReal) and zero.to_fraction() == 0
 
     def test_exact_on_linear_through_origin(self):
@@ -259,10 +259,10 @@ def _bits(x):
 def _weight(scheme, n):
     """The kernel weight of ``scheme``'s prediction at n."""
     if scheme.kind == ORDER_M:
-        return lambda k: binomial(scheme.m, n - k)
+        return lambda k: math.comb(scheme.m, n - k)
     if scheme.kind == FULL_HISTORY:
-        return lambda k: binomial(n, k)
-    return lambda k: binomial(2 * n, n - k)
+        return lambda k: math.comb(n, k)
+    return lambda k: math.comb(2 * n, n - k)
 
 
 @pytest.fixture(scope="module", params=[10, 20, 50, 100])
@@ -278,17 +278,17 @@ class TestKernelMatchesPerTermBigReal:
         for history in tagged_histories:
             for n in range(1, len(history) + 1):
                 assert _bits(predict_full_history(history, n)) == _bits(
-                    oracle_binomial(history, n, lambda k: binomial(n, k)))
+                    oracle_binomial(history, n, lambda k: math.comb(n, k)))
                 assert _bits(predict_voros(history, n)) == _bits(
-                    oracle_binomial(history, n, lambda k: binomial(2 * n, n - k)))
+                    oracle_binomial(history, n, lambda k: math.comb(2 * n, n - k)))
                 for m in (2, 3, 4):
                     if n >= m:
                         assert _bits(predict_order_m(history, n, m)) == _bits(
-                            oracle_binomial(history, n, lambda k: binomial(m, n - k)))
+                            oracle_binomial(history, n, lambda k: math.comb(m, n - k)))
                 if n <= 12:
                     m = n - 1
                     assert _bits(discrete_derivative(history, m, m)) == _bits(
-                        oracle_binomial(history, n, lambda k: binomial(m, k), lowest=0))
+                        oracle_binomial(history, n, lambda k: math.comb(m, k), lowest=0))
 
     def test_runs_bit_identical(self, tagged_histories):
         history = tagged_histories[0]
@@ -564,25 +564,22 @@ class TestModelPredictor:
                 assert abs(got.value - total) < mp.mpf(10) ** -(digits - 5), n
 
     def test_assembles_from_phi_sums(self):
-        # by linearity: predictor(g) = (1/2) (-1)^(n-1) phi1(n) + (c+gamma) n
-        from likeiper.constants import fundamental_constants
-
+        # by linearity: predictor(g) = (1/2) (-1)^(n-1) phi1(n) + (c+gamma) n,
+        # with c = (gamma - 1 - log 2pi)/2
         n = 16
-        consts = fundamental_constants(50)
+        with mp.workdps(60):
+            slope = big((3 * mp.euler - 1 - mp.log(2 * mp.pi)) / 2, 50)
         phi1, phi2 = phi_nlogn(n, 50)
-        assembled = phi1 * (parity_sign(n - 1)) / 2 + (consts.c_model + consts.gamma) * n
+        assembled = phi1 * (parity_sign(n - 1)) / 2 + slope * n
         assert model_predictor(n, 50).agrees_to(assembled, 44)
 
     def test_deviation_from_smooth_model_is_half_phi_gap(self):
         # predictor(g)/n - ((1/2) log n + c + gamma) = (phi2 - phi1)/(2n)
         # with the (-1)^(n-1) factor folded in; check the magnitudes agree
-        from likeiper.constants import fundamental_constants
-
         n = 16
-        consts = fundamental_constants(50)
         phi1, phi2 = phi_nlogn(n, 50)
         with mp.workdps(60):
-            smooth = mp.log(n) / 2 + consts.c_model.value + consts.gamma.value
+            smooth = mp.log(n) / 2 + (3 * mp.euler - 1 - mp.log(2 * mp.pi)) / 2
             deviation = abs(model_predictor(n, 50).value / n - smooth)
             gap = abs((phi1 - phi2).value) / (2 * n)
             assert abs(deviation - gap) < mp.mpf(10) ** -40

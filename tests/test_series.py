@@ -9,10 +9,8 @@ from mpmath import mp
 
 from likeiper.bigreal import BigReal
 from likeiper.series import (
-    PowerSeries,
     SeriesDomainError,
     SeriesOrderError,
-    binomial,
     parity_sign,
     series_compose_zmap,
     series_log,
@@ -22,7 +20,7 @@ from likeiper.lambda_core import tiny_series, trend_series
 
 
 def frac_series(*values):
-    return PowerSeries([Fraction(v) for v in values])
+    return tuple(Fraction(v) for v in values)
 
 
 def horner_compose_zmap(coeffs):
@@ -57,23 +55,6 @@ class Counted:
         return Counted(self.value * other, self.tally)
 
     __rmul__ = __mul__
-
-
-class TestPowerSeries:
-    def test_order_and_len(self):
-        s = frac_series(1, 2, 3)
-        assert s.order == 2
-        assert len(s) == 3
-        assert s[1] == 2
-
-    def test_immutable(self):
-        s = frac_series(1, 2)
-        with pytest.raises(AttributeError):
-            s.coeffs = ()
-
-    def test_empty_rejected(self):
-        with pytest.raises((SeriesOrderError, ValueError)):
-            PowerSeries([])
 
 
 class TestMul:
@@ -125,8 +106,8 @@ class TestLog:
         """log(a*b) = log(a) + log(b) coefficient-wise (order 16)."""
         rng_coeffs_a = [1] + [Fraction((-1) ** k * (k + 2), 2 * k + 3) for k in range(16)]
         rng_coeffs_b = [1] + [Fraction((3 * k - 5) % 7 - 3, k + 2) for k in range(16)]
-        a = PowerSeries([Fraction(c) for c in rng_coeffs_a])
-        b = PowerSeries([Fraction(c) for c in rng_coeffs_b])
+        a = frac_series(*rng_coeffs_a)
+        b = frac_series(*rng_coeffs_b)
         lhs = series_log(series_mul(a, b))
         assert list(lhs) == [x + y for x, y in zip(series_log(a), series_log(b))]
 
@@ -152,10 +133,9 @@ class TestComposeZmap:
         beta=st.fractions(min_value=-5, max_value=5, max_denominator=9),
     )
     def test_linear_exact(self, a, b, alpha, beta):
-        sa, sb = PowerSeries(a), PowerSeries(b)
-        combined = PowerSeries([alpha * x + beta * y for x, y in zip(a, b)])
+        combined = [alpha * x + beta * y for x, y in zip(a, b)]
         lhs = series_compose_zmap(combined)
-        ca, cb = series_compose_zmap(sa), series_compose_zmap(sb)
+        ca, cb = series_compose_zmap(a), series_compose_zmap(b)
         for n in range(5):
             assert lhs[n] == alpha * ca[n] + beta * cb[n]
 
@@ -166,14 +146,14 @@ class TestComposeZmap:
         )
     )
     def test_matches_horner_reference(self, a):
-        assert list(series_compose_zmap(PowerSeries(a))) == horner_compose_zmap(a)
+        assert list(series_compose_zmap(a)) == horner_compose_zmap(a)
 
     @pytest.mark.parametrize("order", [1, 10, 40, 80])
     def test_multiplications_at_most_quadratic(self, order):
         # a Horner loop of truncated products needs about order^3/6 of them
         tally = [0]
         a = [Counted(Fraction(k + 1, 2 * k + 3), tally) for k in range(order + 1)]
-        out = series_compose_zmap(PowerSeries(a))
+        out = series_compose_zmap(a)
         assert tally[0] <= order * (order + 1) // 2
         assert [c.value for c in out] == horner_compose_zmap([c.value for c in a])
 
@@ -194,9 +174,9 @@ class TestRawMpfKernel:
         ids=["mul", "log", "compose_zmap"],
     )
     def test_agrees_with_exact(self, op):
-        exact = op(PowerSeries(self.U), PowerSeries(self.V))
+        exact = op(self.U, self.V)
         with mp.workdps(60):
-            raw = op(*(PowerSeries([mpmath.mpf(c.numerator) / c.denominator for c in s])
+            raw = op(*([mpmath.mpf(c.numerator) / c.denominator for c in s]
                        for s in (self.U, self.V)))
             assert all(isinstance(c, mpmath.mpf) for c in raw)
             for got, want in zip(raw, exact):
@@ -208,31 +188,29 @@ class TestKernelBoundary:
     @pytest.mark.parametrize("precision", [20, 50])
     def test_outputs_tagged_at_requested_precision(self, build, precision):
         out = build(8, precision)
-        assert isinstance(out, PowerSeries)
-        assert out.order == 8
+        assert isinstance(out, tuple)
+        assert len(out) == 9
         for c in out:
             assert isinstance(c, BigReal)
             assert c.precision == precision
 
 
 class TestBinomial:
+    """The composition's weights: u^k = sum_{n>=k} C(n-1, k-1) z^n."""
+
     def test_paper_values(self):
-        assert binomial(4, 2) == 6
-        assert binomial(6, 3) == 20
-        assert binomial(10, 0) == 1
+        def weight(n, k):  # [z^(n+1)] u^(k+1) = C(n, k)
+            return series_compose_zmap(frac_series(*[0] * (k + 1), 1, *[0] * (n - k)))[n + 1]
 
-    def test_outside_triangle_zero(self):
-        assert binomial(4, 5) == 0
-        assert binomial(4, -1) == 0
-
-    def test_negative_n(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
+        assert weight(4, 2) == 6
+        assert weight(6, 3) == 20
+        assert weight(10, 0) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=0, max_value=64))
     def test_row_sums(self, n):
-        assert sum(binomial(n, k) for k in range(n + 1)) == 2**n
+        # u/(1-u) = z/(1-2z): row n of the weights sums to 2^n
+        assert series_compose_zmap(frac_series(0, *[1] * (n + 1)))[n + 1] == 2**n
 
 
 class TestParitySign:
