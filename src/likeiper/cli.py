@@ -166,11 +166,10 @@ def _parse_scheme(text: str) -> tuple[RecurrenceScheme, str]:
         raise ValueError(
             f"unknown scheme {text!r}; choose from {', '.join(_SCHEMES)} or m:<order>"
         )
-    try:
-        m = int(text[2:])
+    try:  # a non-integer order, or one below 2
+        return RecurrenceScheme(kind=ORDER_M, m=int(text[2:])), "tiny"
     except ValueError:
-        raise ValueError(f"bad order in scheme {text!r}; use m:<integer>")
-    return RecurrenceScheme(kind=ORDER_M, m=m), "tiny"
+        raise ValueError(f"bad order in scheme {text!r}; use m:<k> with integer k >= 2") from None
 
 
 def _parse_seed(text: str, digits: int) -> tuple[str, Optional[BigReal]]:
@@ -201,6 +200,10 @@ def cmd_approx(args: argparse.Namespace) -> int:
                 f"2..{scheme.m}, which no option supplies; only a1, m:2, d and a2 "
                 "self-seed from the command line"
             )
+        if (c is None) != (scheme.kind == VOROS):  # only a2 runs from bare initial
+            need = ("lambda(1) alone; use --seed initial" if scheme.kind == VOROS
+                    else "lambda(2) = c*lambda(1); use --seed initial:<c>")
+            raise ValueError(f"--seed {args.seed}: scheme {args.scheme} needs {need}")
         if args.stieltjes is not None or args.target is not None:
             raise ValueError(
                 "--seed initial runs from the closed-form lambda(1); "

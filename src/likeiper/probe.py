@@ -19,18 +19,22 @@ chosen from the requested precision and the height |Im s|.  zeta'(s) comes
 out of the same pass, differentiated analytically term by term, so each
 sample of f costs one sum; there are no finite differences.
 
-The sum runs in fixed point on (re, im) pairs of 2^wp-scaled ints (the idiom
-of F. Johansson, Numer. Algorithms 69 (2015)): a smallest-prime-factor sieve
+The sum runs in fixed point on scalar 2^wp-scaled ints (the idiom of F.
+Johansson, Numer. Algorithms 69 (2015)): a smallest-prime-factor sieve
 leaves exp and cos/sin to primes, Re s < 0 lifts wp by the digits the direct
 terms cancel, and the weights B_2j/(2j)! come from ``constants``' table.
-Along a line each prime's power is stepped, p^(-s') = p^(-s) p^(-delta) for
-the exact difference delta of the points, so exp and cos/sin run about once
-per prime and distinct grid step, not once per sample.
+A probe line keeps one state: the sieve and log n per wp, grown with N, and
+each prime's power, stepped as p^(-s') = p^(-s) p^(-delta) for the exact
+difference delta of the points, so log runs once per prime and wp, and exp
+and cos/sin about once per prime and distinct grid step.  The last step, f
+from zeta and zeta', stays on mpc: fixed point would save about a tenth
+more, left until the benchmark's memory stops tracking its pass count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath
@@ -78,7 +82,9 @@ def _zeta_and_deriv(s: ComplexLike, precision: int, line: Optional[dict] = None,
     lift or N) steps from p^0 = 1.  p^(-delta), delta the exact fixed-point
     difference, is kept under (p, delta, wp); the float grid lo + i step has
     few deltas.  Lines run lo -> hi, so |p^(-delta)| <= 1 and k steps add
-    O(k) ulps, which ``guard``, the step count's bit length, absorbs.
+    O(k) ulps, which ``guard``, the step count's bit length, absorbs.  The
+    sieve and log n, which depend on N and wp only, are kept under ("log",
+    wp) and extended as N grows.
     """
     line = {} if line is None else line
     work = precision + 15
@@ -93,49 +99,53 @@ def _zeta_and_deriv(s: ComplexLike, precision: int, line: Optional[dict] = None,
     sre, sim = to_fixed(sv.real._mpf_, wp), to_fixed(sv.imag._mpf_, wp)
     if (sre, sim) == (one, 0):
         raise ProbeEvaluationError("zeta has its pole at s = 1")
-    # n^(-s) for n <= N: exp and cos/sin at primes, one multiply per composite
-    spf = list(range(N + 1))
-    for p in range(2, math.isqrt(N) + 1):
-        spf[p * p :: p] = [min(q, p) for q in spf[p * p :: p]]
-    logs, powers = [0, 0], [(0, 0), (one, 0)]
+    spf, logs = line.get(("log", wp), ((), [0, 0]))
+    if len(spf) <= N:  # log n: log_int_fixed at primes, one add per composite
+        spf = list(range(N + 1))
+        for p in range(2, math.isqrt(N) + 1):
+            spf[p * p :: p] = [min(q, p) for q in spf[p * p :: p]]
+        for n in range(len(logs), N + 1):
+            logs.append(log_int_fixed(n, wp) if spf[n] == n else logs[spf[n]] + logs[n // spf[n]])
+        line[("log", wp)] = spf, logs
+    # n^(-s) = x + i y for n <= N: exp and cos/sin at primes, one multiply per composite
+    xs, ys = [0, one], [0, 0]
     for n in range(2, N + 1):
-        p, m = spf[n], n // spf[n]
-        if m == 1:
-            log_n = log_int_fixed(n, wp)
+        p = spf[n]
+        if p == n:
             held = line.get(n)  # the multiply by p^0 = 1 is exact
-            held = held if held and held[2] == wp else (0, 0, wp, (one, 0))
+            held = held if held and held[2] == wp else (0, 0, wp, one, 0)
             step = (n, sre - held[0], sim - held[1], wp)
             if step not in line:
-                line[step] = _power(log_n, step[1], step[2], wp)
-            powers.append(_mul(held[3], line[step], wp))
-            line[n] = (sre, sim, wp, powers[n])
+                line[step] = _power(logs[n], step[1], step[2], wp)
+            (a, b), (c, d) = held[3:], line[step]
         else:
-            log_n = logs[p] + logs[m]
-            powers.append(_mul(powers[p], powers[m], wp))
-        logs.append(log_n)
-    z = [sum(v[i] for v in powers[:N]) for i in (0, 1)]
-    dz = [-sum(log * v[i] for log, v in zip(logs[:N], powers[:N])) >> wp for i in (0, 1)]
+            a, b, c, d = xs[p], ys[p], xs[n // p], ys[n // p]
+        xs.append((a * c - b * d) >> wp)
+        ys.append((a * d + b * c) >> wp)
+    line.update((p, (sre, sim, wp, xs[p], ys[p])) for p in range(2, N + 1) if spf[p] == p)
+    z = sum(xs[:N]), sum(ys[:N])
+    dz = [-sum(map(operator.mul, logs, v[:N])) >> wp for v in (xs, ys)]
 
     # The rest has the factor w = N^(-s), applied at the end: w (N/(s-1) + 1/2),
     # s-derivative -w (N/(s-1) (log N + 1/(s-1)) + log(N)/2), and corrections.
-    log_N, w = logs[N], powers[N]
+    log_N, w = logs[N], (xs[N], ys[N])
     den = (sre - one) ** 2 + sim * sim
     inv = ((sre - one) << 2 * wp) // den, (-sim << 2 * wp) // den  # 1/(s-1)
     d_inv = _mul(inv, (log_N + inv[0], inv[1]), wp)
-    tail = [N * inv[0] + one // 2, N * inv[1]]
-    dtail = [-N * d_inv[0] - log_N // 2, -N * d_inv[1]]
-    limit = (one // 10 ** (work + 5)) ** 2 << 2 * wp  # target^2 for |term|^2 |w|^2
-    w2 = w[0] * w[0] + w[1] * w[1]
-    P, dP = (sre // N, sim // N), (one // N, 0)
+    tr, ti = N * inv[0] + one // 2, N * inv[1]
+    dtr, dti = -N * d_inv[0] - log_N // 2, -N * d_inv[1]
+    # |term|^2 |w|^2 < target^2 as |term|^2 < bound, exact for integer |term|^2
+    limit, w2 = (one // 10 ** (work + 5)) ** 2 << 2 * wp, w[0] * w[0] + w[1] * w[1]
+    bound = -(-limit // w2) if w2 else math.inf
+    NN, s2, p0, p1, dp0, dp1 = N * N, 2 * sim, sre // N, sim // N, one // N, 0
     previous = None
     for j in range(1, 4 * N):
         c = bernoulli_weight(j, wp)
-        term = [c * x >> wp for x in P]
-        dterm = [c * (dx - (log_N * x >> wp)) >> wp for x, dx in zip(P, dP)]
-        tail = [x + y for x, y in zip(tail, term)]
-        dtail = [x + y for x, y in zip(dtail, dterm)]
-        magnitude = term[0] ** 2 + term[1] ** 2
-        if magnitude * w2 < limit and (dterm[0] ** 2 + dterm[1] ** 2) * w2 < limit:
+        t0, t1 = c * p0 >> wp, c * p1 >> wp
+        d0, d1 = c * (dp0 - (log_N * p0 >> wp)) >> wp, c * (dp1 - (log_N * p1 >> wp)) >> wp
+        tr, ti, dtr, dti = tr + t0, ti + t1, dtr + d0, dti + d1
+        magnitude = t0 * t0 + t1 * t1
+        if magnitude < bound and d0 * d0 + d1 * d1 < bound:
             break
         if previous is not None and magnitude > previous:
             raise ProbeEvaluationError(
@@ -143,17 +153,18 @@ def _zeta_and_deriv(s: ComplexLike, precision: int, line: Optional[dict] = None,
                 "point too far outside the supported region"
             )
         previous = magnitude
-        # a = s + 2j - 1, b = s + 2j: P <- P ab / N^2, P' <- (P' ab + P (a + b)) / N^2
-        a, b = (sre + (2 * j - 1) * one, sim), (sre + 2 * j * one, sim)
-        ab, a_plus_b = _mul(a, b, wp), (a[0] + b[0], 2 * sim)
-        dP = [(x + y) // (N * N) for x, y in zip(_mul(dP, ab, wp), _mul(P, a_plus_b, wp))]
-        P = [x // (N * N) for x in _mul(P, ab, wp)]
+        # a = s + 2j - 1, b = a + 1: P <- P ab / N^2, P' <- (P' ab + P (a + b)) / N^2
+        a = sre + (2 * j - 1) * one
+        ab0, ab1, apb = (a * (a + one) - sim * sim) >> wp, (2 * a + one) * sim >> wp, 2 * a + one
+        x, y = (dp0 * ab0 - dp1 * ab1) >> wp, (dp0 * ab1 + dp1 * ab0) >> wp
+        dp0, dp1 = (x + (p0 * apb - p1 * s2 >> wp)) // NN, (y + (p0 * s2 + p1 * apb >> wp)) // NN
+        p0, p1 = ((p0 * ab0 - p1 * ab1) >> wp) // NN, ((p0 * ab1 + p1 * ab0) >> wp) // NN
     else:
         raise ProbeEvaluationError(f"zeta evaluation at {complex(sv)} missed the precision target")
     prec = dps_to_prec(work)
     return tuple(
         mp.make_mpc(tuple(from_man_exp(x + y, -wp, prec, "n") for x, y in zip(v, _mul(w, t, wp))))
-        for v, t in ((z, tail), (dz, dtail))
+        for v, t in ((z, (tr, ti)), (dz, (dtr, dti)))
     )
 
 

@@ -250,6 +250,27 @@ class TestApprox:
             f"past Python's {sys.get_int_max_str_digits()}-digit int-string limit\n"
         )
 
+    @pytest.mark.parametrize(
+        "scheme, seed, need",
+        [(s, "initial", "lambda(2) = c*lambda(1); use --seed initial:<c>")
+         for s in ("d", "a1", "m:2")]
+        + [("a2", f"initial:{c}", "lambda(1) alone; use --seed initial") for c in ("2", "0")],
+    )
+    def test_seed_form_the_scheme_cannot_take_names_the_right_one(self, scheme, seed, need):
+        code, out, err = run("approx", "--scheme", scheme, "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == f"likeiper: error: --seed {seed}: scheme {scheme} needs {need}\n"
+
+    @pytest.mark.parametrize("order", ["1", "0", "-3", "x", "2.5"])
+    @pytest.mark.parametrize("seed", ["exact", "initial", "initial:2"])
+    def test_bad_order_names_the_option_form(self, order, seed):
+        code, out, err = run("approx", "--scheme", f"m:{order}", "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == (
+            f"likeiper: error: bad order in scheme 'm:{order}'; "
+            "use m:<k> with integer k >= 2\n"
+        )
+
     def test_order3_cannot_self_seed_from_lambda1_alone(self):
         # no option supplies the values at indices 2..k that order k >= 3 needs
         for scheme, top in (("b", 3), ("m:4", 4)):

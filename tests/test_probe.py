@@ -399,3 +399,15 @@ class TestLineStepping:
         primes = sum(all(p % q for q in range(2, p)) for p in range(2, 95))
         assert (primes, len(steps)) == (24, 8)
         assert len(calls) <= primes * (len(steps) + 1)
+
+    def test_log_once_per_prime_and_working_precision(self, monkeypatch):
+        # the line keeps its sieve and log n, extended as N grows to 94
+        calls = []
+        original = probe_module.log_int_fixed
+        monkeypatch.setattr(
+            probe_module, "log_int_fixed", lambda n, wp: calls.append((n, wp)) or original(n, wp)
+        )
+        line_probe("im", 1.0, 0.0, 30.0, samples=100, precision=30)
+        assert len(calls) == len(set(calls))
+        assert all(n <= 94 and all(n % q for q in range(2, n)) for n, _ in calls)
+        assert len(calls) <= 24 * len({wp for _, wp in calls})
