@@ -279,11 +279,10 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         _emit(lines, args)
         return _EXIT_OK if all_consistent else _EXIT_CHECK_FAILED
 
-    lines += _table(
-        args, ("j", "z_partial", "z_tail_bound", "delta_bound"),
-        ((j, z, z_tail_bound(j, zeros, args.digits), delta_bound(j, args.digits))
-         for j, z in enumerate(z_partial(args.n_max, zeros, args.digits), 1)),
-    )
+    sums = zip(z_partial(args.n_max, zeros, args.digits),
+               z_tail_bound(args.n_max, zeros, args.digits), delta_bound(args.n_max, args.digits))
+    lines += _table(args, ("j", "z_partial", "z_tail_bound", "delta_bound"),
+                    ((j, *row) for j, row in enumerate(sums, 1)))
     _emit(lines, args)
     return _EXIT_OK
 

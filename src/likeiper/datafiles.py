@@ -1,18 +1,23 @@
 """Location and line format of the bundled data files.
 
-Data files are TSV: one ``index<TAB>decimal-value`` pair per line, ``#`` lines
-are comments (``# key: value`` comments carry metadata), indices strictly
-increasing.  The directory holding them can be overridden with the
+Every data file is TSV, read by ``read_table``: ``#`` lines are comments
+(``# key: value`` comments carry metadata), and each row is an integer index
+and one tab-separated field per name in the ``# columns:`` header (one field
+without it), indices strictly increasing.  Value tables hold one plain
+decimal per row.  The directory holding the files can be overridden with the
 ``LIKEIPER_DATA_DIR`` environment variable.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
-from typing import Tuple, Type
+from typing import Callable, Tuple, Type
 
 from .bigreal import MIN_DIGITS
+
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
 
 
 class DataFormatError(ValueError):
@@ -34,14 +39,12 @@ def default_zeros_path() -> Path:
     return data_dir() / "zeros.tsv"
 
 
-def parse_indexed_table(path: Path) -> Tuple[dict, list]:
-    """Parse an ``index<TAB>value`` file.
-
-    Returns ``(metadata, rows)`` where ``metadata`` maps lower-case keys from
-    ``# key: value`` comment lines and ``rows`` is a list of ``(index, text)``
-    pairs in file order.  Validates the strictly-increasing index invariant and
-    that every value parses as a decimal literal; actual numeric conversion is
-    left to the caller (which knows the target precision).
+def read_table(path: Path, parse_field: Callable[[str], object]) -> Tuple[dict, list]:
+    """Read a data file: ``(metadata, rows)``, where ``metadata`` maps
+    lower-case keys from ``# key: value`` lines and ``rows`` holds
+    ``(index, fields)`` in file order, each field passed through
+    ``parse_field``.  Every syntax error, and a ``ValueError`` from
+    ``parse_field``, raises ``DataFormatError`` naming ``path:line``.
     """
     metadata: dict = {}
     rows: list = []
@@ -62,54 +65,62 @@ def parse_indexed_table(path: Path) -> Tuple[dict, list]:
                 if key and " " not in key:
                     metadata[key] = value.strip()
             continue
-        parts = stripped.split("\t")
-        if len(parts) != 2:
+        index_text, *fields = stripped.split("\t")
+        width = len(metadata.get("columns", "value").split())
+        if len(fields) != width:
             raise DataFormatError(
-                f"{path}:{lineno}: expected 'index<TAB>value', got {stripped!r}"
+                f"{path}:{lineno}: expected 'index{'<TAB>value' * width}', got {stripped!r}"
             )
-        index_text, value_text = parts
         try:
             index = int(index_text)
         except ValueError as exc:
             raise DataFormatError(
                 f"{path}:{lineno}: non-integer index {index_text!r}"
             ) from exc
-        if not _is_decimal_literal(value_text):
-            raise DataFormatError(
-                f"{path}:{lineno}: value {value_text!r} is not a plain decimal"
-            )
+        try:
+            parsed = tuple(map(parse_field, fields))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         if last_index is not None and index <= last_index:
             raise DataFormatError(
                 f"{path}:{lineno}: index {index} not strictly increasing"
             )
         last_index = index
-        rows.append((index, value_text))
+        rows.append((index, parsed))
     if not rows:
         raise DataFormatError(f"{path}: no data rows found")
     return metadata, rows
 
 
+def parse_indexed_table(path: Path) -> Tuple[dict, list]:
+    """Read a value table: ``(metadata, rows)`` with ``rows`` a list of
+    ``(index, text)`` pairs, every text a plain decimal.  Numeric conversion
+    is left to the caller, which knows the target precision."""
+    metadata, rows = read_table(path, _decimal)
+    if len(rows[0][1]) != 1:
+        raise DataFormatError(f"{path}: a value table has one value column, not {len(rows[0][1])}")
+    return metadata, [(index, value) for index, (value,) in rows]
+
+
 def table_digits(path: Path, metadata: dict, rows: list, error: Type[ValueError]) -> int:
-    """The ``# digits:`` header, else the significant digits of the shortest
-    value; a count below ``MIN_DIGITS`` raises ``error``, naming the file."""
-    digits = int(metadata.get("digits", 0)) or min(
-        len(text.lstrip("+-").replace(".", "").lstrip("0")) for _, text in rows
-    )
+    """The digits a value table carries: the significant digits of its
+    shortest value, or the ``# digits:`` header if that is smaller.  A
+    malformed header, or a count below ``MIN_DIGITS``, raises ``error``
+    naming the file."""
+    digits = min(len(text.lstrip("+-").replace(".", "").lstrip("0")) for _, text in rows)
+    if "digits" in metadata:
+        header = metadata["digits"]
+        if not re.fullmatch("[0-9]+", header):
+            raise error(f"{path}: '# digits: {header}' is not a digit count")
+        digits = min(digits, int(header))
     if digits < MIN_DIGITS:
         raise error(f"{path}: table digit count {digits} too small (minimum {MIN_DIGITS})")
     return digits
 
 
-def _is_decimal_literal(text: str) -> bool:
-    body = text.strip()
-    if body.startswith(("+", "-")):
-        body = body[1:]
-    if not body:
-        return False
-    integer, _, fraction = body.partition(".")
-    if not (integer or fraction):
-        return False
-    return (integer == "" or integer.isdigit()) and (
-        fraction == "" or fraction.isdigit()
-    )
-
+def _decimal(text: str, what: str = "value") -> str:
+    """``text`` without surrounding blanks if it is a plain decimal literal
+    (no exponent), else ``ValueError``."""
+    if not _DECIMAL.fullmatch(text.strip()):
+        raise ValueError(f"{what} {text!r} is not a plain decimal")
+    return text.strip()

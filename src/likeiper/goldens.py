@@ -1,8 +1,8 @@
 """Golden reference tables and the machinery to recompute and compare them.
 
-Each golden table is a TSV fixture under ``data/tables/``.  A fixture records
-values exactly as printed in the reference tabulations, one row per index and
-one tab-separated cell per column.  Cell syntax::
+Each golden table is a TSV fixture under ``data/tables/`` in the ``datafiles``
+format, recording values exactly as printed in the reference tabulations: one
+row per index, one cell per ``# columns:`` name.  Cell syntax, checked at load::
 
     printed[!expect=corrected][!places=N]
 
@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .bigreal import DEFAULT_DIGITS, BigReal, big
 from .constants import euler_gamma
-from .datafiles import DataFormatError, data_dir
+from .datafiles import DataFormatError, _decimal, data_dir, read_table
 from .lambda_core import conjecture_scan, lambda_table
 from .recurrences import (
     phi_nlogn,
@@ -38,26 +38,9 @@ from .recurrences import (
     predict_voros,
 )
 
-#: Golden table names in source order; numeric ids 1..5 address the first five.
-TABLE_NAMES: Tuple[str, ...] = (
-    "ratio_order2",
-    "ratio_order3",
-    "tiny_fullhistory",
-    "trend_fullhistory",
-    "nlogn_sums",
-    "coeff20",
-    "scan_ratios",
-)
-
-TABLE_IDS: Dict[str, str] = {str(i + 1): name for i, name in enumerate(TABLE_NAMES[:5])}
-
 
 def tables_dir() -> Path:
     return data_dir() / "tables"
-
-
-def _places_of(text: str) -> int:
-    return len(text.split(".", 1)[1]) if "." in text else 0
 
 
 class GoldenCell(NamedTuple):
@@ -100,73 +83,46 @@ class GoldenTable(NamedTuple):
         return [c for c in self.cells.values() if c.flagged]
 
 
-def _parse_cell(row: int, column: str, text: str) -> Optional[GoldenCell]:
+def _parse_cell(text: str) -> Optional[Tuple[str, Optional[str], int]]:
+    """``printed[!expect=corrected][!places=N]`` as (printed, expect, places);
+    ``-`` (not printed) gives None."""
     if text == "-":
         return None
-    parts = text.split("!")
-    printed = parts[0]
+    printed, *annotations = text.split("!")
     expect: Optional[str] = None
     places: Optional[int] = None
-    for part in parts[1:]:
-        if part.startswith("expect="):
-            expect = part[len("expect="):]
-        elif part.startswith("places="):
-            places = int(part[len("places="):])
+    for annotation in annotations:
+        key, _, value = annotation.partition("=")
+        if key == "expect":
+            expect = _decimal(value, "!expect value")
+        elif key == "places":
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(f"!places value {value!r} is not a non-negative integer")
+            places = int(value)
         else:
-            raise DataFormatError(f"unknown cell annotation {part!r} in row {row}")
-    if not printed:
-        raise DataFormatError(f"empty cell value in row {row} column {column}")
-    if places is None:
-        places = _places_of(expect if expect is not None else printed)
-    return GoldenCell(row=row, column=column, printed=printed, expect=expect, places=places)
+            raise ValueError(f"unknown cell annotation {annotation!r}")
+    _decimal(printed, "printed value")
+    if places is None:  # the decimals of the value a recomputation should reproduce
+        places = len((expect or printed).partition(".")[2])
+    return printed, expect, places
 
 
 def load_golden(name: str) -> GoldenTable:
     """Load a golden fixture by name or numeric id ("1".."5")."""
-    name = TABLE_IDS.get(name, name)
-    if name not in TABLE_NAMES:
-        raise DataFormatError(
-            f"unknown golden table {name!r}; known: {', '.join(TABLE_NAMES)}"
-        )
+    name = _table_name(name)
     path = tables_dir() / f"{name}.tsv"
-    if not path.is_file():
-        raise DataFormatError(f"golden table file missing: {path}")
-    metadata: Dict[str, str] = {}
-    cells: Dict[Tuple[int, str], GoldenCell] = {}
-    columns: Tuple[str, ...] = ()
-    last_row = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, value = body.split(":", 1)
-                metadata[key.strip()] = value.strip()
-            continue
-        fields = line.split("\t")
-        if not columns:
-            columns = tuple(metadata.get("columns", "").split())
-            if not columns:
-                raise DataFormatError(f"{path}: missing '# columns:' header")
-        if len(fields) != len(columns) + 1:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(columns) + 1} fields, got {len(fields)}"
-            )
-        try:
-            row = int(fields[0])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad row index {fields[0]!r}") from exc
-        if last_row is not None and row <= last_row:
-            raise DataFormatError(f"{path}:{lineno}: row indices must increase")
-        last_row = row
-        for column, text in zip(columns, fields[1:]):
-            cell = _parse_cell(row, column, text)
-            if cell is not None:
-                cells[(row, column)] = cell
+    metadata, rows = read_table(path, _parse_cell)
+    columns = tuple(metadata.get("columns", "").split())
+    if not columns:
+        raise DataFormatError(f"{path}: missing '# columns:' header")
+    cells = {
+        (row, column): GoldenCell(row, column, *cell)
+        for row, fields in rows
+        for column, cell in zip(columns, fields)
+        if cell is not None
+    }
     if not cells:
-        raise DataFormatError(f"{path}: no data rows")
+        raise DataFormatError(f"{path}: no printed cells")
     return GoldenTable(name=name, columns=columns, cells=cells)
 
 
@@ -249,13 +205,23 @@ _BUILDERS: Dict[str, Builder] = {
     "scan_ratios": _build_scan_ratios,
 }
 
+#: Golden table names in source order; numeric ids 1..5 address the first five.
+TABLE_NAMES: Tuple[str, ...] = tuple(_BUILDERS)
+
+TABLE_IDS: Dict[str, str] = {str(i + 1): name for i, name in enumerate(TABLE_NAMES[:5])}
+
+
+def _table_name(name: str) -> str:
+    """A golden table's name, given its name or numeric id."""
+    name = TABLE_IDS.get(name, name)
+    if name not in _BUILDERS:
+        raise DataFormatError(f"unknown golden table {name!r}; known: {', '.join(TABLE_NAMES)}")
+    return name
+
 
 def recompute_table(name: str, precision: int = DEFAULT_DIGITS) -> Dict[Tuple[int, str], BigReal]:
     """Recompute every cell of a golden table from scratch."""
-    name = TABLE_IDS.get(name, name)
-    if name not in _BUILDERS:
-        raise DataFormatError(f"no builder for golden table {name!r}")
-    return _BUILDERS[name](precision)
+    return _BUILDERS[_table_name(name)](precision)
 
 
 # ---------------------------------------------------------------------------
@@ -328,29 +294,16 @@ def _compare_cell(cell: GoldenCell, recomputed: BigReal, tolerance: BigReal) -> 
     )
 
 
-def verify_table(
-    name: str,
-    precision: int = DEFAULT_DIGITS,
-    tolerance_overrides: Optional[Dict[str, BigReal]] = None,
-) -> TableReport:
-    """Recompute a golden table and compare each printed cell.
-
-    ``tolerance_overrides`` maps column names to fixed tolerances, replacing
-    the default one-print-unit resolution for those columns.
-    """
+def verify_table(name: str, precision: int = DEFAULT_DIGITS) -> TableReport:
+    """Recompute a golden table and compare each printed cell at one unit
+    in its last printed decimal place."""
     table = load_golden(name)
     values = recompute_table(table.name, precision)
-    overrides = tolerance_overrides or {}
     reports: List[CellReport] = []
-    for row in table.rows:
-        for column in table.columns:
-            cell = table.cells.get((row, column))
-            if cell is None:
-                continue
-            if (row, column) not in values:
-                raise DataFormatError(
-                    f"{table.name}: no recomputed value for row {row} column {column}"
-                )
-            tolerance = overrides.get(column, cell.tolerance(precision))
-            reports.append(_compare_cell(cell, values[(row, column)], tolerance))
+    for (row, column), cell in table.cells.items():  # file order: by row, then column
+        if (row, column) not in values:
+            raise DataFormatError(
+                f"{table.name}: no recomputed value for row {row} column {column}"
+            )
+        reports.append(_compare_cell(cell, values[(row, column)], cell.tolerance(precision)))
     return TableReport(table=table, precision=precision, reports=tuple(reports))

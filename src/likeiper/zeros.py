@@ -4,9 +4,10 @@ With x_k = 1/4 + t_k^2 (t_k the imaginary parts of the nontrivial zeros),
 the power sums Z(j) = sum_k x_k^(-j) tie the coefficient sequence to the
 zeros through a binomial inversion: the alternating central-binomial
 combination of lambda_1..lambda_n equals Z(n) up to a tail that shrinks like
-t_1^(-(2n-1)).  This module computes the truncated sums (Z(1..n) in one
-fixed-point pass), rigorous-to-a-factor tail bounds from the zero-counting
-density (1/2pi) log(t/2pi) dt, and the inversion consistency check.
+t_1^(-(2n-1)).  This module computes, each for j = 1..n in one pass, the
+truncated sums (in fixed point) and rigorous-to-a-factor bounds on their tails
+and on the dropped remainders from the zero-counting density
+(1/2pi) log(t/2pi) dt; and the inversion consistency check.
 
 Ordinates are ingested from a data file, never computed here; the shipped
 table carries provenance in its header.
@@ -122,41 +123,47 @@ def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> T
     return tuple(sums)
 
 
-def tail_integral(j: int, T: BigReal | int, precision: int = DEFAULT_DIGITS) -> BigReal:
-    """Closed form of the density integral over the omitted tail:
+def _density_tails(j_max: int, T: mpmath.mpf, precision: int) -> Tuple[BigReal, ...]:
+    """The density integral over the omitted tail, for j = 1..j_max:
 
         integral_T^inf (1/2pi) log(t/2pi) t^(-2j) dt
           = (1/2pi) T^(-(2j-1)) (1/(2j-1)) (log(T/2pi) + 1/(2j-1)).
+
+    1/2pi and log(T/2pi) are computed once; each j takes its own power of T
+    and evaluates the closed form left to right, so every value has the bits
+    of a separate evaluation for that j alone.
     """
-    if j < 1:
-        raise ValueError("tail_integral needs j >= 1")
+    if j_max < 1:
+        raise ValueError("tail bounds need j_max >= 1")
     with mp.workdps(precision + 10):
-        Tv = T.value if isinstance(T, BigReal) else mpmath.mpf(T)
         twopi = 2 * mp.pi
-        inv = mpmath.mpf(1) / (2 * j - 1)
-        value = (1 / twopi) * Tv ** (-(2 * j - 1)) * inv * (mpmath.log(Tv / twopi) + inv)
-        return BigReal(value, precision)
+        scale, log_term = 1 / twopi, mpmath.log(T / twopi)
+        tails = []
+        for j in range(1, j_max + 1):
+            inv = mpmath.mpf(1) / (2 * j - 1)
+            tails.append(BigReal(scale * T ** (-(2 * j - 1)) * inv * (log_term + inv), precision))
+    return tuple(tails)
 
 
-def z_tail_bound(j: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> BigReal:
-    """Upper bound on the omitted tail of z_partial(j).
+def z_tail_bound(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:
+    """Upper bounds on the omitted tails of z_partial(j), j = 1..j_max.
 
     Twice the density integral beyond the last ingested ordinate: the
     zero-counting function fluctuates around the smooth density, and the
     factor 2 absorbs that fluctuation over every range relevant here.
     """
-    return tail_integral(j, zeros.last, precision) * 2
+    return tuple(tail * 2 for tail in _density_tails(j_max, zeros.last.value, precision))
 
 
-def delta_bound(n: int, precision: int = DEFAULT_DIGITS) -> BigReal:
-    """Bound on the dropped remainder Delta(n) = sum_rho (-1)^(n-1) rho^(-n):
+def delta_bound(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:
+    """Bounds on the dropped remainders Delta(n) = sum_rho (-1)^(n-1) rho^(-n), n = 1..n_max:
 
         |Delta(n)| < (1/2pi) (1/14)^(2n-1) (1/(2n-1)) (log(14/2pi) + 1/(2n-1)).
 
-    This is the density integral (``tail_integral``) from the first-zero
-    height; it does not assume anything about the real parts of the zeros.
+    This is the density integral from the first-zero height; it does not
+    assume anything about the real parts of the zeros.
     """
-    return tail_integral(n, 14, precision)
+    return _density_tails(n_max, mpmath.mpf(14), precision)
 
 
 class InversionCheck(NamedTuple):
@@ -179,7 +186,6 @@ def inversion_check(
     lambdas: LambdaTable,
     zeros: ZeroList,
     precision: int = DEFAULT_DIGITS,
-    allowance: Optional[BigReal] = None,
 ) -> Tuple[InversionCheck, ...]:
     """Check sum_{k=0}^n (-1)^(k-1) C(2n, n-k) lambda_k = Z(n) for n = 1..n_max.
 
@@ -189,8 +195,9 @@ def inversion_check(
 
         |LHS - z_partial(n)| <= z_tail_bound(n) + allowance
 
-    with a tiny allowance (default 10^-40) for the rounding of the lambda
-    values themselves.  One ``z_partial`` pass gives every Z(n).
+    with a tiny allowance of 10^-40 for the rounding of the lambda values
+    themselves.  One ``z_partial`` and one ``z_tail_bound`` pass give every
+    Z(n) and its bound.
     """
     from .recurrences import predict_voros  # here, so that loading zeros loads no predictor
 
@@ -200,13 +207,12 @@ def inversion_check(
         raise ValueError(
             f"lambda table covers n <= {lambdas.n_max}, need n = {n_max}"
         )
-    if allowance is None:
-        allowance = BigReal(1, precision) / (10 ** 40)
+    allowance = BigReal(1, precision) / (10 ** 40)
     history = lambdas.lambda_history()
+    sums = zip(z_partial(n_max, zeros, precision), z_tail_bound(n_max, zeros, precision))
     rows = []
-    for n, z_trunc in enumerate(z_partial(n_max, zeros, precision), 1):
+    for n, (z_trunc, bound) in enumerate(sums, 1):
         lhs = (history[n] - predict_voros(history, n)) * parity_sign(n - 1)
-        bound = z_tail_bound(n, zeros, precision)
         rows.append(InversionCheck(
             n=n,
             lhs=lhs,

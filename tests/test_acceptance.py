@@ -183,7 +183,7 @@ def test_voros_defect_equals_truncated_zero_power_sum(table7, zeros):
         prediction = predict_voros(history[:n], n)
         defect = table7.lam(n) - prediction
         residual = abs(defect - z_partial(n, zeros, DIGITS)[n - 1] * parity_sign(n - 1))
-        bound = z_tail_bound(n, zeros, DIGITS)
+        bound = z_tail_bound(n, zeros, DIGITS)[n - 1]
         assert residual <= bound, (
             f"n={n}: residual {float(residual):.3e} outside tail bound "
             f"{float(bound):.3e}"
@@ -303,11 +303,12 @@ def test_criterion_06_inversion_consistent_for_n_1_to_7(table7, zeros):
     allowance = big("1e-40", DIGITS)
     residuals = []
     for n in range(1, 8):
-        check = inversion_check(n, table7, zeros, DIGITS, allowance=allowance)[n - 1]
+        check = inversion_check(n, table7, zeros, DIGITS)[n - 1]
         assert check.consistent, f"inversion inconsistent at n={n}"
+        assert check.residual <= check.tail_bound + allowance, f"inversion inconsistent at n={n}"
         residuals.append(float(check.residual))
 
-    first = inversion_check(1, table7, zeros, DIGITS, allowance=allowance)[0]
+    first = inversion_check(1, table7, zeros, DIGITS)[0]
     lam1 = table7.lam(1)
     assert first.z_truncated < lam1 < first.z_truncated + first.tail_bound
     print(
@@ -325,7 +326,7 @@ def test_criterion_06_inversion_consistent_for_n_1_to_7(table7, zeros):
 def test_criterion_07_delta_bound_and_partial_sum_decay(zeros):
     """delta_bound(5) < 1e-11 and |z_partial(j)| < 14.134^-(2j-1) for
     1 <= j <= 8."""
-    d5 = delta_bound(5, DIGITS)
+    d5 = delta_bound(5, DIGITS)[4]
     assert d5 < big("1e-11", DIGITS), f"delta_bound(5) = {float(d5):.3e}"
     for j in range(1, 9):
         partial = abs(z_partial(j, zeros, DIGITS)[j - 1])

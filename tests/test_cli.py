@@ -349,6 +349,32 @@ class TestZeros:
         assert code == 2 and out == ""
         assert f"{path}: table digit count 8 too small" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--inversion",)])
+    def test_header_claiming_more_digits_than_the_values_exit_2(self, tmp_path, mode):
+        # the shipped file with every ordinate cut to 18 decimals (20 significant
+        # digits) under its unchanged "# digits: 50" header
+        lines = default_zeros_path().read_text().splitlines()
+        assert "# digits: 50" in lines
+        path = tmp_path / "zeros.tsv"
+        path.write_text("".join(
+            (line if line.startswith("#") else line[: line.index(".") + 19]) + "\n"
+            for line in lines
+        ))
+        code, out, err = run("zeros", *mode, "--n-max", "2", "--digits", "40", "--zeros", str(path))
+        assert code == 2 and out == ""
+        assert "--digits 40 exceeds the 20 digits of the zero table" in err
+
+    @pytest.mark.parametrize("command, option, shipped", [
+        ("zeros", "--zeros", default_zeros_path()),
+        ("lambda", "--stieltjes", default_stieltjes_path()),
+    ])
+    def test_malformed_digits_header_exit_2(self, tmp_path, command, option, shipped):
+        path = tmp_path / shipped.name
+        path.write_text(re.sub("# digits: [0-9]+", "# digits: abc", shipped.read_text()))
+        code, out, err = run(command, "--n-max", "2", option, str(path))
+        assert code == 2 and out == ""
+        assert err == f"likeiper: error: {path}: '# digits: abc' is not a digit count\n"
+
     def test_missing_zero_file(self, tmp_path):
         code, _, err = run("zeros", "--zeros", str(tmp_path / "nope.tsv"))
         assert code == 2

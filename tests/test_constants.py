@@ -180,7 +180,7 @@ def write_table(tmp_path: Path, body: str, digits: int = 30) -> Path:
 
 
 GAMMA0 = "0.577215664901532860606512090082"
-GAMMA1 = "-0.072815845483676724860586375875"
+GAMMA1 = "-0.0728158454836767248605863758749"
 
 
 class TestLoadErrors:

@@ -49,12 +49,17 @@ class TestParseIndexedTable:
         with pytest.raises(DataFormatError, match="index<TAB>value"):
             parse_indexed_table(path)
 
+    def test_one_value_column(self, tmp_path):
+        path = write(tmp_path, "# columns: a b\n0\t1.0\t2.0\n")
+        with pytest.raises(DataFormatError, match="one value column, not 2"):
+            parse_indexed_table(path)
+
     def test_non_integer_index(self, tmp_path):
         path = write(tmp_path, "zero\t1.0\n")
         with pytest.raises(DataFormatError, match="non-integer index"):
             parse_indexed_table(path)
 
-    @pytest.mark.parametrize("bad", ["1.0e5", "abc", "1.2.3", "-", "", "0x1f"])
+    @pytest.mark.parametrize("bad", ["1.0e5", "abc", "1.2.3", "-", "", "0x1f", "\u0663"])
     def test_rejects_non_decimal_values(self, tmp_path, bad):
         path = write(tmp_path, f"0\t{bad}\n")
         with pytest.raises(DataFormatError):

@@ -9,6 +9,7 @@ from likeiper.goldens import (
     TABLE_NAMES,
     GoldenCell,
     load_golden,
+    recompute_table,
     tables_dir,
     verify_table,
 )
@@ -127,12 +128,25 @@ class TestStrictParsing:
             self.write_and_load(monkeypatch, tmp_path, "# columns: ratio\n1\t1.0\t2.0\n")
 
     def test_bad_row_index(self, monkeypatch, tmp_path):
-        with pytest.raises(DataFormatError, match="bad row index"):
+        with pytest.raises(DataFormatError, match="non-integer index"):
             self.write_and_load(monkeypatch, tmp_path, "# columns: ratio\none\t1.0\n")
 
     def test_non_increasing_rows(self, monkeypatch, tmp_path):
-        with pytest.raises(DataFormatError, match="must increase"):
+        with pytest.raises(DataFormatError, match="not strictly increasing"):
             self.write_and_load(monkeypatch, tmp_path, "# columns: ratio\n2\t1.0\n1\t0.5\n")
+
+    @pytest.mark.parametrize("cell, message", [
+        ("0.7.83", "printed value '0.7.83' is not a plain decimal"),
+        ("", "printed value '' is not a plain decimal"),
+        ("1.0!expect=abc", "!expect value 'abc' is not a plain decimal"),
+        ("1.0!expect=", "!expect value '' is not a plain decimal"),
+        ("1!places=x", "!places value 'x' is not a non-negative integer"),
+        ("1!places=-1", "!places value '-1' is not a non-negative integer"),
+    ])
+    def test_malformed_cell_names_path_and_line(self, monkeypatch, tmp_path, cell, message):
+        with pytest.raises(DataFormatError) as info:
+            self.write_and_load(monkeypatch, tmp_path, f"# columns: ratio pred\n1\t{cell}\t1.0\n")
+        assert str(info.value).endswith(f"scan_ratios.tsv:2: {message}")
 
     def test_no_data_rows(self, monkeypatch, tmp_path):
         with pytest.raises(DataFormatError, match="no data rows"):
@@ -163,8 +177,7 @@ class TestVerification:
     def test_flags_are_load_bearing(self, name):
         # a flag is honest only if the recomputation reproduces the
         # correction AND refutes the printed value
-        overrides = {"lam": big("0.5e-19", 50)} if name == "coeff20" else None
-        report = verify_table(name, 50, tolerance_overrides=overrides)
+        report = verify_table(name, 50)
         for cell in load_golden(name).flagged_cells:
             cr = report.report_for(cell.row, cell.column)
             assert cr.matches, (cell.row, cell.column)
@@ -186,10 +199,15 @@ class TestVerification:
             assert m.deviation < big("2.5e-17", 50)
 
     def test_coeff20_lam_column_within_consumption_tolerance(self):
-        report = verify_table("coeff20", 50, tolerance_overrides={"lam": big("0.5e-19", 50)})
-        lam_misses = [m for m in report.mismatches if m.cell.column == "lam"]
-        assert lam_misses == []
-        remaining = {(m.cell.row, m.cell.column) for m in report.mismatches}
+        # every lam cell, flagged ones against their correction, lies within
+        # half a unit in the 19th place; the other misses are the 9 scheme cells
+        table = load_golden("coeff20")
+        values = recompute_table("coeff20", 50)
+        for row in table.rows:
+            cell = table.cell(row, "lam")
+            assert abs(values[(row, "lam")] - big(cell.target, 50)) < big("0.5e-19", 50), row
+        report = verify_table("coeff20", 50)
+        remaining = {(m.cell.row, m.cell.column) for m in report.mismatches if m.cell.column != "lam"}
         assert len(remaining) == 9
         assert all(col in ("a1", "a2") for _, col in remaining)
 

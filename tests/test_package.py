@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 from types import ModuleType
 
@@ -29,12 +30,17 @@ def run_fresh(code: str) -> None:
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def traced_modules():
-    """The modules whose functions perfbench/tracing.py patches by name."""
+def traced_targets():
+    """The (module, attribute) pairs that perfbench/tracing.py patches by name."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return sorted({module for module, *_ in tracing.TARGETS})
+    return [(module, attribute) for module, attribute, *_ in tracing.TARGETS]
+
+
+def traced_modules():
+    """The modules whose functions perfbench/tracing.py patches by name."""
+    return sorted({module for module, _ in traced_targets()})
 
 
 def test_root_exports_only_the_library_example_names():
@@ -64,7 +70,7 @@ PUBLIC_SURFACE = {
                   "load_stieltjes", "log_pi", "log_two", "polygamma_half", "zeta_int",
                   "zeta_ints"},
     "datafiles": {"DataFormatError", "data_dir", "default_stieltjes_path", "default_zeros_path",
-                  "parse_indexed_table", "table_digits"},
+                  "parse_indexed_table", "read_table", "table_digits"},
     "goldens": {"Builder", "CellReport", "GoldenCell", "GoldenTable", "TABLE_IDS", "TABLE_NAMES",
                 "TableReport", "load_golden", "recompute_table", "tables_dir", "verify_table"},
     "lambda_core": {"LambdaTable", "ScanRow", "binomial_guard_digits", "conjecture_scan",
@@ -80,7 +86,7 @@ PUBLIC_SURFACE = {
     "series": {"Coefficient", "SeriesDomainError", "SeriesOrderError", "parity_sign",
                "series_compose_zmap", "series_log", "series_mul"},
     "zeros": {"InversionCheck", "ZeroDataError", "ZeroList", "delta_bound", "inversion_check",
-              "load_zeros", "tail_integral", "z_partial", "z_tail_bound"},
+              "load_zeros", "z_partial", "z_tail_bound"},
 }
 
 
@@ -153,3 +159,15 @@ def test_cli_import_loads_every_traced_module():
         f"missing = set({modules!r}) - set(sys.modules); "
         "assert not missing, missing"
     )
+
+
+def test_every_traced_name_resolves():
+    # a rename of a function the tracer patches by name fails here, in tier-1,
+    # and not only in the traced benchmark run
+    missing = []
+    for module, attribute in traced_targets():
+        try:
+            attrgetter(attribute)(importlib.import_module(module))
+        except AttributeError:
+            missing.append(f"{module}.{attribute}")
+    assert not missing

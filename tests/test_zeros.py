@@ -3,7 +3,8 @@
 The shipped ordinates are validated by evaluating zeta on the critical
 line: the function must essentially vanish at each ordinate and must NOT
 vanish between consecutive ones, which catches shifted or duplicated rows.
-The closed-form tail integral is checked against adaptive quadrature.
+The closed-form tail integral is checked against adaptive quadrature, and
+the one-pass bounds bit for bit against the closed form evaluated per j.
 """
 
 import math
@@ -21,7 +22,6 @@ from likeiper.zeros import (
     delta_bound,
     inversion_check,
     load_zeros,
-    tail_integral,
     z_partial,
     z_tail_bound,
 )
@@ -162,60 +162,96 @@ def _per_n_inversion_row(n, lambdas, zeros, precision):
         z_trunc = BigReal(total, precision)
     history = lambdas.lambda_history()
     lhs = (history[n] - predict_voros(history, n)) * parity_sign(n - 1)
-    bound = z_tail_bound(n, zeros, precision)
+    bound = _tail_integral(n, zeros.last, precision) * 2
     allowance = BigReal(1, precision) / (10 ** 40)
     return lhs, z_trunc, bound, allowance, abs(lhs - z_trunc) <= bound + allowance
 
 
+def _tail_integral(j, T, precision):
+    """The density integral beyond height T for one j, by the closed form as
+    first written, one call per j: the oracle for the one-pass bounds."""
+    with mp.workdps(precision + 10):
+        Tv = T.value if isinstance(T, BigReal) else mpmath.mpf(T)
+        twopi = 2 * mp.pi
+        inv = mpmath.mpf(1) / (2 * j - 1)
+        value = (1 / twopi) * Tv ** (-(2 * j - 1)) * inv * (mpmath.log(Tv / twopi) + inv)
+        return BigReal(value, precision)
+
+
+def _bits(values):
+    return [(v.precision, v.value._mpf_) for v in values]
+
+
 class TestTailIntegral:
-    def test_small_at_moderate_height(self):
-        value = tail_integral(1, 100, 50)
+    """The density integral, through delta_bound (from height 14) and
+    z_tail_bound (twice the integral beyond the last ordinate)."""
+
+    def test_small_at_moderate_height(self, zeros):
+        value = z_tail_bound(1, zeros, 50)[0]
         assert 0 < value < big(1, 50) / 100
 
     @pytest.mark.parametrize("j", [1, 2, 3])
-    def test_matches_quadrature(self, j):
+    def test_matches_quadrature(self, zeros, j):
         with mp.workdps(45):
-            expected = mp.quad(
-                lambda x: mp.log(x / (2 * mp.pi)) / (2 * mp.pi) * x ** (-2 * j),
-                [100, mp.inf],
-            )
-            got = tail_integral(j, 100, 40)
-            assert abs(got.value - expected) < mpmath.mpf(10) ** -30
+            def integral(height):
+                return mp.quad(
+                    lambda x: mp.log(x / (2 * mp.pi)) / (2 * mp.pi) * x ** (-2 * j),
+                    [height, mp.inf],
+                )
+            got = delta_bound(3, 40)[j - 1]
+            assert abs(got.value - integral(14)) < mpmath.mpf(10) ** -30
+            got = z_tail_bound(3, zeros, 40)[j - 1]
+            assert abs(got.value - 2 * integral(zeros.last.value)) < mpmath.mpf(10) ** -30
 
-    def test_decreasing_in_j_and_height(self):
-        assert tail_integral(1, 100, 40) > tail_integral(2, 100, 40)
-        assert tail_integral(1, 100, 40) > tail_integral(1, 200, 40)
+    def test_decreasing_in_j_and_height(self, zeros):
+        low = delta_bound(2, 40)
+        assert low[0] > low[1]
+        assert low[0] > z_tail_bound(1, zeros, 40)[0] / 2
 
-    def test_accepts_bigreal_height(self, zeros):
-        a = tail_integral(2, zeros.last, 40)
-        b = tail_integral(2, int(float(zeros.last)), 40)
-        # same order of magnitude; exact equality is not expected
-        assert a > 0 and b > 0
+    def test_accepts_bigreal_height(self, tmp_path):
+        # the bound starts at the last ordinate of the list it is given
+        short = _short_table(tmp_path, 2)
+        expected = [_tail_integral(j, short.last, 40) * 2 for j in (1, 2)]
+        assert _bits(z_tail_bound(2, short, 40)) == _bits(expected)
 
-    def test_rejects_j_below_1(self):
+    def test_rejects_j_below_1(self, zeros):
         with pytest.raises(ValueError):
-            tail_integral(0, 100)
+            z_tail_bound(0, zeros)
+        with pytest.raises(ValueError):
+            delta_bound(0)
 
 
 class TestZTailBound:
     def test_is_twice_the_integral(self, zeros):
+        bounds = z_tail_bound(6, zeros, 50)
         for j in (1, 3, 6):
-            bound = z_tail_bound(j, zeros, 50)
-            assert bound.agrees_to(tail_integral(j, zeros.last, 50) * 2, 45)
+            assert bounds[j - 1].agrees_to(_tail_integral(j, zeros.last, 50) * 2, 45)
 
     def test_decreasing_in_j(self, zeros):
-        bounds = [z_tail_bound(j, zeros, 50) for j in range(1, 7)]
+        bounds = z_tail_bound(6, zeros, 50)
         for a, b in zip(bounds, bounds[1:]):
             assert a > b > 0
+
+    @pytest.mark.parametrize("digits", [12, 30, 50, 100])
+    def test_bit_identical_to_per_j_closed_form(self, zeros, digits):
+        z_expected = [_tail_integral(j, zeros.last, digits) * 2 for j in range(1, 41)]
+        assert _bits(z_tail_bound(40, zeros, digits)) == _bits(z_expected)
+        d_expected = [_tail_integral(n, 14, digits) for n in range(1, 41)]
+        assert _bits(delta_bound(40, digits)) == _bits(d_expected)
+
+    def test_prefix_of_longer_pass(self, zeros):
+        assert _bits(z_tail_bound(5, zeros, 50)) == _bits(z_tail_bound(32, zeros, 50)[:5])
+        assert _bits(delta_bound(5, 50)) == _bits(delta_bound(32, 50)[:5])
 
 
 class TestDeltaBound:
     def test_magnitude_at_5(self):
-        d5 = delta_bound(5, 50)
+        d5 = delta_bound(5, 50)[4]
         assert d5 < big(1, 50) / 10**11
         assert big(1, 50) / 10**13 < d5 < big(1, 50) / 10**12
 
     def test_formula_recomputation(self):
+        bounds = delta_bound(8, 50)
         with mp.workdps(60):
             for n in (1, 3, 5, 8):
                 inv = mpmath.mpf(1) / (2 * n - 1)
@@ -225,11 +261,12 @@ class TestDeltaBound:
                     * inv
                     * (mpmath.log(14 / (2 * mp.pi)) + inv)
                 )
-                assert abs(delta_bound(n, 50).value - expected) < mpmath.mpf(10) ** -45
+                assert abs(bounds[n - 1].value - expected) < mpmath.mpf(10) ** -45
 
     def test_geometric_decay(self):
+        bounds = delta_bound(8, 50)
         for n in range(2, 8):
-            ratio = delta_bound(n + 1, 50) / delta_bound(n, 50)
+            ratio = bounds[n] / bounds[n - 1]
             assert ratio < big(1, 50) / 14**2
 
     def test_rejects_n_below_1(self):
@@ -263,8 +300,8 @@ class TestInversionCheck:
         assert big("2.8e-23", 50) < r5 < big("2.9e-23", 50)
 
     def test_zero_allowance_still_consistent_for_n2(self, table7, zeros):
-        check = inversion_check(2, table7, zeros, 50, allowance=BigReal(0, 50))[1]
-        assert check.consistent
+        check = inversion_check(2, table7, zeros, 50)[1]
+        assert check.residual <= check.tail_bound
 
     def test_tampered_lambda_detected(self, table7, zeros):
         bumped = list(table7.total)
