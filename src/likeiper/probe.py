@@ -26,20 +26,24 @@ terms cancel, and the weights B_2j/(2j)! come from ``constants``' table.
 A probe line keeps one state: the sieve and log n per wp, grown with N, and
 each prime's power, stepped as p^(-s') = p^(-s) p^(-delta) for the exact
 difference delta of the points, so log runs once per prime and wp, and exp
-and cos/sin about once per prime and distinct grid step.  The last step, f
-from zeta and zeta', stays on mpc: fixed point would save about a tenth
-more, left until the benchmark's memory stops tracking its pass count.
+and cos/sin about once per prime and distinct grid step.  f follows on the
+same ints: a line's points enter as the exact mpf parts of their floats,
+zeta'/zeta is one integer complex division, and each part of f is rounded
+once, into the ``BigReal`` a sample keeps.  mpc appears only where
+``zeta_complex``, ``zeta_deriv`` and ``f_eval`` take and return values.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, log_int_fixed, mpf_cos_sin, mpf_exp, to_fixed
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_man_exp, ften, log_int_fixed, mpc_abs,
+                          mpc_sub_mpf, mpf_abs, mpf_cos_sin, mpf_exp, mpf_lt, mpf_pow_int,
+                          round_nearest, to_fixed, to_float, to_int)
 
 from .bigreal import BigReal
 from .constants import bernoulli_weight, euler_gamma
@@ -67,9 +71,10 @@ def _power(log_n: int, re: int, im: int, wp: int) -> Tuple[int, int]:
     return mag * to_fixed(cos, wp) >> wp, mag * to_fixed(sin, wp) >> wp
 
 
-def _zeta_and_deriv(s: ComplexLike, precision: int, line: Optional[dict] = None,
-                    guard: int = 0) -> Tuple[mpmath.mpc, mpmath.mpc]:
-    """zeta(s) and zeta'(s) from one Euler-Maclaurin pass in fixed point.
+def _zeta_fixed(s: Tuple[tuple, tuple], precision: int, line: dict,
+                guard: int) -> Tuple[int, Tuple[int, int], Tuple[int, int], Tuple[int, int]]:
+    """wp, s, zeta(s) and zeta'(s) as (re, im) pairs of 2^wp-scaled ints, from one
+    Euler-Maclaurin pass in fixed point; ``s`` is a pair of raw mpf tuples.
 
     N direct terms, N grown with the precision and the height so the Bernoulli
     corrections c_j P_j N^(-s) (c_j = B_2j/(2j)!, P_j = s (s+1) ... (s+2j-2)
@@ -84,19 +89,16 @@ def _zeta_and_deriv(s: ComplexLike, precision: int, line: Optional[dict] = None,
     few deltas.  Lines run lo -> hi, so |p^(-delta)| <= 1 and k steps add
     O(k) ulps, which ``guard``, the step count's bit length, absorbs.  The
     sieve and log n, which depend on N and wp only, are kept under ("log",
-    wp) and extended as N grows.
+    wp) and extended as N grows, and the weights c_j under ("weights", wp).
     """
-    line = {} if line is None else line
     work = precision + 15
-    with mp.workdps(work):
-        sv = mpmath.mpc(s)
-    N = int(1.2 * work) + int(abs(sv.imag)) + 10
+    N = int(1.2 * work) + to_int(mpf_abs(s[1])) + 10
     # Direct terms reach N^(-Re s) and cancel, so Re s < 0 lifts the digits;
     # the extra bits absorb N roundings of about |s| log N ulps each.
-    lift = math.ceil(max(0.0, -float(sv.real)) * math.log10(N))
+    lift = math.ceil(max(0.0, -to_float(s[0], rnd=round_nearest)) * math.log10(N))
     wp = dps_to_prec(work + 5 + lift) + 2 * N.bit_length() + 10 + guard
     one = 1 << wp
-    sre, sim = to_fixed(sv.real._mpf_, wp), to_fixed(sv.imag._mpf_, wp)
+    sre, sim = to_fixed(s[0], wp), to_fixed(s[1], wp)
     if (sre, sim) == (one, 0):
         raise ProbeEvaluationError("zeta has its pole at s = 1")
     spf, logs = line.get(("log", wp), ((), [0, 0]))
@@ -138,9 +140,11 @@ def _zeta_and_deriv(s: ComplexLike, precision: int, line: Optional[dict] = None,
     limit, w2 = (one // 10 ** (work + 5)) ** 2 << 2 * wp, w[0] * w[0] + w[1] * w[1]
     bound = -(-limit // w2) if w2 else math.inf
     NN, s2, p0, p1, dp0, dp1 = N * N, 2 * sim, sre // N, sim // N, one // N, 0
-    previous = None
+    weights, previous = line.setdefault(("weights", wp), []), None
     for j in range(1, 4 * N):
-        c = bernoulli_weight(j, wp)
+        if j > len(weights):
+            weights.append(bernoulli_weight(j, wp))
+        c = weights[j - 1]
         t0, t1 = c * p0 >> wp, c * p1 >> wp
         d0, d1 = c * (dp0 - (log_N * p0 >> wp)) >> wp, c * (dp1 - (log_N * p1 >> wp)) >> wp
         tr, ti, dtr, dti = tr + t0, ti + t1, dtr + d0, dti + d1
@@ -149,7 +153,7 @@ def _zeta_and_deriv(s: ComplexLike, precision: int, line: Optional[dict] = None,
             break
         if previous is not None and magnitude > previous:
             raise ProbeEvaluationError(
-                f"zeta evaluation at {complex(sv)} stopped converging (j={j}); "
+                f"zeta evaluation at {complex(mp.make_mpc(s))} stopped converging (j={j}); "
                 "point too far outside the supported region"
             )
         previous = magnitude
@@ -160,12 +164,29 @@ def _zeta_and_deriv(s: ComplexLike, precision: int, line: Optional[dict] = None,
         dp0, dp1 = (x + (p0 * apb - p1 * s2 >> wp)) // NN, (y + (p0 * s2 + p1 * apb >> wp)) // NN
         p0, p1 = ((p0 * ab0 - p1 * ab1) >> wp) // NN, ((p0 * ab1 + p1 * ab0) >> wp) // NN
     else:
-        raise ProbeEvaluationError(f"zeta evaluation at {complex(sv)} missed the precision target")
-    prec = dps_to_prec(work)
-    return tuple(
-        mp.make_mpc(tuple(from_man_exp(x + y, -wp, prec, "n") for x, y in zip(v, _mul(w, t, wp))))
-        for v, t in ((z, (tr, ti)), (dz, (dtr, dti)))
-    )
+        raise ProbeEvaluationError(
+            f"zeta evaluation at {complex(mp.make_mpc(s))} missed the precision target"
+        )
+    (wr, wi), (dwr, dwi) = _mul(w, (tr, ti), wp), _mul(w, (dtr, dti), wp)
+    return wp, (sre, sim), (z[0] + wr, z[1] + wi), (dz[0] + dwr, dz[1] + dwi)
+
+
+def _point(s: ComplexLike, precision: int) -> Tuple[tuple, tuple]:
+    """An API argument as the engine's raw (re, im) pair, rounded at precision + 15 digits."""
+    with mp.workdps(precision + 15):
+        return mpmath.mpc(s)._mpc_
+
+
+def _mpc(v: Sequence[int], wp: int, precision: int) -> mpmath.mpc:
+    """A pair of 2^wp-scaled ints as an mpc, each part rounded once at precision + 15 digits."""
+    prec = dps_to_prec(precision + 15)
+    return mp.make_mpc(tuple(from_man_exp(x, -wp, prec, round_nearest) for x in v))
+
+
+def _zeta_and_deriv(s: ComplexLike, precision: int) -> Tuple[mpmath.mpc, mpmath.mpc]:
+    """zeta(s) and zeta'(s) from ``_zeta_fixed``, converted at the API boundary."""
+    wp, _, z, dz = _zeta_fixed(_point(s, precision), precision, {}, 0)
+    return _mpc(z, wp, precision), _mpc(dz, wp, precision)
 
 
 def zeta_complex(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
@@ -187,25 +208,33 @@ def f_eval(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
     where |zeta(s)| < 10^(-precision/2) (log-derivative blows up near a
     zero, and roundoff with it).  It is a one-point line of ``_f_on_line``.
     """
-    return _f_on_line(s, precision, {}, 0)
+    wp, f = _f_on_line(_point(s, precision), precision, {}, 0)
+    return _mpc(f, wp, precision)
 
 
-def _f_on_line(s: ComplexLike, precision: int, line: dict, guard: int) -> mpmath.mpc:
-    """f(s) as a sample of a probe line; ``line`` and ``guard`` as in ``_zeta_and_deriv``."""
-    with mp.workdps(precision + 15):
-        sv = mpmath.mpc(s)
-        if abs(sv - 1) < mpmath.mpf(10) ** (-6):
-            raise ProbeEvaluationError(
-                f"s = {complex(sv)} too close to s = 1 for the quotient form"
-            )
-        z, zp = _zeta_and_deriv(sv, precision, line, guard)
-        floor = mpmath.mpf(10) ** (-(precision // 2))
-        if abs(z) < floor:
-            raise ProbeEvaluationError(
-                f"|zeta({complex(sv)})| below safe floor 1e-{precision // 2} (too near a zero)"
-            )
-        gamma = euler_gamma(precision).value
-        return +((sv + sv * (sv - 1) * zp / z) / gamma)
+def _f_on_line(s: Tuple[tuple, tuple], precision: int, line: dict,
+               guard: int) -> Tuple[int, Tuple[int, int]]:
+    """wp and f(s) as a pair of 2^wp-scaled ints, for a sample of a probe line;
+    ``s``, ``line`` and ``guard`` as in ``_zeta_fixed``."""
+    prec = dps_to_prec(precision + 15)  # |s - 1| < 10^-6 as mpmath tests it at that precision
+    if mpf_lt(mpc_abs(mpc_sub_mpf(s, fone, prec, round_nearest), prec, round_nearest),
+              mpf_pow_int(ften, -6, prec, round_nearest)):
+        raise ProbeEvaluationError(
+            f"s = {complex(mp.make_mpc(s))} too close to s = 1 for the quotient form"
+        )
+    wp, (sre, sim), (zr, zi), (dzr, dzi) = _zeta_fixed(s, precision, line, guard)
+    den, one = zr * zr + zi * zi, 1 << wp
+    if den * 100 ** (precision // 2) < one * one:
+        raise ProbeEvaluationError(
+            f"|zeta({complex(mp.make_mpc(s))})| below safe floor 1e-{precision // 2} "
+            "(too near a zero)"
+        )
+    if ("1/gamma", wp) not in line:
+        line["1/gamma", wp] = (one << wp) // to_fixed(euler_gamma(precision).value._mpf_, wp)
+    q = ((dzr * zr + dzi * zi) << wp) // den, ((dzi * zr - dzr * zi) << wp) // den  # zeta'/zeta
+    fr, fi = _mul(_mul((sre, sim), (sre - one, sim), wp), q, wp)
+    inv_gamma = line["1/gamma", wp]
+    return wp, ((fr + sre) * inv_gamma >> wp, (fi + sim) * inv_gamma >> wp)
 
 
 VARY_RE = "re"
@@ -262,6 +291,33 @@ class LineProbeReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+def _near_collisions(points: Sequence[Tuple[float, complex]], step_gate: float,
+                     tol: float) -> Tuple[NearCollision, ...]:
+    """Pairs a < b of (param, f) points with |f_a - f_b| < tol and
+    |param_a - param_b| > step_gate, in (a, b) order.
+
+    A sweep over the points sorted by Re f: |f_a - f_b| >= |Re f_a - Re f_b|
+    in floats too, so each point's partners lie before the first later one
+    whose real gap reaches tol.  Each pair is met once, in either order.
+    """
+    order = sorted(range(len(points)), key=lambda k: points[k][1].real)
+    pairs = []
+    for i, a in enumerate(order):
+        pa, fa = points[a]
+        for k in range(i + 1, len(order)):
+            b = order[k]
+            pb, fb = points[b]
+            if fb.real - fa.real >= tol:
+                break
+            if abs(pa - pb) > step_gate and abs(fa - fb) < tol:
+                pairs.append((min(a, b), max(a, b)))
+    pairs.sort()
+    return tuple(
+        NearCollision(points[a][0], points[b][0], abs(points[a][1] - points[b][1]))
+        for a, b in pairs
+    )
+
+
 def line_probe(
     kind: str,
     fixed: float,
@@ -298,24 +354,18 @@ def line_probe(
     grid_step = (hi - lo) / (samples - 1)
     collected: List[ComplexSample] = []
     failures: List[SampleFailure] = []
-    line, guard = {}, (samples - 1).bit_length()  # see _zeta_and_deriv
+    line, guard = {}, (samples - 1).bit_length()  # see _zeta_fixed
     for i in range(samples):
         param = lo + i * grid_step
-        # a Python complex is exact for float parts; _f_on_line converts it at
-        # its own precision, so the caller's mp.dps cannot round the point
-        s = complex(param, fixed) if kind == VARY_RE else complex(fixed, param)
+        # floats are exact as mpf tuples, so the caller's mp.dps cannot round the point
+        re_s, im_s = (param, fixed) if kind == VARY_RE else (fixed, param)
         try:
-            f = _f_on_line(s, precision, line, guard)
+            wp, f = _f_on_line((from_float(re_s), from_float(im_s)), precision, line, guard)
         except ProbeEvaluationError as exc:
             failures.append(SampleFailure(param=param, reason=str(exc)))
             continue
-        collected.append(
-            ComplexSample(
-                param=param,
-                f_re=BigReal(mpmath.re(f), precision),
-                f_im=BigReal(mpmath.im(f), precision),
-            )
-        )
+        f_re, f_im = (BigReal(mp.make_mpf(from_man_exp(x, -wp)), precision) for x in f)
+        collected.append(ComplexSample(param=param, f_re=f_re, f_im=f_im))
     if len(collected) < 2:
         raise ProbeEvaluationError(
             f"only {len(collected)} of {samples} samples evaluated, so no pair can be "
@@ -327,18 +377,8 @@ def line_probe(
             f"the {len(collected)} evaluated samples of {samples} are all grid neighbours, "
             "so no pair more than one grid step apart can be compared"
         )
-    # Pair scan in plain floats: tol is far above double roundoff.
+    # Pair search in plain floats: tol is far above double roundoff.
     points = [(c.param, complex(float(c.f_re), float(c.f_im))) for c in collected]
-    near: List[NearCollision] = []
-    for a in range(len(points)):
-        pa, fa = points[a]
-        for b in range(a + 1, len(points)):
-            pb, fb = points[b]
-            if abs(pa - pb) <= step_gate:
-                continue
-            dist = abs(fa - fb)
-            if dist < tol:
-                near.append(NearCollision(param1=pa, param2=pb, distance=dist))
     return LineProbeReport(
         kind=kind,
         fixed=fixed,
@@ -350,5 +390,5 @@ def line_probe(
         grid_step=grid_step,
         samples=tuple(collected),
         failures=tuple(failures),
-        near_collisions=tuple(near),
+        near_collisions=_near_collisions(points, step_gate, tol),
     )

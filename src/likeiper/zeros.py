@@ -151,8 +151,11 @@ def z_tail_bound(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -
     Twice the density integral beyond the last ingested ordinate: the
     zero-counting function fluctuates around the smooth density, and the
     factor 2 absorbs that fluctuation over every range relevant here.
+    Tagged min(precision, zeros.digits), as z_partial is: T = t_count
+    carries no more.
     """
-    return tuple(tail * 2 for tail in _density_tails(j_max, zeros.last.value, precision))
+    tag = min(precision, zeros.digits)
+    return tuple(tail * 2 for tail in _density_tails(j_max, zeros.last.value, tag))
 
 
 def delta_bound(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:

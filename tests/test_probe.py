@@ -14,13 +14,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 import likeiper.probe as probe_module
 from likeiper.bigreal import BigReal
 from likeiper.constants import euler_gamma
 from likeiper.probe import (
     DEFAULT_PROBE_DIGITS,
+    NearCollision,
     ProbeEvaluationError,
     f_eval,
     line_probe,
@@ -126,16 +130,30 @@ class TestEngineOracle:
 
     def test_f_eval_runs_the_engine_once(self, monkeypatch):
         calls = []
-        engine = probe_module._zeta_and_deriv
+        engine = probe_module._zeta_fixed
 
         def counting(s, precision, *line):
             calls.append(s)
             return engine(s, precision, *line)
 
-        monkeypatch.setattr(probe_module, "_zeta_and_deriv", counting)
+        monkeypatch.setattr(probe_module, "_zeta_fixed", counting)
         f_eval(complex(2, 3), 30)
         f_eval(complex(1, 14.134725), 20)
         assert len(calls) == 2
+
+
+class TestFOracle:
+    """f against mpmath's zeta and zeta' at 30 more digits, relative to |f|."""
+
+    @pytest.mark.parametrize("precision", [15, 30, 60, 100])
+    @pytest.mark.parametrize("s", ORACLE_POINTS + HIGH_POINTS + LIFTED_POINTS)
+    def test_relative_error_within_precision(self, s, precision):
+        got = f_eval(s, precision)
+        with mp.workdps(precision + 30):
+            sv = mpmath.mpc(s)
+            q = mpmath.zeta(sv, derivative=1) / mpmath.zeta(sv)
+            expected = (sv + sv * (sv - 1) * q) / mpmath.euler
+            assert abs(got - expected) <= mpmath.mpf(10) ** -precision * abs(expected)
 
 
 class TestFEval:
@@ -312,6 +330,48 @@ class TestLineProbe:
         assert a == b
 
 
+def _brute_force_collisions(points, step_gate, tol):
+    """Every pair a < b compared in turn: the oracle for the sorted sweep."""
+    near = []
+    for a in range(len(points)):
+        pa, fa = points[a]
+        for b in range(a + 1, len(points)):
+            pb, fb = points[b]
+            if abs(pa - pb) <= step_gate:
+                continue
+            dist = abs(fa - fb)
+            if dist < tol:
+                near.append(NearCollision(param1=pa, param2=pb, distance=dist))
+    return tuple(near)
+
+
+# Quarter-integer parts give equal Re f values and distances of exactly tol;
+# plain floats give everything else.
+_parts = st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.floats(-3, 3))
+
+
+class TestNearCollisionSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.tuples(_parts, _parts), min_size=2, max_size=40),
+        step=st.sampled_from([0.1, 0.25, 1.0, 3.0 / 7]),
+        tol=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(1e-6, 5)),
+    )
+    def test_same_pairs_in_the_same_order_as_every_pair(self, values, step, tol):
+        points = [(i * step, complex(re, im)) for i, (re, im) in enumerate(values)]
+        step_gate = step * (1 + 1e-9)
+        got = probe_module._near_collisions(points, step_gate, tol)
+        assert got == _brute_force_collisions(points, step_gate, tol)
+
+    def test_equal_real_parts_and_distance_at_tol(self):
+        f = [0, 1j, 0.5j, 0.5, 2j, 1j]
+        points = [(float(i), complex(v)) for i, v in enumerate(f)]
+        got = probe_module._near_collisions(points, 1.0, 0.5)
+        # |f_0 - f_2| = |f_0 - f_3| = 0.5 = tol does not count; 1 and 5 coincide
+        assert got == (NearCollision(1.0, 5.0, 0.0),)
+        assert got == _brute_force_collisions(points, 1.0, 0.5)
+
+
 def _distinct_steps(params):
     """The exact differences of consecutive float parameters."""
     return {Fraction(b) - Fraction(a) for a, b in zip(params, params[1:])}
@@ -327,14 +387,17 @@ class TestLineStepping:
     @staticmethod
     def _probe_engine(monkeypatch, kind, fixed, lo, hi, samples, precision):
         seen = []
-        engine = probe_module._zeta_and_deriv
+        engine = probe_module._zeta_fixed
 
         def recording(s, precision, *line):
-            z, zp = engine(s, precision, *line)
-            seen.append((s, z, zp))
-            return z, zp
+            result = engine(s, precision, *line)
+            wp, _, z, zp = result
+            # the point's raw mpf parts and the 2^wp-scaled ints, as exact mpc values
+            exact = (mp.make_mpc(tuple(from_man_exp(x, -wp) for x in v)) for v in (z, zp))
+            seen.append((mp.make_mpc(s), *exact))
+            return result
 
-        monkeypatch.setattr(probe_module, "_zeta_and_deriv", recording)
+        monkeypatch.setattr(probe_module, "_zeta_fixed", recording)
         report = line_probe(kind, fixed, lo, hi, samples=samples, precision=precision)
         return report, seen
 

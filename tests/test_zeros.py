@@ -209,9 +209,10 @@ class TestTailIntegral:
         assert low[0] > z_tail_bound(1, zeros, 40)[0] / 2
 
     def test_accepts_bigreal_height(self, tmp_path):
-        # the bound starts at the last ordinate of the list it is given
+        # the bound starts at the last ordinate of the list it is given, and is
+        # tagged with no more digits than that ordinate carries
         short = _short_table(tmp_path, 2)
-        expected = [_tail_integral(j, short.last, 40) * 2 for j in (1, 2)]
+        expected = [_tail_integral(j, short.last, min(40, short.digits)) * 2 for j in (1, 2)]
         assert _bits(z_tail_bound(2, short, 40)) == _bits(expected)
 
     def test_rejects_j_below_1(self, zeros):
@@ -234,10 +235,17 @@ class TestZTailBound:
 
     @pytest.mark.parametrize("digits", [12, 30, 50, 100])
     def test_bit_identical_to_per_j_closed_form(self, zeros, digits):
-        z_expected = [_tail_integral(j, zeros.last, digits) * 2 for j in range(1, 41)]
+        tag = min(digits, zeros.digits)
+        z_expected = [_tail_integral(j, zeros.last, tag) * 2 for j in range(1, 41)]
         assert _bits(z_tail_bound(40, zeros, digits)) == _bits(z_expected)
         d_expected = [_tail_integral(n, 14, digits) for n in range(1, 41)]
         assert _bits(delta_bound(40, digits)) == _bits(d_expected)
+
+    def test_tag_capped_at_table_digits(self, zeros):
+        # T = t_100 carries 50 digits, as in z_partial
+        assert zeros.digits == 50
+        assert z_tail_bound(1, zeros, 100)[0].precision == zeros.digits
+        assert [b.precision for b in z_tail_bound(3, zeros, 30)] == [30, 30, 30]
 
     def test_prefix_of_longer_pass(self, zeros):
         assert _bits(z_tail_bound(5, zeros, 50)) == _bits(z_tail_bound(32, zeros, 50)[:5])
