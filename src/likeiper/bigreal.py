@@ -11,23 +11,34 @@ operators make, without their per-operation context switch.  A plain operand
 (``int``, ``Fraction``, ``str``, ``mpf``) is rounded to those bits as
 ``BigReal(operand, tag)`` would be, with no object made for it.  Nothing here
 reads or mutates the global ``mpmath.mp`` state.
+
+A plain decimal string (``[+-]digits[.digits]``, blanks around it allowed) is
+read in integer arithmetic: one division of its digits by a power of ten,
+rounded to nearest with ties to even.  That is mpmath's value bit for bit,
+except past 400 decimals after the point, where mpmath rounds twice, and for
+``.0``, which mpmath cannot read.  Any other string goes through mpmath.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
 import mpmath
-from mpmath.libmp import (dps_to_prec, from_int, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul,
-                          mpf_neg, mpf_pos, mpf_pow_int, mpf_sub, round_nearest, to_float, to_str)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_lt,
+                          mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_sub, round_nearest, to_float,
+                          to_str)
 
 DEFAULT_DIGITS = 50
 MIN_DIGITS = 10
 
 _Number = Union[int, str, Fraction, "BigReal", mpmath.mpf]
+
+#: A plain decimal literal, no exponent: the one rule for data files and the integer fast path.
+_PLAIN_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
 
 _make = mpmath.mp.make_mpf  # wraps a raw tuple as it is: no rounding, no context read
 _str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit (< 3.10.7)
@@ -53,7 +64,21 @@ def _raw(value: _Number, prec: int) -> tuple:
         # the numerator is rounded first, as mpf(numerator) / denominator
         return mpf_div(from_int(value.numerator, prec, round_nearest),
                        from_int(value.denominator), prec, round_nearest)
+    if isinstance(value, str) and _PLAIN_DECIMAL.fullmatch(text := value.strip()):
+        return _from_plain_decimal(text, prec)
     return mpmath.mpf(value, prec=prec, rounding=round_nearest)._mpf_
+
+
+def _from_plain_decimal(text: str, prec: int) -> tuple:
+    """A ``_PLAIN_DECIMAL`` match as man / 10^places, rounded to nearest at ``prec``
+    bits, ties to even: a quotient of at least prec + 2 bits, then a sticky bit."""
+    whole, _, fraction = text.lstrip("+-").partition(".")
+    fraction = fraction.rstrip("0")
+    man, scale = int(whole + fraction or "0"), 10 ** len(fraction)
+    shift = max(0, prec + 2 - man.bit_length() + scale.bit_length())
+    quotient, remainder = divmod(man << shift, scale)
+    quotient = (quotient << 1) | (remainder != 0)
+    return from_man_exp(-quotient if text[0] == "-" else quotient, -shift - 1, prec, round_nearest)
 
 
 class BigReal:

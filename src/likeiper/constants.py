@@ -49,9 +49,12 @@ def log_two(precision: int = DEFAULT_DIGITS) -> BigReal:
 
 
 class StieltjesTable(NamedTuple):
-    """Stieltjes coefficients gamma_0..gamma_{k_max} at a common digit count."""
+    """Stieltjes coefficients gamma_0..gamma_{k_max} at a common digit count.
 
-    entries: Dict[int, BigReal]
+    ``entries`` holds the file's text, checked by ``load_stieltjes``;
+    ``gamma(k)`` converts entry k to a ``BigReal`` when it is read."""
+
+    entries: Dict[int, str]
     digits: int
 
     @property
@@ -60,7 +63,7 @@ class StieltjesTable(NamedTuple):
 
     def gamma(self, k: int) -> BigReal:
         try:
-            return self.entries[k]
+            return BigReal(self.entries[k], self.digits)
         except KeyError:
             raise ConstantsError(
                 f"Stieltjes table covers k <= {self.k_max}; gamma_{k} missing"
@@ -78,33 +81,32 @@ class StieltjesTable(NamedTuple):
 def load_stieltjes(path: Optional[Path] = None) -> StieltjesTable:
     """Load and validate a Stieltjes-coefficient table.
 
-    Validation: the file must contain contiguous indices starting at 0, and
-    the k = 0 entry must agree with an independently computed Euler constant
-    to the table's stated digit count (minus a 2-digit margin for the table's
-    own final-place rounding).  A table whose first entry is wrong poisons
-    every downstream coefficient, so this failure is loud and early.
+    Checked here, before any entry is read: each row is an index and one plain
+    decimal, and the digit count is at least ``MIN_DIGITS`` (``datafiles``);
+    the indices run from 0 without a gap; and gamma_0 agrees with an
+    independently computed Euler constant to the table's digit count (minus a
+    2-digit margin for the table's own final-place rounding), since a wrong
+    gamma_0 poisons every downstream coefficient.  Only gamma_0 is converted
+    here; the entries keep the file's text.
     """
     if path is None:
         path = default_stieltjes_path()
     metadata, rows = parse_indexed_table(path)
     digits = table_digits(path, metadata, rows, ConstantsError)
-    entries: Dict[int, BigReal] = {}
-    expected = 0
-    for index, text in rows:
+    for expected, (index, _) in enumerate(rows):
         if index != expected:
             raise ConstantsError(
                 f"{path}: Stieltjes indices must be contiguous from 0; "
                 f"expected {expected}, found {index}"
             )
-        entries[index] = BigReal(text, digits)
-        expected += 1
-    reference = euler_gamma(digits)
-    if not entries[0].agrees_to(reference, digits - 2):
+    table = StieltjesTable(entries=dict(rows), digits=digits)
+    gamma0, reference = table.gamma(0), euler_gamma(digits)
+    if not gamma0.agrees_to(reference, digits - 2):
         raise ConstantsError(
-            f"{path}: gamma_0 entry {entries[0].digits_str(20)} does not match "
+            f"{path}: gamma_0 entry {gamma0.digits_str(20)} does not match "
             f"the Euler constant {reference.digits_str(20)}"
         )
-    return StieltjesTable(entries=entries, digits=digits)
+    return table
 
 
 _BERNOULLI_WEIGHTS: Dict[int, List[int]] = {}  # wp -> [weight 1, weight 2, ...]

@@ -15,9 +15,7 @@ import re
 from pathlib import Path
 from typing import Callable, Tuple, Type
 
-from .bigreal import MIN_DIGITS
-
-_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
+from .bigreal import _PLAIN_DECIMAL, MIN_DIGITS
 
 
 class DataFormatError(ValueError):
@@ -120,7 +118,8 @@ def table_digits(path: Path, metadata: dict, rows: list, error: Type[ValueError]
 
 def _decimal(text: str, what: str = "value") -> str:
     """``text`` without surrounding blanks if it is a plain decimal literal
-    (no exponent), else ``ValueError``."""
-    if not _DECIMAL.fullmatch(text.strip()):
+    (no exponent), else ``ValueError``: the strings ``BigReal`` reads in
+    integer arithmetic."""
+    if not _PLAIN_DECIMAL.fullmatch(text.strip()):
         raise ValueError(f"{what} {text!r} is not a plain decimal")
     return text.strip()

@@ -1,4 +1,5 @@
 import operator
+import re
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import (dps_to_prec, from_int, from_str, mpf_add, mpf_div, mpf_mul,
-                          mpf_pos, mpf_sub, round_nearest)
+from mpmath.libmp import (dps_to_prec, from_int, from_rational, from_str, fzero, mpf_add,
+                          mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest)
 
-from likeiper.bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, big
+from likeiper import bigreal
+from likeiper.bigreal import (_PLAIN_DECIMAL, DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError,
+                              big)
+from likeiper.datafiles import _decimal
 
 
 class TestConstruction:
@@ -369,3 +373,107 @@ def test_operators_are_one_libmp_call_at_the_smaller_tag(kind, x, data):
                 _outcome(lambda: (libmp_op(b, a, prec, round_nearest), tag))]
     got = [_outcome(lambda: op(x, other)), _outcome(lambda: op(other, x))]
     assert got == expected
+
+
+# -- plain decimals in integer arithmetic -----------------------------------------
+
+def _mpmath_value(text, tag):
+    """mpmath's own reading of ``text`` at ``tag``'s working bits: the oracle."""
+    return mpmath.mpf(text, prec=dps_to_prec(tag + 5), rounding="n")._mpf_
+
+
+_fast_tags = st.integers(min_value=MIN_DIGITS, max_value=500)
+_digit_runs = st.text("0123456789", max_size=200)  # whole and fraction: up to 400 digits
+_plain_decimals = st.builds(
+    lambda blank, sign, zeros, whole, point, fraction: (
+        f"{blank}{sign}{zeros}{whole}{point}{fraction}{blank}"),
+    st.sampled_from(["", " ", "\t", " \n"]), st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["", "0", "000"]), _digit_runs, st.sampled_from(["", "."]), _digit_runs,
+).filter(lambda text: _PLAIN_DECIMAL.fullmatch(text.strip()))
+
+
+@st.composite
+def _binary_fractions(draw):
+    """(text, tag): m / 2^k written out exactly, with m one bit wider than the
+    tag's working bits and odd before a shift (a tie), or one off it."""
+    tag = draw(_fast_tags)
+    prec = dps_to_prec(tag + 5)
+    odd = 2 * draw(st.integers(2 ** (prec - 1), 2**prec - 1)) + 1
+    m = (odd << draw(st.integers(0, 3))) + draw(st.sampled_from([-1, 0, 0, 0, 1]))
+    k = draw(st.integers(0, 60))
+    units = str(m * 5**k).rjust(k + 1, "0")
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"{sign}{units[:len(units) - k]}.{units[len(units) - k:]}", tag
+
+
+def _unreadable_to_mpmath(text):
+    """A zero with no integer digits: mpmath's reader fails on it (``int("")``)."""
+    return re.fullmatch(r"[+-]?\.0+", text.strip()) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_plain_decimals, tag=_fast_tags)
+def test_plain_decimals_are_mpmaths_value(text, tag):
+    expected = fzero if _unreadable_to_mpmath(text) else _mpmath_value(text, tag)
+    assert BigReal(text, tag).value._mpf_ == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_binary_fractions())
+def test_plain_decimal_ties_round_to_even(case):
+    text, tag = case
+    assert BigReal(text, tag).value._mpf_ == _mpmath_value(text, tag)
+
+
+@pytest.mark.parametrize("text, expected", [("-0.000", 0), ("1.", 1), (".5", Fraction(1, 2)),
+                                            ("+.25", Fraction(1, 4)), ("-007.50", Fraction(-15, 2)),
+                                            (".0", 0), ("-.000", 0)])
+@pytest.mark.parametrize("tag", [MIN_DIGITS, 50, 500])
+def test_plain_decimal_edge_forms(text, expected, tag):
+    x = BigReal(text, tag)
+    if not _unreadable_to_mpmath(text):
+        assert x.value._mpf_ == _mpmath_value(text, tag)
+    assert x.to_fraction() == expected
+    assert x.value._mpf_[0] == 0 or expected < 0  # no negative zero
+
+
+def test_plain_decimal_past_400_places_rounds_once():
+    # mpmath multiplies by a rounded 10^-places past 400 places; the fast path
+    # stays the correctly rounded quotient, libmp's from_rational
+    text = "0." + "3" * 320 + "1415926535" * 9
+    prec = dps_to_prec(55)
+    man = int(text[2:])
+    assert BigReal(text, 50).value._mpf_ == from_rational(man, 10 ** (len(text) - 2), prec,
+                                                          round_nearest)
+
+
+def _value_or_error(compute):
+    try:
+        return compute()
+    except Exception as exc:  # the exception type is what the two sides must share
+        return type(exc)
+
+
+@pytest.mark.parametrize("text", ["1e-5", " -2.5E+3 ", "inf", "-inf", "nan", "1/3", "1_000",
+                                  "٣.١٤", "１２", "", ".", "+", "-.",
+                                  " ", "1.2.3", "0x10", "1,5", "abc"])
+@pytest.mark.parametrize("tag", [MIN_DIGITS, 500])
+def test_other_strings_keep_mpmaths_value_or_error(text, tag, monkeypatch):
+    monkeypatch.setattr(bigreal, "_from_plain_decimal", None)  # calling it would fail
+    got = _value_or_error(lambda: BigReal(text, tag).value._mpf_)
+    assert got == _value_or_error(lambda: _mpmath_value(text, tag))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(_plain_decimals, st.text(max_size=12),
+                      st.text("0123456789+-. e_", max_size=12)))
+def test_the_table_reader_and_the_fast_path_accept_the_same_strings(text):
+    calls = []  # a spy by hand: hypothesis reruns the body, a monkeypatch fixture would not
+    original = bigreal._from_plain_decimal
+    bigreal._from_plain_decimal = lambda text, prec: calls.append(text) or original(text, prec)
+    try:
+        _value_or_error(lambda: BigReal(text, MIN_DIGITS))
+    finally:
+        bigreal._from_plain_decimal = original
+    accepted = _value_or_error(lambda: _decimal(text)) is not ValueError
+    assert bool(calls) == accepted

@@ -7,12 +7,15 @@ Euler-Maclaurin expansion of sum(log k / k) for the first Stieltjes
 coefficient, and the Apery central-binomial series for zeta(3).
 """
 
+import re
 from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
+from likeiper import bigreal
 from likeiper.bigreal import BigReal, big
 from likeiper.constants import (
     ConstantsError,
@@ -24,8 +27,8 @@ from likeiper.constants import (
     zeta_int,
     zeta_ints,
 )
-from likeiper.datafiles import default_stieltjes_path
-from likeiper.lambda_core import lambda1_closed_form
+from likeiper.datafiles import DataFormatError, default_stieltjes_path, parse_indexed_table
+from likeiper.lambda_core import lambda1_closed_form, tiny_series
 from likeiper.recurrences import model_predictor
 
 
@@ -171,6 +174,68 @@ class TestStieltjesTable:
 
     def test_default_path_exists(self):
         assert default_stieltjes_path().is_file()
+
+    def test_gamma_converts_the_file_text_at_the_table_digits(self, stieltjes):
+        _, rows = parse_indexed_table(default_stieltjes_path())
+        prec = dps_to_prec(stieltjes.digits + 5)
+        for k, text in rows:
+            assert stieltjes.entries[k] == text
+            gamma = stieltjes.gamma(k)
+            assert gamma.value._mpf_ == BigReal(text, stieltjes.digits).value._mpf_
+            assert gamma.value._mpf_ == mpmath.mpf(text, prec=prec, rounding="n")._mpf_
+            assert gamma.precision == stieltjes.digits
+
+    def test_tiny_series_converts_only_the_gammas_it_reads(self, monkeypatch):
+        table = load_stieltjes()
+        converted = []
+        original = bigreal._from_plain_decimal
+        monkeypatch.setattr(bigreal, "_from_plain_decimal",
+                            lambda text, prec: converted.append(text) or original(text, prec))
+        tiny_series(11, 30, table)
+        assert converted == [table.entries[k] for k in range(11)]
+
+
+def shipped_table_with(tmp_path: Path, old: str, new: str) -> Path:
+    """The shipped Stieltjes table with the first match of regex ``old`` replaced."""
+    path = tmp_path / "stieltjes.tsv"
+    path.write_text(re.sub(old, new, default_stieltjes_path().read_text(), count=1))
+    return path
+
+
+class TestShippedTableChecksAtLoad:
+    """Each defect fails in load_stieltjes itself, with the message it has always had,
+    although the entries are converted only when read."""
+
+    def test_malformed_row_70(self, tmp_path):
+        path = shipped_table_with(tmp_path, r"\n70\t79321663\.", "\n70\t79321663.1e5x")
+        rows = enumerate(path.read_text().splitlines(), start=1)
+        line, text = next((line, row) for line, row in rows if row.startswith("70\t"))
+        message = f"{path}:{line}: value {text[3:]!r} is not a plain decimal"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            load_stieltjes(path)
+
+    def test_gap_in_the_indices(self, tmp_path):
+        path = shipped_table_with(tmp_path, r"\n40\t[^\n]*", "")
+        message = f"{path}: Stieltjes indices must be contiguous from 0; expected 40, found 41"
+        with pytest.raises(ConstantsError, match=f"^{re.escape(message)}$"):
+            load_stieltjes(path)
+
+    def test_wrong_gamma0(self, tmp_path):
+        path = shipped_table_with(tmp_path, r"\n0\t0\.57721566490153286060",
+                                  "\n0\t0.57721566490153286061")
+        message = (f"{path}: gamma_0 entry 0.57721566490153286062 does not match "
+                   "the Euler constant 0.57721566490153286061")
+        with pytest.raises(ConstantsError, match=f"^{re.escape(message)}$"):
+            load_stieltjes(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("1OO", "'# digits: 1OO' is not a digit count"),
+        ("8", "table digit count 8 too small (minimum 10)"),
+    ])
+    def test_bad_digits_header(self, tmp_path, header, message):
+        path = shipped_table_with(tmp_path, r"# digits: 100", f"# digits: {header}")
+        with pytest.raises(ConstantsError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_stieltjes(path)
 
 
 def write_table(tmp_path: Path, body: str, digits: int = 30) -> Path:
