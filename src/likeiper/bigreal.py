@@ -45,7 +45,8 @@ _str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no l
 
 
 class PrecisionError(ValueError):
-    """Raised for precision tags below the supported minimum."""
+    """Raised for precision tags below the supported minimum, and for a value
+    printed with more integer digits than its tag."""
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +206,9 @@ class BigReal:
         The binary value ``man * 2**exp`` is scaled by ``10**places`` and
         rounded on integers, so formatting is exact at any magnitude,
         deterministic and platform independent (byte-identical across runs).
-        Past Python's int-string digit limit it raises ``ValueError``; the limit is never changed.
+        It raises ``ValueError`` past Python's int-string digit limit, which is
+        never changed, and ``PrecisionError`` for more integer digits than the
+        tag: those are noise.
         """
         sign, man, exp, _ = self.value._mpf_
         if man == 0 and exp != 0:
@@ -215,12 +218,16 @@ class BigReal:
         if 2 * rest + (units & 1) > denominator:  # above half, or half and odd
             units += 1
         limit = _str_digits_limit()
-        if limit and units.bit_length() > 3 * limit:  # below 2^(3 limit) < 10^limit it prints
+        bound = self.precision + places  # digits that may print
+        if units.bit_length() > 3 * (min(bound, limit) if limit else bound):  # below 2^(3n) < 10^n
             digits = int(units.bit_length() * 0.3010299956639812)  # units has this or one more
             digits += units >= 10**digits
-            if digits > limit:
+            if limit and digits > limit:
                 raise ValueError(f"cannot print a value with {digits - places} integer digits at"
                                  f" {places} places: past Python's {limit}-digit int-string limit")
+            if digits > bound:
+                raise PrecisionError(f"cannot print a value with {digits - places} integer digits"
+                                     f" at tag {self.precision}")
         text = str(units).rjust(places + 1, "0")
         if places:
             text = f"{text[:-places]}.{text[-places:]}"

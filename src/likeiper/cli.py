@@ -182,6 +182,8 @@ def _parse_seed(text: str, digits: int) -> tuple[str, Optional[BigReal]]:
         c = big(text[len("initial:"):], digits)
         if mpmath.isfinite(c.value):
             c.to_decimal_string(digits)  # past Python's int-string limit (1e999999) it fails
+    except PrecisionError as exc:  # ratio_to_lambda1 prints c
+        raise ValueError(f"bad --seed {text!r}; {exc}") from None
     except ValueError:
         raise ValueError(f"bad --seed {text!r}; c must be a finite decimal number") from None
     if not mpmath.isfinite(c.value):

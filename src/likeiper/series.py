@@ -15,15 +15,16 @@ coefficient types:
 
 The composition helper substitutes the Koebe-type map ``u = z/(1-z)``
 (coefficients 0,1,1,1,...) into a series in ``u``; that map is the pullback of
-the half-plane variable used throughout the coefficient computations.  Since
-``u^k = sum_{n>=k} C(n-1, k-1) z^n``, the composition is a closed-form sum with
-exact integer weights: O(N^2) coefficient operations for order N.
+the half-plane variable used throughout the coefficient computations.
+Multiplying by ``u`` is a prefix sum (``1/(1-z)``) and a shift (``z``), so
+Horner's rule composes with N(N-1)/2 additions and no multiplications for
+order N.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Tuple, Union
 
 import mpmath
@@ -79,25 +80,20 @@ def series_log(a: Sequence[Coefficient]) -> Tuple[Coefficient, ...]:
 def series_compose_zmap(a: Sequence[Coefficient]) -> Tuple[Coefficient, ...]:
     """Substitute ``u = z/(1-z) = z + z^2 + z^3 + ...`` into a series in ``u``.
 
-    Closed form: ``u^k = sum_{n>=k} C(n-1, k-1) z^n``, so
-
-        [z^0] = a_0,    [z^n] = sum_{k=1}^{n} C(n-1, k-1) a_k   (n >= 1).
-
-    Coefficient ``n`` depends only on ``a_0..a_n``, so truncating at the
-    input's length is exact.  The weights are exact integers and the whole
-    composition costs ``order*(order-1)/2`` coefficient multiplications, where
-    a Horner loop of truncated series products costs O(order^3).  With raw
-    ``mpf`` coefficients the caller's working precision must absorb the
-    cancellation the binomial weights bring (about log10 C(n-1, n/2) digits
-    at index ``n``).
+    Horner's rule from the top coefficient down, ``h <- a_k + u*h``, where
+    ``[z^0](u*h) = 0`` and ``[z^m](u*h) = h_0 + ... + h_(m-1)``: multiplying
+    by ``u`` is a shift of the prefix sums.  Coefficient ``n`` depends only on
+    ``a_0..a_n``, so ``h`` grows by one coefficient per step and truncating at
+    the input's length is exact.  The whole composition costs
+    ``order*(order-1)/2`` additions and no multiplications.  With raw ``mpf``
+    coefficients the caller's working precision must absorb the cancellation
+    of the composed sums, ``[z^n] = sum_{k=1}^{n} C(n-1, k-1) a_k`` (about
+    log10 C(n-1, n/2) digits at index ``n``).
     """
-    out = [a[0]]
-    for n in range(1, len(a)):
-        acc = a[1]
-        for k in range(2, n + 1):
-            acc = acc + a[k] * math.comb(n - 1, k - 1)
-        out.append(acc)
-    return tuple(out)
+    h = []
+    for a_k in reversed(a[1:]):
+        h = [a_k, *accumulate(h)]
+    return (a[0], *accumulate(h))
 
 
 def parity_sign(exponent: int) -> int:

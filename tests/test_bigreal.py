@@ -305,9 +305,16 @@ def _decimal_oracle(x, places):
     places=st.sampled_from([0, 1, 12, 50, 60]),
 )
 def test_decimal_string_matches_exact_quantize(digits, exp, sign, precision, places):
-    # magnitudes from 10^-80 to 10^60
+    # magnitudes from 10^-80 to 10^60; past the tag's integer digits it refuses
     x = BigReal(f"{sign}0.{digits}e{exp + 1}", precision)
-    assert x.to_decimal_string(places) == _decimal_oracle(x, places)
+    expected = _decimal_oracle(x, places)
+    whole = len(expected.lstrip("-").split(".")[0].lstrip("0"))
+    if whole > precision:
+        with pytest.raises(ValueError, match=f"^cannot print a value with {whole} integer digits"
+                                             f" at tag {precision}$"):
+            x.to_decimal_string(places)
+    else:
+        assert x.to_decimal_string(places) == expected
 
 
 @pytest.mark.parametrize(
@@ -320,11 +327,18 @@ def test_decimal_string_exact_ties_and_signed_zero(text, places, expected):
     assert x.to_decimal_string(places) == expected == _decimal_oracle(x, places)
 
 
-def test_decimal_string_beyond_the_digit_tag():
-    # 10^45 carries far more integer digits than its 10-digit tag
-    x = BigReal(10**45, 10)
-    sign, man, exp, _ = x.value._mpf_
-    assert x.to_decimal_string(10) == f"{man << exp}." + "0" * 10
+@pytest.mark.parametrize("precision", [MIN_DIGITS, 100])
+@pytest.mark.parametrize("places", [0, 12])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_decimal_string_refuses_integer_digits_beyond_the_tag(precision, places, sign):
+    # P integer digits print exactly; P + 1 would be binary noise past the tag
+    top = BigReal(sign * (10**precision - 1), precision)
+    assert top.to_decimal_string(places) == _decimal_oracle(top, places)
+    for x in (BigReal(sign * 10**precision, precision), BigReal(sign * 10**(precision + 45), precision)):
+        whole = len(str(abs(int(x.value))))
+        with pytest.raises(ValueError, match=f"^cannot print a value with {whole} integer digits"
+                                             f" at tag {precision}$"):
+            x.to_decimal_string(places)
 
 
 # -- operators as direct libmp calls --------------------------------------------

@@ -207,13 +207,13 @@ class TestApprox:
             n = int(row[0])
             assert Decimal(row[2]) == n * n
 
-    def test_self_seeded_values_beyond_the_digit_tag(self):
-        # values here reach 10^35, far more integer digits than --digits 10
+    def test_self_seeded_values_beyond_the_digit_tag_exit_2(self):
+        # the rows grow to 10^35; past 10 integer digits at --digits 10 they are noise
         code, out, err = run(
             "approx", "--scheme", "d", "--seed", "initial:2", "--n-max", "100", "--digits", "10"
         )
-        assert code == 0 and err == ""
-        assert [int(r[0]) for r in data_rows(out)] == list(range(1, 101))
+        assert code == 2 and out == ""
+        assert err == "likeiper: error: cannot print a value with 11 integer digits at tag 10\n"
 
     def test_order_spec_equivalent_to_named(self):
         named = run("approx", "--scheme", "b", "--seed", "exact", "--n-max", "9")
@@ -240,15 +240,25 @@ class TestApprox:
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this Python has no int-string digit limit")
     def test_value_past_int_string_limit_exit_2(self):
-        # c itself prints, but the seeded rows grow past c; the library names
-        # the value's integer digits and the limit instead of Python's own message
-        code, out, err = run("approx", "--scheme", "d", "--seed", "initial:1e4280",
-                             "--n-max", "100", "--digits", "10")
+        # c itself prints, but the seeded rows grow past c, still within the
+        # tag's 2200 integer digits; the library names the value's integer
+        # digits and the limit instead of Python's own message
+        code, out, err = run("approx", "--scheme", "d", "--seed", "initial:1e2098",
+                             "--n-max", "100", "--digits", "2200")
         assert code == 2 and out == ""
         assert err == (
-            "likeiper: error: cannot print a value with 4291 integer digits at 10 places: "
+            "likeiper: error: cannot print a value with 2101 integer digits at 2200 places: "
             f"past Python's {sys.get_int_max_str_digits()}-digit int-string limit\n"
         )
+
+    @pytest.mark.parametrize("c, whole", [("1e10", 11), ("-12345678901.5", 11)])
+    def test_seed_with_more_integer_digits_than_the_tag_exit_2(self, c, whole):
+        # ratio_to_lambda1 prints c at n = 2, which --digits 10 cannot carry
+        code, out, err = run("approx", "--scheme", "d", "--seed", f"initial:{c}",
+                             "--n-max", "3", "--digits", "10")
+        assert code == 2 and out == ""
+        assert err == (f"likeiper: error: bad --seed 'initial:{c}'; cannot print a value"
+                       f" with {whole} integer digits at tag 10\n")
 
     @pytest.mark.parametrize(
         "scheme, seed, need",

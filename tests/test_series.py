@@ -1,4 +1,5 @@
-import itertools
+import collections
+import math
 from fractions import Fraction
 
 import mpmath
@@ -23,20 +24,23 @@ def frac_series(*values):
     return tuple(Fraction(v) for v in values)
 
 
-def horner_compose_zmap(coeffs):
-    """Reference for series_compose_zmap: Horner evaluation
-    acc <- acc * u + a_k with u = z/(1-z), on plain lists.  Multiplying by u
-    shifts the prefix sums: [z^m](acc * u) = acc_0 + ... + acc_{m-1}."""
-    order = len(coeffs) - 1
-    acc = [Fraction(0)] * (order + 1)
-    for a_k in reversed(coeffs):
-        acc = [Fraction(0)] + list(itertools.accumulate(acc))[:order]
-        acc[0] += a_k
-    return acc
+def closed_form_compose_zmap(coeffs):
+    """Reference for series_compose_zmap: since u^k = sum_{n>=k} C(n-1, k-1) z^n,
+    [z^0] = a_0 and [z^n] = sum_{k=1}^{n} C(n-1, k-1) a_k for n >= 1."""
+    return [coeffs[0]] + [
+        sum(math.comb(n - 1, k - 1) * coeffs[k] for k in range(1, n + 1))
+        for n in range(1, len(coeffs))
+    ]
+
+
+def exact(x):
+    """The exact value of a raw mpf as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction((-1) ** sign * man) * Fraction(2) ** exp
 
 
 class Counted:
-    """A coefficient that counts the multiplications done on it in ``tally``."""
+    """A coefficient that counts the additions and multiplications done on it."""
 
     __slots__ = ("value", "tally")
 
@@ -44,13 +48,14 @@ class Counted:
         self.value, self.tally = value, tally
 
     def __add__(self, other):
+        self.tally["add"] += 1
         other = other.value if isinstance(other, Counted) else other
         return Counted(self.value + other, self.tally)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        self.tally[0] += 1
+        self.tally["mul"] += 1
         other = other.value if isinstance(other, Counted) else other
         return Counted(self.value * other, self.tally)
 
@@ -145,17 +150,33 @@ class TestComposeZmap:
             st.fractions(min_value=-9, max_value=9, max_denominator=99), min_size=1, max_size=31
         )
     )
-    def test_matches_horner_reference(self, a):
-        assert list(series_compose_zmap(a)) == horner_compose_zmap(a)
+    def test_matches_closed_form_reference(self, a):
+        assert list(series_compose_zmap(a)) == closed_form_compose_zmap(a)
 
     @pytest.mark.parametrize("order", [1, 10, 40, 80])
     def test_multiplications_at_most_quadratic(self, order):
-        # a Horner loop of truncated products needs about order^3/6 of them
-        tally = [0]
+        # the closed form needs order*(order-1)/2 multiplications; prefix sums need none
+        tally = collections.Counter()
         a = [Counted(Fraction(k + 1, 2 * k + 3), tally) for k in range(order + 1)]
         out = series_compose_zmap(a)
-        assert tally[0] <= order * (order + 1) // 2
-        assert [c.value for c in out] == horner_compose_zmap([c.value for c in a])
+        assert tally == collections.Counter(add=order * (order - 1) // 2)  # no "mul"
+        assert [c.value for c in out] == closed_form_compose_zmap([c.value for c in a])
+
+    def test_mpf_within_n_ulps_of_exact(self):
+        # raw mpf at 89 digits against the exact composition of the same inputs:
+        # each coefficient within order ulps of the sum of its terms' magnitudes.
+        # Mixed signs make the prefix sums both grow and cancel, so they round.
+        order = 80
+        with mp.workdps(89):
+            a = [mpmath.mpf((-1) ** (k * k // 3) * (k * k + 3)) / (7 * k + 11)
+                 for k in range(order + 1)]
+            got = series_compose_zmap(a)
+            ulp = exact(mp.eps)
+        want = closed_form_compose_zmap([exact(x) for x in a])
+        size = closed_form_compose_zmap([abs(exact(x)) for x in a])
+        assert any(exact(g) != w for g, w in zip(got, want))
+        for n in range(order + 1):
+            assert abs(exact(got[n]) - want[n]) <= order * ulp * size[n], n
 
 
 class TestRawMpfKernel:
