@@ -15,16 +15,16 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-import mpmath
-
-from .bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, big
-from .constants import load_stieltjes
+from .bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, _str_digits_limit
+from .constants import ConstantsError, load_stieltjes
 from .datafiles import DataFormatError
 from .goldens import TABLE_IDS, TableReport, verify_table
-from .lambda_core import conjecture_scan, lambda1_closed_form, lambda_table
+from .lambda_core import LambdaTable, conjecture_scan, lambda1_closed_form, lambda_table
 from .probe import DEFAULT_PROBE_DIGITS, line_probe
 from .recurrences import (
     FULL_HISTORY,
@@ -172,23 +172,41 @@ def _parse_scheme(text: str) -> tuple[RecurrenceScheme, str]:
         raise ValueError(f"bad order in scheme {text!r}; use m:<k> with integer k >= 2") from None
 
 
-def _parse_seed(text: str, digits: int) -> tuple[str, Optional[BigReal]]:
-    """Returns (mode, c): ("exact", None) or ("initial", c or None)."""
+def _parse_seed(text: str, digits: int) -> tuple[str, Optional[Fraction]]:
+    """Returns (mode, c): ("exact", None) or ("initial", c or None), c exact."""
     if text in ("exact", "initial"):
         return text, None
     if not text.startswith("initial:"):
         raise ValueError(f"bad --seed {text!r}; use exact, initial, or initial:<c>")
-    try:
-        c = big(text[len("initial:"):], digits)
-        if mpmath.isfinite(c.value):
-            c.to_decimal_string(digits)  # past Python's int-string limit (1e999999) it fails
-    except PrecisionError as exc:  # ratio_to_lambda1 prints c
-        raise ValueError(f"bad --seed {text!r}; {exc}") from None
-    except ValueError:
-        raise ValueError(f"bad --seed {text!r}; c must be a finite decimal number") from None
-    if not mpmath.isfinite(c.value):
+    not_decimal = f"bad --seed {text!r}; c must be a finite decimal number"
+    try:  # a Decimal keeps its exponent apart, so no power of ten is built yet
+        exact = Decimal(text[len("initial:"):])
+    except InvalidOperation:
+        raise ValueError(not_decimal) from None
+    if not exact.is_finite():
         raise ValueError(f"bad --seed {text!r}; c must be finite")
+    _, places, exponent = exact.as_tuple()
+    limit = _str_digits_limit()  # past it c could not be printed, so build no such power of ten
+    if limit and len(places) + abs(exponent) > limit:
+        raise ValueError(not_decimal)
+    c = Fraction(exact)
+    try:
+        BigReal(c, digits).to_decimal_string(digits)  # ratio_to_lambda1 prints c
+    except PrecisionError as exc:
+        raise ValueError(f"bad --seed {text!r}; {exc}") from None
     return "initial", c
+
+
+def _lambda_table(args: argparse.Namespace, guard: int) -> LambdaTable:
+    """The lambda table at --digits plus ``guard`` digits, which a binomial sum
+    of its values cancels."""
+    stieltjes, work = load_stieltjes(args.stieltjes), args.digits + guard
+    if work > stieltjes.digits:
+        raise ConstantsError(
+            f"--digits {args.digits} takes {guard} guard digits at --n-max {args.n_max}, "
+            f"and {work} exceeds the {stieltjes.digits} digits of the Stieltjes table"
+        )
+    return lambda_table(args.n_max, work, stieltjes)
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
@@ -211,14 +229,24 @@ def cmd_approx(args: argparse.Namespace) -> int:
                 "--seed initial runs from the closed-form lambda(1); "
                 "it reads no --stieltjes and no --target"
             )
-        lam1 = lambda1_closed_form(args.digits)
-        values = self_seeded_run(scheme, lam1, c=c, n_max=args.n_max)
-        rows = ((n, value, value / lam1) for n, value in enumerate(values, start=1))
+        # the scheme is linear with integer weights: row n is lambda(1) times the
+        # exact ratio r_n, so lambda(1) needs only r's integer digits more
+        ratios = self_seeded_run(scheme, Fraction(1), c=c, n_max=args.n_max)
+        whole = int(max(map(abs, ratios))).bit_length() // 3 + 1
+        tag = args.digits + min(whole, args.digits)
+        lam1 = lambda1_closed_form(tag)
+
+        def row(n: int, r: Fraction) -> tuple:
+            BigReal(r, args.digits).to_decimal_string(args.digits)  # refuses digits past the tag
+            # r rounded once to --digits places; at lambda(1)'s tag it prints as it is
+            return n, lam1 * r, BigReal(round(r, args.digits), tag)
+
+        rows = (row(n, r) for n, r in enumerate(ratios, start=1))
         _emit(_table(args, ("n", "predicted", "ratio_to_lambda1"), rows), args)
         return _EXIT_OK
 
     target = args.target or default_target
-    table = lambda_table(args.n_max, args.digits, load_stieltjes(args.stieltjes))
+    table = _lambda_table(args, scheme.guard_digits(args.n_max))
     history = {
         "tiny": table.tiny_history,
         "trend": table.trend_history,
@@ -227,7 +255,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     n_lo = max(2, scheme.m or 2)
     if n_lo > args.n_max:
         raise ValueError(f"--n-max {args.n_max} below the scheme's first index {n_lo}")
-    results = prediction_run(scheme, history, n_lo, args.n_max)
+    results = prediction_run(scheme, history, n_lo, args.n_max, args.digits)
     # tiny/trend tabulations are conventionally per-n coefficients
     normalize = target in ("tiny", "trend")
     rows = []
@@ -269,7 +297,7 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         )
     lines = [f"# warning: {warning}" for warning in zeros.warnings]
     if args.inversion:
-        table = lambda_table(args.n_max, args.digits, load_stieltjes(args.stieltjes))
+        table = _lambda_table(args, RecurrenceScheme(kind=VOROS).guard_digits(args.n_max))
         checks = inversion_check(args.n_max, table, zeros, args.digits)
         lines += _table(
             args, ("n", "lhs", "z_partial", "residual", "bound_plus_allowance", "consistent"),

@@ -6,16 +6,18 @@ gamma_k are expensive, and a fixed table keeps results reproducible.  The
 loader cross-validates the table's gamma_0 entry against an independently
 computed Euler constant before anything downstream can consume it.
 
-``zeta_ints`` gives zeta(2..K), which ``zeta_int`` and ``polygamma_half`` wrap,
-from one fixed-point (2^wp-scaled int) Euler-Maclaurin pass with an explicit
-error cutoff and no library zeta routine; it shares each n^-k across k, and the
-weights B_2j/(2j)! (one lazily built table per wp) with the probe's complex sum.
+``zeta_ints`` gives zeta(2..K) as 2^wp-scaled ints, from one fixed-point
+Euler-Maclaurin pass with an explicit error cutoff and no library zeta routine;
+it shares each n^-k across k, and the weights B_2j/(2j)! (one lazily built
+table per wp) with the probe's complex sum.  ``lambda_core.trend_series``
+consumes the ints as they are; ``zeta_int`` and ``polygamma_half`` are the only
+places that turn them into tagged values, each with one rounding.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mp
@@ -123,18 +125,19 @@ def bernoulli_weight(j: int, wp: int) -> int:
     return table[j - 1]
 
 
-def zeta_ints(k_max: int, precision: int = DEFAULT_DIGITS) -> Dict[int, mpmath.mpf]:
-    """zeta(k) for every integer 2 <= k <= k_max from one fixed-point pass.
+def zeta_ints(k_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[int, Dict[int, int]]:
+    """(wp, {k: zeta(k) * 2^wp}) for every integer 2 <= k <= k_max from one
+    fixed-point pass.
 
     Euler-Maclaurin with N = max(10, precision) direct terms, n^-k one integer
     division of n^-(k-1).  Each k's tail adds c_j q_j, c_j = B_2j/(2j)!,
     q_j = k (k+1) ... (k+2j-2) N^(-k-2j+1), until a term is below
-    10^-(precision+10).  Values are mpf at precision + 15 digits.
+    10^-(precision+10).  wp is the bits of precision + 15 digits plus 10, and
+    each int is within 10^-(precision+10) * 2^wp of its exact value.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise ConstantsError(f"zeta_ints needs an integer k_max >= 1, got {k_max!r}")
-    prec = dps_to_prec(precision + 15)
-    wp, N = prec + 10, max(10, precision)
+    wp, N = dps_to_prec(precision + 15) + 10, max(10, precision)
     one, target = 1 << wp, (1 << wp) // 10 ** (precision + 10)
     sums = [one] * (k_max + 1)  # sum over n < N of n^-k; n = 1 gives one
     for n in range(2, N):
@@ -158,15 +161,16 @@ def zeta_ints(k_max: int, precision: int = DEFAULT_DIGITS) -> Dict[int, mpmath.m
             q = q * ((k + 2 * j - 1) * (k + 2 * j)) // (N * N)
         else:  # pragma: no cover - loop bound generous
             raise ConstantsError(f"zeta({k}) did not reach target precision")
-        values[k] = mp.make_mpf(from_man_exp(total, -wp, prec, "n"))
-    return values
+        values[k] = total
+    return wp, values
 
 
 def zeta_int(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     """zeta(k) for integer k >= 2 (``zeta_ints`` at one k)."""
     if not isinstance(k, int) or k < 2:
         raise ConstantsError(f"zeta_int needs an integer k >= 2, got {k!r}")
-    return BigReal(zeta_ints(k, precision)[k], precision)
+    wp, values = zeta_ints(k, precision)
+    return BigReal(mp.make_mpf(from_man_exp(values[k], -wp)), precision)
 
 
 def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
@@ -174,12 +178,14 @@ def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
 
     Closed forms: psi(1/2) = -gamma - 2 log 2, and for k >= 1
 
-        psi^(k)(1/2) = (-1)^(k+1) * k! * (2^(k+1) - 1) * zeta(k+1).
+        psi^(k)(1/2) = (-1)^(k+1) * k! * (2^(k+1) - 1) * zeta(k+1),
+
+    an exact integer multiple of ``zeta_ints``' fixed-point value.
     """
     if not isinstance(k, int) or k < 0:
         raise ConstantsError(f"polygamma_half needs an integer k >= 0, got {k!r}")
     if k == 0:
         return -(euler_gamma(precision) + 2 * log_two(precision))
-    with mp.workdps(precision + 10):
-        factor = (-1) ** (k + 1) * mpmath.factorial(k) * (mpmath.mpf(2) ** (k + 1) - 1)
-        return BigReal(factor * zeta_ints(k + 1, precision + 5)[k + 1], precision)
+    wp, values = zeta_ints(k + 1, precision + 5)
+    factor = (-1) ** (k + 1) * ifac(k) * ((2 << k) - 1)
+    return BigReal(mp.make_mpf(from_man_exp(factor * values[k + 1], -wp)), precision)

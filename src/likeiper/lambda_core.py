@@ -20,9 +20,9 @@ Stieltjes coefficients:
 Composition through u = z/(1-z) concentrates binomial-sized cancellation
 (roughly log10 C(n, n/2) digits at index n), so both series are computed at
 a boosted internal precision and rounded down to the requested tag.  The
-series work runs on raw ``mpf`` values under one ``mp.workdps`` context; each
-series comes back as a plain tuple of coefficients, each tagged as ``BigReal``
-once, at the requested precision.
+tiny series runs on raw ``mpf`` values under one ``mp.workdps`` context, the
+trend series on 2^wp-scaled ints; each series comes back as a plain tuple of
+coefficients, each tagged as ``BigReal`` once, at the requested precision.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .bigreal import BigReal, DEFAULT_DIGITS
 from .constants import (
@@ -43,7 +44,7 @@ from .constants import (
     polygamma_half,
     zeta_ints,
 )
-from .series import series_compose_zmap, series_log
+from .series import parity_sign, series_compose_zmap, series_log
 
 
 def guard_digits(n_max: int) -> int:
@@ -106,21 +107,26 @@ def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, 
     whose Taylor coefficients come from polygamma values at 1/2:
     the u^1 coefficient is 1 - (log pi)/2 + psi(1/2)/2 and the u^k coefficient
     (k >= 2) is (-1)^(k+1)/k + psi^(k-1)(1/2) / (2^k k!) =
-    (-1)^k ((1 - 2^-k) zeta(k) - 1) / k, from one ``zeta_ints`` pass.  The
-    constant term vanishes (log Gamma(1/2) = (log pi)/2), so composition
-    needs no log.
+    (-1)^k ((1 - 2^-k) zeta(k) - 1) / k.  The constant term vanishes
+    (log Gamma(1/2) = (log pi)/2), so composition needs no log.
+
+    Everything runs on ``zeta_ints``' 2^wp-scaled ints: each u^k coefficient
+    is one integer division rounded to nearest, the u^1 coefficient one
+    ``to_fixed``, and the composition only adds, so it is exact.  Each output
+    is tagged once.
     """
     if n_max < 1:
         raise ValueError("trend_series needs n_max >= 1")
     work = precision + guard_digits(n_max)
-    zetas = zeta_ints(n_max, work + 5)
-    with mp.workdps(work + 10):
-        coeffs = [mpmath.mpf(0)]
-        coeffs.append(1 - log_pi(work).value / 2 + polygamma_half(0, work).value / 2)
-        for k in range(2, n_max + 1):
-            coeffs.append((-1) ** k * ((1 - mpmath.ldexp(1, -k)) * zetas[k] - 1) / k)
-        z_series = series_compose_zmap(coeffs)
-    return tuple(BigReal(c, precision) for c in z_series)
+    wp, zetas = zeta_ints(n_max, work + 5)
+    one = 1 << wp
+    linear = 1 - log_pi(work) / 2 + polygamma_half(0, work) / 2
+    coeffs = [0, to_fixed(linear.value._mpf_, wp)]
+    for k in range(2, n_max + 1):
+        zeta = zetas[k]
+        coeffs.append(parity_sign(k) * ((2 * (zeta - (zeta >> k) - one) + k) // (2 * k)))
+    return tuple(BigReal(mp.make_mpf(from_man_exp(c, -wp)), precision)
+                 for c in series_compose_zmap(coeffs))
 
 
 class LambdaTable(NamedTuple):

@@ -26,7 +26,8 @@ Every other alternating binomial sum in the package is the same kernel:
                             (-1)^(n-1) (lambda_n - predict_voros(lambda, n)).
 
 The kernel sums raw ``mpf`` or exact ``Fraction`` values and takes its zeros from
-the operands (``x * 0``); a ``BigReal`` history is summed raw, then tagged once.
+the operands (``x * 0``); a ``BigReal`` history is summed raw, then tagged once,
+and a ``Fraction`` history as ints over one denominator, then reduced once.
 
 The mode is the function called: ``prediction_run`` predicts from exact
 history (true lower-index values substituted at every step) and
@@ -49,7 +50,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import mpmath
 from mpmath import mp
 
-from .bigreal import BigReal, DEFAULT_DIGITS
+from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError
 from .constants import euler_gamma
 from .lambda_core import binomial_guard_digits
 from .series import parity_sign
@@ -95,6 +96,18 @@ class RecurrenceScheme(_SchemeFields):
     def _make(cls, iterable) -> RecurrenceScheme:  # so that _replace validates too
         return cls(*iterable)
 
+    def guard_digits(self, n_max: int) -> int:
+        """Digits a prediction up to ``n_max`` can cancel, plus 3: the history's
+        tag must exceed the predictions' by this much.
+
+        With exact history a prediction's error is its inputs' error times the
+        sum of its weights' sizes, and nothing compounds.  The largest weight is
+        C(m, m/2) for order m, C(n_max, n_max/2) for the full history and
+        C(2 n_max, n_max) for Voros; the 3 covers the sum over the weights.
+        """
+        top = {ORDER_M: self.m, FULL_HISTORY: n_max, VOROS: 2 * n_max}[self.kind]
+        return binomial_guard_digits(top) + 3
+
 
 class PredictionResult(NamedTuple):
     n: int
@@ -116,7 +129,16 @@ def discrete_derivative(f: Sequence[Value], n: int, m: int) -> Value:
         raise ValueError("difference order m must be >= 0")
     if m > n:
         raise HistoryError(f"order m={m} exceeds available index range 0..{n}")
-    return _predict_binomial(f, m + 1, lambda k: math.comb(m, k), lowest=0)
+    return _predict_binomial(f, m + 1, _binomial_row(m, m + 1).__getitem__, lowest=0)
+
+
+def _binomial_row(top: int, count: int) -> List[int]:
+    """C(top, 0..count-1), each from the one before by one multiplication and
+    one exact division (a ``math.comb`` per weight costs a product each)."""
+    row = [1]
+    for j in range(1, count):
+        row.append(row[-1] * (top - j + 1) // j)
+    return row
 
 
 def _predict_binomial(
@@ -127,6 +149,8 @@ def _predict_binomial(
     Terms are added in ascending k.  The empty sum is ``history[0] * 0``, so
     it comes back in the history's own type.  A ``BigReal`` history is summed as
     raw ``mpf`` at its smallest tag's working precision; only the sum is tagged.
+    A ``Fraction`` history is summed as ints over one common denominator, so
+    only the sum is reduced.
     """
     if n < 1:
         raise ValueError(f"a binomial prediction needs n >= 1, got n={n}")
@@ -139,6 +163,10 @@ def _predict_binomial(
         with mp.workdps(tag + 5):
             raw = _predict_binomial([h.value for h in history[:n]], n, _rounded_weight(weight), lowest)
         return BigReal(raw, tag)
+    if isinstance(history[0], Fraction):
+        den = math.lcm(*(h.denominator for h in history[:n]))
+        ints = [h.numerator * (den // h.denominator) for h in history[:n]]
+        return Fraction(_predict_binomial(ints, n, weight, lowest), den)
     total: Optional[Value] = None
     for k in range(lowest, n):
         w = weight(k)
@@ -181,7 +209,7 @@ def predict_full_history(history: Sequence[Value], n: int) -> Value:
 
     At n = 4 this reads 4 h(3) - 6 h(2) + 4 h(1); the empty sum at n = 1 is 0.
     """
-    return _predict_binomial(history, n, lambda k: math.comb(n, k))
+    return _predict_binomial(history, n, _binomial_row(n, n).__getitem__)
 
 
 def predict_voros(history: Sequence[Value], n: int) -> Value:
@@ -192,7 +220,8 @@ def predict_voros(history: Sequence[Value], n: int) -> Value:
     At n = 2 it reads 4 h(1).  Same sign pattern as predict_full_history;
     the weights are the tail-suppressing C(2n, n-k) instead of C(n, k).
     """
-    return _predict_binomial(history, n, lambda k: math.comb(2 * n, n - k))
+    row = _binomial_row(2 * n, n)
+    return _predict_binomial(history, n, lambda k: row[n - k])
 
 
 def _predict(scheme: RecurrenceScheme, history: Sequence[Value], n: int) -> Value:
@@ -208,15 +237,30 @@ def prediction_run(
     history: Sequence[Value],
     n_lo: int,
     n_hi: int,
+    precision: int,
 ) -> List[PredictionResult]:
     """Exact-history predictions for n in [n_lo, n_hi], with errors.
 
     ``history[k]`` must hold the true value at k for every k < n_hi (and at
-    n itself whenever the error columns are wanted).
+    n itself whenever the error columns are wanted).  A history with
+    ``BigReal`` values must be tagged at least ``precision`` plus
+    ``scheme.guard_digits(n_hi)`` (``PrecisionError`` otherwise), and each
+    prediction from it is tagged ``precision``, the digits it holds; an exact
+    history gives exact predictions.
     """
+    tags = [h.precision for h in history if isinstance(h, BigReal)]
+    if tags:
+        need, tag = precision + scheme.guard_digits(n_hi), min(tags)
+        if tag < need:
+            raise PrecisionError(
+                f"predictions to n = {n_hi} at {precision} digits need a history tagged "
+                f"{need}, not {tag}"
+            )
     results = []
     for n in range(n_lo, n_hi + 1):
         predicted = _predict(scheme, history, n)
+        if tags:
+            predicted = BigReal(predicted, precision)
         exact = history[n] if n < len(history) else None
         abs_err = rel_err = None
         if exact is not None:

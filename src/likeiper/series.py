@@ -4,12 +4,15 @@ A series is a sequence of coefficients ``a[0..N]`` for
 ``sum a_k z^k + O(z^(N+1))``; every operation takes any sequence and returns
 a tuple of the same length.  Each is written against the common field
 interface (``+ - * /``, multiplication and division by Python ints) and takes
-its zeros from the operands (``c * 0``), so one code path serves two
+its zeros from the operands (``c * 0``), so one code path serves three
 coefficient types:
 
 * raw ``mpmath.mpf`` -- the numeric kernel.  Callers enter one
   ``mp.workdps`` context, run the series work on raw values, and tag each
   result as ``BigReal`` once, where it leaves the kernel;
+* ``int`` -- fixed point, each coefficient scaled by a common 2^wp.  Only
+  ``series_compose_zmap`` takes it (it only adds, so it stays exact and
+  needs no rescaling); the caller tags each result once;
 * :class:`fractions.Fraction` -- exact mode, so that identities can be tested
   with no rounding error at all.
 
@@ -29,7 +32,7 @@ from typing import Sequence, Tuple, Union
 
 import mpmath
 
-Coefficient = Union[mpmath.mpf, Fraction]
+Coefficient = Union[mpmath.mpf, int, Fraction]
 
 
 class SeriesOrderError(ValueError):
@@ -85,7 +88,8 @@ def series_compose_zmap(a: Sequence[Coefficient]) -> Tuple[Coefficient, ...]:
     by ``u`` is a shift of the prefix sums.  Coefficient ``n`` depends only on
     ``a_0..a_n``, so ``h`` grows by one coefficient per step and truncating at
     the input's length is exact.  The whole composition costs
-    ``order*(order-1)/2`` additions and no multiplications.  With raw ``mpf``
+    ``order*(order-1)/2`` additions and no multiplications, so fixed-point
+    ``int`` and ``Fraction`` coefficients compose exactly.  With raw ``mpf``
     coefficients the caller's working precision must absorb the cancellation
     of the composed sums, ``[z^n] = sum_{k=1}^{n} C(n-1, k-1) a_k`` (about
     log10 C(n-1, n/2) digits at index ``n``).

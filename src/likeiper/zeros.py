@@ -23,7 +23,7 @@ from mpmath import mp
 from mpmath.libmp import (dps_to_prec, fone, from_man_exp, mpf_add, mpf_div, mpf_mul,
                           round_down, round_nearest, to_fixed)
 
-from .bigreal import BigReal, DEFAULT_DIGITS
+from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError
 from .datafiles import default_zeros_path, parse_indexed_table, table_digits
 from .series import parity_sign
 
@@ -200,9 +200,13 @@ def inversion_check(
 
     with a tiny allowance of 10^-40 for the rounding of the lambda values
     themselves.  One ``z_partial`` and one ``z_tail_bound`` pass give every
-    Z(n) and its bound.
+    Z(n) and its bound, tagged min(precision, zeros.digits).  The weights
+    C(2n, n-k) amplify the table's rounding, so the table must be tagged
+    that plus the Voros scheme's ``guard_digits(n_max)`` (``PrecisionError``
+    otherwise); each LHS is tagged like Z(n).
     """
-    from .recurrences import predict_voros  # here, so that loading zeros loads no predictor
+    # here, so that loading zeros loads no predictor
+    from .recurrences import VOROS, RecurrenceScheme, predict_voros
 
     if n_max < 1:
         raise ValueError("inversion_check needs n_max >= 1")
@@ -210,12 +214,19 @@ def inversion_check(
         raise ValueError(
             f"lambda table covers n <= {lambdas.n_max}, need n = {n_max}"
         )
+    tag = min(precision, zeros.digits)
+    need = tag + RecurrenceScheme(kind=VOROS).guard_digits(n_max)
+    if lambdas.precision < need:
+        raise PrecisionError(
+            f"the inversion to n = {n_max} at {tag} digits needs a lambda table tagged "
+            f"{need}, not {lambdas.precision}"
+        )
     allowance = BigReal(1, precision) / (10 ** 40)
     history = lambdas.lambda_history()
     sums = zip(z_partial(n_max, zeros, precision), z_tail_bound(n_max, zeros, precision))
     rows = []
     for n, (z_trunc, bound) in enumerate(sums, 1):
-        lhs = (history[n] - predict_voros(history, n)) * parity_sign(n - 1)
+        lhs = BigReal((history[n] - predict_voros(history, n)) * parity_sign(n - 1), tag)
         rows.append(InversionCheck(
             n=n,
             lhs=lhs,

@@ -294,12 +294,14 @@ def test_criterion_05_nlogn_sums_to_twelve_digits_and_gap_bound():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_06_inversion_consistent_for_n_1_to_7(table7, zeros):
+def test_criterion_06_inversion_consistent_for_n_1_to_7(zeros):
     """For 1 <= n <= 7 the alternating central-binomial combination of
     lambda values agrees with the truncated zero power sum within
     z_tail_bound(n) + 1e-40, using 100 zeros at 50 digits; the n = 1
-    bracket contains lambda(1)."""
+    bracket contains lambda(1).  The lambda table carries the guard digits
+    the weights C(2n, n-k) cancel."""
     assert zeros.count == 100 and zeros.digits == 50
+    table7 = lambda_table(7, DIGITS + RecurrenceScheme(kind=VOROS).guard_digits(7))
     allowance = big("1e-40", DIGITS)
     residuals = []
     for n in range(1, 8):

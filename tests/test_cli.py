@@ -5,8 +5,10 @@ import shlex
 import shutil
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from likeiper.cli import main
@@ -142,6 +144,16 @@ class TestVerify:
         assert run("verify", "--table", "4") == run("verify", "--table", "4")
 
 
+def _self_seeded_ratio(scheme, c, n):
+    """lambda(n)/lambda(1) of a self-seeded run: n^2 for a2, (c/2 - 1) n (n-1) + n
+    for d and 1 + (c - 1)(n - 1) for order 2, with lambda(2) = c lambda(1)."""
+    if scheme == "a2":
+        return Fraction(n * n)
+    if scheme == "d":
+        return (c / 2 - 1) * n * (n - 1) + n
+    return 1 + (c - 1) * (n - 1)
+
+
 class TestApprox:
     def test_central_binomial_20_digit_values(self):
         code, out, _ = run(
@@ -208,12 +220,44 @@ class TestApprox:
             assert Decimal(row[2]) == n * n
 
     def test_self_seeded_values_beyond_the_digit_tag_exit_2(self):
-        # the rows grow to 10^35; past 10 integer digits at --digits 10 they are noise
+        # the ratios (c/2 - 1) n (n-1) + n pass 10 integer digits at n = 6,
+        # which --digits 10 cannot carry
         code, out, err = run(
-            "approx", "--scheme", "d", "--seed", "initial:2", "--n-max", "100", "--digits", "10"
+            "approx", "--scheme", "d", "--seed", "initial:1e9", "--n-max", "100", "--digits", "10"
         )
         assert code == 2 and out == ""
         assert err == "likeiper: error: cannot print a value with 11 integer digits at tag 10\n"
+
+    @pytest.mark.parametrize("scheme, c, n_max, digits", [("a2", None, 100, 30)] + [
+        (scheme, c, 100, 30) for scheme in ("d", "a1", "m:2")
+        for c in ("2", "3", "-1.5", "0.1", "7.25", "1e-3")
+    ] + [
+        # |r| near 10^6, where a ratio rounded to 53 bits first is off in its
+        # last places (from n = 1052 on)
+        ("d", "0.1", 1100, 10),
+    ])
+    def test_self_seeded_rows_are_closed_forms(self, scheme, c, n_max, digits):
+        # row n is lambda(1) r_n for an exact r_n; each printed cell is rounded once
+        seed = "initial" if c is None else f"initial:{c}"
+        code, out, _ = run("approx", "--scheme", scheme, "--seed", seed,
+                           "--n-max", str(n_max), "--digits", str(digits))
+        assert code == 0
+        with mpmath.workdps(200):
+            man, exp = (1 + mpmath.euler / 2 - mpmath.log(4 * mpmath.pi) / 2).man_exp
+        lam1, unit = man * Fraction(2) ** exp, Fraction(1, 10**digits)
+        rows = data_rows(out)
+        assert [int(row[0]) for row in rows] == list(range(1, n_max + 1))
+        for n, predicted, ratio in rows:
+            r = _self_seeded_ratio(scheme, c and Fraction(c), int(n))
+            assert Fraction(ratio) == round(r / unit) * unit, n
+            assert abs(Fraction(predicted) - lam1 * r) <= unit / 2 * Fraction(1001, 1000), n
+
+    @pytest.mark.parametrize("scheme, digits, guard", [("a2", 100, 22), ("d", 90, 12), ("a1", 97, 4)])
+    def test_guard_past_the_stieltjes_digits_exit_2(self, scheme, digits, guard):
+        code, out, err = run("approx", "--scheme", scheme, "--n-max", "32", "--digits", str(digits))
+        assert code == 2 and out == ""
+        assert err == (f"likeiper: error: --digits {digits} takes {guard} guard digits at --n-max 32,"
+                       f" and {digits + guard} exceeds the 100 digits of the Stieltjes table\n")
 
     def test_order_spec_equivalent_to_named(self):
         named = run("approx", "--scheme", "b", "--seed", "exact", "--n-max", "9")
@@ -236,6 +280,21 @@ class TestApprox:
             code, out, err = run("approx", "--scheme", "d", "--seed", f"initial:{c}")
             assert code == 2 and out == ""
             assert f"likeiper: error: bad --seed 'initial:{c}'; c must be finite" in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python has no int-string digit limit")
+    def test_seed_digits_stop_at_the_int_string_limit(self):
+        # c's digits and exponent count against the limit before any power of ten is built
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run("approx", "--scheme", "d", "--seed", f"initial:1e-{limit - 1}",
+                           "--n-max", "2", "--digits", "30")
+        assert code == 0 and out.splitlines()[-1].split("\t")[-1] == "0." + "0" * 30
+        for c in (f"1e-{limit}", "1e-999999999"):
+            code, out, err = run("approx", "--scheme", "d", "--seed", f"initial:{c}")
+            assert code == 2 and out == ""
+            assert err == (
+                f"likeiper: error: bad --seed 'initial:{c}'; c must be a finite decimal number\n"
+            )
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this Python has no int-string digit limit")
@@ -321,6 +380,13 @@ class TestZeros:
         rows = data_rows(out)
         assert len(rows) == 7
         assert all(r[-1] == "yes" for r in rows)
+
+    def test_inversion_to_32_at_50_digits_passes(self):
+        # the table carries 22 guard digits for the weights C(64, 32 - k)
+        code, out, _ = run("zeros", "--inversion", "--n-max", "32", "--digits", "50")
+        assert code == 0
+        assert out.splitlines()[-1] == "# result: pass"
+        assert [row[-1] for row in data_rows(out)] == ["yes"] * 32
 
     def test_short_zero_table_warns(self, tmp_path):
         path = tmp_path / "zeros.tsv"

@@ -122,14 +122,14 @@ class TestZetaInts:
 
     @pytest.mark.parametrize("precision", [30, 100, 200])
     def test_every_k_matches_library(self, precision):
-        # run at the global default precision: a value converted back at the
-        # ambient 15 digits would fail here
-        assert mp.dps == 15
-        values = zeta_ints(120, precision)
+        # 2^wp-scaled ints, within the documented 10^-(precision+10) of zeta(k)
+        wp, values = zeta_ints(120, precision)
+        assert wp == dps_to_prec(precision + 15) + 10
         assert sorted(values) == list(range(2, 121))
+        assert all(isinstance(value, int) for value in values.values())
         with mp.workdps(precision + 20):
             for k, value in values.items():
-                assert abs(value - mp.zeta(k)) < mp.mpf(10) ** -(precision + 5), k
+                assert abs(mp.mpf(value) / 2**wp - mp.zeta(k)) < mp.mpf(10) ** -(precision + 10), k
 
 
 class TestPolygammaHalf:

@@ -5,6 +5,8 @@ explicit binomial substitution, sharing no code with the package's series
 layer, so an arithmetic bug in either side shows up as a mismatch.
 """
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mp
@@ -20,6 +22,7 @@ from likeiper.lambda_core import (
     tiny_series,
     trend_series,
 )
+from likeiper.series import series_compose_zmap
 
 ORACLE_DPS = 60
 ORACLE_N = 12
@@ -176,6 +179,33 @@ class TestSeriesAccessors:
         s = trend_series(ORACLE_N, 50)
         for n in range(1, ORACLE_N + 1):
             assert s[n].agrees_to(table12.trend_over_n(n), 48)
+
+
+def _exact(x):
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def trend_oracle(n_max: int, digits: int):
+    """lambda_trend(n)/n for n = 0..n_max from mpmath's own zeta(k), log(pi)
+    and psi(1/2) at 2 * digits + 20 digits, made exact and composed through
+    u = z/(1-z) on Fractions, where the composition rounds nothing."""
+    with mp.workdps(2 * digits + 20):
+        u = [Fraction(0), _exact(1 - mp.log(mp.pi) / 2 + mp.psi(0, mp.mpf(1) / 2) / 2)]
+        for k in range(2, n_max + 1):
+            u.append((-1) ** k * (_exact(mp.zeta(k)) * (1 - Fraction(1, 2**k)) - 1) / k)
+    return series_compose_zmap(u)
+
+
+class TestTrendOnInts:
+    @pytest.mark.parametrize("digits", [20, 50, 100])
+    @pytest.mark.parametrize("n_max", [11, 32, 80])
+    def test_matches_independent_zeta(self, n_max, digits):
+        got, want = trend_series(n_max, digits), trend_oracle(n_max, digits)
+        assert got[0] == 0
+        for n in range(1, n_max + 1):
+            assert got[n].precision == digits
+            assert got[n].agrees_to(BigReal(want[n], 2 * digits), digits), n
 
 
 class TestGuardDigits:

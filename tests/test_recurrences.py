@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from likeiper.bigreal import BigReal, big
-from likeiper.lambda_core import lambda_table
+from likeiper.bigreal import MIN_DIGITS, BigReal, PrecisionError, big
+from likeiper.lambda_core import binomial_guard_digits, lambda_table
 from likeiper.recurrences import (
     FULL_HISTORY,
     ORDER_M,
@@ -294,9 +296,15 @@ class TestKernelMatchesPerTermBigReal:
         history = tagged_histories[0]
         for scheme in (RecurrenceScheme(kind=FULL_HISTORY), RecurrenceScheme(kind=VOROS),
                        RecurrenceScheme(kind=ORDER_M, m=3)):
-            for r in prediction_run(scheme, history, 3, 32):
+            # the digits the table's tag leaves after the scheme's guard
+            digits = history[1].precision - scheme.guard_digits(32)
+            if digits < MIN_DIGITS:
+                with pytest.raises(PrecisionError):
+                    prediction_run(scheme, history, 3, 32, MIN_DIGITS)
+                continue
+            for r in prediction_run(scheme, history, 3, 32, digits):
                 assert _bits(r.predicted) == _bits(
-                    oracle_binomial(history, r.n, _weight(scheme, r.n)))
+                    BigReal(oracle_binomial(history, r.n, _weight(scheme, r.n)), digits))
         values = self_seeded_run(RecurrenceScheme(kind=VOROS), history[1], n_max=32)
         expected = [history[0], history[1]]
         for n in range(2, 33):
@@ -415,11 +423,17 @@ class TestSelfSeeded:
             self_seeded_run(scheme, Fraction(1), n_max=0)
 
 
+@pytest.fixture(scope="module")
+def guarded15():
+    """lambda(1..15) at the digits 50-digit full-history predictions to n = 15 need."""
+    return lambda_table(15, 50 + RecurrenceScheme(kind=FULL_HISTORY).guard_digits(15))
+
+
 class TestPredictionRun:
     def test_exact_history_linear(self):
         scheme = RecurrenceScheme(kind=ORDER_M, m=2)
         history = poly_values([0, 1], 6)
-        results = prediction_run(scheme, history, 2, 6)
+        results = prediction_run(scheme, history, 2, 6, 30)
         assert [r.n for r in results] == [2, 3, 4, 5, 6]
         for r in results:
             assert r.predicted == r.n
@@ -430,7 +444,7 @@ class TestPredictionRun:
     def test_zero_exact_gives_no_rel_error(self):
         scheme = RecurrenceScheme(kind=ORDER_M, m=2)
         history = [Fraction(k - 2) for k in range(4)]  # h(2) = 0
-        results = prediction_run(scheme, history, 2, 2)
+        results = prediction_run(scheme, history, 2, 2, 30)
         assert results[0].exact == 0
         assert results[0].abs_error == 2  # 2 h(1) - h(0) = -2 vs exact 0
         assert results[0].rel_error is None
@@ -438,16 +452,16 @@ class TestPredictionRun:
     def test_prediction_past_history_has_no_exact(self):
         scheme = RecurrenceScheme(kind=FULL_HISTORY)
         history = poly_values([0, 1], 5)
-        results = prediction_run(scheme, history, 6, 6)
+        results = prediction_run(scheme, history, 6, 6, 30)
         assert results[0].exact is None
         assert results[0].abs_error is None
         assert results[0].predicted == 6
 
-    def test_on_real_coefficients(self, table7):
+    def test_on_real_coefficients(self, guarded15):
         scheme = RecurrenceScheme(kind=FULL_HISTORY)
-        results = prediction_run(scheme, table7.tiny_history(), 2, 7)
+        results = prediction_run(scheme, guarded15.tiny_history(), 2, 7, 50)
         for r in results:
-            assert r.exact is table7.tiny_part(r.n)
+            assert r.exact is guarded15.tiny_part(r.n)
             assert r.abs_error.agrees_to(abs(r.predicted - r.exact), 45)
         # accuracy sharpens fast as more history becomes available
         rel = [r.rel_error for r in results]
@@ -484,9 +498,9 @@ class TestClosedFormCheckLinear:
 
 
 class TestOnCoefficientHistories:
-    def test_full_history_error_alternates_on_tiny(self, table15):
+    def test_full_history_error_alternates_on_tiny(self, guarded15):
         scheme = RecurrenceScheme(kind=FULL_HISTORY)
-        results = prediction_run(scheme, table15.tiny_history(), 3, 15)
+        results = prediction_run(scheme, guarded15.tiny_history(), 3, 15, 50)
         signs = [1 if r.predicted > r.exact else -1 for r in results]
         for a, b in zip(signs, signs[1:]):
             assert a == -b
@@ -583,3 +597,77 @@ class TestModelPredictor:
             deviation = abs(model_predictor(n, 50).value / n - smooth)
             gap = abs((phi1 - phi2).value) / (2 * n)
             assert abs(deviation - gap) < mp.mpf(10) ** -40
+
+
+#: The benchmark's reference outputs: every lambda cell computed at 190 digits
+#: from mpmath primitives alone, stored to 130 significant digits.
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "reference.json"
+
+HONESTY_SCHEMES = {
+    "a1": RecurrenceScheme(kind=ORDER_M, m=2),
+    "b": RecurrenceScheme(kind=ORDER_M, m=3),
+    "m:5": RecurrenceScheme(kind=ORDER_M, m=5),
+    "d": RecurrenceScheme(kind=FULL_HISTORY),
+    "a2": RecurrenceScheme(kind=VOROS),
+}
+
+
+@pytest.fixture(scope="module")
+def true_histories():
+    """Exact [0, h(1), ..., h(32)] for the tiny, trend and lambda histories,
+    from the reference's ``lambda --n-max 32`` cells."""
+    reference = json.loads(REFERENCE.read_text())["ops"]["lambda_32_100"]
+    cells = {(row, column): Fraction(value) for row, column, _, value, *_ in reference}
+    return {
+        "tiny": [Fraction(0)] + [n * cells[str(n), "tiny_over_n"] for n in range(1, 33)],
+        "trend": [Fraction(0)] + [n * cells[str(n), "trend_over_n"] for n in range(1, 33)],
+        "lambda": [Fraction(0)] + [cells[str(n), "lambda"] for n in range(1, 33)],
+    }
+
+
+class TestGuardDigits:
+    @pytest.mark.parametrize("n_max", [2, 7, 32, 100])
+    def test_binomial_guard_of_the_largest_weight_plus_3(self, n_max):
+        # the largest weights: C(m, m/2), C(n, n/2) and C(2n, n)
+        for m in (2, 3, 7):
+            assert RecurrenceScheme(kind=ORDER_M, m=m).guard_digits(n_max) == (
+                binomial_guard_digits(m) + 3)
+        assert RecurrenceScheme(kind=FULL_HISTORY).guard_digits(n_max) == (
+            binomial_guard_digits(n_max) + 3)
+        assert RecurrenceScheme(kind=VOROS).guard_digits(n_max) == (
+            binomial_guard_digits(2 * n_max) + 3)
+
+    def test_history_below_the_guard_raises(self):
+        scheme = RecurrenceScheme(kind=VOROS)
+        need = 30 + scheme.guard_digits(32)
+        short = [big(k, need - 1) for k in range(33)]
+        with pytest.raises(PrecisionError, match=f"need a history tagged {need}, not {need - 1}"):
+            prediction_run(scheme, short, 2, 32, 30)
+        results = prediction_run(scheme, [big(k, need) for k in range(33)], 2, 32, 30)
+        assert {r.predicted.precision for r in results} == {30}
+
+    def test_exact_history_takes_no_tag(self):
+        results = prediction_run(RecurrenceScheme(kind=VOROS), poly_values([0, 0, 1], 9), 2, 9, 30)
+        assert [r.predicted for r in results] == [n * n for n in range(2, 10)]
+
+
+class TestTagHonesty:
+    """A prediction tagged D digits from a history at D plus the scheme's guard
+    agrees to D digits with the exact weighted sum of the true values."""
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    @pytest.mark.parametrize("name", sorted(HONESTY_SCHEMES))
+    def test_predictions_hold_their_tag(self, true_histories, name, digits):
+        scheme = HONESTY_SCHEMES[name]
+        table = lambda_table(32, digits + scheme.guard_digits(32))
+        histories = {"tiny": table.tiny_history(), "trend": table.trend_history(),
+                     "lambda": table.lambda_history()}
+        for target, history in histories.items():
+            truth = true_histories[target]
+            for r in prediction_run(scheme, history, scheme.m or 2, 32, digits):
+                weight = _weight(scheme, r.n)
+                exact = sum(parity_sign(k - r.n + 1) * weight(k) * truth[k] for k in range(1, r.n))
+                assert r.predicted.precision == digits
+                error = abs(exact - truth[r.n])
+                assert r.predicted.agrees_to(BigReal(exact, 120), digits), (target, r.n)
+                assert r.abs_error.agrees_to(BigReal(error, 120), digits), (target, r.n)

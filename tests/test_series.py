@@ -162,6 +162,18 @@ class TestComposeZmap:
         assert tally == collections.Counter(add=order * (order - 1) // 2)  # no "mul"
         assert [c.value for c in out] == closed_form_compose_zmap([c.value for c in a])
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.lists(st.integers(min_value=-(1 << 300), max_value=1 << 300), min_size=1, max_size=81),
+        wp=st.integers(min_value=0, max_value=400),
+    )
+    def test_fixed_point_ints_are_the_fraction_path_scaled(self, a, wp):
+        # on 2^wp-scaled ints the composition only adds, so it is exact
+        scaled = [Fraction(c, 1 << wp) for c in a]
+        out = series_compose_zmap(a)
+        assert all(type(c) is int for c in out)
+        assert [Fraction(c, 1 << wp) for c in out] == list(series_compose_zmap(scaled))
+
     def test_mpf_within_n_ulps_of_exact(self):
         # raw mpf at 89 digits against the exact composition of the same inputs:
         # each coefficient within order ulps of the sum of its terms' magnitudes.

@@ -13,9 +13,9 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from likeiper.bigreal import BigReal, big
+from likeiper.bigreal import BigReal, PrecisionError, big
 from likeiper.lambda_core import LambdaTable, lambda_table
-from likeiper.recurrences import predict_voros
+from likeiper.recurrences import VOROS, RecurrenceScheme, predict_voros
 from likeiper.series import parity_sign
 from likeiper.zeros import (
     ZeroDataError,
@@ -161,7 +161,7 @@ def _per_n_inversion_row(n, lambdas, zeros, precision):
             total += (quarter + t.value * t.value) ** (-n)
         z_trunc = BigReal(total, precision)
     history = lambdas.lambda_history()
-    lhs = (history[n] - predict_voros(history, n)) * parity_sign(n - 1)
+    lhs = BigReal((history[n] - predict_voros(history, n)) * parity_sign(n - 1), precision)
     bound = _tail_integral(n, zeros.last, precision) * 2
     allowance = BigReal(1, precision) / (10 ** 40)
     return lhs, z_trunc, bound, allowance, abs(lhs - z_trunc) <= bound + allowance
@@ -282,43 +282,53 @@ class TestDeltaBound:
             delta_bound(0)
 
 
+def _voros_guard(n_max):
+    return RecurrenceScheme(kind=VOROS).guard_digits(n_max)
+
+
+@pytest.fixture(scope="module")
+def guarded7():
+    """lambda(1..7) at the digits a 50-digit inversion to n = 7 needs."""
+    return lambda_table(7, 50 + _voros_guard(7))
+
+
 class TestInversionCheck:
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_consistent_through_7(self, table7, zeros, n):
-        check = inversion_check(n, table7, zeros, 50)[n - 1]
+    def test_consistent_through_7(self, guarded7, zeros, n):
+        check = inversion_check(n, guarded7, zeros, 50)[n - 1]
         assert check.consistent
         assert check.residual <= check.tail_bound + check.allowance
 
-    def test_n1_residual_and_bound(self, table7, zeros):
-        check = inversion_check(1, table7, zeros, 50)[0]
+    def test_n1_residual_and_bound(self, guarded7, zeros):
+        check = inversion_check(1, guarded7, zeros, 50)[0]
         assert check.residual.to_decimal_string(9) == "0.003110857"
         assert check.tail_bound.to_decimal_string(9) == "0.006228509"
 
-    def test_n1_brackets_lambda1(self, table7, zeros):
+    def test_n1_brackets_lambda1(self, guarded7, zeros):
         # lambda(1) equals the full zero sum, so it must sit between the
         # truncated sum and the truncated sum plus the tail bound
-        check = inversion_check(1, table7, zeros, 50)[0]
-        assert check.lhs.agrees_to(table7.lam(1), 45)
+        check = inversion_check(1, guarded7, zeros, 50)[0]
+        assert check.lhs.agrees_to(guarded7.lam(1), 45)
         gap = check.lhs - check.z_truncated
         assert BigReal(0, 50) < gap < check.tail_bound
 
-    def test_residual_magnitudes(self, table7, zeros):
-        assert inversion_check(2, table7, zeros, 50)[1].residual.to_decimal_string(11) == "0.00000001582"
-        r5 = inversion_check(5, table7, zeros, 50)[4].residual
+    def test_residual_magnitudes(self, guarded7, zeros):
+        assert inversion_check(2, guarded7, zeros, 50)[1].residual.to_decimal_string(11) == "0.00000001582"
+        r5 = inversion_check(5, guarded7, zeros, 50)[4].residual
         assert big("2.8e-23", 50) < r5 < big("2.9e-23", 50)
 
-    def test_zero_allowance_still_consistent_for_n2(self, table7, zeros):
-        check = inversion_check(2, table7, zeros, 50)[1]
+    def test_zero_allowance_still_consistent_for_n2(self, guarded7, zeros):
+        check = inversion_check(2, guarded7, zeros, 50)[1]
         assert check.residual <= check.tail_bound
 
-    def test_tampered_lambda_detected(self, table7, zeros):
-        bumped = list(table7.total)
+    def test_tampered_lambda_detected(self, guarded7, zeros):
+        bumped = list(guarded7.total)
         bumped[1] = bumped[1] + big(1, 50) / 1000
         tampered = LambdaTable(
-            n_max=table7.n_max,
-            precision=table7.precision,
-            trend=table7.trend,
-            tiny=table7.tiny,
+            n_max=guarded7.n_max,
+            precision=guarded7.precision,
+            trend=guarded7.trend,
+            tiny=guarded7.tiny,
             total=tuple(bumped),
         )
         check = inversion_check(2, tampered, zeros, 50)[1]
@@ -327,19 +337,22 @@ class TestInversionCheck:
     @pytest.mark.parametrize("digits", [30, 50, 100])
     def test_lhs_bit_identical_to_ascending_loop(self, zeros, digits):
         # oracle: the alternating central-binomial sum added in ascending k
-        # from a zero at the table's tag, as the check was first written
-        table = lambda_table(32, digits)
+        # from a zero at the table's tag, as the check was first written, then
+        # tagged at the digits the zero table carries
+        tag = min(digits, zeros.digits)
+        table = lambda_table(32, tag + _voros_guard(32))
         for n in range(1, 33):
-            expected = BigReal(0, digits)
+            expected = BigReal(0, table.precision)
             for k in range(1, n + 1):
                 expected = expected + table.lam(k) * ((-1) ** (k - 1) * math.comb(2 * n, n - k))
+            expected = BigReal(expected, tag)
             lhs = inversion_check(n, table, zeros, digits)[n - 1].lhs
             assert lhs.precision == expected.precision
             assert lhs.value._mpf_ == expected.value._mpf_, n
 
     @pytest.mark.parametrize("digits", [30, 50])
     def test_rows_bit_identical_to_per_n_loop(self, zeros, digits):
-        table = lambda_table(32, digits)
+        table = lambda_table(32, digits + _voros_guard(32))
         rows = inversion_check(32, table, zeros, digits)
         assert [row.n for row in rows] == list(range(1, 33))
         for row in rows:
@@ -354,3 +367,11 @@ class TestInversionCheck:
             inversion_check(0, table7, zeros)
         with pytest.raises(ValueError):
             inversion_check(8, table7, zeros)
+
+    @pytest.mark.parametrize("n_max, digits", [(7, 50), (32, 30), (32, 50)])
+    def test_table_below_the_guard_raises(self, zeros, n_max, digits):
+        # C(2n, n-k) amplify the table's rounding about 10^(guard - 3)-fold
+        need = digits + _voros_guard(n_max)
+        with pytest.raises(PrecisionError, match=f"table tagged {need}, not {need - 1}"):
+            inversion_check(n_max, lambda_table(n_max, need - 1), zeros, digits)
+        assert len(inversion_check(n_max, lambda_table(n_max, need), zeros, digits)) == n_max
