@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Committed mutation checks: each mutant must make its tests fail.
+
+A mutant swaps one exact piece of text in one module of ``src/`` for
+another.  For each mutant the runner copies ``src/`` to a temporary
+directory, applies the swap there (the tree itself is never touched), and
+runs ``pytest -x -q`` on the mutant's test files with the copy first on
+``PYTHONPATH``.  A mutant is *killed* when pytest reports a failing test,
+*survived* when every test passes, and *stale* when its old text no longer
+occurs exactly once, so a refactor has to update its mutants with the code.
+Any other pytest outcome (an import error at collection, a missing test
+file) is an *error*.  The named tests must pass on the unmutated tree,
+which the tier-1 suite checks.
+
+Run from anywhere, standard library and pytest only:
+
+    python scripts/mutants.py
+
+It prints one line per mutant and exits 0 when every mutant is killed, 1
+otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str                # module path relative to src/
+    old: str                 # exact text, found once in the module
+    new: str
+    tests: Tuple[str, ...]   # pytest arguments (files or node ids), relative to the root
+
+
+MUTANTS: Tuple[Mutant, ...] = (
+    # series_log keeps k * b_k once per coefficient
+    Mutant("log-kb-unrounded", "likeiper/series.py",
+           "        kb.append(b_n * n)\n", "        kb.append(acc)\n",
+           ("tests/test_series.py",)),
+    Mutant("log-b-for-kb", "likeiper/series.py",
+           "acc = acc - kb[k] * a[n - k]", "acc = acc - b[k] * a[n - k]",
+           ("tests/test_series.py",)),
+    # the composition through u = z/(1-z): Horner's rule with prefix sums
+    Mutant("compose-zero-constant", "likeiper/series.py",
+           "    return (a[0], *accumulate(h))", "    return (a[0] * 0, *accumulate(h))",
+           ("tests/test_series.py",)),
+    Mutant("compose-forward-horner", "likeiper/series.py",
+           "    for a_k in reversed(a[1:]):", "    for a_k in a[1:]:",
+           ("tests/test_series.py",)),
+    # the tag rule: a value may print as many integer digits as its tag, no more
+    Mutant("tag-rule-ge", "likeiper/bigreal.py",
+           "            if digits > bound:", "            if digits >= bound:",
+           ("tests/test_bigreal.py",)),
+    # the trend series on fixed-point ints
+    Mutant("trend-zeta-shift", "likeiper/lambda_core.py",
+           "(zeta >> k)", "(zeta >> (k + 1))",
+           ("tests/test_lambda_core.py",)),
+    Mutant("trend-no-guard", "likeiper/lambda_core.py",
+           "    work = precision + guard_digits(n_max)\n", "    work = precision\n",
+           ("tests/test_lambda_core.py",)),
+    # the inversion allowance covers the table's rounding, B(n)
+    Mutant("inversion-no-rounding-bound", "likeiper/zeros.py",
+           "allowance = max(floor, BigReal(spread, precision))", "allowance = floor",
+           ("tests/test_cli.py::TestZeros",)),
+)
+
+
+def run_mutant(mutant: Mutant) -> Tuple[str, str]:
+    """Apply ``mutant`` to a copy of ``src/`` and run its tests there.
+
+    Returns the status (``killed``, ``survived``, ``stale`` or ``error``)
+    and pytest's last output line or the reason the text is stale.
+    """
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / mutant.path
+        text = target.read_text(encoding="utf-8")
+        count = text.count(mutant.old)
+        if count != 1:
+            return "stale", f"old text occurs {count} times in src/{mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    lines = proc.stdout.strip().splitlines()
+    status = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+    return status, lines[-1] if lines else proc.stderr.strip()[-200:]
+
+
+def main() -> int:
+    failed, start = 0, time.perf_counter()
+    for mutant in MUTANTS:
+        status, detail = run_mutant(mutant)
+        failed += status != "killed"
+        print(f"{status}\t{mutant.name}\t{detail}", flush=True)
+    print(f"# {len(MUTANTS) - failed} of {len(MUTANTS)} killed in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -65,18 +65,24 @@ def series_log(a: Sequence[Coefficient]) -> Tuple[Coefficient, ...]:
         n * b_n = n * a_n - sum_{k=1}^{n-1} k * b_k * a_{n-k}
 
     which needs one division per coefficient and no transcendental calls.
-    The constant term of the result is exactly the field zero, and the
-    constant term of ``a`` must equal 1 exactly.
+    Each k * b_k is formed once, when b_k is, and kept in ``kb``, so order N
+    costs N(N-1)/2 + 2N + 1 multiplications and N divisions; the operands
+    and their order are those of the sum above, so raw ``mpf`` results do
+    not depend on the hoist.  The constant term of the result is exactly the
+    field zero, and the constant term of ``a`` must equal 1 exactly.
     """
     c0 = a[0]
     if c0 != 1:
         raise SeriesDomainError(f"series_log needs constant term 1, got {c0}")
     b = [c0 * 0]
+    kb = b[:]  # kb[k] = k * b_k; kb[0] is never read
     for n in range(1, len(a)):
         acc = a[n] * n
         for k in range(1, n):
-            acc = acc - (b[k] * k) * a[n - k]
-        b.append(acc / n)
+            acc = acc - kb[k] * a[n - k]
+        b_n = acc / n
+        b.append(b_n)
+        kb.append(b_n * n)
     return tuple(b)
 
 

@@ -15,6 +15,7 @@ table carries provenance in its header.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
@@ -176,7 +177,7 @@ class InversionCheck(NamedTuple):
     lhs: BigReal            # alternating central-binomial combination of lambdas
     z_truncated: BigReal    # partial power sum over ingested zeros
     tail_bound: BigReal
-    allowance: BigReal      # extra slack for lambda rounding
+    allowance: BigReal      # max(10^-40, B(n)): slack for the table's own rounding
     consistent: bool
 
     @property
@@ -198,8 +199,15 @@ def inversion_check(
 
         |LHS - z_partial(n)| <= z_tail_bound(n) + allowance
 
-    with a tiny allowance of 10^-40 for the rounding of the lambda values
-    themselves.  One ``z_partial`` and one ``z_tail_bound`` pass give every
+    where the allowance max(10^-40, B(n)) covers the rounding of the lambda
+    values themselves: with P the table's tag,
+
+        B(n) = 1/2 10^(1-P) sum_{k=1}^n C(2n, n-k) |lambda_k|
+
+    is the first-order effect on the LHS of an error of half a unit in the
+    P-th significant digit of each lambda_k, evaluated in floating point.
+    The table's values are closer than that, so B(n) bounds their rounding
+    with slack.  One ``z_partial`` and one ``z_tail_bound`` pass give every
     Z(n) and its bound, tagged min(precision, zeros.digits).  The weights
     C(2n, n-k) amplify the table's rounding, so the table must be tagged
     that plus the Voros scheme's ``guard_digits(n_max)`` (``PrecisionError``
@@ -221,12 +229,16 @@ def inversion_check(
             f"the inversion to n = {n_max} at {tag} digits needs a lambda table tagged "
             f"{need}, not {lambdas.precision}"
         )
-    allowance = BigReal(1, precision) / (10 ** 40)
+    floor = BigReal(1, precision) / (10 ** 40)
     history = lambdas.lambda_history()
+    sizes = [abs(float(lam)) for lam in history]
+    half_unit = 10.0 ** (1 - lambdas.precision) / 2
     sums = zip(z_partial(n_max, zeros, precision), z_tail_bound(n_max, zeros, precision))
     rows = []
     for n, (z_trunc, bound) in enumerate(sums, 1):
         lhs = BigReal((history[n] - predict_voros(history, n)) * parity_sign(n - 1), tag)
+        spread = half_unit * sum(math.comb(2 * n, n - k) * sizes[k] for k in range(1, n + 1))
+        allowance = max(floor, BigReal(spread, precision))
         rows.append(InversionCheck(
             n=n,
             lhs=lhs,

@@ -11,6 +11,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from likeiper import cli
+from likeiper.bigreal import BigReal
 from likeiper.cli import main
 from likeiper.datafiles import default_stieltjes_path, default_zeros_path
 from likeiper.goldens import load_golden, tables_dir
@@ -387,6 +389,34 @@ class TestZeros:
         assert code == 0
         assert out.splitlines()[-1] == "# result: pass"
         assert [row[-1] for row in data_rows(out)] == ["yes"] * 32
+
+    @pytest.mark.parametrize("digits", ["10", "20", "30"])
+    def test_inversion_at_low_digits_passes(self, digits):
+        # the allowance covers the table's own rounding, B(n), once Z(n)
+        # falls below the table's last digit
+        code, out, _ = run("zeros", "--inversion", "--n-max", "12", "--digits", digits)
+        assert code == 0
+        assert out.splitlines()[-1] == "# result: pass"
+        assert [row[-1] for row in data_rows(out)] == ["yes"] * 12
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("digits", [10, 20, 30])
+    def test_inversion_catches_a_bumped_lambda(self, monkeypatch, digits, n):
+        # 10^(3 - digits) added to lambda_n is far above B(n) and the tail bound
+        real = cli._lambda_table
+
+        def bumped(args, guard):
+            table = real(args, guard)
+            total = list(table.total)
+            total[n - 1] = total[n - 1] + BigReal(1, table.precision) / 10 ** (digits - 3)
+            return table._replace(total=tuple(total))
+
+        monkeypatch.setattr(cli, "_lambda_table", bumped)
+        code, out, _ = run("zeros", "--inversion", "--n-max", "12", "--digits", str(digits))
+        assert code == 1
+        assert out.splitlines()[-1] == "# result: FAIL"
+        assert data_rows(out)[n - 1][-1] == "no"
+        assert [row[-1] for row in data_rows(out)[:n - 1]] == ["yes"] * (n - 1)
 
     def test_short_zero_table_warns(self, tmp_path):
         path = tmp_path / "zeros.tsv"

@@ -17,6 +17,7 @@ from likeiper.series import (
     series_log,
     series_mul,
 )
+from likeiper import lambda_core
 from likeiper.lambda_core import tiny_series, trend_series
 
 
@@ -31,6 +32,18 @@ def closed_form_compose_zmap(coeffs):
         sum(math.comb(n - 1, k - 1) * coeffs[k] for k in range(1, n + 1))
         for n in range(1, len(coeffs))
     ]
+
+
+def recurrence_log(a):
+    """Reference for series_log: the recurrence as first written, forming
+    k * b_k afresh in every step of the inner loop."""
+    b = [a[0] * 0]
+    for n in range(1, len(a)):
+        acc = a[n] * n
+        for k in range(1, n):
+            acc = acc - (b[k] * k) * a[n - k]
+        b.append(acc / n)
+    return b
 
 
 def exact(x):
@@ -54,12 +67,26 @@ class Counted:
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        self.tally["add"] += 1
+        other = other.value if isinstance(other, Counted) else other
+        return Counted(self.value - other, self.tally)
+
     def __mul__(self, other):
         self.tally["mul"] += 1
         other = other.value if isinstance(other, Counted) else other
         return Counted(self.value * other, self.tally)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        self.tally["div"] += 1
+        other = other.value if isinstance(other, Counted) else other
+        return Counted(self.value / other, self.tally)
+
+    def __eq__(self, other):
+        other = other.value if isinstance(other, Counted) else other
+        return self.value == other
 
 
 class TestMul:
@@ -115,6 +142,34 @@ class TestLog:
         b = frac_series(*rng_coeffs_b)
         lhs = series_log(series_mul(a, b))
         assert list(lhs) == [x + y for x, y in zip(series_log(a), series_log(b))]
+
+    @pytest.mark.parametrize("order", [10, 40, 80])
+    def test_multiplications_at_most_half_quadratic(self, order):
+        # each k * b_k is formed once: N(N-1)/2 products in the sums, plus
+        # n * a_n, n * b_n and the zero; the unhoisted loop needs N(N-1) + N + 1
+        tally = collections.Counter()
+        a = [Counted(Fraction(1), tally)] + [
+            Counted(Fraction((-1) ** k * (k + 2), 3 * k + 5), tally) for k in range(order)]
+        out = series_log(a)
+        assert tally["mul"] <= order * (order - 1) // 2 + 3 * order
+        assert tally["div"] == order
+        assert [c.value for c in out] == recurrence_log([c.value for c in a])
+
+    @pytest.mark.parametrize("n_max, precision", [(80, 50), (32, 72), (32, 100), (11, 30)])
+    def test_bit_identical_to_recurrence_on_tiny_series_input(self, monkeypatch, n_max, precision):
+        # the composed u-series tiny_series logs, at its working precision:
+        # every coefficient's _mpf_ tuple equals the unhoisted loop's
+        seen = []
+
+        def both(a):
+            got, want = series_log(a), recurrence_log(a)
+            seen.append(len(a))
+            assert [c._mpf_ for c in got] == [c._mpf_ for c in want]
+            return got
+
+        monkeypatch.setattr(lambda_core, "series_log", both)
+        tiny_series(n_max, precision)
+        assert seen == [n_max + 1]
 
 
 class TestComposeZmap:

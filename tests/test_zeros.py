@@ -163,7 +163,11 @@ def _per_n_inversion_row(n, lambdas, zeros, precision):
     history = lambdas.lambda_history()
     lhs = BigReal((history[n] - predict_voros(history, n)) * parity_sign(n - 1), precision)
     bound = _tail_integral(n, zeros.last, precision) * 2
-    allowance = BigReal(1, precision) / (10 ** 40)
+    # max(10^-40, B(n)): half a unit in the table's last digit of each
+    # lambda_k, carried through the weights C(2n, n - k)
+    spread = sum(math.comb(2 * n, n - k) * abs(float(lambdas.lam(k))) for k in range(1, n + 1))
+    spread *= 10.0 ** (1 - lambdas.precision) / 2
+    allowance = max(BigReal(1, precision) / (10 ** 40), BigReal(spread, precision))
     return lhs, z_trunc, bound, allowance, abs(lhs - z_trunc) <= bound + allowance
 
 
