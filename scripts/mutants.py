@@ -57,6 +57,17 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("compose-forward-horner", "likeiper/series.py",
            "    for a_k in reversed(a[1:]):", "    for a_k in a[1:]:",
            ("tests/test_series.py",)),
+    # the composition keeps every coefficient of h
+    Mutant("compose-h-one-short", "likeiper/series.py",
+           "        h = [a_k, *accumulate(h)]\n", "        h = [a_k, *accumulate(h)][:len(a) - 2]\n",
+           ("tests/test_series.py",)),
+    # decimal text read in integer arithmetic, and printed rounding half to even
+    Mutant("decimal-no-sticky-bit", "likeiper/bigreal.py",
+           "    quotient = (quotient << 1) | (remainder != 0)\n", "    quotient = quotient << 1\n",
+           ("tests/test_bigreal.py",)),
+    Mutant("print-ties-away-from-zero", "likeiper/bigreal.py",
+           "if 2 * rest + (units & 1) > denominator:", "if 2 * rest >= denominator:",
+           ("tests/test_bigreal.py",)),
     # the tag rule: a value may print as many integer digits as its tag, no more
     Mutant("tag-rule-ge", "likeiper/bigreal.py",
            "            if digits > bound:", "            if digits >= bound:",
@@ -68,6 +79,23 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("trend-no-guard", "likeiper/lambda_core.py",
            "    work = precision + guard_digits(n_max)\n", "    work = precision\n",
            ("tests/test_lambda_core.py",)),
+    # the binomial kernel: an exact integer sum, rounded once at the smallest tag
+    Mutant("kernel-exponent-off-by-one", "likeiper/recurrences.py",
+           "exp = history[0], 1 - den.bit_length()", "exp = history[0], -den.bit_length()",
+           ("tests/test_recurrences.py",)),
+    Mutant("kernel-largest-tag", "likeiper/recurrences.py",
+           "tag = min(h.precision for h in history[:n])", "tag = max(h.precision for h in history[:n])",
+           ("tests/test_recurrences.py",)),
+    # self-seeded runs are exact and round each output once
+    Mutant("seeded-rounded-in-loop", "likeiper/recurrences.py",
+           "        values.append(_predict(scheme, values, n))\n",
+           "        values.append(_predict(scheme, values, n))\n"
+           "        if tags:\n            values[-1] = _exact(BigReal(values[-1], min(tags)))\n",
+           ("tests/test_recurrences.py",)),
+    # the near-collision sweep stops where the real gap reaches tol
+    Mutant("sweep-break-at-half-tol", "likeiper/probe.py",
+           "if fb.real - fa.real >= tol:", "if fb.real - fa.real >= tol / 2:",
+           ("tests/test_probe.py::TestNearCollisionSweep",)),
     # the inversion allowance covers the table's rounding, B(n)
     Mutant("inversion-no-rounding-bound", "likeiper/zeros.py",
            "allowance = max(floor, BigReal(spread, precision))", "allowance = floor",

@@ -98,7 +98,7 @@ def _yesno(flag: bool) -> str:
 
 def cmd_lambda(args: argparse.Namespace) -> int:
     table = lambda_table(args.n_max, args.digits, load_stieltjes(args.stieltjes))
-    rows = ((n, table.trend_over_n(n), table.tiny_over_n(n), table.lam(n))
+    rows = ((n, table.trend[n] / n, table.tiny[n] / n, table.total[n])
             for n in range(1, args.n_max + 1))
     _emit(_table(args, ("n", "trend_over_n", "tiny_over_n", "lambda"), rows), args)
     return _EXIT_OK
@@ -247,11 +247,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
     target = args.target or default_target
     table = _lambda_table(args, scheme.guard_digits(args.n_max))
-    history = {
-        "tiny": table.tiny_history,
-        "trend": table.trend_history,
-        "lambda": table.lambda_history,
-    }[target]()
+    history = {"tiny": table.tiny, "trend": table.trend, "lambda": table.total}[target]
     n_lo = max(2, scheme.m or 2)
     if n_lo > args.n_max:
         raise ValueError(f"--n-max {args.n_max} below the scheme's first index {n_lo}")

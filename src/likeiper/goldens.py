@@ -136,36 +136,31 @@ Builder = Callable[[int], Dict[Tuple[int, str], BigReal]]
 def _build_ratio_order_m(m: int, precision: int) -> Dict[Tuple[int, str], BigReal]:
     table = lambda_table(11, precision)
     gamma = euler_gamma(precision)
-    history = table.tiny_history()
     out: Dict[Tuple[int, str], BigReal] = {}
     for n in range(2, 12):
         if n >= m:
-            out[(n, "pred")] = predict_order_m(history, n, m) / (gamma * n)
-        out[(n, "exact")] = table.tiny_part(n) / (gamma * n)
+            out[(n, "pred")] = predict_order_m(table.tiny, n, m) / (gamma * n)
+        out[(n, "exact")] = table.tiny[n] / (gamma * n)
     return out
 
 
 def _build_tiny_fullhistory(precision: int) -> Dict[Tuple[int, str], BigReal]:
     table = lambda_table(15, precision)
-    history = table.tiny_history()
     out: Dict[Tuple[int, str], BigReal] = {}
     for n in range(2, 16):
-        out[(n, "pred")] = predict_full_history(history, n) / n
-        out[(n, "exact")] = table.tiny_over_n(n)
+        out[(n, "pred")] = predict_full_history(table.tiny, n) / n
+        out[(n, "exact")] = table.tiny[n] / n
     return out
 
 
 def _build_trend_fullhistory(precision: int) -> Dict[Tuple[int, str], BigReal]:
     table = lambda_table(15, precision)
-    history = table.trend_history()
     out: Dict[Tuple[int, str], BigReal] = {}
     for n in range(1, 16):
-        if n == 1:
-            # no lower indices exist; the tabulation repeats the exact value
-            out[(n, "pred")] = table.trend_over_n(1)
-        else:
-            out[(n, "pred")] = predict_full_history(history, n) / n
-        out[(n, "exact")] = table.trend_over_n(n)
+        exact = table.trend[n] / n
+        # at n = 1 no lower indices exist; the tabulation repeats the exact value
+        out[(n, "pred")] = predict_full_history(table.trend, n) / n if n > 1 else exact
+        out[(n, "exact")] = exact
     return out
 
 
@@ -180,13 +175,12 @@ def _build_nlogn_sums(precision: int) -> Dict[Tuple[int, str], BigReal]:
 
 def _build_coeff20(precision: int) -> Dict[Tuple[int, str], BigReal]:
     table = lambda_table(7, precision)
-    history = table.lambda_history()
     out: Dict[Tuple[int, str], BigReal] = {}
     for n in range(1, 8):
-        out[(n, "lam")] = table.lam(n)
+        out[(n, "lam")] = table.total[n]
         if n >= 2:
-            out[(n, "a1")] = predict_full_history(history, n)
-            out[(n, "a2")] = predict_voros(history, n)
+            out[(n, "a1")] = predict_full_history(table.total, n)
+            out[(n, "a2")] = predict_voros(table.total, n)
     return out
 
 

@@ -130,48 +130,24 @@ def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, 
 
 
 class LambdaTable(NamedTuple):
-    """lambda(n) = trend + tiny for n = 1..n_max, plus the /n coefficients."""
+    """lambda(n) = trend + tiny, each an index-n tuple for n = 0..n_max.
+
+    Position 0 holds the tag's zero (lambda(0) = 0 by convention), so each
+    tuple is the history the predictors read; ``table.tiny[n] / n`` is the
+    per-n coefficient.
+    """
 
     n_max: int
     precision: int
-    trend: Tuple[BigReal, ...]  # index n in 1..n_max at position n-1
+    trend: Tuple[BigReal, ...]
     tiny: Tuple[BigReal, ...]
     total: Tuple[BigReal, ...]
 
-    def _check(self, n: int) -> None:
+    def lam(self, n: int) -> BigReal:
+        """lambda(n); ``IndexError`` outside 1..n_max."""
         if not 1 <= n <= self.n_max:
             raise IndexError(f"n={n} outside table range 1..{self.n_max}")
-
-    def trend_part(self, n: int) -> BigReal:
-        self._check(n)
-        return self.trend[n - 1]
-
-    def tiny_part(self, n: int) -> BigReal:
-        self._check(n)
-        return self.tiny[n - 1]
-
-    def lam(self, n: int) -> BigReal:
-        self._check(n)
-        return self.total[n - 1]
-
-    def trend_over_n(self, n: int) -> BigReal:
-        return self.trend_part(n) / n
-
-    def tiny_over_n(self, n: int) -> BigReal:
-        return self.tiny_part(n) / n
-
-    def lam_over_n(self, n: int) -> BigReal:
-        return self.lam(n) / n
-
-    def tiny_history(self) -> List[BigReal]:
-        """[0, lambda_tiny(1), ..., lambda_tiny(n_max)]; index = n."""
-        return [BigReal(0, self.precision)] + list(self.tiny)
-
-    def trend_history(self) -> List[BigReal]:
-        return [BigReal(0, self.precision)] + list(self.trend)
-
-    def lambda_history(self) -> List[BigReal]:
-        return [BigReal(0, self.precision)] + list(self.total)
+        return self.total[n]
 
 
 def lambda_table(
@@ -179,29 +155,16 @@ def lambda_table(
     precision: int = DEFAULT_DIGITS,
     stieltjes: Optional[StieltjesTable] = None,
 ) -> LambdaTable:
-    """Assemble lambda(n) = lambda_trend(n) + lambda_tiny(n) for n = 1..n_max.
+    """Assemble lambda(n) = lambda_trend(n) + lambda_tiny(n) for n = 0..n_max.
 
-    The total is formed as the exact sum of the two parts (not re-rounded
-    independently), so total = trend + tiny holds identically.
+    Each part is its series coefficient times n (the constant terms are
+    exactly zero), and the total is formed as the sum of the two parts (not
+    re-rounded independently), so total = trend + tiny holds identically.
     """
-    tiny = tiny_series(n_max, precision, stieltjes)
-    trend = trend_series(n_max, precision)
-    trend_vals = []
-    tiny_vals = []
-    total_vals = []
-    for n in range(1, n_max + 1):
-        t_part = trend[n] * n
-        s_part = tiny[n] * n
-        trend_vals.append(t_part)
-        tiny_vals.append(s_part)
-        total_vals.append(t_part + s_part)
-    return LambdaTable(
-        n_max=n_max,
-        precision=precision,
-        trend=tuple(trend_vals),
-        tiny=tuple(tiny_vals),
-        total=tuple(total_vals),
-    )
+    tiny = tuple(c * n for n, c in enumerate(tiny_series(n_max, precision, stieltjes)))
+    trend = tuple(c * n for n, c in enumerate(trend_series(n_max, precision)))
+    return LambdaTable(n_max=n_max, precision=precision, trend=trend, tiny=tiny,
+                       total=tuple(t + s for t, s in zip(trend, tiny)))
 
 
 def lambda1_closed_form(precision: int = DEFAULT_DIGITS) -> BigReal:

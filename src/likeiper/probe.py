@@ -23,6 +23,8 @@ The sum runs in fixed point on scalar 2^wp-scaled ints (the idiom of F.
 Johansson, Numer. Algorithms 69 (2015)): a smallest-prime-factor sieve
 leaves exp and cos/sin to primes, Re s < 0 lifts wp by the digits the direct
 terms cancel, and the weights B_2j/(2j)! come from ``constants``' table.
+A point whose N or lift passes ``_MAX_TERMS`` or ``_MAX_LIFT_DIGITS`` is refused
+with ``ProbeEvaluationError`` before any work.
 A probe line keeps one state: the sieve and log n per wp, grown with N, and
 each prime's power, stepped as p^(-s') = p^(-s) p^(-delta) for the exact
 difference delta of the points, so log runs once per prime and wp, and exp
@@ -49,6 +51,12 @@ from .bigreal import BigReal
 from .constants import bernoulli_weight, euler_gamma
 
 DEFAULT_PROBE_DIGITS = 30
+
+#: Caps on one zeta evaluation, checked before any list is built: the direct
+#: terms N, which grow with the digits and |Im s|, and the digits that
+#: Re s < 0 lifts the working precision by.  A point past either is refused.
+_MAX_TERMS = 100_000
+_MAX_LIFT_DIGITS = 10_000
 
 ComplexLike = Union[complex, mpmath.mpc, mpmath.mpf, int, float]
 
@@ -95,8 +103,12 @@ def _zeta_fixed(s: Tuple[tuple, tuple], precision: int, line: dict,
     N = int(1.2 * work) + to_int(mpf_abs(s[1])) + 10
     # Direct terms reach N^(-Re s) and cancel, so Re s < 0 lifts the digits;
     # the extra bits absorb N roundings of about |s| log N ulps each.
-    lift = math.ceil(max(0.0, -to_float(s[0], rnd=round_nearest)) * math.log10(N))
-    wp = dps_to_prec(work + 5 + lift) + 2 * N.bit_length() + 10 + guard
+    lift = max(0.0, -to_float(s[0], rnd=round_nearest)) * math.log10(N)
+    if N > _MAX_TERMS or lift > _MAX_LIFT_DIGITS:
+        need = (f"more than {_MAX_TERMS} direct terms" if N > _MAX_TERMS else
+                f"more than {_MAX_LIFT_DIGITS} extra digits for Re s < 0")
+        raise ProbeEvaluationError(f"zeta evaluation at {complex(mp.make_mpc(s))} needs {need}")
+    wp = dps_to_prec(work + 5 + math.ceil(lift)) + 2 * N.bit_length() + 10 + guard
     one = 1 << wp
     sre, sim = to_fixed(s[0], wp), to_fixed(s[1], wp)
     if (sre, sim) == (one, 0):

@@ -23,15 +23,19 @@ Every other alternating binomial sum in the package is the same kernel:
 * ``model_predictor``     - (-1)^(n-1) phi1 / 2 + (c + gamma) n, since the
                             full-history predictor is linear and maps k to n;
 * ``zeros.inversion_check`` - its left side is
-                            (-1)^(n-1) (lambda_n - predict_voros(lambda, n)).
+                            (-1)^(n-1) (lambda_n - predict_voros(lambda, n)),
+                            the kernel at n + 1 with weight C(2n, n-k).
 
-The kernel sums raw ``mpf`` or exact ``Fraction`` values and takes its zeros from
-the operands (``x * 0``); a ``BigReal`` history is summed raw, then tagged once,
-and a ``Fraction`` history as ints over one denominator, then reduced once.
+The kernel reads each term as an integer over one common denominator (a
+``BigReal`` or ``mpf`` mantissa over a power of two, a ``Fraction`` numerator),
+sums the weighted integers exactly and rounds once: a ``BigReal`` history at
+its smallest tag, an ``mpf`` history at the working precision, and a
+``Fraction`` history not at all.
 
 The mode is the function called: ``prediction_run`` predicts from exact
 history (true lower-index values substituted at every step) and
-``self_seeded_run`` feeds the scheme's own predictions back in.  The
+``self_seeded_run`` feeds the scheme's own predictions back in, on exact
+``Fraction`` values, rounding each output once.  The
 closed-form families the self-seeded runs collapse to (n*l1, n^2*l1,
 n(n+1)/2*l1, and the general quadratic [(c/2-1)n(n-1)+n]*l1) make sharp
 exactness tests.
@@ -49,6 +53,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError
 from .constants import euler_gamma
@@ -146,11 +151,13 @@ def _predict_binomial(
 ) -> Value:
     """sum_{k=lowest}^{n-1} (-1)^(k-n+1) weight(k) history[k], zero weights skipped.
 
-    Terms are added in ascending k.  The empty sum is ``history[0] * 0``, so
-    it comes back in the history's own type.  A ``BigReal`` history is summed as
-    raw ``mpf`` at its smallest tag's working precision; only the sum is tagged.
-    A ``Fraction`` history is summed as ints over one common denominator, so
-    only the sum is reduced.
+    Every term read is an integer over one common denominator: a ``BigReal`` or
+    ``mpf`` is its mantissa over a power of two, a ``Fraction`` its numerator
+    over its denominator.  The weighted integers are summed exactly and the sum
+    is rounded once: for a ``BigReal`` history at the smallest tag of
+    ``history[:n]``, for an ``mpf`` history at the working precision; a
+    ``Fraction`` history's sum is exact.  The empty sum is zero in the
+    history's type.  A non-finite term raises ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"a binomial prediction needs n >= 1, got n={n}")
@@ -158,30 +165,29 @@ def _predict_binomial(
         raise HistoryError(
             f"prediction at n={n} needs history 0..{n - 1}, have 0..{len(history) - 1}"
         )
-    if isinstance(history[0], BigReal):
+    terms = [(parity_sign(k - n + 1) * w, _ratio(history[k]))
+             for k in range(lowest, n) if (w := weight(k))]
+    den = math.lcm(*(d for _, (_, d) in terms))
+    total = sum(w * num * (den // d) for w, (num, d) in terms)
+    first, exp = history[0], 1 - den.bit_length()  # a binary history's den is 2^-exp
+    if isinstance(first, BigReal):
         tag = min(h.precision for h in history[:n])
-        with mp.workdps(tag + 5):
-            raw = _predict_binomial([h.value for h in history[:n]], n, _rounded_weight(weight), lowest)
-        return BigReal(raw, tag)
-    if isinstance(history[0], Fraction):
-        den = math.lcm(*(h.denominator for h in history[:n]))
-        ints = [h.numerator * (den // h.denominator) for h in history[:n]]
-        return Fraction(_predict_binomial(ints, n, weight, lowest), den)
-    total: Optional[Value] = None
-    for k in range(lowest, n):
-        w = weight(k)
-        if w:
-            term = history[k] * (parity_sign(k - n + 1) * w)
-            total = term if total is None else total + term
-    return history[0] * 0 if total is None else total
+        return BigReal(mp.make_mpf(from_man_exp(total, exp)), tag)
+    if isinstance(first, mpmath.mpf):
+        return mp.make_mpf(from_man_exp(total, exp, mp.prec, round_nearest))
+    return Fraction(total, den)
 
 
-def _rounded_weight(weight: Callable[[int], int]) -> Callable[[int], int]:
-    """``weight`` rounded to the working precision, as ``BigReal`` rounds an int operand."""
-    def rounded(k: int) -> int:
-        w = weight(k)
-        return w if w.bit_length() <= mp.prec else int(mpmath.mpf(w))
-    return rounded
+def _ratio(value: Union[Value, mpmath.mpf]) -> Tuple[int, int]:
+    """``value`` exactly as (numerator, denominator); a binary float's
+    denominator is a power of two."""
+    if isinstance(value, (BigReal, mpmath.mpf)):
+        sign, man, exp, _ = (value.value if isinstance(value, BigReal) else value)._mpf_
+        if not man and exp:
+            raise ValueError(f"a binomial prediction cannot sum the non-finite value {value}")
+        man = -man if sign else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    return value.numerator, value.denominator
 
 
 def predict_order_m(history: Sequence[Value], n: int, m: int) -> Value:
@@ -285,10 +291,19 @@ def self_seeded_run(
     schemes need the additional initial condition lambda2 = c * lambda1.
     Higher-order schemes need explicit ``scheme.initial`` values for
     indices 2..m.
+
+    The run is exact: ``BigReal`` inputs are read through ``to_fraction()``
+    and the scheme iterates on ``Fraction`` values, so no step amplifies the
+    rounding of the one before.  With any ``BigReal`` input each output is the
+    exact value rounded once, as ``BigReal(value, tag)`` rounds a ``Fraction``,
+    at the smallest input tag; otherwise the outputs are exact.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    values: List[Value] = [lambda1 * 0, lambda1]
+    initial = scheme.initial or ()
+    tags = [v.precision for v in (lambda1, c, *initial) if isinstance(v, BigReal)]
+    lambda1, c = _exact(lambda1), None if c is None else _exact(c)
+    values: List[Fraction] = [Fraction(0), lambda1]
     if scheme.kind == VOROS:
         if c is not None:
             raise ValueError(
@@ -301,16 +316,22 @@ def self_seeded_run(
         values.append(lambda1 * c)
         start = 3
     else:  # ORDER_M with m > 2
-        if not scheme.initial or len(scheme.initial) != scheme.m - 1:
+        if len(initial) != scheme.m - 1:
             raise ValueError(
                 f"order-{scheme.m} self-seeding needs explicit initial values "
                 f"for indices 2..{scheme.m}"
             )
-        values.extend(lambda1 * 0 + v for v in scheme.initial)  # in lambda1's type
+        values.extend(map(_exact, initial))
         start = scheme.m + 1
     for n in range(start, n_max + 1):
         values.append(_predict(scheme, values, n))
+    if tags:
+        return [BigReal(v, min(tags)) for v in values[1 : n_max + 1]]
     return values[1 : n_max + 1]
+
+
+def _exact(value: Value) -> Fraction:
+    return value.to_fraction() if isinstance(value, BigReal) else Fraction(value)
 
 
 def closed_form_check_linear(

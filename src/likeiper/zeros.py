@@ -15,7 +15,6 @@ table carries provenance in its header.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
@@ -194,7 +193,8 @@ def inversion_check(
     """Check sum_{k=0}^n (-1)^(k-1) C(2n, n-k) lambda_k = Z(n) for n = 1..n_max.
 
     The k = 0 term vanishes (lambda_0 = 0 by convention), so the left side
-    is (-1)^(n-1) (lambda_n - predict_voros(lambda, n)), at the table's tag.
+    is (-1)^(n-1) (lambda_n - predict_voros(lambda, n)), summed exactly over
+    k = 1..n by the binomial kernel and rounded once at the table's tag.
     The right side is only available truncated, so consistency means
 
         |LHS - z_partial(n)| <= z_tail_bound(n) + allowance
@@ -214,7 +214,7 @@ def inversion_check(
     otherwise); each LHS is tagged like Z(n).
     """
     # here, so that loading zeros loads no predictor
-    from .recurrences import VOROS, RecurrenceScheme, predict_voros
+    from .recurrences import VOROS, RecurrenceScheme, _binomial_row, _predict_binomial
 
     if n_max < 1:
         raise ValueError("inversion_check needs n_max >= 1")
@@ -230,14 +230,15 @@ def inversion_check(
             f"{need}, not {lambdas.precision}"
         )
     floor = BigReal(1, precision) / (10 ** 40)
-    history = lambdas.lambda_history()
-    sizes = [abs(float(lam)) for lam in history]
+    sizes = [abs(float(lam)) for lam in lambdas.total]
     half_unit = 10.0 ** (1 - lambdas.precision) / 2
     sums = zip(z_partial(n_max, zeros, precision), z_tail_bound(n_max, zeros, precision))
     rows = []
     for n, (z_trunc, bound) in enumerate(sums, 1):
-        lhs = BigReal((history[n] - predict_voros(history, n)) * parity_sign(n - 1), tag)
-        spread = half_unit * sum(math.comb(2 * n, n - k) * sizes[k] for k in range(1, n + 1))
+        weights = _binomial_row(2 * n, n)  # C(2n, n - k) at index n - k
+        lhs = _predict_binomial(lambdas.total, n + 1, lambda k: weights[n - k])
+        lhs = BigReal(lhs * parity_sign(n - 1), tag)
+        spread = half_unit * sum(weights[n - k] * sizes[k] for k in range(1, n + 1))
         allowance = max(floor, BigReal(spread, precision))
         rows.append(InversionCheck(
             n=n,

@@ -115,7 +115,7 @@ def test_criterion_02_recurrences_reproduce_every_printed_digit(table7):
     left failing; the two tests following it establish what does hold.
     """
     golden = load_golden("coeff20")
-    history = table7.lambda_history()
+    history = table7.total
     mismatches = []
     lines = []
     for column, predictor in (("a1", predict_full_history), ("a2", predict_voros)):
@@ -149,7 +149,7 @@ def test_recurrence_columns_within_propagated_rounding_noise(table7):
     propagating one half-unit of the 20th place through the binomial weights,
     sum_k |weight_k| * 0.5e-19."""
     golden = load_golden("coeff20")
-    history = table7.lambda_history()
+    history = table7.total
     half_ulp20 = big("0.5e-19", DIGITS)
     worst_ratio = 0.0
     for column, predictor in (("a1", predict_full_history), ("a2", predict_voros)):
@@ -178,7 +178,7 @@ def test_voros_defect_equals_truncated_zero_power_sum(table7, zeros):
     which the prediction misses lambda(n) is the alternating-sign zero power
     sum, so |lambda(n) - prediction - (-1)^(n-1) Z_partial(n)| stays inside
     the tail bound of the ingested zero list."""
-    history = table7.lambda_history()
+    history = table7.total
     for n in range(2, 8):
         prediction = predict_voros(history[:n], n)
         defect = table7.lam(n) - prediction
@@ -211,8 +211,8 @@ def test_criterion_03_twelve_digit_tables_and_n15_error(table15):
         assert not report.stale_flags, f"{name}: stale correction flags"
         flag_counts[name] = len([r for r in report.reports if r.cell.flagged])
 
-    history = table15.tiny_history()
-    err = abs(predict_full_history(history, 15) / 15 - table15.tiny_over_n(15))
+    history = table15.tiny
+    err = abs(predict_full_history(history, 15) / 15 - table15.tiny[15] / 15)
     mine = _sig3(err.to_decimal_string(20))
     quoted = _sig3("4.649e-9")
     print(
@@ -239,7 +239,7 @@ def test_criterion_04_ratio_tables_to_three_decimals_and_orientation(table15):
         assert not report.stale_flags, f"{name}: stale correction flags"
 
     gamma = euler_gamma(DIGITS)
-    history = table15.tiny_history()
+    history = table15.tiny
 
     # row 11, quoted in the release checklist for both schemes
     pred2_11 = predict_order_m(history, 11, 2) / (gamma * 11)
@@ -254,7 +254,7 @@ def test_criterion_04_ratio_tables_to_three_decimals_and_orientation(table15):
     assert abs(pred3_11 - big("0.196000", DIGITS)) < big("0.5e-3", DIGITS)
 
     for n in range(3, 12):
-        exact = table15.tiny_part(n) / (gamma * n)
+        exact = table15.tiny[n] / (gamma * n)
         above = predict_order_m(history, n, 2) / (gamma * n)
         below = predict_order_m(history, n, 3) / (gamma * n)
         assert above > exact, f"order-2 not above exact at n={n}"

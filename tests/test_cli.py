@@ -408,7 +408,7 @@ class TestZeros:
         def bumped(args, guard):
             table = real(args, guard)
             total = list(table.total)
-            total[n - 1] = total[n - 1] + BigReal(1, table.precision) / 10 ** (digits - 3)
+            total[n] = total[n] + BigReal(1, table.precision) / 10 ** (digits - 3)
             return table._replace(total=tuple(total))
 
         monkeypatch.setattr(cli, "_lambda_table", bumped)
@@ -526,12 +526,24 @@ class TestProbe:
              "0 of 2 samples evaluated"),
             # both samples evaluate, but two samples are always grid neighbours
             (("--line", "im", "--b", "2", "--t0", "1", "--t1", "2"), "all grid neighbours"),
+            # heights past the probe's cap on direct terms
+            (("--line", "im", "--b", "2", "--t0", "1e29", "--t1", "1e30"),
+             "more than 100000 direct terms"),
         ],
     )
     def test_no_verdict_without_evidence(self, line, message):
         code, out, err = run("probe", *line, "--samples", "2")
         assert code == 2
         assert message in err
+        assert "sampled_injective" not in out
+
+    def test_huge_height_exits_2(self):
+        # t = 5e29 and 1e30 pass the cap on direct terms, t = 0 is the pole;
+        # building the sieve for N near 1e30 raised OverflowError
+        code, out, err = run("probe", "--line", "im", "--b", "1", "--t0", "0", "--t1", "1e30",
+                             "--samples", "3")
+        assert code == 2
+        assert "only 0 of 3 samples evaluated" in err and "Traceback" not in err
         assert "sampled_injective" not in out
 
     def test_no_verdict_from_grid_neighbours_only(self):

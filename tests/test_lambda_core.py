@@ -92,19 +92,19 @@ class TestAgainstOracle:
     def test_trend(self, oracle, table12, n):
         trend, _ = oracle
         with mp.workdps(ORACLE_DPS):
-            diff = abs(table12.trend_part(n).value - trend[n - 1])
+            diff = abs(table12.trend[n].value - trend[n - 1])
             assert diff < mp.mpf(10) ** -45
 
     @pytest.mark.parametrize("n", range(1, ORACLE_N + 1))
     def test_tiny(self, oracle, table12, n):
         _, tiny = oracle
         with mp.workdps(ORACLE_DPS):
-            diff = abs(table12.tiny_part(n).value - tiny[n - 1])
+            diff = abs(table12.tiny[n].value - tiny[n - 1])
             assert diff < mp.mpf(10) ** -45
 
     @pytest.mark.parametrize("n", range(1, ORACLE_N + 1))
     def test_total_is_sum(self, table12, n):
-        total = table12.trend_part(n) + table12.tiny_part(n)
+        total = table12.trend[n] + table12.tiny[n]
         assert table12.lam(n).agrees_to(total, 48)
 
 
@@ -128,22 +128,16 @@ class TestLambdaTable:
         for bad in (0, -1, ORACLE_N + 1):
             with pytest.raises(IndexError):
                 table12.lam(bad)
-            with pytest.raises(IndexError):
-                table12.tiny_part(bad)
+        with pytest.raises(IndexError):
+            table12.tiny[ORACLE_N + 1]
 
     def test_histories_are_zero_padded(self, table12):
-        hist = table12.tiny_history()
-        assert len(hist) == ORACLE_N + 1
-        assert hist[0].to_fraction() == 0
+        # index-n tuples: position 0 holds the tag's zero
+        for hist in (table12.trend, table12.tiny, table12.total):
+            assert len(hist) == ORACLE_N + 1
+            assert hist[0].to_fraction() == 0 and hist[0].precision == 50
         for n in range(1, ORACLE_N + 1):
-            assert hist[n] is table12.tiny_part(n)
-        lam_hist = table12.lambda_history()
-        assert lam_hist[ORACLE_N] is table12.lam(ORACLE_N)
-
-    def test_over_n_accessors(self, table12):
-        n = 7
-        assert table12.lam_over_n(n).agrees_to(table12.lam(n) / n, 48)
-        assert table12.tiny_over_n(n).agrees_to(table12.tiny_part(n) / n, 48)
+            assert table12.total[n] is table12.lam(n)
 
     def test_needs_enough_stieltjes_coefficients(self):
         with pytest.raises(ConstantsError, match="missing gamma_81"):
@@ -173,12 +167,12 @@ class TestSeriesAccessors:
         s = tiny_series(ORACLE_N, 50)
         assert s[0].to_fraction() == 0
         for n in range(1, ORACLE_N + 1):
-            assert s[n].agrees_to(table12.tiny_over_n(n), 48)
+            assert s[n].agrees_to(table12.tiny[n] / n, 48)
 
     def test_trend_series_matches_table(self, table12):
         s = trend_series(ORACLE_N, 50)
         for n in range(1, ORACLE_N + 1):
-            assert s[n].agrees_to(table12.trend_over_n(n), 48)
+            assert s[n].agrees_to(table12.trend[n] / n, 48)
 
 
 def _exact(x):
@@ -255,5 +249,5 @@ class TestConjectureScan:
         rows = conjecture_scan(ORACLE_N, 50)
         gamma = euler_gamma(50)
         for row in rows:
-            expected = abs(table12.tiny_part(row.n)) / (gamma * row.n)
+            expected = abs(table12.tiny[row.n]) / (gamma * row.n)
             assert row.ratio.agrees_to(expected, 45)

@@ -161,6 +161,23 @@ class TestFEval:
         with pytest.raises(ProbeEvaluationError, match="too close to s = 1"):
             f_eval(complex(1, 1e-9), 30)
 
+    @pytest.mark.parametrize("s, message", [
+        (complex(1, 1e30), "more than 100000 direct terms"),
+        (complex(-1e300, 0), "more than 10000 extra digits for Re s < 0"),
+    ])
+    def test_refuses_points_past_the_caps(self, s, message):
+        # refused before the sieve or 2^wp is built: both raised OverflowError
+        with pytest.raises(ProbeEvaluationError, match=message):
+            f_eval(s, 30)
+
+    def test_line_records_points_past_the_caps(self, monkeypatch):
+        # N = 1.2 (30 + 15) + |t| + 10: with a cap of 100 terms, t > 36 is refused
+        monkeypatch.setattr(probe_module, "_MAX_TERMS", 100)
+        report = line_probe("im", 2.0, 0.0, 60.0, samples=7)
+        assert [s.param for s in report.samples] == [0.0, 10.0, 20.0, 30.0]
+        assert [f.param for f in report.failures] == [40.0, 50.0, 60.0]
+        assert all("more than 100 direct terms" in f.reason for f in report.failures)
+
     def test_rejects_near_zero_of_zeta(self, zeros):
         t1 = float(zeros.ordinates[0])
         with pytest.raises(ProbeEvaluationError, match="near a zero"):
@@ -190,14 +207,14 @@ class TestFEval:
                 coeff = sum(
                     values[j] * mpmath.expjpi(-2 * mpmath.mpf(j) * n / M) for j in range(M)
                 ) / (M * r**n)
-                target = (table7.tiny_part(n) / gamma).value
+                target = (table7.tiny[n] / gamma).value
                 assert abs(mpmath.re(coeff) - target) < mpmath.mpf(10) ** -10
                 assert abs(mpmath.im(coeff)) < mpmath.mpf(10) ** -10
 
     def test_first_coefficient_is_one(self, table7):
         # special case of the identity above: a_1 = 1 exactly
         gamma = euler_gamma(50)
-        assert (table7.tiny_part(1) / gamma).to_fraction() == 1
+        assert (table7.tiny[1] / gamma).to_fraction() == 1
 
 
 class TestLineProbe:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from likeiper.bigreal import MIN_DIGITS, BigReal, PrecisionError, big
-from likeiper.lambda_core import binomial_guard_digits, lambda_table
+from likeiper.lambda_core import binomial_guard_digits, lambda1_closed_form, lambda_table
 from likeiper.recurrences import (
     FULL_HISTORY,
     ORDER_M,
@@ -233,25 +234,23 @@ class TestPredictorsMatchDocstringSums:
             seen.append(values[0])
             return predict_voros(values, n)
 
+        # self-seeded runs iterate on exact Fractions, also from a BigReal
+        # lambda1, whose outputs are each rounded once at its tag
         with mock.patch.object(recurrences, "predict_voros", spy):
             self_seeded_run(RecurrenceScheme(kind=VOROS), history[-1], n_max=3)
-            self_seeded_run(RecurrenceScheme(kind=VOROS), tagged[-1], n_max=3)
-        assert type(seen[0]) is Fraction and seen[0] == 0
-        assert isinstance(seen[-1], BigReal) and seen[-1].precision == tag
-        assert seen[-1].to_fraction() == 0
+            rounded = self_seeded_run(RecurrenceScheme(kind=VOROS), tagged[-1], n_max=3)
+        assert len(seen) == 4
+        assert all(type(zero) is Fraction and zero == 0 for zero in seen)
+        lam1 = tagged[-1].to_fraction()
+        assert [_bits(v) for v in rounded] == [_bits(BigReal(n * n * lam1, tag)) for n in (1, 2, 3)]
 
 
 def oracle_binomial(history, n, weight, lowest=1):
-    """The kernel as it ran on ``BigReal`` values before it read their raw
-    ``mpf``: one ``BigReal`` for each integer weight, then the product, then
-    the running sum, each rounded at its operands' smaller tag."""
-    total = None
-    for k in range(lowest, n):
-        w = weight(k)
-        if w:
-            term = history[k] * BigReal(parity_sign(k - n + 1) * w, history[k].precision)
-            total = term if total is None else total + term
-    return history[0] * 0 if total is None else total
+    """The kernel's sum over ``BigReal`` values taken exactly on their
+    ``Fraction``s, then rounded once at the smallest tag of ``history[:n]``."""
+    exact = sum(parity_sign(k - n + 1) * weight(k) * history[k].to_fraction()
+                for k in range(lowest, n))
+    return BigReal(exact, min(h.precision for h in history[:n]))
 
 
 def _bits(x):
@@ -272,10 +271,13 @@ def tagged_histories(request):
     """lambda and lambda_tiny histories of lambda_table(32, d).  At d = 10 the
     Voros weights C(2n, n-k) outgrow the 53 working bits from n = 29 on."""
     table = lambda_table(32, request.param)
-    return table.lambda_history(), table.tiny_history()
+    return table.total, table.tiny
 
 
 class TestKernelMatchesPerTermBigReal:
+    """Each prediction from a ``BigReal`` history is bit for bit the exact
+    weighted sum rounded once at the history's smallest tag."""
+
     def test_every_predictor_bit_identical(self, tagged_histories):
         for history in tagged_histories:
             for n in range(1, len(history) + 1):
@@ -305,11 +307,14 @@ class TestKernelMatchesPerTermBigReal:
             for r in prediction_run(scheme, history, 3, 32, digits):
                 assert _bits(r.predicted) == _bits(
                     BigReal(oracle_binomial(history, r.n, _weight(scheme, r.n)), digits))
+        # the self-seeded run is exact and rounds each output once at lambda(1)'s tag
         values = self_seeded_run(RecurrenceScheme(kind=VOROS), history[1], n_max=32)
-        expected = [history[0], history[1]]
+        exact = [Fraction(0), history[1].to_fraction()]
         for n in range(2, 33):
-            expected.append(oracle_binomial(expected, n, _weight(RecurrenceScheme(kind=VOROS), n)))
-        assert [_bits(v) for v in values] == [_bits(v) for v in expected[1:]]
+            weight = _weight(RecurrenceScheme(kind=VOROS), n)
+            exact.append(sum(parity_sign(k - n + 1) * weight(k) * exact[k] for k in range(1, n)))
+        assert [_bits(v) for v in values] == [_bits(BigReal(x, history[1].precision))
+                                              for x in exact[1:]]
 
     def test_mixed_tags_give_the_smallest_tag_of_the_terms_read(self):
         exact = [Fraction(0)] + [Fraction(3 * k * k - 7, 11 + k) for k in range(1, 12)]
@@ -332,6 +337,109 @@ class TestKernelMatchesPerTermBigReal:
             assert predict_order_m(exact, n, 2) == reference_order_m(exact, n, 2)
         assert discrete_derivative(exact, 14, 4) == sum(
             _sign(k) * math.comb(4, k) * exact[4 - k] for k in range(5))
+
+
+def _every_prediction(history):
+    """(name, value) of every predictor at every n the history allows."""
+    for n in range(1, len(history) + 1):
+        yield ("full", n), predict_full_history(history, n)
+        yield ("voros", n), predict_voros(history, n)
+        for m in range(2, n + 1):
+            yield ("order", m, n), predict_order_m(history, n, m)
+        yield ("delta", n), discrete_derivative(history, n - 1, n - 1)
+
+
+def _exact_prediction(key, history):
+    """The sum ``key`` names, exactly, on an exact history."""
+    if key[0] == "full":
+        return reference_full_history(history, key[1])
+    if key[0] == "voros":
+        return reference_voros(history, key[1])
+    if key[0] == "order":
+        return reference_order_m(history, key[2], key[1])
+    m = key[1] - 1
+    return sum(_sign(k) * math.comb(m, k) * history[m - k] for k in range(m + 1))
+
+
+def _dyadic(x, prec):
+    """A Fraction with a power-of-two denominator as an mpf rounded once at ``prec`` bits."""
+    assert x.denominator & (x.denominator - 1) == 0
+    return mp.make_mpf(from_man_exp(x.numerator, 1 - x.denominator.bit_length(), prec, round_nearest))
+
+
+_values = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+
+
+class TestKernelIsExactSumRoundedOnce:
+    """For every predictor, a ``BigReal`` or ``mpf`` history gives the exact
+    weighted sum of its values rounded once (at the smallest tag of the terms'
+    history, or at the working precision), and a ``Fraction`` history the
+    exact sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(st.tuples(_values, st.integers(MIN_DIGITS, 80)), min_size=1, max_size=9))
+    def test_bigreal_histories_with_mixed_tags(self, values):
+        history = [big(x, tag) for x, tag in values]
+        exact = [h.to_fraction() for h in history]
+        for key, got in _every_prediction(history):
+            tag = min(h.precision for h in history[:key[-1]])
+            expected = BigReal(_exact_prediction(key, exact), tag)
+            assert _bits(got) == _bits(expected), key
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(_values, min_size=1, max_size=9), dps=st.integers(5, 80))
+    def test_mpf_histories(self, values, dps):
+        with mp.workdps(dps):
+            history = [mpmath.mpf(x.numerator) / x.denominator for x in values]
+            exact = [(-1) ** sign * man * Fraction(2) ** exp for sign, man, exp, _ in
+                     (h._mpf_ for h in history)]
+            for key, got in _every_prediction(history):
+                assert type(got) is mpmath.mpf
+                assert got._mpf_ == _dyadic(_exact_prediction(key, exact), mp.prec)._mpf_, key
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(_values, min_size=1, max_size=9))
+    def test_fraction_histories(self, values):
+        for key, got in _every_prediction(values):
+            assert type(got) is Fraction and got == _exact_prediction(key, values), key
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_values_raise(self, bad):
+        # an inf or nan _mpf_ has a zero mantissa; the kernel must not read it as 0
+        history = [big(0, 30), big(1, 30), BigReal(bad, 30), big(2, 30)]
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_full_history(history, 4)
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_voros([h.value for h in history], 4)
+        # a term the weights skip, or history[n], is not read
+        assert predict_order_m(history, 2, 2) == 2
+        assert predict_full_history(history, 2) == 2
+
+
+class TestSelfSeededIsExact:
+    """A self-seeded run from a ``BigReal`` lambda(1) is lambda(1) times the
+    scheme's exact closed form, rounded once at lambda(1)'s tag.  Iterating on
+    30-digit values printed -96378803.22 for a2 at n = 60 (true 83.1446) and
+    9.85e9 for d at n = 100 (true 2.3096)."""
+
+    def _check(self, values, lam1, closed_form):
+        for n, value in enumerate(values, start=1):
+            assert value.precision == 30
+            expected = lam1.to_fraction() * closed_form(n)
+            assert value.agrees_to(BigReal(expected, 60), 30), n
+            assert _bits(value) == _bits(BigReal(expected, 30)), n
+
+    def test_voros_to_60(self):
+        lam1 = lambda1_closed_form(30)
+        values = self_seeded_run(RecurrenceScheme(kind=VOROS), lam1, n_max=60)
+        self._check(values, lam1, lambda n: n * n)
+        assert values[-1].to_decimal_string(4) == "83.1446"
+
+    def test_full_history_c2_to_100(self):
+        lam1 = lambda1_closed_form(30)
+        values = self_seeded_run(RecurrenceScheme(kind=FULL_HISTORY), lam1, c=2, n_max=100)
+        self._check(values, lam1, lambda n: n)
+        assert values[-1].to_decimal_string(4) == "2.3096"
 
 
 def assert_scheme_rejected(message, kind, m=None):
@@ -459,9 +567,9 @@ class TestPredictionRun:
 
     def test_on_real_coefficients(self, guarded15):
         scheme = RecurrenceScheme(kind=FULL_HISTORY)
-        results = prediction_run(scheme, guarded15.tiny_history(), 2, 7, 50)
+        results = prediction_run(scheme, guarded15.tiny, 2, 7, 50)
         for r in results:
-            assert r.exact is guarded15.tiny_part(r.n)
+            assert r.exact is guarded15.tiny[r.n]
             assert r.abs_error.agrees_to(abs(r.predicted - r.exact), 45)
         # accuracy sharpens fast as more history becomes available
         rel = [r.rel_error for r in results]
@@ -500,7 +608,7 @@ class TestClosedFormCheckLinear:
 class TestOnCoefficientHistories:
     def test_full_history_error_alternates_on_tiny(self, guarded15):
         scheme = RecurrenceScheme(kind=FULL_HISTORY)
-        results = prediction_run(scheme, guarded15.tiny_history(), 3, 15, 50)
+        results = prediction_run(scheme, guarded15.tiny, 3, 15, 50)
         signs = [1 if r.predicted > r.exact else -1 for r in results]
         for a, b in zip(signs, signs[1:]):
             assert a == -b
@@ -508,9 +616,9 @@ class TestOnCoefficientHistories:
     def test_order2_above_order3_below(self, table15):
         # on the normalized tiny ratios, order-2 predictions sit above the
         # exact values and order-3 predictions sit below, for 3 <= n <= 11
-        tiny = table15.tiny_history()
+        tiny = table15.tiny
         for n in range(3, 12):
-            exact = table15.tiny_part(n) / n
+            exact = table15.tiny[n] / n
             upper = predict_order_m(tiny, n, 2) / n
             lower = predict_order_m(tiny, n, 3) / n
             assert lower < exact < upper
@@ -660,8 +768,7 @@ class TestTagHonesty:
     def test_predictions_hold_their_tag(self, true_histories, name, digits):
         scheme = HONESTY_SCHEMES[name]
         table = lambda_table(32, digits + scheme.guard_digits(32))
-        histories = {"tiny": table.tiny_history(), "trend": table.trend_history(),
-                     "lambda": table.lambda_history()}
+        histories = {"tiny": table.tiny, "trend": table.trend, "lambda": table.total}
         for target, history in histories.items():
             truth = true_histories[target]
             for r in prediction_run(scheme, history, scheme.m or 2, 32, digits):

