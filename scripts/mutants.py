@@ -72,6 +72,12 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("tag-rule-ge", "likeiper/bigreal.py",
            "            if digits > bound:", "            if digits >= bound:",
            ("tests/test_bigreal.py",)),
+    # a Fraction is its exact numerator divided once
+    Mutant("fraction-numerator-rounded-first", "likeiper/bigreal.py",
+           "from_rational(value.numerator, value.denominator, prec, round_nearest)",
+           "mpf_div(from_int(value.numerator, prec, round_nearest), from_int(value.denominator),"
+           " prec, round_nearest)",
+           ("tests/test_bigreal.py",)),
     # the trend series on fixed-point ints
     Mutant("trend-zeta-shift", "likeiper/lambda_core.py",
            "(zeta >> k)", "(zeta >> (k + 1))",
@@ -79,12 +85,21 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("trend-no-guard", "likeiper/lambda_core.py",
            "    work = precision + guard_digits(n_max)\n", "    work = precision\n",
            ("tests/test_lambda_core.py",)),
+    # the u^1 coefficient, and lambda(1) with it, carries gamma/2
+    Mutant("u1-gamma-not-halved", "likeiper/lambda_core.py",
+           "(1 << wp) - (gamma >> 1)", "(1 << wp) - gamma",
+           ("tests/test_lambda_core.py",)),
     # the binomial kernel: an exact integer sum, rounded once at the smallest tag
     Mutant("kernel-exponent-off-by-one", "likeiper/recurrences.py",
-           "exp = history[0], 1 - den.bit_length()", "exp = history[0], -den.bit_length()",
+           "_fixed(total, den.bit_length() - 1,", "_fixed(total, den.bit_length(),",
            ("tests/test_recurrences.py",)),
     Mutant("kernel-largest-tag", "likeiper/recurrences.py",
-           "tag = min(h.precision for h in history[:n])", "tag = max(h.precision for h in history[:n])",
+           "min(h.precision for h in history[:n])", "max(h.precision for h in history[:n])",
+           ("tests/test_recurrences.py",)),
+    # phi1's k log k carry the digits the C(n, k) cancel
+    Mutant("phi-no-binomial-guard", "likeiper/recurrences.py",
+           "dps_to_prec(precision + 10 + binomial_guard_digits(n))",
+           "dps_to_prec(precision + 10)",
            ("tests/test_recurrences.py",)),
     # self-seeded runs are exact and round each output once
     Mutant("seeded-rounded-in-loop", "likeiper/recurrences.py",
@@ -92,6 +107,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        values.append(_predict(scheme, values, n))\n"
            "        if tags:\n            values[-1] = _exact(BigReal(values[-1], min(tags)))\n",
            ("tests/test_recurrences.py",)),
+    # a non-finite point is refused before the engine reads it
+    Mutant("point-accepts-non-finite", "likeiper/probe.py",
+           "    if any(not man and exp for _, man, exp, _ in point):",
+           "    if False:",
+           ("tests/test_probe.py::TestFEval",)),
     # the near-collision sweep stops where the real gap reaches tol
     Mutant("sweep-break-at-half-tol", "likeiper/probe.py",
            "if fb.real - fa.real >= tol:", "if fb.real - fa.real >= tol / 2:",

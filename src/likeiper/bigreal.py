@@ -8,9 +8,9 @@ result can never silently claim more accuracy than its least accurate input.
 Every operation is one ``mpmath.libmp`` call on the raw ``_mpf_`` tuples,
 rounded to nearest at the bits of ``tag + 5`` digits: the call mpmath's own
 operators make, without their per-operation context switch.  A plain operand
-(``int``, ``Fraction``, ``str``, ``mpf``) is rounded to those bits as
-``BigReal(operand, tag)`` would be, with no object made for it.  Nothing here
-reads or mutates the global ``mpmath.mp`` state.
+(``int``, ``Fraction``, ``str``, ``mpf``) is rounded once to those bits as
+``BigReal(operand, tag)`` would be (a ``Fraction`` as ``libmp.from_rational``
+does it), with no object made for it.  Nothing here reads mpmath's global state.
 
 A plain decimal string (``[+-]digits[.digits]``, blanks around it allowed) is
 read in integer arithmetic: one division of its digits by a power of ten,
@@ -28,9 +28,9 @@ from functools import lru_cache
 from typing import Union
 
 import mpmath
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_lt,
-                          mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_sub, round_nearest, to_float,
-                          to_str)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, from_rational, mpf_abs, mpf_add,
+                          mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_sub,
+                          round_nearest, to_float, to_str)
 
 DEFAULT_DIGITS = 50
 MIN_DIGITS = 10
@@ -62,9 +62,7 @@ def _raw(value: _Number, prec: int) -> tuple:
     if isinstance(value, int):
         return from_int(value, prec, round_nearest)
     if isinstance(value, Fraction):
-        # the numerator is rounded first, as mpf(numerator) / denominator
-        return mpf_div(from_int(value.numerator, prec, round_nearest),
-                       from_int(value.denominator), prec, round_nearest)
+        return from_rational(value.numerator, value.denominator, prec, round_nearest)
     if isinstance(value, str) and _PLAIN_DECIMAL.fullmatch(text := value.strip()):
         return _from_plain_decimal(text, prec)
     return mpmath.mpf(value, prec=prec, rounding=round_nearest)._mpf_
@@ -80,6 +78,11 @@ def _from_plain_decimal(text: str, prec: int) -> tuple:
     quotient, remainder = divmod(man << shift, scale)
     quotient = (quotient << 1) | (remainder != 0)
     return from_man_exp(-quotient if text[0] == "-" else quotient, -shift - 1, prec, round_nearest)
+
+
+def _fixed(value: int, wp: int, precision: int) -> "BigReal":
+    """The 2^wp-scaled int ``value`` as a ``BigReal`` tagged ``precision``, rounded once."""
+    return BigReal(_make(from_man_exp(value, -wp)), precision)
 
 
 class BigReal:

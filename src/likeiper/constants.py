@@ -9,9 +9,10 @@ computed Euler constant before anything downstream can consume it.
 ``zeta_ints`` gives zeta(2..K) as 2^wp-scaled ints, from one fixed-point
 Euler-Maclaurin pass with an explicit error cutoff and no library zeta routine;
 it shares each n^-k across k, and the weights B_2j/(2j)! (one lazily built
-table per wp) with the probe's complex sum.  ``lambda_core.trend_series``
-consumes the ints as they are; ``zeta_int`` and ``polygamma_half`` are the only
-places that turn them into tagged values, each with one rounding.
+table per wp) with the probe's complex sum.  ``_elementary`` gives gamma, log 2
+and log pi as such ints, from libmp's fixed-point routines at explicit bits.
+``lambda_core`` consumes the ints as they are; ``zeta_int``, ``polygamma_half``
+and the constants' functions tag them; nothing reads mpmath's global context.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import mpmath
-from mpmath import mp
-from mpmath.libmp import bernfrac, dps_to_prec, from_man_exp, ifac
+from mpmath.libmp import (bernfrac, dps_to_prec, euler_fixed, ifac, ln2_fixed, mpf_log, mpf_pi,
+                          to_fixed)
 
-from .bigreal import BigReal, DEFAULT_DIGITS
+from .bigreal import BigReal, DEFAULT_DIGITS, _fixed
 from .datafiles import default_stieltjes_path, parse_indexed_table, table_digits
 
 
@@ -31,23 +31,28 @@ class ConstantsError(ValueError):
     """Raised for unusable constants tables or out-of-domain requests."""
 
 
+def _elementary(wp: int) -> Tuple[int, int, int]:
+    """(gamma, log 2, log pi) * 2^wp, each within a few units of its last place;
+    a value tagged P takes wp = the bits of P + 15 digits."""
+    return euler_fixed(wp), ln2_fixed(wp), to_fixed(mpf_log(mpf_pi(wp + 10), wp + 10), wp)
+
+
+def _constant(index: int, precision: int) -> BigReal:
+    wp = dps_to_prec(precision + 15)
+    return _fixed(_elementary(wp)[index], wp, precision)
+
+
 def euler_gamma(precision: int = DEFAULT_DIGITS) -> BigReal:
     """Euler's constant at the requested precision."""
-    with mp.workdps(precision + 10):
-        value = +mp.euler
-    return BigReal(value, precision)
-
-
-def log_pi(precision: int = DEFAULT_DIGITS) -> BigReal:
-    with mp.workdps(precision + 10):
-        value = mpmath.log(mp.pi)
-    return BigReal(value, precision)
+    return _constant(0, precision)
 
 
 def log_two(precision: int = DEFAULT_DIGITS) -> BigReal:
-    with mp.workdps(precision + 10):
-        value = mpmath.log(2)
-    return BigReal(value, precision)
+    return _constant(1, precision)
+
+
+def log_pi(precision: int = DEFAULT_DIGITS) -> BigReal:
+    return _constant(2, precision)
 
 
 class StieltjesTable(NamedTuple):
@@ -170,7 +175,7 @@ def zeta_int(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     if not isinstance(k, int) or k < 2:
         raise ConstantsError(f"zeta_int needs an integer k >= 2, got {k!r}")
     wp, values = zeta_ints(k, precision)
-    return BigReal(mp.make_mpf(from_man_exp(values[k], -wp)), precision)
+    return _fixed(values[k], wp, precision)
 
 
 def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
@@ -188,4 +193,4 @@ def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
         return -(euler_gamma(precision) + 2 * log_two(precision))
     wp, values = zeta_ints(k + 1, precision + 5)
     factor = (-1) ** (k + 1) * ifac(k) * ((2 << k) - 1)
-    return BigReal(mp.make_mpf(from_man_exp(factor * values[k + 1], -wp)), precision)
+    return _fixed(factor * values[k + 1], wp, precision)

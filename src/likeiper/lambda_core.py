@@ -20,9 +20,9 @@ Stieltjes coefficients:
 Composition through u = z/(1-z) concentrates binomial-sized cancellation
 (roughly log10 C(n, n/2) digits at index n), so both series are computed at
 a boosted internal precision and rounded down to the requested tag.  The
-tiny series runs on raw ``mpf`` values under one ``mp.workdps`` context, the
-trend series on 2^wp-scaled ints; each series comes back as a plain tuple of
-coefficients, each tagged as ``BigReal`` once, at the requested precision.
+tiny series, the package's one reader of mpmath's global precision, runs on
+raw ``mpf`` values, the trend series and lambda(1) on 2^wp-scaled ints; each
+coefficient is tagged as ``BigReal`` once, at the requested precision.
 """
 
 from __future__ import annotations
@@ -32,18 +32,11 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import dps_to_prec
 
-from .bigreal import BigReal, DEFAULT_DIGITS
-from .constants import (
-    ConstantsError,
-    StieltjesTable,
-    euler_gamma,
-    load_stieltjes,
-    log_pi,
-    polygamma_half,
-    zeta_ints,
-)
+from .bigreal import BigReal, DEFAULT_DIGITS, _fixed
+from .constants import (ConstantsError, StieltjesTable, _elementary, euler_gamma, load_stieltjes,
+                        zeta_ints)
 from .series import parity_sign, series_compose_zmap, series_log
 
 
@@ -110,23 +103,27 @@ def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, 
     (-1)^k ((1 - 2^-k) zeta(k) - 1) / k.  The constant term vanishes
     (log Gamma(1/2) = (log pi)/2), so composition needs no log.
 
-    Everything runs on ``zeta_ints``' 2^wp-scaled ints: each u^k coefficient
-    is one integer division rounded to nearest, the u^1 coefficient one
-    ``to_fixed``, and the composition only adds, so it is exact.  Each output
-    is tagged once.
+    Everything runs on 2^wp-scaled ints: each u^k coefficient is one integer
+    division of ``zeta_ints``' value, rounded to nearest, the u^1 coefficient
+    ``_u1``'s, and the composition only adds, so it is exact.  Each output is
+    tagged once.
     """
     if n_max < 1:
         raise ValueError("trend_series needs n_max >= 1")
     work = precision + guard_digits(n_max)
     wp, zetas = zeta_ints(n_max, work + 5)
     one = 1 << wp
-    linear = 1 - log_pi(work) / 2 + polygamma_half(0, work) / 2
-    coeffs = [0, to_fixed(linear.value._mpf_, wp)]
+    coeffs = [0, _u1(wp)[1]]
     for k in range(2, n_max + 1):
         zeta = zetas[k]
         coeffs.append(parity_sign(k) * ((2 * (zeta - (zeta >> k) - one) + k) // (2 * k)))
-    return tuple(BigReal(mp.make_mpf(from_man_exp(c, -wp)), precision)
-                 for c in series_compose_zmap(coeffs))
+    return tuple(_fixed(c, wp, precision) for c in series_compose_zmap(coeffs))
+
+
+def _u1(wp: int) -> Tuple[int, int]:
+    """gamma and the u^1 coefficient 1 - gamma/2 - log 2 - (log pi)/2, times 2^wp."""
+    gamma, log2, logpi = _elementary(wp)
+    return gamma, (1 << wp) - (gamma >> 1) - log2 - (logpi >> 1)
 
 
 class LambdaTable(NamedTuple):
@@ -168,10 +165,9 @@ def lambda_table(
 
 
 def lambda1_closed_form(precision: int = DEFAULT_DIGITS) -> BigReal:
-    """lambda(1) = 1 + gamma/2 - (1/2) log(4 pi), the classical closed form."""
-    with mp.workdps(precision + 10):
-        log4pi = BigReal(mpmath.log(4 * mp.pi), precision)
-    return BigReal(1, precision) + euler_gamma(precision) / 2 - log4pi / 2
+    """lambda(1) = 1 + gamma/2 - (1/2) log(4 pi): the trend's u^1 coefficient plus gamma."""
+    wp = dps_to_prec(precision + 15)
+    return _fixed(sum(_u1(wp)), wp, precision)
 
 
 class ScanRow(NamedTuple):

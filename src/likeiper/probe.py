@@ -23,8 +23,8 @@ The sum runs in fixed point on scalar 2^wp-scaled ints (the idiom of F.
 Johansson, Numer. Algorithms 69 (2015)): a smallest-prime-factor sieve
 leaves exp and cos/sin to primes, Re s < 0 lifts wp by the digits the direct
 terms cancel, and the weights B_2j/(2j)! come from ``constants``' table.
-A point whose N or lift passes ``_MAX_TERMS`` or ``_MAX_LIFT_DIGITS`` is refused
-with ``ProbeEvaluationError`` before any work.
+A non-finite point, or one whose N or lift passes ``_MAX_TERMS`` or
+``_MAX_LIFT_DIGITS``, is refused with ``ProbeEvaluationError`` before any work.
 A probe line keeps one state: the sieve and log n per wp, grown with N, and
 each prime's power, stepped as p^(-s') = p^(-s) p^(-delta) for the exact
 difference delta of the points, so log runs once per prime and wp, and exp
@@ -47,7 +47,7 @@ from mpmath.libmp import (dps_to_prec, fone, from_float, from_man_exp, ften, log
                           mpc_sub_mpf, mpf_abs, mpf_cos_sin, mpf_exp, mpf_lt, mpf_pow_int,
                           round_nearest, to_fixed, to_float, to_int)
 
-from .bigreal import BigReal
+from .bigreal import BigReal, _fixed
 from .constants import bernoulli_weight, euler_gamma
 
 DEFAULT_PROBE_DIGITS = 30
@@ -184,9 +184,12 @@ def _zeta_fixed(s: Tuple[tuple, tuple], precision: int, line: dict,
 
 
 def _point(s: ComplexLike, precision: int) -> Tuple[tuple, tuple]:
-    """An API argument as the engine's raw (re, im) pair, rounded at precision + 15 digits."""
-    with mp.workdps(precision + 15):
-        return mpmath.mpc(s)._mpc_
+    """An API argument as the engine's finite raw (re, im) pair at precision + 15 digits."""
+    parts = (s.real, s.imag) if isinstance(s, (complex, mpmath.mpc)) else (s, 0)
+    point = tuple(mpmath.mpf(x, dps=precision + 15, rounding=round_nearest)._mpf_ for x in parts)
+    if any(not man and exp for _, man, exp, _ in point):  # inf and nan have no mantissa
+        raise ProbeEvaluationError(f"cannot evaluate at the non-finite point {s!r}")
+    return point
 
 
 def _mpc(v: Sequence[int], wp: int, precision: int) -> mpmath.mpc:
@@ -369,14 +372,14 @@ def line_probe(
     line, guard = {}, (samples - 1).bit_length()  # see _zeta_fixed
     for i in range(samples):
         param = lo + i * grid_step
-        # floats are exact as mpf tuples, so the caller's mp.dps cannot round the point
+        # floats are exact as mpf tuples: the point needs no rounding
         re_s, im_s = (param, fixed) if kind == VARY_RE else (fixed, param)
         try:
             wp, f = _f_on_line((from_float(re_s), from_float(im_s)), precision, line, guard)
         except ProbeEvaluationError as exc:
             failures.append(SampleFailure(param=param, reason=str(exc)))
             continue
-        f_re, f_im = (BigReal(mp.make_mpf(from_man_exp(x, -wp)), precision) for x in f)
+        f_re, f_im = (_fixed(x, wp, precision) for x in f)
         collected.append(ComplexSample(param=param, f_re=f_re, f_im=f_im))
     if len(collected) < 2:
         raise ProbeEvaluationError(

@@ -26,11 +26,10 @@ Every other alternating binomial sum in the package is the same kernel:
                             (-1)^(n-1) (lambda_n - predict_voros(lambda, n)),
                             the kernel at n + 1 with weight C(2n, n-k).
 
-The kernel reads each term as an integer over one common denominator (a
-``BigReal`` or ``mpf`` mantissa over a power of two, a ``Fraction`` numerator),
-sums the weighted integers exactly and rounds once: a ``BigReal`` history at
-its smallest tag, an ``mpf`` history at the working precision, and a
-``Fraction`` history not at all.
+The kernel reads two number types.  Each term is an integer over one common
+denominator (a ``BigReal`` mantissa over a power of two, a ``Fraction`` or
+``int`` numerator); the kernel sums the weighted integers exactly and rounds
+once: a ``BigReal`` history at its smallest tag, an exact history not at all.
 
 The mode is the function called: ``prediction_run`` predicts from exact
 history (true lower-index values substituted at every step) and
@@ -42,7 +41,8 @@ exactness tests.
 
 ``phi_nlogn`` and ``model_predictor`` evaluate the operator on the explicit
 large-n model g(k) = (1/2) k log k + (c + gamma) k, where the binomial sums
-telescope to elementary closed forms up to an O(1/n) defect.
+telescope to elementary closed forms up to an O(1/n) defect; k log k are
+2^wp-scaled ints, summed on the kernel's exact integer path.
 """
 
 from __future__ import annotations
@@ -51,12 +51,10 @@ import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-import mpmath
-from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, log_int_fixed
 
-from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError
-from .constants import euler_gamma
+from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError, _fixed
+from .constants import euler_gamma, log_pi, log_two
 from .lambda_core import binomial_guard_digits
 from .series import parity_sign
 
@@ -151,13 +149,12 @@ def _predict_binomial(
 ) -> Value:
     """sum_{k=lowest}^{n-1} (-1)^(k-n+1) weight(k) history[k], zero weights skipped.
 
-    Every term read is an integer over one common denominator: a ``BigReal`` or
-    ``mpf`` is its mantissa over a power of two, a ``Fraction`` its numerator
-    over its denominator.  The weighted integers are summed exactly and the sum
-    is rounded once: for a ``BigReal`` history at the smallest tag of
-    ``history[:n]``, for an ``mpf`` history at the working precision; a
-    ``Fraction`` history's sum is exact.  The empty sum is zero in the
-    history's type.  A non-finite term raises ``ValueError``.
+    Every term read is an integer over one common denominator: a ``BigReal`` is
+    its mantissa over a power of two, a ``Fraction`` or ``int`` its numerator
+    over its denominator.  The weighted integers are summed exactly and rounded
+    once, at the smallest tag of ``history[:n]`` for a ``BigReal`` history; any
+    other sum is an exact ``Fraction``.  The empty sum is zero in the history's
+    type.  A non-finite term raises ``ValueError``, any other type ``TypeError``.
     """
     if n < 1:
         raise ValueError(f"a binomial prediction needs n >= 1, got n={n}")
@@ -169,25 +166,23 @@ def _predict_binomial(
              for k in range(lowest, n) if (w := weight(k))]
     den = math.lcm(*(d for _, (_, d) in terms))
     total = sum(w * num * (den // d) for w, (num, d) in terms)
-    first, exp = history[0], 1 - den.bit_length()  # a binary history's den is 2^-exp
-    if isinstance(first, BigReal):
-        tag = min(h.precision for h in history[:n])
-        return BigReal(mp.make_mpf(from_man_exp(total, exp)), tag)
-    if isinstance(first, mpmath.mpf):
-        return mp.make_mpf(from_man_exp(total, exp, mp.prec, round_nearest))
+    if isinstance(history[0], BigReal):  # den is a power of two
+        return _fixed(total, den.bit_length() - 1, min(h.precision for h in history[:n]))
     return Fraction(total, den)
 
 
-def _ratio(value: Union[Value, mpmath.mpf]) -> Tuple[int, int]:
-    """``value`` exactly as (numerator, denominator); a binary float's
+def _ratio(value: Union[Value, int]) -> Tuple[int, int]:
+    """``value`` exactly as (numerator, denominator); a ``BigReal``'s
     denominator is a power of two."""
-    if isinstance(value, (BigReal, mpmath.mpf)):
-        sign, man, exp, _ = (value.value if isinstance(value, BigReal) else value)._mpf_
+    if isinstance(value, BigReal):
+        sign, man, exp, _ = value.value._mpf_
         if not man and exp:
             raise ValueError(f"a binomial prediction cannot sum the non-finite value {value}")
         man = -man if sign else man
         return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    return value.numerator, value.denominator
+    if isinstance(value, (Fraction, int)):
+        return value.numerator, value.denominator
+    raise TypeError(f"predictions sum BigReal, Fraction or int values, not {type(value).__name__}")
 
 
 def predict_order_m(history: Sequence[Value], n: int, m: int) -> Value:
@@ -369,13 +364,10 @@ def phi_nlogn(n: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, BigReal
     """
     if n < 1:
         raise ValueError("phi_nlogn needs n >= 1")
-    with mp.workdps(precision + 10 + binomial_guard_digits(n)):  # the C(n, k) cancel
-        k_log_k = [mpmath.mpf(0)] + [k * mpmath.log(k) for k in range(1, n)]
-        phi1 = predict_full_history(k_log_k, n) * parity_sign(n - 1)
-        phi2 = mpmath.mpf(0)
-        if n > 1:
-            phi2 = parity_sign(n - 1) * n * mpmath.log(n)
-        return BigReal(phi1, precision), BigReal(phi2, precision)
+    wp = dps_to_prec(precision + 10 + binomial_guard_digits(n))  # the C(n, k) cancel
+    k_log_k = [0] + [k * log_int_fixed(k, wp) for k in range(1, n + 1)]  # 2^wp-scaled
+    phi1, sign = predict_full_history(k_log_k, n).numerator, parity_sign(n - 1)
+    return _fixed(sign * phi1, wp, precision), _fixed(sign * k_log_k[n], wp, precision)
 
 
 def model_predictor(n: int, precision: int = DEFAULT_DIGITS) -> BigReal:
@@ -390,9 +382,6 @@ def model_predictor(n: int, precision: int = DEFAULT_DIGITS) -> BigReal:
         raise ValueError("model_predictor needs n >= 2")
     work = precision + 10
     gamma = euler_gamma(work)
-    with mp.workdps(work + 10):
-        log2pi = BigReal(mpmath.log(2 * mp.pi), work)
-    c = (gamma - 1 - log2pi) / 2
+    c = (gamma - 1 - log_two(work) - log_pi(work)) / 2  # log 2pi = log 2 + log pi
     phi1, _ = phi_nlogn(n, work)
-    total = phi1 * parity_sign(n - 1) / 2 + (c + gamma) * n
-    return BigReal(total, precision)
+    return BigReal(phi1 * parity_sign(n - 1) / 2 + (c + gamma) * n, precision)

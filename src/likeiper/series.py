@@ -7,9 +7,9 @@ interface (``+ - * /``, multiplication and division by Python ints) and takes
 its zeros from the operands (``c * 0``), so one code path serves three
 coefficient types:
 
-* raw ``mpmath.mpf`` -- the numeric kernel.  Callers enter one
-  ``mp.workdps`` context, run the series work on raw values, and tag each
-  result as ``BigReal`` once, where it leaves the kernel;
+* raw ``mpmath.mpf`` -- rounded at mpmath's global working precision, which
+  its one caller, ``lambda_core.tiny_series``, sets for the series work; it
+  tags each result as ``BigReal`` once, where it leaves the kernel;
 * ``int`` -- fixed point, each coefficient scaled by a common 2^wp.  Only
   ``series_compose_zmap`` takes it (it only adds, so it stays exact and
   needs no rescaling); the caller tags each result once;

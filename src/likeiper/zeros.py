@@ -18,10 +18,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
-import mpmath
 from mpmath import mp
-from mpmath.libmp import (dps_to_prec, fone, from_man_exp, mpf_add, mpf_div, mpf_mul,
-                          round_down, round_nearest, to_fixed)
+from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_log,
+                          mpf_mul, mpf_pi, mpf_pow_int, mpf_shift, round_down, round_nearest,
+                          to_fixed)
 
 from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError
 from .datafiles import default_zeros_path, parse_indexed_table, table_digits
@@ -123,25 +123,28 @@ def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> T
     return tuple(sums)
 
 
-def _density_tails(j_max: int, T: mpmath.mpf, precision: int) -> Tuple[BigReal, ...]:
-    """The density integral over the omitted tail, for j = 1..j_max:
+def _density_tails(j_max: int, T: tuple, precision: int) -> Tuple[BigReal, ...]:
+    """The density integral over the omitted tail (T a raw mpf), for j = 1..j_max:
 
         integral_T^inf (1/2pi) log(t/2pi) t^(-2j) dt
           = (1/2pi) T^(-(2j-1)) (1/(2j-1)) (log(T/2pi) + 1/(2j-1)).
 
     1/2pi and log(T/2pi) are computed once; each j takes its own power of T
-    and evaluates the closed form left to right, so every value has the bits
-    of a separate evaluation for that j alone.
+    and evaluates the closed form left to right at precision + 10 digits, so
+    every value has the bits of a separate evaluation for that j alone.
     """
     if j_max < 1:
         raise ValueError("tail bounds need j_max >= 1")
-    with mp.workdps(precision + 10):
-        twopi = 2 * mp.pi
-        scale, log_term = 1 / twopi, mpmath.log(T / twopi)
-        tails = []
-        for j in range(1, j_max + 1):
-            inv = mpmath.mpf(1) / (2 * j - 1)
-            tails.append(BigReal(scale * T ** (-(2 * j - 1)) * inv * (log_term + inv), precision))
+    prec, rnd = dps_to_prec(precision + 10), round_nearest
+    twopi = mpf_shift(mpf_pi(prec, rnd), 1)
+    scale = mpf_div(fone, twopi, prec, rnd)
+    log_term = mpf_log(mpf_div(T, twopi, prec, rnd), prec, rnd)
+    tails = []
+    for j in range(1, j_max + 1):
+        inv = mpf_div(fone, from_int(2 * j - 1), prec, rnd)
+        tail = mpf_mul(scale, mpf_pow_int(T, 1 - 2 * j, prec, rnd), prec, rnd)
+        tail = mpf_mul(mpf_mul(tail, inv, prec, rnd), mpf_add(log_term, inv, prec, rnd), prec, rnd)
+        tails.append(BigReal(mp.make_mpf(tail), precision))
     return tuple(tails)
 
 
@@ -155,7 +158,7 @@ def z_tail_bound(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -
     carries no more.
     """
     tag = min(precision, zeros.digits)
-    return tuple(tail * 2 for tail in _density_tails(j_max, zeros.last.value, tag))
+    return tuple(tail * 2 for tail in _density_tails(j_max, zeros.last.value._mpf_, tag))
 
 
 def delta_bound(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:
@@ -166,7 +169,7 @@ def delta_bound(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, .
     This is the density integral from the first-zero height; it does not
     assume anything about the real parts of the zeros.
     """
-    return _density_tails(n_max, mpmath.mpf(14), precision)
+    return _density_tails(n_max, from_int(14), precision)
 
 
 class InversionCheck(NamedTuple):

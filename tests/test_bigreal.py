@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import (dps_to_prec, from_int, from_rational, from_str, fzero, mpf_add,
@@ -167,6 +167,24 @@ def test_fraction_roundtrip_within_precision(num, den):
     assert err <= bound
 
 
+_ROUNDED_TWICE = 677723832092357015896697924358891911095924304318033908053911227897288133707443408220036671
+
+
+# 300-bit numerators from random bytes, so that the bits past the working
+# precision are not mostly zero
+@settings(max_examples=200, deadline=None)
+@given(sign=st.sampled_from([1, -1]), raw=st.binary(min_size=38, max_size=38),
+       den=st.sampled_from([3, 5, 7, 10, 1000]) | st.integers(1, 10**30),
+       tag=st.integers(MIN_DIGITS, 100))
+@example(sign=1, raw=_ROUNDED_TWICE.to_bytes(38, "big"), den=1000, tag=64)
+def test_fraction_rounds_once_as_from_rational(sign, raw, den, tag):
+    # the numerator rounded to the working bits before the division put 1,037
+    # of 5,000 such values one bit off, _ROUNDED_TWICE / 1000 at tag 64 among them
+    num = sign * int.from_bytes(raw, "big")
+    expected = from_rational(num, den, dps_to_prec(tag + 5), round_nearest)
+    assert BigReal(Fraction(num, den), tag).value._mpf_ == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     a=st.fractions(min_value=-100, max_value=100, max_denominator=999),
@@ -194,8 +212,8 @@ def test_decimal_string_deterministic_bytes():
 
 def _old_value(raw, precision):
     with mp.workdps(precision + 5):
-        if isinstance(raw, Fraction):
-            return mpmath.mpf(raw.numerator) / raw.denominator
+        if isinstance(raw, Fraction):  # the exact numerator, divided once
+            return mp.make_mpf(from_int(raw.numerator)) / raw.denominator
         return mpmath.mpf(raw)
 
 
@@ -367,8 +385,7 @@ def _libmp_operand(other, prec):
     if isinstance(other, int):
         return from_int(other, prec, round_nearest)
     if isinstance(other, Fraction):
-        return mpf_div(from_int(other.numerator, prec, round_nearest),
-                       from_int(other.denominator), prec, round_nearest)
+        return from_rational(other.numerator, other.denominator, prec, round_nearest)
     if isinstance(other, str):
         return from_str(other, prec, round_nearest)
     return mpf_pos(other._mpf_, prec, round_nearest)

@@ -170,6 +170,24 @@ class TestFEval:
         with pytest.raises(ProbeEvaluationError, match=message):
             f_eval(s, 30)
 
+    @pytest.mark.parametrize("evaluate", [zeta_complex, zeta_deriv, f_eval],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("s", [
+        complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1), math.nan,
+        mpmath.mpf("-inf"), mpmath.mpc(1, mpmath.mpf("nan")),
+    ], ids=repr)
+    def test_refuses_non_finite_points(self, evaluate, s):
+        # nan once read as 0: zeta_complex(nan) returned zeta(0) = -0.5, f_eval 0
+        with pytest.raises(ProbeEvaluationError, match="non-finite point"):
+            evaluate(s, 15)
+
+    def test_huge_finite_point_is_not_refused(self):
+        # the test reads the raw tuple: float() of 1e400 is inf, the mpf is not
+        s = mpmath.mpf("1e400")
+        assert zeta_complex(s, 15) == 1
+        assert zeta_deriv(s, 15) == 0
+        assert f_eval(s, 15).real > 10**399
+
     def test_line_records_points_past_the_caps(self, monkeypatch):
         # N = 1.2 (30 + 15) + |t| + 10: with a cap of 100 terms, t > 36 is refused
         monkeypatch.setattr(probe_module, "_MAX_TERMS", 100)
