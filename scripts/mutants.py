@@ -112,6 +112,20 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    if any(not man and exp for _, man, exp, _ in point):",
            "    if False:",
            ("tests/test_probe.py::TestFEval",)),
+    # a prime's p^(-delta) near its kept p^(-delta0): the whole Taylor series of
+    # exp(-(delta - delta0) log p), with the sign of the difference
+    Mutant("nudge-one-term-short", "likeiper/probe.py",
+           "    for k in range(1, terms):", "    for k in range(1, terms - 1):",
+           ("tests/test_probe.py::TestLineStepping",)),
+    Mutant("nudge-delta-sign-flipped", "likeiper/probe.py",
+           "e0, e1 = -(dre - kept[0]) * log_p >> wp, -(dim - kept[1]) * log_p >> wp",
+           "e0, e1 = (dre - kept[0]) * log_p >> wp, (dim - kept[1]) * log_p >> wp",
+           ("tests/test_probe.py::TestLineStepping",)),
+    # the tail's U_j = c_j (P_j' - log(N) P_j) takes P's share of the derivative
+    Mutant("tail-u-without-t-term", "likeiper/probe.py",
+           "y0, y1 = q0 * ab0 - q1 * ab1 + p0 * apb - p1 * s2, q0 * ab1 + q1 * ab0 + p0 * s2 + p1 * apb",
+           "y0, y1 = q0 * ab0 - q1 * ab1, q0 * ab1 + q1 * ab0",
+           ("tests/test_probe.py::TestEngineOracle",)),
     # the near-collision sweep stops where the real gap reaches tol
     Mutant("sweep-break-at-half-tol", "likeiper/probe.py",
            "if fb.real - fa.real >= tol:", "if fb.real - fa.real >= tol / 2:",

@@ -189,8 +189,10 @@ def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     """
     if not isinstance(k, int) or k < 0:
         raise ConstantsError(f"polygamma_half needs an integer k >= 0, got {k!r}")
-    if k == 0:
-        return -(euler_gamma(precision) + 2 * log_two(precision))
+    if k == 0:  # one rounding of the ints, as euler_gamma and log_two make
+        wp = dps_to_prec(precision + 15)
+        gamma, log2, _ = _elementary(wp)
+        return _fixed(-(gamma + 2 * log2), wp, precision)
     wp, values = zeta_ints(k + 1, precision + 5)
     factor = (-1) ** (k + 1) * ifac(k) * ((2 << k) - 1)
     return _fixed(factor * values[k + 1], wp, precision)

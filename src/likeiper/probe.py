@@ -14,10 +14,11 @@ closer than a tolerance constitute a near-collision.  No flags means the
 line passed the diagnostic — a heuristic, not a proof.
 
 The complex zeta evaluation is a self-contained Euler-Maclaurin sum (the
-rest of the package only ever needs zeta at real integers), with parameters
-chosen from the requested precision and the height |Im s|.  zeta'(s) comes
-out of the same pass, differentiated analytically term by term, so each
-sample of f costs one sum; there are no finite differences.
+rest of the package only ever needs zeta at real integers), its N direct
+terms and M corrections chosen together from its remainder bound, so that N
+grows with the digits and |s|/(2 pi).  zeta'(s) comes out of the same pass,
+differentiated analytically term by term, so each sample of f costs one
+sum; there are no finite differences.
 
 The sum runs in fixed point on scalar 2^wp-scaled ints (the idiom of F.
 Johansson, Numer. Algorithms 69 (2015)): a smallest-prime-factor sieve
@@ -27,12 +28,14 @@ A non-finite point, or one whose N or lift passes ``_MAX_TERMS`` or
 ``_MAX_LIFT_DIGITS``, is refused with ``ProbeEvaluationError`` before any work.
 A probe line keeps one state: the sieve and log n per wp, grown with N, and
 each prime's power, stepped as p^(-s') = p^(-s) p^(-delta) for the exact
-difference delta of the points, so log runs once per prime and wp, and exp
-and cos/sin about once per prime and distinct grid step.  f follows on the
-same ints: a line's points enter as the exact mpf parts of their floats,
-zeta'/zeta is one integer complex division, and each part of f is rounded
-once, into the ``BigReal`` a sample keeps.  mpc appears only where
-``zeta_complex``, ``zeta_deriv`` and ``f_eval`` take and return values.
+difference delta of the points.  A delta within float ulps of the prime's
+last fresh one, delta0, nudges p^(-delta0) by a short Taylor series of
+exp(-(delta - delta0) log p), so log runs once per prime and wp, and exp
+and cos/sin about once per prime and line.  f follows on the same ints: a
+line's points enter as the exact mpf parts of their floats, zeta'/zeta is
+one integer complex division, and each part of f is rounded once, into the
+``BigReal`` a sample keeps.  mpc appears only where ``zeta_complex``,
+``zeta_deriv`` and ``f_eval`` take and return values.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import (dps_to_prec, fone, from_float, from_man_exp, ften, log_int_fixed, mpc_abs,
                           mpc_sub_mpf, mpf_abs, mpf_cos_sin, mpf_exp, mpf_lt, mpf_pow_int,
-                          round_nearest, to_fixed, to_float, to_int)
+                          round_nearest, to_fixed, to_float)
 
 from .bigreal import BigReal, _fixed
 from .constants import bernoulli_weight, euler_gamma
@@ -53,8 +56,8 @@ from .constants import bernoulli_weight, euler_gamma
 DEFAULT_PROBE_DIGITS = 30
 
 #: Caps on one zeta evaluation, checked before any list is built: the direct
-#: terms N, which grow with the digits and |Im s|, and the digits that
-#: Re s < 0 lifts the working precision by.  A point past either is refused.
+#: terms N, which grow with the digits and |s|, and the digits that Re s < 0
+#: lifts the working precision by.  A point past either is refused.
 _MAX_TERMS = 100_000
 _MAX_LIFT_DIGITS = 10_000
 
@@ -79,34 +82,78 @@ def _power(log_n: int, re: int, im: int, wp: int) -> Tuple[int, int]:
     return mag * to_fixed(cos, wp) >> wp, mag * to_fixed(sin, wp) >> wp
 
 
+def _nudge(x: int, y: int, e0: int, e1: int, wp: int) -> Tuple[int, int]:
+    """(x + i y) exp(e0 + i e1) for 2^wp-scaled |e0| + |e1| < 2^(wp-b), b >= 32: the
+    Taylor terms below ceil(wp/b), each rounded once, leave out under 2^-wp |x + i y|."""
+    terms = -(-wp // (wp - (abs(e0) + abs(e1)).bit_length()))
+    tx, ty = x, y
+    for k in range(1, terms):
+        tx, ty = (tx * e0 - ty * e1 >> wp) // k, (tx * e1 + ty * e0 >> wp) // k
+        x, y = x + tx, y + ty
+    return x, y
+
+
+def _step(line: dict, log_p: int, step: Tuple[int, int, int, int]) -> Tuple[int, int]:
+    """p^(-delta) for ``step`` = (p, delta re, delta im, wp): the prime's kept p^(-delta0)
+    nudged when |delta - delta0| log p < 2^-32, else exp and cos/sin, kept in turn."""
+    p, dre, dim, wp = step
+    kept = line.get((p, wp))
+    if kept:
+        e0, e1 = -(dre - kept[0]) * log_p >> wp, -(dim - kept[1]) * log_p >> wp
+        if (abs(e0) + abs(e1)).bit_length() <= wp - 32:
+            return _nudge(kept[2], kept[3], e0, e1, wp)
+    value = _power(log_p, dre, dim, wp)
+    line[p, wp] = dre, dim, *value
+    return value
+
+
 def _zeta_fixed(s: Tuple[tuple, tuple], precision: int, line: dict,
                 guard: int) -> Tuple[int, Tuple[int, int], Tuple[int, int], Tuple[int, int]]:
     """wp, s, zeta(s) and zeta'(s) as (re, im) pairs of 2^wp-scaled ints, from one
     Euler-Maclaurin pass in fixed point; ``s`` is a pair of raw mpf tuples.
 
-    N direct terms, N grown with the precision and the height so the Bernoulli
-    corrections c_j P_j N^(-s) (c_j = B_2j/(2j)!, P_j = s (s+1) ... (s+2j-2)
-    N^(1-2j), ratio about ((|Im s| + 2j)/(2 pi N))^2) decrease until one is
-    below the target.  zeta' is taken term by term: -log(n) n^(-s) and
-    c_j (P_j' - log(N) P_j) N^(-s).
+    N direct terms, then Bernoulli corrections c_j P_j N^(-s) (c_j = B_2j/(2j)!,
+    P_j = s (s+1) ... (s+2j-2) N^(1-2j)) until one is below 10^-(work+5).  As
+    |c_j| <= 4 (2 pi)^(-2j), the j-th and its s-derivative are at most 4 (2j - 1
+    + log N) N^(1 - Re s) prod_{i<2j-1} (|s+i|^2 + 1)^(1/2) / (2 pi N)^(2j), the
+    product bounded by Jensen's inequality on 4 runs of i.  They stop by j = M =
+    L/5 + (L |Im s|)^(1/2)/6 - min(Re s, 0), L = (work + 5) log 10, which weighs
+    their cost (2.5 direct terms each) against N's; N is the least with the
+    bound at M below the target and at least (|s| + 2M)/(2 pi), so they
+    decrease.  zeta' is taken term by term: -log(n) n^(-s) and c_j Q_j N^(-s),
+    Q_j = P_j' - log(N) P_j.  The tail carries c_j P_j and c_j Q_j, stepped by
+    c_(j+1)/c_j, so a small c_j costs no precision.
 
     ``line``, one probe line's state, keeps each prime's last p^(-s), s and
     wp; a prime with none at this wp (first evaluated sample, new prime, new
-    lift or N) steps from p^0 = 1.  p^(-delta), delta the exact fixed-point
-    difference, is kept under (p, delta, wp); the float grid lo + i step has
-    few deltas.  Lines run lo -> hi, so |p^(-delta)| <= 1 and k steps add
+    lift or N bit length) steps from p^0 = 1.  p^(-delta), delta the exact
+    fixed-point difference, is kept under (p, delta, wp); the float grid
+    lo + i step has few deltas, which differ by ulps, so ``_step`` nudges the
+    prime's last fresh p^(-delta0) and exp and cos/sin run about once per
+    prime and line.  Lines run lo -> hi, so |p^(-delta)| <= 1 and k steps add
     O(k) ulps, which ``guard``, the step count's bit length, absorbs.  The
     sieve and log n, which depend on N and wp only, are kept under ("log",
-    wp) and extended as N grows, and the weights c_j under ("weights", wp).
+    wp) and extended as N grows, and the ratios c_(j+1)/c_j under ("ratios", wp).
     """
-    work = precision + 15
-    N = int(1.2 * work) + to_int(mpf_abs(s[1])) + 10
+    work, L = precision + 15, (precision + 20) * math.log(10)
+    # the bound reads Re s in [-4 _MAX_LIFT_DIGITS, L] and |Im s| up to 7 _MAX_TERMS as
+    # floats; past those ends a point is refused, or its first correction is below target
+    sig = min(max(to_float(s[0], rnd=round_nearest), -4.0 * _MAX_LIFT_DIGITS), L)
+    t = min(to_float(mpf_abs(s[1]), rnd=round_nearest), 7.0 * _MAX_TERMS)
+    M = math.ceil(L / 5 + math.sqrt(L * t) / 6 - min(sig, 0.0))
+    m, log_prod = 2 * M - 1, 0.0
+    for i0, i1 in ((m * k // 4, m * (k + 1) // 4) for k in range(4)):  # runs of i < m
+        mid = sig + (i0 + i1 - 1) / 2
+        log_prod += (i1 - i0) / 2 * math.log(1 + t * t + mid * mid + ((i1 - i0) ** 2 - 1) / 12)
+    exponent = (L + math.log(4 * (m + 12)) + log_prod - (m + 1) * math.log(2 * math.pi)) / (m + sig)
+    N = math.ceil(max(math.exp(min(exponent, 50.0)), (math.hypot(sig, t) + m) / (2 * math.pi), 2))
     # Direct terms reach N^(-Re s) and cancel, so Re s < 0 lifts the digits;
-    # the extra bits absorb N roundings of about |s| log N ulps each.
-    lift = max(0.0, -to_float(s[0], rnd=round_nearest)) * math.log10(N)
+    # the extra bits absorb N roundings of about |s| log N ulps each.  N grows
+    # with -Re s too, so a point past both caps is refused for its lift.
+    lift = max(0.0, -sig) * math.log10(N)
     if N > _MAX_TERMS or lift > _MAX_LIFT_DIGITS:
-        need = (f"more than {_MAX_TERMS} direct terms" if N > _MAX_TERMS else
-                f"more than {_MAX_LIFT_DIGITS} extra digits for Re s < 0")
+        need = (f"more than {_MAX_LIFT_DIGITS} extra digits for Re s < 0" if lift > _MAX_LIFT_DIGITS
+                else f"more than {_MAX_TERMS} direct terms")
         raise ProbeEvaluationError(f"zeta evaluation at {complex(mp.make_mpc(s))} needs {need}")
     wp = dps_to_prec(work + 5 + math.ceil(lift)) + 2 * N.bit_length() + 10 + guard
     one = 1 << wp
@@ -130,7 +177,7 @@ def _zeta_fixed(s: Tuple[tuple, tuple], precision: int, line: dict,
             held = held if held and held[2] == wp else (0, 0, wp, one, 0)
             step = (n, sre - held[0], sim - held[1], wp)
             if step not in line:
-                line[step] = _power(logs[n], step[1], step[2], wp)
+                line[step] = _step(line, logs[n], step)
             (a, b), (c, d) = held[3:], line[step]
         else:
             a, b, c, d = xs[p], ys[p], xs[n // p], ys[n // p]
@@ -151,30 +198,34 @@ def _zeta_fixed(s: Tuple[tuple, tuple], precision: int, line: dict,
     # |term|^2 |w|^2 < target^2 as |term|^2 < bound, exact for integer |term|^2
     limit, w2 = (one // 10 ** (work + 5)) ** 2 << 2 * wp, w[0] * w[0] + w[1] * w[1]
     bound = -(-limit // w2) if w2 else math.inf
-    NN, s2, p0, p1, dp0, dp1 = N * N, 2 * sim, sre // N, sim // N, one // N, 0
-    weights, previous = line.setdefault(("weights", wp), []), None
-    for j in range(1, 4 * N):
-        if j > len(weights):
-            weights.append(bernoulli_weight(j, wp))
-        c = weights[j - 1]
-        t0, t1 = c * p0 >> wp, c * p1 >> wp
-        d0, d1 = c * (dp0 - (log_N * p0 >> wp)) >> wp, c * (dp1 - (log_N * p1 >> wp)) >> wp
-        tr, ti, dtr, dti = tr + t0, ti + t1, dtr + d0, dti + d1
-        magnitude = t0 * t0 + t1 * t1
-        if magnitude < bound and d0 * d0 + d1 * d1 < bound:
+    ratios = line.get(("ratios", wp), ())
+    if len(ratios) < M:  # |c_j| > 2^(1 - 5.31 j), so at 2^(wp + 6 size) each c_j keeps wp bits
+        size = (M // 32 + 1) * 32
+        c = [bernoulli_weight(j, wp + 6 * size) for j in range(1, size + 1)]
+        ratios = line["ratios", wp] = [(b << wp) // a for a, b in zip(c, c[1:])]
+    NN, wp2, s2 = N * N, 2 * wp, 2 * sim
+    # T_j = c_j P_j and U_j = c_j Q_j from T_1 = s/(12 N) and U_1 = (1 - s log N)/(12 N);
+    # a = s + 2j - 1, b = a + 1: ab = a (a + 1) and a + b advance by additions
+    p0, p1, a, previous = sre // (12 * N), sim // (12 * N), sre + one, None
+    q0, q1 = (one - (log_N * sre >> wp)) // (12 * N), -(log_N * sim >> wp) // (12 * N)
+    ab0, ab1, apb = (a * (a + one) - sim * sim) >> wp, (2 * a + one) * sim >> wp, 2 * a + one
+    for j in range(1, M + 1):
+        tr, ti, dtr, dti = tr + p0, ti + p1, dtr + q0, dti + q1
+        magnitude = p0 * p0 + p1 * p1
+        if magnitude < bound and q0 * q0 + q1 * q1 < bound:
             break
         if previous is not None and magnitude > previous:
             raise ProbeEvaluationError(
                 f"zeta evaluation at {complex(mp.make_mpc(s))} stopped converging (j={j}); "
                 "point too far outside the supported region"
             )
-        previous = magnitude
-        # a = s + 2j - 1, b = a + 1: P <- P ab / N^2, P' <- (P' ab + P (a + b)) / N^2
-        a = sre + (2 * j - 1) * one
-        ab0, ab1, apb = (a * (a + one) - sim * sim) >> wp, (2 * a + one) * sim >> wp, 2 * a + one
-        x, y = (dp0 * ab0 - dp1 * ab1) >> wp, (dp0 * ab1 + dp1 * ab0) >> wp
-        dp0, dp1 = (x + (p0 * apb - p1 * s2 >> wp)) // NN, (y + (p0 * s2 + p1 * apb >> wp)) // NN
-        p0, p1 = ((p0 * ab0 - p1 * ab1) >> wp) // NN, ((p0 * ab1 + p1 * ab0) >> wp) // NN
+        previous, r = magnitude, ratios[j - 1]
+        # T <- r T ab / N^2, U <- r (U ab + T (a + b)) / N^2, r = c_(j+1)/c_j
+        x0, x1 = p0 * ab0 - p1 * ab1, p0 * ab1 + p1 * ab0
+        y0, y1 = q0 * ab0 - q1 * ab1 + p0 * apb - p1 * s2, q0 * ab1 + q1 * ab0 + p0 * s2 + p1 * apb
+        p0, p1 = (x0 * r >> wp2) // NN, (x1 * r >> wp2) // NN
+        q0, q1 = (y0 * r >> wp2) // NN, (y1 * r >> wp2) // NN
+        ab0, ab1, apb = ab0 + 2 * apb + 4 * one, ab1 + 2 * s2, apb + 4 * one
     else:
         raise ProbeEvaluationError(
             f"zeta evaluation at {complex(mp.make_mpc(s))} missed the precision target"

@@ -143,6 +143,15 @@ class TestPolygammaHalf:
         expected = -euler_gamma(60) - big(2, 60) * log_two(60)
         assert polygamma_half(0, 60).agrees_to(expected, 55)
 
+    def test_base_value_rounded_once(self):
+        # -gamma - 2 log 2 at 60 more digits, rounded once to each tag's bits; the
+        # sum of two tagged values it replaced differed in the last bit at 39 tags
+        for precision in range(10, 151):
+            with mp.workdps(precision + 60):
+                exact = -mp.euler - 2 * mp.log(2)
+            expected = mpmath.mpf(exact, prec=bigreal._bits(precision))
+            assert polygamma_half(0, precision).value._mpf_ == expected._mpf_, precision
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_zeta_closed_form(self, k):
         # psi^(k)(1/2) = (-1)^(k+1) k! (2^(k+1) - 1) zeta(k+1)

@@ -109,6 +109,19 @@ class TestEngineOracle:
             assert abs(got - z) <= bound * abs(z)
             assert abs(dgot - zp) <= bound * abs(zp)
 
+    @pytest.mark.parametrize("precision", [15, 30, 50])
+    @pytest.mark.parametrize("s", [complex(0.5, 236.5), complex(2, 1000), complex(-5, 3), -101,
+                                   complex(3, -20)])
+    def test_public_values_to_the_requested_digits(self, s, precision):
+        # N from the remainder bound grows with |s|/(2 pi), not with |Im s|
+        got, dgot = zeta_complex(s, precision), zeta_deriv(s, precision)
+        with mp.workdps(precision + 30):
+            sv = mpmath.mpc(s)
+            bound = mpmath.mpf(10) ** -precision
+            z, zp = mpmath.zeta(sv), mpmath.zeta(sv, derivative=1)
+            assert abs(got - z) <= bound * abs(z)
+            assert abs(dgot - zp) <= bound * abs(zp)
+
     def test_f_eval_far_left_of_the_strip(self):
         # without the lift this printed -12600.197... with no error
         got = f_eval(-41.5, 30)
@@ -189,11 +202,12 @@ class TestFEval:
         assert f_eval(s, 15).real > 10**399
 
     def test_line_records_points_past_the_caps(self, monkeypatch):
-        # N = 1.2 (30 + 15) + |t| + 10: with a cap of 100 terms, t > 36 is refused
+        # N from the remainder bound at 30 digits on Re s = 2: 37, 49, 69 and 88
+        # for t = 0, 50, 100 and 150, then 103, 119 and 134; a cap of 100 refuses t >= 200
         monkeypatch.setattr(probe_module, "_MAX_TERMS", 100)
-        report = line_probe("im", 2.0, 0.0, 60.0, samples=7)
-        assert [s.param for s in report.samples] == [0.0, 10.0, 20.0, 30.0]
-        assert [f.param for f in report.failures] == [40.0, 50.0, 60.0]
+        report = line_probe("im", 2.0, 0.0, 300.0, samples=7)
+        assert [s.param for s in report.samples] == [0.0, 50.0, 100.0, 150.0]
+        assert [f.param for f in report.failures] == [200.0, 250.0, 300.0]
         assert all("more than 100 direct terms" in f.reason for f in report.failures)
 
     def test_rejects_near_zero_of_zeta(self, zeros):
@@ -472,10 +486,25 @@ class TestLineStepping:
 
     @pytest.mark.parametrize(
         "kind, fixed, lo, hi, samples",
-        [("im", 1.0, 0.0, 30.0, 100), ("re", 30.0, -1.0, 1.0, 21), ("im", 0.5, 60.0, 68.0, 40)],
+        [
+            # the two benchmark lines, and one higher on the critical line
+            ("im", 1.0, 0.0, 30.0, 100),
+            ("re", 14.134725, 0.55, 3.0, 100),
+            ("im", 0.5, 60.0, 68.0, 40),
+            # Re s < 0: lifted working precisions, |p^(-s)| > 1
+            ("im", -3.0, 1.0, 40.0, 60),
+            ("re", 30.0, -1.0, 1.0, 21),
+        ],
     )
-    def test_rows_match_one_point_f_eval(self, kind, fixed, lo, hi, samples):
+    def test_rows_match_one_point_f_eval(self, monkeypatch, kind, fixed, lo, hi, samples):
+        # f_eval starts from an empty line, so every p^(-s) there comes from exp and
+        # cos/sin; the line's are stepped, mostly through nudged p^(-delta)
+        nudges = []
+        nudge = probe_module._nudge
+        monkeypatch.setattr(probe_module, "_nudge", lambda *a: nudges.append(1) or nudge(*a))
         report = line_probe(kind, fixed, lo, hi, samples=samples, precision=30)
+        assert nudges
+        monkeypatch.setattr(probe_module, "_nudge", None)  # a fresh state never nudges
         rows = [line for line in report.to_tsv().splitlines() if not line.startswith("#")]
         assert len(rows) == len(report.samples) > 0
         for row, sample in zip(rows, report.samples):
@@ -484,8 +513,25 @@ class TestLineStepping:
             re_f, im_f = (BigReal(x, 30).to_decimal_string(30) for x in (f.real, f.imag))
             assert row == f"{p!r}\t{re_f}\t{im_f}"
 
+    @pytest.mark.parametrize("wp", [64, 100, 200, 333])
+    @pytest.mark.parametrize("bits", [32, 33, 40, 45, 47, 52, 60])
+    def test_nudge_matches_exp(self, wp, bits):
+        # (x + i y) exp(e0 + i e1) with |e0| + |e1| just under 2^(wp - bits), against
+        # mpmath at twice the bits: within one unit per term, so no term may be left out
+        scale = (1 << (wp - bits)) - 1
+        with mp.workprec(2 * wp):
+            for x, y, c0, c1 in [(7, 0, -8, 0), (3, -4, 4, -4), (-2, 7, -3, 5), (0, 6, 1, 7)]:
+                x, y, e0, e1 = x << (wp - 3), y << (wp - 3), c0 * scale // 8, c1 * scale // 8
+                got = probe_module._nudge(x, y, e0, e1, wp)
+                exact = mpmath.mpc(x, y) * mpmath.exp(mpmath.mpc(e0, e1) / 2**wp)
+                terms = -(-wp // bits)
+                assert abs(got[0] - exact.real) <= terms and abs(got[1] - exact.imag) <= terms
+
     def test_exp_and_cos_sin_once_per_prime_and_step(self, monkeypatch):
-        # the 100-sample benchmark im line; t <= 30 at 30 digits gives N <= 94
+        # the 100-sample benchmark im line; t <= 30 at 30 digits gives N <= 43.
+        # A prime's power comes from exp and cos/sin at its first sample and at its
+        # first grid step, or again where N dips below it and grows back; every
+        # later step is nudged, though the grid has 8 distinct steps.
         calls = []
         for name in ("mpf_exp", "mpf_cos_sin"):
             original = getattr(probe_module, name)
@@ -494,12 +540,12 @@ class TestLineStepping:
             )
         report = line_probe("im", 1.0, 0.0, 30.0, samples=100, precision=30)
         steps = _distinct_steps([s.param for s in report.samples])
-        primes = sum(all(p % q for q in range(2, p)) for p in range(2, 95))
-        assert (primes, len(steps)) == (24, 8)
-        assert len(calls) <= primes * (len(steps) + 1)
+        primes = sum(all(p % q for q in range(2, p)) for p in range(2, 44))
+        assert (primes, len(steps)) == (14, 8)
+        assert len(calls) <= 4 * primes
 
     def test_log_once_per_prime_and_working_precision(self, monkeypatch):
-        # the line keeps its sieve and log n, extended as N grows to 94
+        # the line keeps its sieve and log n, extended as N grows to 43
         calls = []
         original = probe_module.log_int_fixed
         monkeypatch.setattr(
@@ -507,5 +553,5 @@ class TestLineStepping:
         )
         line_probe("im", 1.0, 0.0, 30.0, samples=100, precision=30)
         assert len(calls) == len(set(calls))
-        assert all(n <= 94 and all(n % q for q in range(2, n)) for n, _ in calls)
-        assert len(calls) <= 24 * len({wp for _, wp in calls})
+        assert all(n <= 43 and all(n % q for q in range(2, n)) for n, _ in calls)
+        assert len(calls) <= 14 * len({wp for _, wp in calls})
