@@ -72,6 +72,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("tag-rule-ge", "likeiper/bigreal.py",
            "            if digits > bound:", "            if digits >= bound:",
            ("tests/test_bigreal.py",)),
+    # arithmetic between two values is tagged with the smaller tag
+    Mutant("binary-largest-tag", "likeiper/bigreal.py",
+           "precision = min(precision, other.precision)", "precision = max(precision, other.precision)",
+           ("tests/test_bigreal.py",)),
     # a Fraction is its exact numerator divided once
     Mutant("fraction-numerator-rounded-first", "likeiper/bigreal.py",
            "from_rational(value.numerator, value.denominator, prec, round_nearest)",
@@ -84,6 +88,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_lambda_core.py",)),
     Mutant("trend-no-guard", "likeiper/lambda_core.py",
            "    work = precision + guard_digits(n_max)\n", "    work = precision\n",
+           ("tests/test_lambda_core.py",)),
+    # the tiny series works at the digits its composition cancels
+    Mutant("tiny-no-guard", "likeiper/lambda_core.py",
+           "min(precision + guard_digits(n_max), stieltjes.digits)", "min(precision, stieltjes.digits)",
            ("tests/test_lambda_core.py",)),
     # the u^1 coefficient, and lambda(1) with it, carries gamma/2
     Mutant("u1-gamma-not-halved", "likeiper/lambda_core.py",

@@ -1,16 +1,16 @@
 """Precision-tagged arbitrary-precision real numbers.
 
-``BigReal`` wraps an ``mpmath.mpf`` together with the number of decimal digits
-of working precision it was computed at.  Arithmetic between two values is
-carried out at (and tagged with) the *minimum* of the two precisions, so a
-result can never silently claim more accuracy than its least accurate input.
+``BigReal`` is a rounded ``mpmath.libmp`` tuple, ``raw``, tagged with the decimal
+digits of working precision it was computed at; ``value`` builds its ``mpf``.
+Arithmetic between two values is carried out at (and tagged with) the *minimum*
+of the two precisions, so a result never claims more accuracy than its inputs.
 
-Every operation is one ``mpmath.libmp`` call on the raw ``_mpf_`` tuples,
-rounded to nearest at the bits of ``tag + 5`` digits: the call mpmath's own
-operators make, without their per-operation context switch.  A plain operand
-(``int``, ``Fraction``, ``str``, ``mpf``) is rounded once to those bits as
-``BigReal(operand, tag)`` would be (a ``Fraction`` as ``libmp.from_rational``
-does it), with no object made for it.  Nothing here reads mpmath's global state.
+Every operation is one ``mpmath.libmp`` call on the raw tuples, rounded to
+nearest at the bits of ``tag + 5`` digits, its result stored as it comes.  A
+plain operand (``int``, ``Fraction``, ``str``, ``mpf``) is rounded once to
+those bits as ``BigReal(operand, tag)`` would be (a ``Fraction`` as
+``libmp.from_rational`` does it), with no object made for it.  Nothing here
+reads mpmath's global state.
 
 A plain decimal string (``[+-]digits[.digits]``, blanks around it allowed) is
 read in integer arithmetic: one division of its digits by a power of ten,
@@ -28,9 +28,10 @@ from functools import lru_cache
 from typing import Union
 
 import mpmath
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, from_rational, mpf_abs, mpf_add,
-                          mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_sub,
-                          round_nearest, to_float, to_str)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, from_rational, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_eq, mpf_ge, mpf_gt, mpf_hash, mpf_le, mpf_lt,
+                          mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_sub, round_nearest,
+                          to_float, to_str)
 
 DEFAULT_DIGITS = 50
 MIN_DIGITS = 10
@@ -56,9 +57,7 @@ def _bits(precision: int) -> int:
 
 
 def _raw(value: _Number, prec: int) -> tuple:
-    """The ``_mpf_`` tuple of ``value`` (not a ``BigReal``), rounded to nearest at ``prec`` bits."""
-    if type(value) is mpmath.mpf:
-        return mpf_pos(value._mpf_, prec, round_nearest)
+    """The libmp tuple of ``value`` (not a ``BigReal``), rounded to nearest at ``prec`` bits."""
     if isinstance(value, int):
         return from_int(value, prec, round_nearest)
     if isinstance(value, Fraction):
@@ -80,15 +79,15 @@ def _from_plain_decimal(text: str, prec: int) -> tuple:
     return from_man_exp(-quotient if text[0] == "-" else quotient, -shift - 1, prec, round_nearest)
 
 
-def _fixed(value: int, wp: int, precision: int) -> "BigReal":
-    """The 2^wp-scaled int ``value`` as a ``BigReal`` tagged ``precision``, rounded once."""
-    return BigReal(_make(from_man_exp(value, -wp)), precision)
+def _ordering(test):
+    """A ``BigReal`` comparison: ``test`` on the two raw tuples."""
+    return lambda self, other: test(self.raw, self._cmp_raw(other))
 
 
 class BigReal:
     """An immutable arbitrary-precision real with a decimal-digit precision tag."""
 
-    __slots__ = ("value", "precision")
+    __slots__ = ("raw", "precision")  # not "_mpf_": mpmath would take a BigReal for its own
 
     def __init__(self, value: _Number, precision: int = DEFAULT_DIGITS):
         if not isinstance(precision, int) or precision < MIN_DIGITS:
@@ -98,11 +97,13 @@ class BigReal:
         if isinstance(value, BigReal):
             precision = min(precision, value.precision)
             value = value.value
-        object.__setattr__(self, "value", _make(_raw(value, _bits(precision))))
-        object.__setattr__(self, "precision", precision)
+        _set_raw(self, _raw(value, _bits(precision)))
+        _set_precision(self, precision)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("BigReal is immutable")
+
+    value = property(lambda self: _make(self.raw), doc="The ``mpf`` of ``raw``, built on read.")
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -110,17 +111,16 @@ class BigReal:
         precision = self.precision
         if isinstance(other, BigReal):
             precision = min(precision, other.precision)
-            b = other.value._mpf_
+            b = other.raw
         else:  # rounded as BigReal(other, precision) would be, without making one
             b = _raw(other, _bits(precision))
-        a = self.value._mpf_
+        a = self.raw
         if swap:
             a, b = b, a
-        return BigReal(_make(op(a, b, _bits(precision), round_nearest)), precision)
+        return _tagged(op(a, b, _bits(precision), round_nearest), precision)
 
     def _unary(self, op, *args) -> "BigReal":
-        raw = op(self.value._mpf_, *args, _bits(self.precision), round_nearest)
-        return BigReal(_make(raw), self.precision)
+        return _tagged(op(self.raw, *args, _bits(self.precision), round_nearest), self.precision)
 
     def __add__(self, other: _Number) -> "BigReal":
         return self._binary(other, mpf_add)
@@ -157,47 +157,33 @@ class BigReal:
 
     # -- comparisons (on the underlying values) --------------------------------
 
-    def _cmp_value(self, other: _Number) -> mpmath.mpf:
+    def _cmp_raw(self, other: _Number) -> tuple:
         if isinstance(other, BigReal):
-            return other.value
-        return _make(_raw(other, _bits(self.precision)))
+            return other.raw
+        return _raw(other, _bits(self.precision))
 
     def __eq__(self, other) -> bool:
         try:
-            return self.value == self._cmp_value(other)
+            return mpf_eq(self.raw, self._cmp_raw(other))
         except (TypeError, ValueError):
             return NotImplemented
 
-    def __lt__(self, other) -> bool:
-        return self.value < self._cmp_value(other)
-
-    def __le__(self, other) -> bool:
-        return self.value <= self._cmp_value(other)
-
-    def __gt__(self, other) -> bool:
-        return self.value > self._cmp_value(other)
-
-    def __ge__(self, other) -> bool:
-        return self.value >= self._cmp_value(other)
+    __lt__, __le__, __gt__, __ge__ = (_ordering(test) for test in (mpf_lt, mpf_le, mpf_gt, mpf_ge))
 
     def __hash__(self):
-        return hash(self.value)
+        return mpf_hash(self.raw)
 
     def __bool__(self) -> bool:
-        return self.value != 0
+        return self.raw != fzero
 
     # -- conversions and formatting ---------------------------------------------
 
     def __float__(self) -> float:
-        return to_float(self.value._mpf_, rnd=round_nearest)
+        return to_float(self.raw, rnd=round_nearest)
 
     def to_fraction(self) -> Fraction:
-        """Exact rational value of the underlying binary float.
-
-        Reads the mantissa/exponent pair directly so no context rounding can
-        intervene between the stored value and the rational it denotes.
-        """
-        sign, man, exp, _ = self.value._mpf_
+        """Exact rational value of ``raw``, read from its mantissa and exponent."""
+        sign, man, exp, _ = self.raw
         if man == 0 and exp != 0:
             raise ValueError("cannot convert a non-finite value to Fraction")
         frac = Fraction(int(man)) * Fraction(2) ** exp
@@ -213,7 +199,7 @@ class BigReal:
         never changed, and ``PrecisionError`` for more integer digits than the
         tag: those are noise.
         """
-        sign, man, exp, _ = self.value._mpf_
+        sign, man, exp, _ = self.raw
         if man == 0 and exp != 0:
             raise ValueError("cannot format a non-finite value")
         denominator = 1 << max(-exp, 0)
@@ -238,7 +224,7 @@ class BigReal:
 
     def digits_str(self, significant: int | None = None) -> str:
         """Significant-digit string (mpmath ``nstr``), default = the tag."""
-        return to_str(self.value._mpf_, self.precision if significant is None else significant)
+        return to_str(self.raw, self.precision if significant is None else significant)
 
     def __repr__(self) -> str:
         return f"BigReal({self.digits_str(min(self.precision, 20))!r}, precision={self.precision})"
@@ -253,12 +239,33 @@ class BigReal:
         """
         other = other if isinstance(other, BigReal) else BigReal(other, self.precision)
         prec = _bits(max(self.precision, other.precision))
-        size = mpf_abs(self.value._mpf_)
-        diff = mpf_abs(mpf_sub(self.value._mpf_, other.value._mpf_, prec, round_nearest))
+        size = mpf_abs(self.raw)
+        diff = mpf_abs(mpf_sub(self.raw, other.raw, prec, round_nearest))
         if not mpf_lt(size, from_int(1)):
             diff = mpf_div(diff, size, prec, round_nearest)
         power = mpf_pow_int(from_int(10), -digits - 1, prec, round_nearest)
         return mpf_lt(diff, mpf_mul(from_int(5), power, prec, round_nearest))
+
+
+_set_raw, _set_precision = BigReal.raw.__set__, BigReal.precision.__set__
+
+
+def _tagged(raw: tuple, precision: int) -> BigReal:
+    """``raw``, already rounded at ``_bits(precision)``, tagged: no checks, no second rounding."""
+    value = object.__new__(BigReal)
+    _set_raw(value, raw)
+    _set_precision(value, precision)
+    return value
+
+
+def _rounded(raw: tuple, precision: int) -> BigReal:
+    """The libmp tuple ``raw`` as a ``BigReal`` tagged ``precision``, rounded once."""
+    return _tagged(mpf_pos(raw, _bits(precision), round_nearest), precision)
+
+
+def _fixed(value: int, wp: int, precision: int) -> BigReal:
+    """The 2^wp-scaled int ``value`` as a ``BigReal`` tagged ``precision``, rounded once."""
+    return _tagged(from_man_exp(value, -wp, _bits(precision), round_nearest), precision)
 
 
 def big(value: _Number, precision: int = DEFAULT_DIGITS) -> BigReal:

@@ -76,7 +76,7 @@ def read_table(path: Path, parse_field: Callable[[str], object]) -> Tuple[dict, 
                 f"{path}:{lineno}: non-integer index {index_text!r}"
             ) from exc
         try:
-            parsed = tuple(map(parse_field, fields))
+            parsed = tuple([parse_field(field) for field in fields])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         if last_index is not None and index <= last_index:

@@ -231,7 +231,6 @@ class CellReport(NamedTuple):
     matches: bool
     deviation: BigReal
     printed_matches: bool
-    printed_deviation: BigReal
     tolerance: BigReal
 
     @property
@@ -276,14 +275,12 @@ def _compare_cell(cell: GoldenCell, recomputed: BigReal, tolerance: BigReal) -> 
     target = big(cell.target, precision)
     printed = big(cell.printed, precision)
     deviation = abs(recomputed - target)
-    printed_deviation = abs(recomputed - printed)
     return CellReport(
         cell=cell,
         recomputed=recomputed,
         matches=deviation < tolerance,
         deviation=deviation,
-        printed_matches=printed_deviation < tolerance,
-        printed_deviation=printed_deviation,
+        printed_matches=abs(recomputed - printed) < tolerance,
         tolerance=tolerance,
     )
 

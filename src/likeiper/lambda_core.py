@@ -19,10 +19,10 @@ Stieltjes coefficients:
 
 Composition through u = z/(1-z) concentrates binomial-sized cancellation
 (roughly log10 C(n, n/2) digits at index n), so both series are computed at
-a boosted internal precision and rounded down to the requested tag.  The
-tiny series, the package's one reader of mpmath's global precision, runs on
-raw ``mpf`` values, the trend series and lambda(1) on 2^wp-scaled ints; each
-coefficient is tagged as ``BigReal`` once, at the requested precision.
+a boosted internal precision and rounded down to the requested tag.  Both
+series are composed on 2^wp-scaled ints; the tiny series then takes its log
+on ``BigReal`` values at its working tag.  Each coefficient is tagged at the
+requested precision once, and nothing reads mpmath's global context.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Tuple
 
-import mpmath
-from mpmath import mp
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, to_fixed
 
-from .bigreal import BigReal, DEFAULT_DIGITS, _fixed
+from .bigreal import BigReal, DEFAULT_DIGITS, _bits, _fixed
 from .constants import (ConstantsError, StieltjesTable, _elementary, euler_gamma, load_stieltjes,
                         zeta_ints)
 from .series import parity_sign, series_compose_zmap, series_log
@@ -67,6 +65,9 @@ def tiny_series(
     exactly zero; coefficient 1 is the Euler constant.  Reads gamma_0 to
     gamma_{n_max-1} from the table, and raises ``ConstantsError`` when
     ``precision`` exceeds the table's digits.
+
+    Each (-1)^k gamma_k / k! is one rounded int at 2^wp; those compose exactly,
+    and series_log runs on them tagged at the working digits, whose bits are wp.
     """
     if n_max < 1:
         raise ValueError("tiny_series needs n_max >= 1")
@@ -78,16 +79,13 @@ def tiny_series(
             f"precision {precision} exceeds the {stieltjes.digits} digits of the Stieltjes table"
         )
     work = min(precision + guard_digits(n_max), stieltjes.digits)
-    with mp.workdps(work + 10):
-        coeffs = [mpmath.mpf(1)]
-        fact = mpmath.mpf(1)
-        for k in range(0, n_max):
-            if k > 0:
-                fact *= k
-            sign = -1 if k % 2 else 1
-            coeffs.append(sign * stieltjes.gamma(k).value / fact)
-        logged = series_log(series_compose_zmap(coeffs))
-    return tuple(BigReal(c, precision) for c in logged)
+    wp = _bits(work + 5)
+    coeffs = [1 << wp]
+    for k in range(n_max):
+        gamma, fact = to_fixed(stieltjes.gamma(k).raw, wp), math.factorial(k)
+        coeffs.append((2 * parity_sign(k) * gamma + fact) // (2 * fact))
+    logged = series_log([_fixed(c, wp, work + 5) for c in series_compose_zmap(coeffs)])
+    return tuple([BigReal(c, precision) for c in logged])
 
 
 def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:
@@ -117,7 +115,7 @@ def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, 
     for k in range(2, n_max + 1):
         zeta = zetas[k]
         coeffs.append(parity_sign(k) * ((2 * (zeta - (zeta >> k) - one) + k) // (2 * k)))
-    return tuple(_fixed(c, wp, precision) for c in series_compose_zmap(coeffs))
+    return tuple([_fixed(c, wp, precision) for c in series_compose_zmap(coeffs)])
 
 
 def _u1(wp: int) -> Tuple[int, int]:
@@ -158,10 +156,10 @@ def lambda_table(
     exactly zero), and the total is formed as the sum of the two parts (not
     re-rounded independently), so total = trend + tiny holds identically.
     """
-    tiny = tuple(c * n for n, c in enumerate(tiny_series(n_max, precision, stieltjes)))
-    trend = tuple(c * n for n, c in enumerate(trend_series(n_max, precision)))
+    tiny = tuple([c * n for n, c in enumerate(tiny_series(n_max, precision, stieltjes))])
+    trend = tuple([c * n for n, c in enumerate(trend_series(n_max, precision))])
     return LambdaTable(n_max=n_max, precision=precision, trend=trend, tiny=tiny,
-                       total=tuple(t + s for t, s in zip(trend, tiny)))
+                       total=tuple([t + s for t, s in zip(trend, tiny)]))
 
 
 def lambda1_closed_form(precision: int = DEFAULT_DIGITS) -> BigReal:

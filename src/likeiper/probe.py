@@ -296,7 +296,7 @@ def _f_on_line(s: Tuple[tuple, tuple], precision: int, line: dict,
             "(too near a zero)"
         )
     if ("1/gamma", wp) not in line:
-        line["1/gamma", wp] = (one << wp) // to_fixed(euler_gamma(precision).value._mpf_, wp)
+        line["1/gamma", wp] = (one << wp) // to_fixed(euler_gamma(precision).raw, wp)
     q = ((dzr * zr + dzi * zi) << wp) // den, ((dzi * zr - dzr * zi) << wp) // den  # zeta'/zeta
     fr, fi = _mul(_mul((sre, sim), (sre - one, sim), wp), q, wp)
     inv_gamma = line["1/gamma", wp]
@@ -348,11 +348,10 @@ class LineProbeReport(NamedTuple):
             f"# range: [{self.lo!r}, {self.hi!r}] samples: {self.requested_samples}",
             "# columns: param\tre_f\tim_f",
         ]
-        places = max(self.precision, 12)
         for sample in self.samples:
             lines.append(
-                f"{sample.param!r}\t{sample.f_re.to_decimal_string(places)}"
-                f"\t{sample.f_im.to_decimal_string(places)}"
+                f"{sample.param!r}\t{sample.f_re.to_decimal_string(self.precision)}"
+                f"\t{sample.f_im.to_decimal_string(self.precision)}"
             )
         return "\n".join(lines) + "\n"
 

@@ -164,7 +164,7 @@ def _predict_binomial(
         )
     terms = [(parity_sign(k - n + 1) * w, _ratio(history[k]))
              for k in range(lowest, n) if (w := weight(k))]
-    den = math.lcm(*(d for _, (_, d) in terms))
+    den = math.lcm(*[d for _, (_, d) in terms])
     total = sum(w * num * (den // d) for w, (num, d) in terms)
     if isinstance(history[0], BigReal):  # den is a power of two
         return _fixed(total, den.bit_length() - 1, min(h.precision for h in history[:n]))
@@ -175,7 +175,7 @@ def _ratio(value: Union[Value, int]) -> Tuple[int, int]:
     """``value`` exactly as (numerator, denominator); a ``BigReal``'s
     denominator is a power of two."""
     if isinstance(value, BigReal):
-        sign, man, exp, _ = value.value._mpf_
+        sign, man, exp, _ = value.raw
         if not man and exp:
             raise ValueError(f"a binomial prediction cannot sum the non-finite value {value}")
         man = -man if sign else man

@@ -7,9 +7,9 @@ interface (``+ - * /``, multiplication and division by Python ints) and takes
 its zeros from the operands (``c * 0``), so one code path serves three
 coefficient types:
 
-* raw ``mpmath.mpf`` -- rounded at mpmath's global working precision, which
-  its one caller, ``lambda_core.tiny_series``, sets for the series work; it
-  tags each result as ``BigReal`` once, where it leaves the kernel;
+* :class:`~likeiper.bigreal.BigReal` -- each operation rounded at its tag's
+  bits; ``lambda_core.tiny_series`` logs its composed series at its working
+  tag and tags each result once more, at the requested precision;
 * ``int`` -- fixed point, each coefficient scaled by a common 2^wp.  Only
   ``series_compose_zmap`` takes it (it only adds, so it stays exact and
   needs no rescaling); the caller tags each result once;
@@ -30,9 +30,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence, Tuple, Union
 
-import mpmath
+from .bigreal import BigReal
 
-Coefficient = Union[mpmath.mpf, int, Fraction]
+Coefficient = Union[BigReal, int, Fraction]
 
 
 class SeriesOrderError(ValueError):
@@ -67,9 +67,9 @@ def series_log(a: Sequence[Coefficient]) -> Tuple[Coefficient, ...]:
     which needs one division per coefficient and no transcendental calls.
     Each k * b_k is formed once, when b_k is, and kept in ``kb``, so order N
     costs N(N-1)/2 + 2N + 1 multiplications and N divisions; the operands
-    and their order are those of the sum above, so raw ``mpf`` results do
-    not depend on the hoist.  The constant term of the result is exactly the
-    field zero, and the constant term of ``a`` must equal 1 exactly.
+    and their order are those of the sum above, so rounded ``BigReal``
+    results do not depend on the hoist.  The constant term of the result is
+    exactly the field zero, and the constant term of ``a`` must equal 1 exactly.
     """
     c0 = a[0]
     if c0 != 1:
@@ -95,8 +95,8 @@ def series_compose_zmap(a: Sequence[Coefficient]) -> Tuple[Coefficient, ...]:
     ``a_0..a_n``, so ``h`` grows by one coefficient per step and truncating at
     the input's length is exact.  The whole composition costs
     ``order*(order-1)/2`` additions and no multiplications, so fixed-point
-    ``int`` and ``Fraction`` coefficients compose exactly.  With raw ``mpf``
-    coefficients the caller's working precision must absorb the cancellation
+    ``int`` and ``Fraction`` coefficients compose exactly.  With ``BigReal``
+    coefficients their tag must absorb the cancellation
     of the composed sums, ``[z^n] = sum_{k=1}^{n} C(n-1, k-1) a_k`` (about
     log10 C(n-1, n/2) digits at index ``n``).
     """

@@ -18,12 +18,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
-from mpmath import mp
 from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_log,
                           mpf_mul, mpf_pi, mpf_pow_int, mpf_shift, round_down, round_nearest,
                           to_fixed)
 
-from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError
+from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError, _rounded
 from .datafiles import default_zeros_path, parse_indexed_table, table_digits
 from .series import parity_sign
 
@@ -111,20 +110,20 @@ def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> T
         raise ValueError("z_partial needs j_max >= 1")
     tag = min(precision, zeros.digits)
     wp = dps_to_prec(tag + 10) + ((3 * zeros.count + 1) * j_max).bit_length()
-    xs = [mpf_add(mpf_mul(t.value._mpf_, t.value._mpf_), _QUARTER) for t in zeros.ordinates]
+    xs = [mpf_add(mpf_mul(t.raw, t.raw), _QUARTER) for t in zeros.ordinates]
     ratios = [to_fixed(mpf_div(xs[0], x, wp, round_down), wp) for x in xs]
     step = mpf_div(fone, xs[0], wp, round_nearest)
     powers, scale, sums = ratios, step, []
     for _ in range(j_max):
         total = mpf_mul(from_man_exp(sum(powers), -wp), scale, wp, round_nearest)
-        sums.append(BigReal(mp.make_mpf(total), tag))
+        sums.append(_rounded(total, tag))
         powers = [p * r >> wp for p, r in zip(powers, ratios)]
         scale = mpf_mul(scale, step, wp, round_nearest)
     return tuple(sums)
 
 
 def _density_tails(j_max: int, T: tuple, precision: int) -> Tuple[BigReal, ...]:
-    """The density integral over the omitted tail (T a raw mpf), for j = 1..j_max:
+    """The density integral over the omitted tail (T a libmp tuple), for j = 1..j_max:
 
         integral_T^inf (1/2pi) log(t/2pi) t^(-2j) dt
           = (1/2pi) T^(-(2j-1)) (1/(2j-1)) (log(T/2pi) + 1/(2j-1)).
@@ -144,7 +143,7 @@ def _density_tails(j_max: int, T: tuple, precision: int) -> Tuple[BigReal, ...]:
         inv = mpf_div(fone, from_int(2 * j - 1), prec, rnd)
         tail = mpf_mul(scale, mpf_pow_int(T, 1 - 2 * j, prec, rnd), prec, rnd)
         tail = mpf_mul(mpf_mul(tail, inv, prec, rnd), mpf_add(log_term, inv, prec, rnd), prec, rnd)
-        tails.append(BigReal(mp.make_mpf(tail), precision))
+        tails.append(_rounded(tail, precision))
     return tuple(tails)
 
 
@@ -158,7 +157,7 @@ def z_tail_bound(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -
     carries no more.
     """
     tag = min(precision, zeros.digits)
-    return tuple(tail * 2 for tail in _density_tails(j_max, zeros.last.value._mpf_, tag))
+    return tuple([tail * 2 for tail in _density_tails(j_max, zeros.last.raw, tag)])
 
 
 def delta_bound(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:

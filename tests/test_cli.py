@@ -498,6 +498,16 @@ class TestProbe:
         assert "# failures: 1" in out
         assert "too close to s = 1" in out
 
+    def test_prints_digits_places(self):
+        code, out, _ = run(
+            "probe", "--line", "im", "--b", "2", "--t0", "0", "--t1", "1", "--samples", "3",
+            "--digits", "10",
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
+        assert rows[0] == ["0.0", "1.4900462100", "0.0000000000"]
+        assert [len(cell.split(".")[1]) for row in rows for cell in row[1:]] == [10] * 6
+
     def test_huge_tolerance_fails(self):
         code, out, _ = run(
             "probe", "--line", "im", "--b", "1", "--t0", "1", "--t1", "2",

@@ -1,8 +1,7 @@
-"""mpmath's process-global precision is read by one function only,
-``lambda_core.tiny_series``: everything else passes its precision explicitly,
-so another thread's ``mp.workdps`` cannot change its results."""
+"""Nothing in likeiper reads or sets mpmath's process-global precision:
+every function passes its precision explicitly, so another thread's
+``mp.workdps`` cannot change its results."""
 
-import ast
 import re
 import sys
 import threading
@@ -15,7 +14,8 @@ from mpmath import mp
 import likeiper
 from likeiper.bigreal import BigReal
 from likeiper.constants import euler_gamma, log_pi, log_two, polygamma_half
-from likeiper.lambda_core import lambda1_closed_form, trend_series
+from likeiper.lambda_core import (conjecture_scan, lambda1_closed_form, lambda_table, tiny_series,
+                                  trend_series)
 from likeiper.probe import f_eval, zeta_complex
 from likeiper.recurrences import (RecurrenceScheme, VOROS, model_predictor, phi_nlogn,
                                   self_seeded_run)
@@ -25,20 +25,12 @@ SRC = Path(likeiper.__file__).parent
 _CONTEXT = re.compile(r"workdps|workprec|mp\.prec|mp\.dps")
 
 
-def _tiny_series_lines():
-    tree = ast.parse((SRC / "lambda_core.py").read_text())
-    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "tiny_series")
-    return range(node.lineno, node.end_lineno + 1)
-
-
-def test_only_tiny_series_names_the_global_context():
-    inside = _tiny_series_lines()
+def test_no_module_names_the_global_context():
     hits = [(path.name, number, line.strip())
             for path in sorted(SRC.glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if _CONTEXT.search(line)]
-    assert [h for h in hits if h[0] != "lambda_core.py" or h[1] not in inside] == []
-    assert [h[2] for h in hits] == ["with mp.workdps(work + 10):"]
+    assert hits == []
 
 
 _POINT = mpmath.mpc(mpmath.mpf("0.666666666666666666666666666666666667", prec=200), 1)
@@ -53,6 +45,9 @@ CONVERTED = {
     "model_predictor": lambda: model_predictor(12, 30),
     "delta_bound": lambda: delta_bound(8, 40),
     "trend_series": lambda: trend_series(40, 50),
+    "tiny_series": lambda: tiny_series(32, 50),
+    "lambda_table": lambda: lambda_table(20, 40),
+    "conjecture_scan": lambda: conjecture_scan(16, 30),
     "f_eval": lambda: f_eval(0.7 + 3.3j, 30),
     "zeta_complex": lambda: zeta_complex(_POINT, 30),
     "self_seeded_run": lambda: self_seeded_run(RecurrenceScheme(kind=VOROS),
@@ -62,9 +57,11 @@ CONVERTED = {
 
 def _bits(value):
     if isinstance(value, BigReal):
-        return value.value._mpf_, value.precision
+        return value.raw, value.precision
     if isinstance(value, mpmath.mpc):
         return value._mpc_
+    if isinstance(value, int):  # a table's n_max or tag, a scan row's n or verdict
+        return value
     return tuple(map(_bits, value))
 
 

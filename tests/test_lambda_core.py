@@ -161,6 +161,14 @@ class TestLambdaTable:
         for n in range(1, 9):
             assert low.lam(n).agrees_to(BigReal(high.lam(n), 30), 27)
 
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_tiny_series_keeps_its_tag_through_the_cancellation(self, digits):
+        # the composition through u = z/(1-z) cancels about 24 digits by
+        # n = 80; the guard digits keep every coefficient good to its tag
+        low, high = tiny_series(80, digits), tiny_series(80, 75)
+        for n in range(1, 81):
+            assert low[n].agrees_to(high[n], digits), n
+
 
 class TestSeriesAccessors:
     def test_tiny_series_matches_table(self, table12):

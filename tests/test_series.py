@@ -157,14 +157,14 @@ class TestLog:
 
     @pytest.mark.parametrize("n_max, precision", [(80, 50), (32, 72), (32, 100), (11, 30)])
     def test_bit_identical_to_recurrence_on_tiny_series_input(self, monkeypatch, n_max, precision):
-        # the composed u-series tiny_series logs, at its working precision:
-        # every coefficient's _mpf_ tuple equals the unhoisted loop's
+        # the composed u-series tiny_series logs, as BigReal at its working
+        # tag: every coefficient's libmp tuple and tag equal the unhoisted loop's
         seen = []
 
         def both(a):
             got, want = series_log(a), recurrence_log(a)
             seen.append(len(a))
-            assert [c._mpf_ for c in got] == [c._mpf_ for c in want]
+            assert [(c.raw, c.precision) for c in got] == [(c.raw, c.precision) for c in want]
             return got
 
         monkeypatch.setattr(lambda_core, "series_log", both)
