@@ -102,7 +102,15 @@ MUTANTS: Tuple[Mutant, ...] = (
            "_fixed(total, den.bit_length() - 1,", "_fixed(total, den.bit_length(),",
            ("tests/test_recurrences.py",)),
     Mutant("kernel-largest-tag", "likeiper/recurrences.py",
-           "min(h.precision for h in history[:n])", "max(h.precision for h in history[:n])",
+           "min(history[k].precision for k in range(n))",
+           "max(history[k].precision for k in range(n))",
+           ("tests/test_recurrences.py",)),
+    # a scheme is its binomial row C(top, n - k) and the seeds it starts from
+    Mutant("scheme-voros-top", "likeiper/recurrences.py",
+           "VOROS: 2 * n}", "VOROS: n}",
+           ("tests/test_recurrences.py",)),
+    Mutant("seeds-off-by-one", "likeiper/recurrences.py",
+           "            return self.m - 1\n", "            return self.m\n",
            ("tests/test_recurrences.py",)),
     # phi1's k log k carry the digits the C(n, k) cancel
     Mutant("phi-no-binomial-guard", "likeiper/recurrences.py",
@@ -111,8 +119,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_recurrences.py",)),
     # self-seeded runs are exact and round each output once
     Mutant("seeded-rounded-in-loop", "likeiper/recurrences.py",
-           "        values.append(_predict(scheme, values, n))\n",
-           "        values.append(_predict(scheme, values, n))\n"
+           "        values.append(predict(scheme, values, n))\n",
+           "        values.append(predict(scheme, values, n))\n"
            "        if tags:\n            values[-1] = _exact(BigReal(values[-1], min(tags)))\n",
            ("tests/test_recurrences.py",)),
     # a non-finite point is refused before the engine reads it

@@ -214,15 +214,15 @@ def cmd_approx(args: argparse.Namespace) -> int:
     seed_mode, c = _parse_seed(args.seed, args.digits)
 
     if seed_mode == "initial":
-        if scheme.m is not None and scheme.m > 2:
+        if scheme.seeds > 1:
             raise ValueError(
                 f"--seed initial: scheme {args.scheme} needs initial values at indices "
-                f"2..{scheme.m}, which no option supplies; only a1, m:2, d and a2 "
+                f"2..{scheme.seeds + 1}, which no option supplies; only a1, m:2, d and a2 "
                 "self-seed from the command line"
             )
-        if (c is None) != (scheme.kind == VOROS):  # only a2 runs from bare initial
-            need = ("lambda(1) alone; use --seed initial" if scheme.kind == VOROS
-                    else "lambda(2) = c*lambda(1); use --seed initial:<c>")
+        if (c is None) == bool(scheme.seeds):  # only a2 runs from bare initial
+            need = ("lambda(2) = c*lambda(1); use --seed initial:<c>" if scheme.seeds
+                    else "lambda(1) alone; use --seed initial")
             raise ValueError(f"--seed {args.seed}: scheme {args.scheme} needs {need}")
         if args.stieltjes is not None or args.target is not None:
             raise ValueError(

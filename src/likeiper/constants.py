@@ -31,28 +31,30 @@ class ConstantsError(ValueError):
     """Raised for unusable constants tables or out-of-domain requests."""
 
 
+def _log_pi_fixed(wp: int) -> int:
+    return to_fixed(mpf_log(mpf_pi(wp + 10), wp + 10), wp)
+
+
 def _elementary(wp: int) -> Tuple[int, int, int]:
     """(gamma, log 2, log pi) * 2^wp, each within a few units of its last place;
     a value tagged P takes wp = the bits of P + 15 digits."""
-    return euler_fixed(wp), ln2_fixed(wp), to_fixed(mpf_log(mpf_pi(wp + 10), wp + 10), wp)
-
-
-def _constant(index: int, precision: int) -> BigReal:
-    wp = dps_to_prec(precision + 15)
-    return _fixed(_elementary(wp)[index], wp, precision)
+    return euler_fixed(wp), ln2_fixed(wp), _log_pi_fixed(wp)
 
 
 def euler_gamma(precision: int = DEFAULT_DIGITS) -> BigReal:
     """Euler's constant at the requested precision."""
-    return _constant(0, precision)
+    wp = dps_to_prec(precision + 15)
+    return _fixed(euler_fixed(wp), wp, precision)
 
 
 def log_two(precision: int = DEFAULT_DIGITS) -> BigReal:
-    return _constant(1, precision)
+    wp = dps_to_prec(precision + 15)
+    return _fixed(ln2_fixed(wp), wp, precision)
 
 
 def log_pi(precision: int = DEFAULT_DIGITS) -> BigReal:
-    return _constant(2, precision)
+    wp = dps_to_prec(precision + 15)
+    return _fixed(_log_pi_fixed(wp), wp, precision)
 
 
 class StieltjesTable(NamedTuple):

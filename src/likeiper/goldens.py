@@ -31,12 +31,7 @@ from .bigreal import DEFAULT_DIGITS, BigReal, big
 from .constants import euler_gamma
 from .datafiles import DataFormatError, _decimal, data_dir, read_table
 from .lambda_core import conjecture_scan, lambda_table
-from .recurrences import (
-    phi_nlogn,
-    predict_full_history,
-    predict_order_m,
-    predict_voros,
-)
+from .recurrences import FULL_HISTORY, ORDER_M, VOROS, RecurrenceScheme, phi_nlogn, predict
 
 
 def tables_dir() -> Path:
@@ -131,15 +126,16 @@ def load_golden(name: str) -> GoldenTable:
 # ---------------------------------------------------------------------------
 
 Builder = Callable[[int], Dict[Tuple[int, str], BigReal]]
+_FULL, _VOROS = RecurrenceScheme(FULL_HISTORY), RecurrenceScheme(VOROS)
 
 
 def _build_ratio_order_m(m: int, precision: int) -> Dict[Tuple[int, str], BigReal]:
     table = lambda_table(11, precision)
-    gamma = euler_gamma(precision)
+    gamma, scheme = euler_gamma(precision), RecurrenceScheme(ORDER_M, m)
     out: Dict[Tuple[int, str], BigReal] = {}
     for n in range(2, 12):
         if n >= m:
-            out[(n, "pred")] = predict_order_m(table.tiny, n, m) / (gamma * n)
+            out[(n, "pred")] = predict(scheme, table.tiny, n) / (gamma * n)
         out[(n, "exact")] = table.tiny[n] / (gamma * n)
     return out
 
@@ -148,7 +144,7 @@ def _build_tiny_fullhistory(precision: int) -> Dict[Tuple[int, str], BigReal]:
     table = lambda_table(15, precision)
     out: Dict[Tuple[int, str], BigReal] = {}
     for n in range(2, 16):
-        out[(n, "pred")] = predict_full_history(table.tiny, n) / n
+        out[(n, "pred")] = predict(_FULL, table.tiny, n) / n
         out[(n, "exact")] = table.tiny[n] / n
     return out
 
@@ -159,7 +155,7 @@ def _build_trend_fullhistory(precision: int) -> Dict[Tuple[int, str], BigReal]:
     for n in range(1, 16):
         exact = table.trend[n] / n
         # at n = 1 no lower indices exist; the tabulation repeats the exact value
-        out[(n, "pred")] = predict_full_history(table.trend, n) / n if n > 1 else exact
+        out[(n, "pred")] = predict(_FULL, table.trend, n) / n if n > 1 else exact
         out[(n, "exact")] = exact
     return out
 
@@ -179,8 +175,8 @@ def _build_coeff20(precision: int) -> Dict[Tuple[int, str], BigReal]:
     for n in range(1, 8):
         out[(n, "lam")] = table.total[n]
         if n >= 2:
-            out[(n, "a1")] = predict_full_history(table.total, n)
-            out[(n, "a2")] = predict_voros(table.total, n)
+            out[(n, "a1")] = predict(_FULL, table.total, n)
+            out[(n, "a2")] = predict(_VOROS, table.total, n)
     return out
 
 

@@ -48,11 +48,6 @@ def guard_digits(n_max: int) -> int:
     return max(15, int(0.302 * n_max) + 5)
 
 
-def binomial_guard_digits(m: int) -> int:
-    """Digits a sum with weights C(m, k) can cancel: ceil(log10 C(m, m // 2))."""
-    return math.ceil(math.log10(math.comb(m, m // 2)))
-
-
 def tiny_series(
     n_max: int,
     precision: int = DEFAULT_DIGITS,

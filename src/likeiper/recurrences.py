@@ -3,28 +3,27 @@
 Observation: the sequence lambda_tiny(n) is numerically close to a solution
 of Delta^m = 0 for small m, and closer still to the "full-memory" binomial
 recurrence obtained by dropping the tail of an exact binomial identity.
-This module implements those predictors:
+Every such scheme sets a discrete derivative to zero, and ``predict`` weighs
+history[k] by C(top, n-k) for all of them, with the top its
+``RecurrenceScheme`` fixes:
 
-* ``predict_order_m``   - solve the order-m difference equation at the top
-                          index (m = 2 and 3 are the classical cases);
-* ``predict_full_history`` - the all-lower-indices binomial predictor
-                          lambda(n) ~ sum_{k<n} (-1)^(k-n+1) C(n,k) lambda(k);
-* ``predict_voros``     - the central-binomial variant with weights C(2n, n-k).
+* ``order_m``      - m: Delta^m = 0 at the top index (m = 2 and 3 are the
+                     classical cases);
+* ``full_history`` - n: every lower index, weights C(n, k);
+* ``voros``        - 2n: the central-binomial weights C(2n, n-k).
 
-All three are one alternating binomial sum with a different weight, and one
-kernel, ``_predict_binomial``, computes them: weight C(m, n-k) for order m,
-C(n, k) for the full history, C(2n, n-k) for Voros.  The sum runs over
-k >= 1 by default, so the boundary convention value(0) = 0 needs no code.
-Every other alternating binomial sum in the package is the same kernel:
+One kernel, ``_predict_binomial``, sums over k >= 1 by default, so the
+boundary convention value(0) = 0 needs no code.  Every other alternating
+binomial sum in the package is the same kernel:
 
 * ``discrete_derivative`` - the kernel at n = m + 1, weight C(m, k), from k = 0;
 * ``phi_nlogn``           - phi1 is (-1)^(n-1) times the full-history
-                            predictor of k log k;
+                            prediction of k log k;
 * ``model_predictor``     - (-1)^(n-1) phi1 / 2 + (c + gamma) n, since the
-                            full-history predictor is linear and maps k to n;
-* ``zeros.inversion_check`` - its left side is
-                            (-1)^(n-1) (lambda_n - predict_voros(lambda, n)),
-                            the kernel at n + 1 with weight C(2n, n-k).
+                            full-history prediction is linear and maps k to n;
+* ``zeros.inversion_check`` - its left side is (-1)^(n-1) (lambda_n minus
+                            the Voros prediction of lambda at n), the kernel
+                            at n + 1 on the Voros row.
 
 The kernel reads two number types.  Each term is an integer over one common
 denominator (a ``BigReal`` mantissa over a power of two, a ``Fraction`` or
@@ -49,13 +48,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from mpmath.libmp import dps_to_prec, log_int_fixed
 
 from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError, _fixed
 from .constants import euler_gamma, log_pi, log_two
-from .lambda_core import binomial_guard_digits
 from .series import parity_sign
 
 Value = Union[BigReal, Fraction]
@@ -69,6 +68,11 @@ class HistoryError(ValueError):
     """Raised when a predictor lacks the lower-index values it needs."""
 
 
+def binomial_guard_digits(m: int) -> int:
+    """Digits a sum with weights C(m, k) can cancel: ceil(log10 C(m, m // 2))."""
+    return math.ceil(math.log10(math.comb(m, m // 2)))
+
+
 class _SchemeFields(NamedTuple):
     kind: str
     m: Optional[int] = None
@@ -76,7 +80,7 @@ class _SchemeFields(NamedTuple):
 
 
 class RecurrenceScheme(_SchemeFields):
-    """A predictor family.
+    """A predictor family, and the one place that tells the kinds apart.
 
     ``kind`` is one of ``order_m`` (requires ``m >= 2``), ``full_history``,
     ``voros``.  ``initial`` holds the values at indices 2..m that an order-m
@@ -99,17 +103,28 @@ class RecurrenceScheme(_SchemeFields):
     def _make(cls, iterable) -> RecurrenceScheme:  # so that _replace validates too
         return cls(*iterable)
 
+    def top(self, n: int) -> int:
+        """The top of the binomial row C(top, n-k) a prediction at n weighs
+        history[k] by: m for order m, n for the full history, 2n for Voros."""
+        return {ORDER_M: self.m, FULL_HISTORY: n, VOROS: 2 * n}[self.kind]
+
+    @property
+    def seeds(self) -> int:
+        """Values past lambda(1) a self-seeded run starts from: 0 for Voros, 1
+        (lambda(2) = c*lambda(1)) for the full history, m - 1 for order m."""
+        if self.kind == ORDER_M:
+            return self.m - 1
+        return int(self.kind == FULL_HISTORY)
+
     def guard_digits(self, n_max: int) -> int:
         """Digits a prediction up to ``n_max`` can cancel, plus 3: the history's
         tag must exceed the predictions' by this much.
 
         With exact history a prediction's error is its inputs' error times the
         sum of its weights' sizes, and nothing compounds.  The largest weight is
-        C(m, m/2) for order m, C(n_max, n_max/2) for the full history and
-        C(2 n_max, n_max) for Voros; the 3 covers the sum over the weights.
+        C(top, top/2) at n_max; the 3 covers the sum over the weights.
         """
-        top = {ORDER_M: self.m, FULL_HISTORY: n_max, VOROS: 2 * n_max}[self.kind]
-        return binomial_guard_digits(top) + 3
+        return binomial_guard_digits(self.top(n_max)) + 3
 
 
 class PredictionResult(NamedTuple):
@@ -164,10 +179,11 @@ def _predict_binomial(
         )
     terms = [(parity_sign(k - n + 1) * w, _ratio(history[k]))
              for k in range(lowest, n) if (w := weight(k))]
-    den = math.lcm(*[d for _, (_, d) in terms])
+    # no n-item tuple: CPython 3.11 keeps freed 20-item tuples it never reuses
+    den = reduce(math.lcm, [d for _, (_, d) in terms], 1)
     total = sum(w * num * (den // d) for w, (num, d) in terms)
     if isinstance(history[0], BigReal):  # den is a power of two
-        return _fixed(total, den.bit_length() - 1, min(h.precision for h in history[:n]))
+        return _fixed(total, den.bit_length() - 1, min(history[k].precision for k in range(n)))
     return Fraction(total, den)
 
 
@@ -185,52 +201,23 @@ def _ratio(value: Union[Value, int]) -> Tuple[int, int]:
     raise TypeError(f"predictions sum BigReal, Fraction or int values, not {type(value).__name__}")
 
 
-def predict_order_m(history: Sequence[Value], n: int, m: int) -> Value:
-    """Solve Delta^m = 0 at the top index for the value at n:
+def predict(scheme: RecurrenceScheme, history: Sequence[Value], n: int) -> Value:
+    """The scheme's prediction at n, sum_{k=1}^{n-1} (-1)^(k-n+1) C(top, n-k)
+    history[k] with top = ``scheme.top(n)``; the empty sum at n = 1 is 0:
 
-        predicted = sum_{j=1}^{m} (-1)^(j+1) C(m,j) history[n-j]
-
-    with the boundary convention value(0) = 0, which holds because the
-    kernel's sum starts at index 1.  Requires n >= m (an index below 0 is
-    not defined by any convention).
+        order m       sum_{j=1}^{m} (-1)^(j+1) C(m,j) history[n-j]; needs n >= m,
+                      and the term at j = n is value(0) = 0
+        full history  sum_{k=1}^{n-1} (-1)^(k-n+1) C(n,k) history[k];
+                      4 h(3) - 6 h(2) + 4 h(1) at n = 4
+        Voros         sum_{k=1}^{n-1} (-1)^(k-n+1) C(2n, n-k) history[k];
+                      4 h(1) at n = 2
     """
-    if m < 2:
-        raise ValueError("predict_order_m needs m >= 2")
-    if n < m:
+    if scheme.m and n < scheme.m:
         raise HistoryError(
-            f"order-{m} prediction at n={n} would need an index below 0"
+            f"order-{scheme.m} prediction at n={n} would need an index below 0"
         )
-    return _predict_binomial(history, n, lambda k: math.comb(m, n - k))
-
-
-def predict_full_history(history: Sequence[Value], n: int) -> Value:
-    """The all-lower-indices binomial predictor
-
-        predicted = sum_{k=1}^{n-1} (-1)^(k-n+1) C(n,k) history[k].
-
-    At n = 4 this reads 4 h(3) - 6 h(2) + 4 h(1); the empty sum at n = 1 is 0.
-    """
-    return _predict_binomial(history, n, _binomial_row(n, n).__getitem__)
-
-
-def predict_voros(history: Sequence[Value], n: int) -> Value:
-    """The central-binomial predictor
-
-        predicted = sum_{k=1}^{n-1} (-1)^(k-n+1) C(2n, n-k) history[k].
-
-    At n = 2 it reads 4 h(1).  Same sign pattern as predict_full_history;
-    the weights are the tail-suppressing C(2n, n-k) instead of C(n, k).
-    """
-    row = _binomial_row(2 * n, n)
+    row = _binomial_row(scheme.top(n), n)
     return _predict_binomial(history, n, lambda k: row[n - k])
-
-
-def _predict(scheme: RecurrenceScheme, history: Sequence[Value], n: int) -> Value:
-    if scheme.kind == ORDER_M:
-        return predict_order_m(history, n, scheme.m)
-    if scheme.kind == FULL_HISTORY:
-        return predict_full_history(history, n)
-    return predict_voros(history, n)
 
 
 def prediction_run(
@@ -259,7 +246,7 @@ def prediction_run(
             )
     results = []
     for n in range(n_lo, n_hi + 1):
-        predicted = _predict(scheme, history, n)
+        predicted = predict(scheme, history, n)
         if tags:
             predicted = BigReal(predicted, precision)
         exact = history[n] if n < len(history) else None
@@ -281,11 +268,11 @@ def self_seeded_run(
 ) -> List[Value]:
     """Iterate a scheme on its own output; returns values at 1..n_max.
 
-    Seeding protocol: the Voros scheme needs only lambda1 (its n = 2
-    prediction 4*lambda1 is already determined); order-2 and full-history
-    schemes need the additional initial condition lambda2 = c * lambda1.
-    Higher-order schemes need explicit ``scheme.initial`` values for
-    indices 2..m.
+    Seeding protocol, ``scheme.seeds`` values past lambda1: the Voros scheme
+    needs only lambda1 (its n = 2 prediction 4*lambda1 is already
+    determined); order-2 and full-history schemes need the additional initial
+    condition lambda2 = c * lambda1.  Higher-order schemes need explicit
+    ``scheme.initial`` values for indices 2..m.
 
     The run is exact: ``BigReal`` inputs are read through ``to_fraction()``
     and the scheme iterates on ``Fraction`` values, so no step amplifies the
@@ -299,27 +286,24 @@ def self_seeded_run(
     tags = [v.precision for v in (lambda1, c, *initial) if isinstance(v, BigReal)]
     lambda1, c = _exact(lambda1), None if c is None else _exact(c)
     values: List[Fraction] = [Fraction(0), lambda1]
-    if scheme.kind == VOROS:
+    if not scheme.seeds:
         if c is not None:
             raise ValueError(
                 "the Voros scheme self-seeds from lambda1 alone; no c accepted"
             )
-        start = 2
-    elif scheme.kind == FULL_HISTORY or (scheme.kind == ORDER_M and scheme.m == 2):
+    elif scheme.seeds == 1:
         if c is None:
             raise ValueError("this scheme needs the initial condition lambda2 = c*lambda1")
         values.append(lambda1 * c)
-        start = 3
-    else:  # ORDER_M with m > 2
-        if len(initial) != scheme.m - 1:
-            raise ValueError(
-                f"order-{scheme.m} self-seeding needs explicit initial values "
-                f"for indices 2..{scheme.m}"
-            )
+    elif len(initial) != scheme.seeds:
+        raise ValueError(
+            f"order-{scheme.m} self-seeding needs explicit initial values "
+            f"for indices 2..{scheme.m}"
+        )
+    else:
         values.extend(map(_exact, initial))
-        start = scheme.m + 1
-    for n in range(start, n_max + 1):
-        values.append(_predict(scheme, values, n))
+    for n in range(scheme.seeds + 2, n_max + 1):
+        values.append(predict(scheme, values, n))
     if tags:
         return [BigReal(v, min(tags)) for v in values[1 : n_max + 1]]
     return values[1 : n_max + 1]
@@ -346,7 +330,7 @@ def closed_form_check_linear(
     rows = []
     history = [alpha * 0] + [alpha * k + beta for k in range(1, n_max)]
     for n in range(2, n_max + 1):
-        predicted = predict_full_history(history[:n], n)
+        predicted = predict(RecurrenceScheme(FULL_HISTORY), history[:n], n)
         residual = predicted - alpha * n
         rows.append((n, predicted, residual))
     return rows
@@ -366,7 +350,7 @@ def phi_nlogn(n: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, BigReal
         raise ValueError("phi_nlogn needs n >= 1")
     wp = dps_to_prec(precision + 10 + binomial_guard_digits(n))  # the C(n, k) cancel
     k_log_k = [0] + [k * log_int_fixed(k, wp) for k in range(1, n + 1)]  # 2^wp-scaled
-    phi1, sign = predict_full_history(k_log_k, n).numerator, parity_sign(n - 1)
+    phi1, sign = predict(RecurrenceScheme(FULL_HISTORY), k_log_k, n).numerator, parity_sign(n - 1)
     return _fixed(sign * phi1, wp, precision), _fixed(sign * k_log_k[n], wp, precision)
 
 

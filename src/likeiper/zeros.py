@@ -195,7 +195,7 @@ def inversion_check(
     """Check sum_{k=0}^n (-1)^(k-1) C(2n, n-k) lambda_k = Z(n) for n = 1..n_max.
 
     The k = 0 term vanishes (lambda_0 = 0 by convention), so the left side
-    is (-1)^(n-1) (lambda_n - predict_voros(lambda, n)), summed exactly over
+    is (-1)^(n-1) (lambda_n - predict(voros, lambda, n)), summed exactly over
     k = 1..n by the binomial kernel and rounded once at the table's tag.
     The right side is only available truncated, so consistency means
 
@@ -224,8 +224,8 @@ def inversion_check(
         raise ValueError(
             f"lambda table covers n <= {lambdas.n_max}, need n = {n_max}"
         )
-    tag = min(precision, zeros.digits)
-    need = tag + RecurrenceScheme(kind=VOROS).guard_digits(n_max)
+    tag, voros = min(precision, zeros.digits), RecurrenceScheme(kind=VOROS)
+    need = tag + voros.guard_digits(n_max)
     if lambdas.precision < need:
         raise PrecisionError(
             f"the inversion to n = {n_max} at {tag} digits needs a lambda table tagged "
@@ -237,7 +237,7 @@ def inversion_check(
     sums = zip(z_partial(n_max, zeros, precision), z_tail_bound(n_max, zeros, precision))
     rows = []
     for n, (z_trunc, bound) in enumerate(sums, 1):
-        weights = _binomial_row(2 * n, n)  # C(2n, n - k) at index n - k
+        weights = _binomial_row(voros.top(n), n)  # C(2n, n - k) at index n - k
         lhs = _predict_binomial(lambdas.total, n + 1, lambda k: weights[n - k])
         lhs = BigReal(lhs * parity_sign(n - 1), tag)
         spread = half_unit * sum(weights[n - k] * sizes[k] for k in range(1, n + 1))

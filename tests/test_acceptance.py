@@ -37,15 +37,14 @@ from likeiper.recurrences import (
     RecurrenceScheme,
     discrete_derivative,
     phi_nlogn,
-    predict_full_history,
-    predict_order_m,
-    predict_voros,
+    predict,
     self_seeded_run,
 )
 from likeiper.series import parity_sign
 from likeiper.zeros import delta_bound, inversion_check, z_partial, z_tail_bound
 
 DIGITS = 50
+FULL, VOR = RecurrenceScheme(kind=FULL_HISTORY), RecurrenceScheme(kind=VOROS)
 
 
 def _round_to_places(value: BigReal, places: int) -> str:
@@ -118,10 +117,10 @@ def test_criterion_02_recurrences_reproduce_every_printed_digit(table7):
     history = table7.total
     mismatches = []
     lines = []
-    for column, predictor in (("a1", predict_full_history), ("a2", predict_voros)):
+    for column, scheme in (("a1", FULL), ("a2", VOR)):
         for n in range(2, 8):
             cell = golden.cell(n, column)
-            recomputed = predictor(history[:n], n)
+            recomputed = predict(scheme, history[:n], n)
             places = len(cell.printed.split(".")[1])
             rounded = _round_to_places(recomputed, places)
             ok = rounded == cell.printed
@@ -152,10 +151,10 @@ def test_recurrence_columns_within_propagated_rounding_noise(table7):
     history = table7.total
     half_ulp20 = big("0.5e-19", DIGITS)
     worst_ratio = 0.0
-    for column, predictor in (("a1", predict_full_history), ("a2", predict_voros)):
+    for column, scheme in (("a1", FULL), ("a2", VOR)):
         for n in range(2, 8):
             cell = golden.cell(n, column)
-            recomputed = predictor(history[:n], n)
+            recomputed = predict(scheme, history[:n], n)
             if column == "a1":
                 weight_sum = sum(comb(n, k) for k in range(1, n))
             else:
@@ -180,7 +179,7 @@ def test_voros_defect_equals_truncated_zero_power_sum(table7, zeros):
     the tail bound of the ingested zero list."""
     history = table7.total
     for n in range(2, 8):
-        prediction = predict_voros(history[:n], n)
+        prediction = predict(VOR, history[:n], n)
         defect = table7.lam(n) - prediction
         residual = abs(defect - z_partial(n, zeros, DIGITS)[n - 1] * parity_sign(n - 1))
         bound = z_tail_bound(n, zeros, DIGITS)[n - 1]
@@ -212,7 +211,7 @@ def test_criterion_03_twelve_digit_tables_and_n15_error(table15):
         flag_counts[name] = len([r for r in report.reports if r.cell.flagged])
 
     history = table15.tiny
-    err = abs(predict_full_history(history, 15) / 15 - table15.tiny[15] / 15)
+    err = abs(predict(FULL, history, 15) / 15 - table15.tiny[15] / 15)
     mine = _sig3(err.to_decimal_string(20))
     quoted = _sig3("4.649e-9")
     print(
@@ -242,8 +241,9 @@ def test_criterion_04_ratio_tables_to_three_decimals_and_orientation(table15):
     history = table15.tiny
 
     # row 11, quoted in the release checklist for both schemes
-    pred2_11 = predict_order_m(history, 11, 2) / (gamma * 11)
-    pred3_11 = predict_order_m(history, 11, 3) / (gamma * 11)
+    order2, order3 = RecurrenceScheme(kind=ORDER_M, m=2), RecurrenceScheme(kind=ORDER_M, m=3)
+    pred2_11 = predict(order2, history, 11) / (gamma * 11)
+    pred3_11 = predict(order3, history, 11) / (gamma * 11)
     order2_cell = load_golden("ratio_order2").cell(11, "pred")
     assert order2_cell.flagged
     assert abs(pred2_11 - big(order2_cell.target, DIGITS)) < big("0.5e-3", DIGITS)
@@ -255,8 +255,8 @@ def test_criterion_04_ratio_tables_to_three_decimals_and_orientation(table15):
 
     for n in range(3, 12):
         exact = table15.tiny[n] / (gamma * n)
-        above = predict_order_m(history, n, 2) / (gamma * n)
-        below = predict_order_m(history, n, 3) / (gamma * n)
+        above = predict(order2, history, n) / (gamma * n)
+        below = predict(order3, history, n) / (gamma * n)
         assert above > exact, f"order-2 not above exact at n={n}"
         assert below < exact, f"order-3 not below exact at n={n}"
     print(

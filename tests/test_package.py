@@ -73,16 +73,15 @@ PUBLIC_SURFACE = {
                   "parse_indexed_table", "read_table", "table_digits"},
     "goldens": {"Builder", "CellReport", "GoldenCell", "GoldenTable", "TABLE_IDS", "TABLE_NAMES",
                 "TableReport", "load_golden", "recompute_table", "tables_dir", "verify_table"},
-    "lambda_core": {"LambdaTable", "ScanRow", "binomial_guard_digits", "conjecture_scan",
-                    "guard_digits", "lambda1_closed_form", "lambda_table", "tiny_series",
-                    "trend_series"},
+    "lambda_core": {"LambdaTable", "ScanRow", "conjecture_scan", "guard_digits",
+                    "lambda1_closed_form", "lambda_table", "tiny_series", "trend_series"},
     "probe": {"ComplexLike", "ComplexSample", "DEFAULT_PROBE_DIGITS", "LineProbeReport",
               "NearCollision", "ProbeEvaluationError", "SampleFailure", "VARY_IM", "VARY_RE",
               "f_eval", "line_probe", "zeta_complex", "zeta_deriv"},
     "recurrences": {"FULL_HISTORY", "HistoryError", "ORDER_M", "PredictionResult",
-                    "RecurrenceScheme", "VOROS", "Value", "closed_form_check_linear",
-                    "discrete_derivative", "model_predictor", "phi_nlogn", "predict_full_history",
-                    "predict_order_m", "predict_voros", "prediction_run", "self_seeded_run"},
+                    "RecurrenceScheme", "VOROS", "Value", "binomial_guard_digits",
+                    "closed_form_check_linear", "discrete_derivative", "model_predictor",
+                    "phi_nlogn", "predict", "prediction_run", "self_seeded_run"},
     "series": {"Coefficient", "SeriesDomainError", "SeriesOrderError", "parity_sign",
                "series_compose_zmap", "series_log", "series_mul"},
     "zeros": {"InversionCheck", "ZeroDataError", "ZeroList", "delta_bound", "inversion_check",

@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -11,25 +14,30 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from likeiper.bigreal import MIN_DIGITS, BigReal, PrecisionError, big
-from likeiper.lambda_core import binomial_guard_digits, lambda1_closed_form, lambda_table
+from likeiper.lambda_core import lambda1_closed_form, lambda_table
 from likeiper.recurrences import (
     FULL_HISTORY,
     ORDER_M,
     VOROS,
     HistoryError,
     RecurrenceScheme,
+    binomial_guard_digits,
     closed_form_check_linear,
     discrete_derivative,
     model_predictor,
     phi_nlogn,
-    predict_full_history,
-    predict_order_m,
-    predict_voros,
+    predict,
     prediction_run,
     self_seeded_run,
 )
 from likeiper.series import parity_sign
 from likeiper import recurrences
+
+FULL, VOR = RecurrenceScheme(kind=FULL_HISTORY), RecurrenceScheme(kind=VOROS)
+
+
+def order(m):
+    return RecurrenceScheme(kind=ORDER_M, m=m)
 
 
 def poly_values(coeffs, upto):
@@ -112,44 +120,44 @@ class TestPredictOrderM:
     def test_exact_on_linear(self):
         history = poly_values([0, 3], 9)  # f(k) = 3k
         for n in range(2, 10):
-            assert predict_order_m(history[:n], n, 2) == 3 * n
+            assert predict(order(2), history[:n], n) == 3 * n
 
     def test_order3_exact_on_quadratic(self):
         history = poly_values([0, 0, 1], 9)  # f(k) = k^2
         for n in range(3, 10):
-            assert predict_order_m(history[:n], n, 3) == n * n
+            assert predict(order(3), history[:n], n) == n * n
 
     def test_boundary_uses_zero_at_origin(self):
         # at n = m the lowest index is 0, which is pinned to value 0
         history = [Fraction(0), Fraction(5)]
-        assert predict_order_m(history, 2, 2) == 10
+        assert predict(order(2), history, 2) == 10
 
     def test_errors(self):
         history = poly_values([0, 1], 4)
         with pytest.raises(ValueError):
-            predict_order_m(history, 4, 1)
+            predict(order(1), history, 4)
         with pytest.raises(HistoryError):
-            predict_order_m(history, 2, 3)
+            predict(order(3), history, 2)
 
 
 class TestPredictFullHistory:
     def test_n4_weights(self):
         h = [Fraction(0), Fraction(10), Fraction(100), Fraction(1000)]
-        assert predict_full_history(h, 4) == 4 * 1000 - 6 * 100 + 4 * 10
+        assert predict(FULL, h, 4) == 4 * 1000 - 6 * 100 + 4 * 10
 
     def test_empty_sum_at_n1(self):
-        assert predict_full_history([Fraction(0)], 1) == 0
-        zero = predict_full_history([BigReal(0, 40)], 1)
+        assert predict(FULL, [Fraction(0)], 1) == 0
+        zero = predict(FULL, [BigReal(0, 40)], 1)
         assert isinstance(zero, BigReal) and zero.to_fraction() == 0
 
     def test_exact_on_linear_through_origin(self):
         history = poly_values([0, Fraction(7, 3)], 12)
         for n in range(2, 13):
-            assert predict_full_history(history[:n], n) == Fraction(7, 3) * n
+            assert predict(FULL, history[:n], n) == Fraction(7, 3) * n
 
     def test_history_too_short(self):
         with pytest.raises(HistoryError):
-            predict_full_history([Fraction(0), Fraction(1)], 4)
+            predict(FULL, [Fraction(0), Fraction(1)], 4)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -159,24 +167,24 @@ class TestPredictFullHistory:
     )
     def test_linearity_in_history(self, f, g, alpha):
         combined = [alpha * x + y for x, y in zip(f, g)]
-        lhs = predict_full_history(combined, 6)
-        rhs = alpha * predict_full_history(f, 6) + predict_full_history(g, 6)
+        lhs = predict(FULL, combined, 6)
+        rhs = alpha * predict(FULL, f, 6) + predict(FULL, g, 6)
         assert lhs == rhs
 
 
 class TestPredictVoros:
     def test_n2_weight(self):
         h = [Fraction(0), Fraction(3)]
-        assert predict_voros(h, 2) == 12
+        assert predict(VOR, h, 2) == 12
 
     def test_n3_weights(self):
         # C(6,1) h(2) - C(6,2) h(1)
         h = [Fraction(0), Fraction(1), Fraction(1)]
-        assert predict_voros(h, 3) == 6 - 15
+        assert predict(VOR, h, 3) == 6 - 15
 
     def test_history_too_short(self):
         with pytest.raises(HistoryError):
-            predict_voros([Fraction(0)], 3)
+            predict(VOR, [Fraction(0)], 3)
 
 
 def _sign(exponent):
@@ -213,29 +221,29 @@ class TestPredictorsMatchDocstringSums:
     def test_exact_histories(self, history, tag, data):
         # history[0] is arbitrary: no predictor may read it as a value
         n = len(history)
-        assert predict_full_history(history, n) == reference_full_history(history, n)
-        assert predict_voros(history, n) == reference_voros(history, n)
+        assert predict(FULL, history, n) == reference_full_history(history, n)
+        assert predict(VOR, history, n) == reference_voros(history, n)
         if n >= 2:
             m = data.draw(st.integers(min_value=2, max_value=n), label="m")
-            assert predict_order_m(history, n, m) == reference_order_m(history, n, m)
+            assert predict(order(m), history, n) == reference_order_m(history, n, m)
 
         # zeros come back in the history's own type, BigReal at its tag
         tagged = [big(x, tag) for x in history]
-        for predict in (predict_full_history, predict_voros):
-            empty = predict(history, 1)
+        for scheme in (FULL, VOR):
+            empty = predict(scheme, history, 1)
             assert type(empty) is Fraction and empty == 0
-            empty = predict(tagged, 1)
+            empty = predict(scheme, tagged, 1)
             assert isinstance(empty, BigReal) and empty.precision == tag
             assert empty.to_fraction() == 0
         seen = []
 
-        def spy(values, n):
+        def spy(scheme, values, n):
             seen.append(values[0])
-            return predict_voros(values, n)
+            return predict(scheme, values, n)
 
         # self-seeded runs iterate on exact Fractions, also from a BigReal
         # lambda1, whose outputs are each rounded once at its tag
-        with mock.patch.object(recurrences, "predict_voros", spy):
+        with mock.patch.object(recurrences, "predict", spy):
             self_seeded_run(RecurrenceScheme(kind=VOROS), history[-1], n_max=3)
             rounded = self_seeded_run(RecurrenceScheme(kind=VOROS), tagged[-1], n_max=3)
         assert len(seen) == 4
@@ -280,13 +288,13 @@ class TestKernelMatchesPerTermBigReal:
     def test_every_predictor_bit_identical(self, tagged_histories):
         for history in tagged_histories:
             for n in range(1, len(history) + 1):
-                assert _bits(predict_full_history(history, n)) == _bits(
+                assert _bits(predict(FULL, history, n)) == _bits(
                     oracle_binomial(history, n, lambda k: math.comb(n, k)))
-                assert _bits(predict_voros(history, n)) == _bits(
+                assert _bits(predict(VOR, history, n)) == _bits(
                     oracle_binomial(history, n, lambda k: math.comb(2 * n, n - k)))
                 for m in (2, 3, 4):
                     if n >= m:
-                        assert _bits(predict_order_m(history, n, m)) == _bits(
+                        assert _bits(predict(order(m), history, n)) == _bits(
                             oracle_binomial(history, n, lambda k: math.comb(m, n - k)))
                 if n <= 12:
                     m = n - 1
@@ -320,10 +328,10 @@ class TestKernelMatchesPerTermBigReal:
         tags = [40, 60, 25, 90, 33, 70, 45, 60, 50, 80, 35, 12]
         history = [big(x, t) for x, t in zip(exact, tags)]
         for n in range(1, 12):
-            for predict in (predict_full_history, predict_voros):
-                result = predict(history, n)
+            for scheme in (FULL, VOR):
+                result = predict(scheme, history, n)
                 assert result.precision == min(tags[:n])  # history[n] is not read
-                reference = predict(exact, n)
+                reference = predict(scheme, exact, n)
                 scale = sum(abs(x) for x in exact[:n]) * math.comb(2 * n, n) * n
                 bound = scale * Fraction(1, 10 ** (result.precision + 4))
                 assert abs(result.to_fraction() - reference) <= bound
@@ -331,9 +339,9 @@ class TestKernelMatchesPerTermBigReal:
     def test_fraction_histories_stay_exact(self):
         exact = [Fraction(0)] + [Fraction(k**3 - 2, 2 * k + 1) for k in range(1, 15)]
         for n in range(2, 15):
-            result = predict_voros(exact, n)
+            result = predict(VOR, exact, n)
             assert type(result) is Fraction and result == reference_voros(exact, n)
-            assert predict_order_m(exact, n, 2) == reference_order_m(exact, n, 2)
+            assert predict(order(2), exact, n) == reference_order_m(exact, n, 2)
         assert discrete_derivative(exact, 14, 4) == sum(
             _sign(k) * math.comb(4, k) * exact[4 - k] for k in range(5))
 
@@ -341,10 +349,10 @@ class TestKernelMatchesPerTermBigReal:
 def _every_prediction(history):
     """(name, value) of every predictor at every n the history allows."""
     for n in range(1, len(history) + 1):
-        yield ("full", n), predict_full_history(history, n)
-        yield ("voros", n), predict_voros(history, n)
+        yield ("full", n), predict(FULL, history, n)
+        yield ("voros", n), predict(VOR, history, n)
         for m in range(2, n + 1):
-            yield ("order", m, n), predict_order_m(history, n, m)
+            yield ("order", m, n), predict(order(m), history, n)
         yield ("delta", n), discrete_derivative(history, n - 1, n - 1)
 
 
@@ -383,9 +391,9 @@ class TestKernelIsExactSumRoundedOnce:
         # at mpmath's global precision
         history = [mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(3)]
         with pytest.raises(TypeError, match="BigReal, Fraction or int values, not mpf"):
-            predict_full_history(history, 3)
+            predict(FULL, history, 3)
         with pytest.raises(TypeError, match="not mpf"):
-            predict_voros([Fraction(0), Fraction(1), mpmath.mpf(2)], 3)
+            predict(VOR, [Fraction(0), Fraction(1), mpmath.mpf(2)], 3)
 
     @settings(max_examples=40, deadline=None)
     @given(values=st.lists(_values, min_size=1, max_size=9))
@@ -398,10 +406,41 @@ class TestKernelIsExactSumRoundedOnce:
         # an inf or nan _mpf_ has a zero mantissa; the kernel must not read it as 0
         history = [big(0, 30), big(1, 30), BigReal(bad, 30), big(2, 30)]
         with pytest.raises(ValueError, match="non-finite"):
-            predict_full_history(history, 4)
+            predict(FULL, history, 4)
         # a term the weights skip, or history[n], is not read
-        assert predict_order_m(history, 2, 2) == 2
-        assert predict_full_history(history, 2) == 2
+        assert predict(order(2), history, 2) == 2
+        assert predict(FULL, history, 2) == 2
+
+
+def _free_20_item_tuples(capfd):
+    """CPython's count of free 20-item tuples, or None where it prints none."""
+    capfd.readouterr()
+    sys._debugmallocstats()
+    found = re.search(r"(\d+) free 20-sized PyTupleObject", capfd.readouterr().err)
+    return found and int(found.group(1))
+
+
+@pytest.mark.skipif(not hasattr(sys, "_debugmallocstats"), reason="CPython's allocator statistics")
+def test_predictions_leave_no_free_20_item_tuples(capfd):
+    # CPython 3.11 frees a 20-item tuple to a free list no allocation draws
+    # from, so one made per prediction stays there until the list is full
+    histories = (tuple(big(Fraction(k, 3), 30) for k in range(22)),
+                 tuple(Fraction(k, 3) for k in range(22)))
+    predict(VOR, histories[0], 21)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _free_20_item_tuples(capfd)
+        if before is None:
+            pytest.skip("no free-list count for 20-item tuples")
+        for history in histories:
+            for n in (20, 21):
+                for _ in range(10):
+                    predict(VOR, history, n)
+        assert _free_20_item_tuples(capfd) == before
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestSelfSeededIsExact:
@@ -607,8 +646,8 @@ class TestOnCoefficientHistories:
         tiny = table15.tiny
         for n in range(3, 12):
             exact = table15.tiny[n] / n
-            upper = predict_order_m(tiny, n, 2) / n
-            lower = predict_order_m(tiny, n, 3) / n
+            upper = predict(order(2), tiny, n) / n
+            lower = predict(order(3), tiny, n) / n
             assert lower < exact < upper
 
 
