@@ -123,6 +123,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        values.append(predict(scheme, values, n))\n"
            "        if tags:\n            values[-1] = _exact(BigReal(values[-1], min(tags)))\n",
            ("tests/test_recurrences.py",)),
+    # a golden cell matches strictly inside one unit in its last printed place
+    Mutant("verdict-boundary-inclusive", "likeiper/goldens.py",
+           "matches=deviation < cell.tolerance,", "matches=deviation <= cell.tolerance,",
+           ("tests/test_goldens.py::TestExactVerdict",)),
     # a non-finite point is refused before the engine reads it
     Mutant("point-accepts-non-finite", "likeiper/probe.py",
            "    if any(not man and exp for _, man, exp, _ in point):",

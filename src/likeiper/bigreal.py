@@ -94,10 +94,11 @@ class BigReal:
             raise PrecisionError(
                 f"precision must be an integer >= {MIN_DIGITS}, got {precision!r}"
             )
-        if isinstance(value, BigReal):
+        if isinstance(value, BigReal):  # its raw tuple, rounded once
             precision = min(precision, value.precision)
-            value = value.value
-        _set_raw(self, _raw(value, _bits(precision)))
+            _set_raw(self, mpf_pos(value.raw, _bits(precision), round_nearest))
+        else:
+            _set_raw(self, _raw(value, _bits(precision)))
         _set_precision(self, precision)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -266,8 +267,3 @@ def _rounded(raw: tuple, precision: int) -> BigReal:
 def _fixed(value: int, wp: int, precision: int) -> BigReal:
     """The 2^wp-scaled int ``value`` as a ``BigReal`` tagged ``precision``, rounded once."""
     return _tagged(from_man_exp(value, -wp, _bits(precision), round_nearest), precision)
-
-
-def big(value: _Number, precision: int = DEFAULT_DIGITS) -> BigReal:
-    """Shorthand constructor."""
-    return BigReal(value, precision)

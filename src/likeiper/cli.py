@@ -2,12 +2,12 @@
 approximation-scheme runs, the conjecture scan, zero-sum consistency checks,
 and injectivity line probes.
 
-Every numeric table goes through one writer, ``_table``: cells joined by the
-``--format`` delimiter, ``BigReal`` cells at ``--digits`` places.  Each
-subcommand accepts only the options it reads; any other option, or one its
-mode does not read, exits 2.  Exit codes: 0 success, 1 a
-verification/consistency check failed, 2 bad input, configuration, or data
-files (every library error is a ``ValueError``).
+Every numeric table but the probe's (``LineProbeReport.to_tsv``) goes through
+one writer, ``_table``: cells joined by the ``--format`` delimiter, ``BigReal``
+cells at ``--digits`` places.  Each subcommand accepts only the options it
+reads; any other option, or one its mode does not read, exits 2.
+Exit codes: 0 success, 1 a verification/consistency check failed, 2 bad input,
+configuration, or data files (every library error is a ``ValueError``).
 """
 
 from __future__ import annotations

@@ -18,16 +18,17 @@ row per index, one cell per ``# columns:`` name.  Cell syntax, checked at load::
 
 Comparison resolution defaults to one unit in the last printed decimal place:
 printed values are truncations, so a recomputed value agrees with a printed
-one iff their difference is below ``10**-places``.
+one iff their difference, in exact rationals, is below ``10**-places``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .bigreal import DEFAULT_DIGITS, BigReal, big
+from .bigreal import DEFAULT_DIGITS, BigReal
 from .constants import euler_gamma
 from .datafiles import DataFormatError, _decimal, data_dir, read_table
 from .lambda_core import conjecture_scan, lambda_table
@@ -56,9 +57,10 @@ class GoldenCell(NamedTuple):
         """The value a clean recomputation should reproduce."""
         return self.expect if self.expect is not None else self.printed
 
-    def tolerance(self, precision: int = DEFAULT_DIGITS) -> BigReal:
+    @property
+    def tolerance(self) -> Fraction:
         """One unit in the last printed decimal place."""
-        return big(1, precision) / big(10, precision) ** self.places
+        return Fraction(1, 10**self.places)
 
 
 class GoldenTable(NamedTuple):
@@ -225,9 +227,8 @@ class CellReport(NamedTuple):
     cell: GoldenCell
     recomputed: BigReal
     matches: bool
-    deviation: BigReal
+    deviation: Fraction
     printed_matches: bool
-    tolerance: BigReal
 
     @property
     def flag_consistent(self) -> bool:
@@ -266,18 +267,15 @@ class TableReport(NamedTuple):
         raise KeyError(f"no report for row {row} column {column}")
 
 
-def _compare_cell(cell: GoldenCell, recomputed: BigReal, tolerance: BigReal) -> CellReport:
-    precision = recomputed.precision
-    target = big(cell.target, precision)
-    printed = big(cell.printed, precision)
-    deviation = abs(recomputed - target)
+def _compare_cell(cell: GoldenCell, recomputed: BigReal) -> CellReport:
+    value = recomputed.to_fraction()
+    deviation = abs(value - Fraction(cell.target))
     return CellReport(
         cell=cell,
         recomputed=recomputed,
-        matches=deviation < tolerance,
+        matches=deviation < cell.tolerance,
         deviation=deviation,
-        printed_matches=abs(recomputed - printed) < tolerance,
-        tolerance=tolerance,
+        printed_matches=abs(value - Fraction(cell.printed)) < cell.tolerance,
     )
 
 
@@ -292,5 +290,5 @@ def verify_table(name: str, precision: int = DEFAULT_DIGITS) -> TableReport:
             raise DataFormatError(
                 f"{table.name}: no recomputed value for row {row} column {column}"
             )
-        reports.append(_compare_cell(cell, values[(row, column)], cell.tolerance(precision)))
+        reports.append(_compare_cell(cell, values[(row, column)]))
     return TableReport(table=table, precision=precision, reports=tuple(reports))

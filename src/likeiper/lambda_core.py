@@ -174,15 +174,15 @@ def conjecture_scan(
     precision: int = DEFAULT_DIGITS,
     stieltjes: Optional[StieltjesTable] = None,
 ) -> List[ScanRow]:
-    """Test |lambda_tiny(n)/(n gamma)| <= 1 for n = 1..n_max.
+    """Test |lambda_tiny(n)/n| <= gamma for n = 1..n_max.
 
-    The ratio at n = 1 is identically 1, so the bound is tight there; the
-    scan flags any n where the normalized tiny part escapes the unit bound.
+    The ratio lambda_tiny(n)/(n gamma) is identically 1 at n = 1, so the bound
+    is tight there; elsewhere |lambda_tiny(n)/n| is compared with gamma itself.
     """
     series = tiny_series(n_max, precision, stieltjes)
     gamma = euler_gamma(precision)
     rows: List[ScanRow] = []
     for n in range(1, n_max + 1):
         ratio = series[n] / gamma if n > 1 else BigReal(1, precision)
-        rows.append(ScanRow(n=n, ratio=ratio, within_bound=abs(ratio) <= 1))
+        rows.append(ScanRow(n=n, ratio=ratio, within_bound=n == 1 or abs(series[n]) <= gamma))
     return rows

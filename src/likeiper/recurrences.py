@@ -135,18 +135,18 @@ class PredictionResult(NamedTuple):
     rel_error: Optional[Value] = None
 
 
-def discrete_derivative(f: Sequence[Value], n: int, m: int) -> Value:
+def discrete_derivative(f: Sequence[Value], m: int) -> Value:
     """The m-th forward difference of ``f`` at base point 0.
 
         Delta^m f(0) = sum_{k=0}^{m} (-1)^k C(m,k) f(m-k)
 
-    ``f`` must cover indices 0..n with m <= n.  Annihilates polynomials of
+    ``f`` must cover indices 0..m.  Annihilates polynomials of
     degree < m exactly and maps degree-m leading coefficient a to m! * a.
     """
     if m < 0:
         raise ValueError("difference order m must be >= 0")
-    if m > n:
-        raise HistoryError(f"order m={m} exceeds available index range 0..{n}")
+    if m >= len(f):
+        raise HistoryError(f"order m={m} exceeds available index range 0..{len(f) - 1}")
     return _predict_binomial(f, m + 1, _binomial_row(m, m + 1).__getitem__, lowest=0)
 
 

@@ -25,7 +25,7 @@ from math import comb, factorial
 import mpmath
 from mpmath import mp
 
-from likeiper.bigreal import BigReal, big
+from likeiper.bigreal import BigReal
 from likeiper.constants import euler_gamma
 from likeiper.goldens import load_golden, verify_table
 from likeiper.lambda_core import conjecture_scan, lambda_table
@@ -72,11 +72,11 @@ def test_criterion_01_lambda_1_to_7_to_half_ulp_of_20_digits():
     values = [table.lam(n) for n in range(1, 8)]
     elapsed = time.perf_counter() - started
 
-    tol = big("0.5e-19", DIGITS)
+    tol = BigReal("0.5e-19", DIGITS)
     devs = []
     for n in range(1, 8):
         cell = golden.cell(n, "lam")
-        devs.append(abs(values[n - 1] - big(cell.target, DIGITS)))
+        devs.append(abs(values[n - 1] - BigReal(cell.target, DIGITS)))
 
     # the first value is quoted verbatim in the release checklist
     assert golden.cell(1, "lam").printed == "0.02309570896612103381"
@@ -86,7 +86,7 @@ def test_criterion_01_lambda_1_to_7_to_half_ulp_of_20_digits():
     # reproduced and the printed form refuted
     flagged = golden.cell(3, "lam")
     assert flagged.flagged
-    assert abs(values[2] - big(flagged.printed, DIGITS)) > big("1e-6", DIGITS)
+    assert abs(values[2] - BigReal(flagged.printed, DIGITS)) > BigReal("1e-6", DIGITS)
 
     max_dev = max(devs)
     print(
@@ -124,7 +124,7 @@ def test_criterion_02_recurrences_reproduce_every_printed_digit(table7):
             places = len(cell.printed.split(".")[1])
             rounded = _round_to_places(recomputed, places)
             ok = rounded == cell.printed
-            dev = abs(recomputed - big(cell.printed, DIGITS))
+            dev = abs(recomputed - BigReal(cell.printed, DIGITS))
             lines.append(
                 f"  {column}({n}): printed={cell.printed} recomputed={rounded} "
                 f"dev={float(dev):.2e} {'ok' if ok else 'MISMATCH'}"
@@ -149,7 +149,7 @@ def test_recurrence_columns_within_propagated_rounding_noise(table7):
     sum_k |weight_k| * 0.5e-19."""
     golden = load_golden("coeff20")
     history = table7.total
-    half_ulp20 = big("0.5e-19", DIGITS)
+    half_ulp20 = BigReal("0.5e-19", DIGITS)
     worst_ratio = 0.0
     for column, scheme in (("a1", FULL), ("a2", VOR)):
         for n in range(2, 8):
@@ -160,7 +160,7 @@ def test_recurrence_columns_within_propagated_rounding_noise(table7):
             else:
                 weight_sum = sum(comb(2 * n, n - k) for k in range(1, n))
             bound = half_ulp20 * weight_sum
-            dev = abs(recomputed - big(cell.target, DIGITS))
+            dev = abs(recomputed - BigReal(cell.target, DIGITS))
             assert dev <= bound, (
                 f"{column}({n}): dev {float(dev):.3e} exceeds propagated "
                 f"noise bound {float(bound):.3e}"
@@ -246,12 +246,12 @@ def test_criterion_04_ratio_tables_to_three_decimals_and_orientation(table15):
     pred3_11 = predict(order3, history, 11) / (gamma * 11)
     order2_cell = load_golden("ratio_order2").cell(11, "pred")
     assert order2_cell.flagged
-    assert abs(pred2_11 - big(order2_cell.target, DIGITS)) < big("0.5e-3", DIGITS)
+    assert abs(pred2_11 - BigReal(order2_cell.target, DIGITS)) < BigReal("0.5e-3", DIGITS)
     # the printed form of that cell misses even at 3 decimals
-    assert abs(pred2_11 - big(order2_cell.printed, DIGITS)) > big("1.5e-3", DIGITS)
+    assert abs(pred2_11 - BigReal(order2_cell.printed, DIGITS)) > BigReal("1.5e-3", DIGITS)
     order3_cell = load_golden("ratio_order3").cell(11, "pred")
     assert not order3_cell.flagged and order3_cell.printed == "0.196000"
-    assert abs(pred3_11 - big("0.196000", DIGITS)) < big("0.5e-3", DIGITS)
+    assert abs(pred3_11 - BigReal("0.196000", DIGITS)) < BigReal("0.5e-3", DIGITS)
 
     for n in range(3, 12):
         exact = table15.tiny[n] / (gamma * n)
@@ -286,7 +286,7 @@ def test_criterion_05_nlogn_sums_to_twelve_digits_and_gap_bound():
         f"criterion 5: 32 rows verified ({len(flagged)} corrected cells), "
         f"|phi1 - phi2|(32) = {gap.to_decimal_string(6)} < 0.31"
     )
-    assert gap < big("0.31", DIGITS)
+    assert gap < BigReal("0.31", DIGITS)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def test_criterion_06_inversion_consistent_for_n_1_to_7(zeros):
     the weights C(2n, n-k) cancel."""
     assert zeros.count == 100 and zeros.digits == 50
     table7 = lambda_table(7, DIGITS + RecurrenceScheme(kind=VOROS).guard_digits(7))
-    allowance = big("1e-40", DIGITS)
+    allowance = BigReal("1e-40", DIGITS)
     residuals = []
     for n in range(1, 8):
         check = inversion_check(n, table7, zeros, DIGITS)[n - 1]
@@ -329,7 +329,7 @@ def test_criterion_07_delta_bound_and_partial_sum_decay(zeros):
     """delta_bound(5) < 1e-11 and |z_partial(j)| < 14.134^-(2j-1) for
     1 <= j <= 8."""
     d5 = delta_bound(5, DIGITS)[4]
-    assert d5 < big("1e-11", DIGITS), f"delta_bound(5) = {float(d5):.3e}"
+    assert d5 < BigReal("1e-11", DIGITS), f"delta_bound(5) = {float(d5):.3e}"
     for j in range(1, 9):
         partial = abs(z_partial(j, zeros, DIGITS)[j - 1])
         ceiling = 14.134 ** (-(2 * j - 1))
@@ -357,10 +357,10 @@ def test_criterion_08_conjecture_scan_to_64(stieltjes):
     spots = {}
     for n in (1, 5, 8, 10):
         cell = golden.cell(n, "ratio")
-        dev = abs(rows[n - 1].ratio - big(cell.target, DIGITS))
+        dev = abs(rows[n - 1].ratio - BigReal(cell.target, DIGITS))
         # reference ratios are truncated to 4 places, so match to one unit
         # in the last place
-        assert dev < cell.tolerance(DIGITS), (
+        assert dev < cell.tolerance, (
             f"n={n}: {rows[n - 1].ratio.to_decimal_string(6)} vs {cell.target}"
         )
         spots[n] = cell.target
@@ -377,11 +377,11 @@ def test_criterion_09_property_suites(table32, stieltjes):
     of degree < m (degrees 0..5, orders 1..6); self-seeded closed forms
     n*l1, n^2*l1, n(n+1)/2*l1 and the general quadratic family; lambda(n)
     for n <= 32 agrees between 50- and 80-digit runs to at least 45 digits."""
-    # polynomial annihilation, exact rational arithmetic
+    # polynomial annihilation at base points 8..11, exact rational arithmetic
     for degree in range(0, 6):
         f = [(Fraction(3) * k - 7) ** degree for k in range(0, 25)]
         for order in range(1, 7):
-            samples = [discrete_derivative(f, n, order) for n in range(order + 8, order + 12)]
+            samples = [discrete_derivative(f[base:], order) for base in range(8, 12)]
             if order > degree:
                 assert all(s == 0 for s in samples), (
                     f"order {order} does not annihilate degree {degree}"

@@ -12,8 +12,7 @@ from mpmath.libmp import (dps_to_prec, from_int, from_rational, from_str, fzero,
                           mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest)
 
 from likeiper import bigreal
-from likeiper.bigreal import (_PLAIN_DECIMAL, DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError,
-                              big)
+from likeiper.bigreal import _PLAIN_DECIMAL, DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError
 from likeiper.datafiles import _decimal
 
 
@@ -41,27 +40,27 @@ class TestConstruction:
         assert y.precision == 30
 
     def test_immutable(self):
-        x = big(1)
+        x = BigReal(1)
         with pytest.raises(AttributeError):
             x.value = 2
 
     def test_helpers(self):
         assert float(BigReal(0)) == 0.0
         assert float(BigReal(1)) == 1.0
-        assert big("2", 12).precision == 12
+        assert BigReal("2", 12).precision == 12
 
 
 class TestArithmetic:
     def test_min_precision_propagates(self):
-        a = big("1.1", 30)
-        b = big("2.2", 50)
+        a = BigReal("1.1", 30)
+        b = BigReal("2.2", 50)
         assert (a + b).precision == 30
         assert (a * b).precision == 30
         assert (b - a).precision == 30
         assert (b / a).precision == 30
 
     def test_int_operands(self):
-        a = big("1.5", 25)
+        a = BigReal("1.5", 25)
         assert float(a + 1) == 2.5
         assert float(2 * a) == 3.0
         assert float(1 - a) == -0.5
@@ -69,7 +68,7 @@ class TestArithmetic:
         assert (a + 1).precision == 25
 
     def test_pow_int_only(self):
-        a = big(3, 20)
+        a = BigReal(3, 20)
         assert float(a**4) == 81.0
         with pytest.raises(TypeError):
             a ** 0.5
@@ -80,7 +79,7 @@ class TestArithmetic:
         text = "0.12345678901234567890123456789012345678901234567890"
 
         def compute():
-            x = big(text, 50)
+            x = BigReal(text, 50)
             y = -((-x) * 3 + abs(-x)) / 7
             return y.to_decimal_string(45)
 
@@ -91,29 +90,29 @@ class TestArithmetic:
         assert low == high
 
     def test_neg_abs_preserve_digits(self):
-        x = big("0.577215664901532860606512090082402431042159335939", 48)
+        x = BigReal("0.577215664901532860606512090082402431042159335939", 48)
         assert (-(-x)).to_decimal_string(45) == x.to_decimal_string(45)
         assert abs(-x).to_decimal_string(45) == x.to_decimal_string(45)
 
 
 class TestComparisons:
     def test_ordering(self):
-        assert big("1.5") < big(2)
-        assert big(2) <= 2
-        assert big(3) > big("2.5")
-        assert big(3) >= 3
-        assert big(3) == 3
-        assert big(3) != 4
+        assert BigReal("1.5") < BigReal(2)
+        assert BigReal(2) <= 2
+        assert BigReal(3) > BigReal("2.5")
+        assert BigReal(3) >= 3
+        assert BigReal(3) == 3
+        assert BigReal(3) != 4
 
     def test_bool_and_hash(self):
         assert not BigReal(0)
-        assert big(1)
-        assert hash(big(2, 30)) == hash(big(2, 50))
+        assert BigReal(1)
+        assert hash(BigReal(2, 30)) == hash(BigReal(2, 50))
 
 
 class TestConversions:
     def test_to_fraction_exact_roundtrip(self):
-        x = big("0.625", 20)  # exactly representable in binary
+        x = BigReal("0.625", 20)  # exactly representable in binary
         assert x.to_fraction() == Fraction(5, 8)
 
     def test_to_fraction_non_finite(self):
@@ -122,36 +121,36 @@ class TestConversions:
             x.to_fraction()
 
     def test_decimal_string_round_half_even(self):
-        assert big("0.625", 20).to_decimal_string(2) == "0.62"
-        assert big("0.875", 20).to_decimal_string(2) == "0.88"
-        assert big("-0.625", 20).to_decimal_string(2) == "-0.62"
+        assert BigReal("0.625", 20).to_decimal_string(2) == "0.62"
+        assert BigReal("0.875", 20).to_decimal_string(2) == "0.88"
+        assert BigReal("-0.625", 20).to_decimal_string(2) == "-0.62"
 
     def test_decimal_string_fixed_point_small(self):
-        tiny = big(1, 30) / (10**8)
+        tiny = BigReal(1, 30) / (10**8)
         assert tiny.to_decimal_string(12) == "0.000000010000"
 
     def test_decimal_string_no_negative_zero(self):
-        x = big("-0.0000001", 20)
+        x = BigReal("-0.0000001", 20)
         assert x.to_decimal_string(3) == "0.000"
 
     def test_decimal_string_places_zero(self):
-        assert big("2.5", 20).to_decimal_string(0) == "2"
-        assert big("3.5", 20).to_decimal_string(0) == "4"
+        assert BigReal("2.5", 20).to_decimal_string(0) == "2"
+        assert BigReal("3.5", 20).to_decimal_string(0) == "4"
 
     def test_agrees_to_absolute_below_one(self):
-        a = big("0.1234567", 30)
-        b = big("0.1234568", 30)
+        a = BigReal("0.1234567", 30)
+        b = BigReal("0.1234568", 30)
         assert a.agrees_to(b, 6)
         assert not a.agrees_to(b, 8)
 
     def test_agrees_to_relative_above_one(self):
-        a = big("12345.678", 30)
-        b = a * (1 + big("1e-12", 30))
+        a = BigReal("12345.678", 30)
+        b = a * (1 + BigReal("1e-12", 30))
         assert a.agrees_to(b, 11)
         assert not a.agrees_to(b, 14)
 
     def test_repr_mentions_precision(self):
-        assert "precision=20" in repr(big(1, 20))
+        assert "precision=20" in repr(BigReal(1, 20))
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,7 +197,7 @@ def test_arithmetic_matches_rationals(a, b):
 
 
 def test_decimal_string_deterministic_bytes():
-    x = big("0.2076389205543248037915", 50)
+    x = BigReal("0.2076389205543248037915", 50)
     outs = {x.to_decimal_string(20) for _ in range(5)}
     assert outs == {"0.20763892055432480379"}
 
@@ -341,7 +340,7 @@ def test_decimal_string_matches_exact_quantize(digits, exp, sign, precision, pla
      ("-1e-70", 0, "0"), ("-1e-70", 1, "0.0"), ("-1e-70", 60, "0." + "0" * 60)],
 )
 def test_decimal_string_exact_ties_and_signed_zero(text, places, expected):
-    x = big(text, 20)
+    x = BigReal(text, 20)
     assert x.to_decimal_string(places) == expected == _decimal_oracle(x, places)
 
 

@@ -16,7 +16,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from likeiper import bigreal
-from likeiper.bigreal import BigReal, big
+from likeiper.bigreal import BigReal
 from likeiper.constants import (
     ConstantsError,
     euler_gamma,
@@ -140,7 +140,7 @@ class TestPolygammaHalf:
 
     def test_base_value_closed_form(self):
         # psi(1/2) = -gamma - 2 log 2
-        expected = -euler_gamma(60) - big(2, 60) * log_two(60)
+        expected = -euler_gamma(60) - BigReal(2, 60) * log_two(60)
         assert polygamma_half(0, 60).agrees_to(expected, 55)
 
     def test_base_value_rounded_once(self):
@@ -159,7 +159,7 @@ class TestPolygammaHalf:
         for i in range(2, k + 1):
             fact *= i
         sign = 1 if (k + 1) % 2 == 0 else -1
-        expected = big(sign * fact * (2 ** (k + 1) - 1), 60) * zeta_int(k + 1, 60)
+        expected = BigReal(sign * fact * (2 ** (k + 1) - 1), 60) * zeta_int(k + 1, 60)
         assert polygamma_half(k, 60).agrees_to(expected, 52)
 
 

@@ -1,13 +1,15 @@
 import shutil
+from fractions import Fraction
 
 import pytest
 
-from likeiper.bigreal import big
+from likeiper.bigreal import BigReal
 from likeiper.datafiles import DataFormatError
 from likeiper.goldens import (
     TABLE_IDS,
     TABLE_NAMES,
     GoldenCell,
+    _compare_cell,
     load_golden,
     recompute_table,
     tables_dir,
@@ -80,7 +82,7 @@ class TestCellSemantics:
         cell = load_golden("nlogn_sums").cell(1, "phi1")
         assert cell.printed == "0."
         assert cell.places == 12
-        assert cell.tolerance(50).agrees_to(big(1, 50) / 10**12, 45)
+        assert cell.tolerance == Fraction(1, 10**12)
 
     def test_places_from_expect_on_flagged_cell(self):
         cell = load_golden("tiny_fullhistory").cell(2, "pred")
@@ -96,7 +98,24 @@ class TestCellSemantics:
 
     def test_tolerance_scales_with_places(self):
         c = GoldenCell(row=1, column="x", printed="0.123", places=3)
-        assert c.tolerance(30).agrees_to(big(1, 30) / 1000, 25)
+        assert c.tolerance == Fraction(1, 1000)
+
+
+class TestExactVerdict:
+    # a cell matches iff |recomputed - target| < 10^-places, in exact rationals
+
+    def test_just_below_one_unit_matches(self):
+        # 1/5 at tag 13 lies just below 0.2, so less than 0.1 from 0.1
+        value = BigReal(Fraction(1, 5), 13)
+        assert value.to_fraction() < Fraction(1, 5)
+        report = _compare_cell(GoldenCell(row=1, column="x", printed="0.1", places=1), value)
+        assert report.matches and report.printed_matches
+
+    def test_deviation_of_exactly_one_unit_does_not_match(self):
+        cell = GoldenCell(row=1, column="x", printed="0.9", places=1)
+        report = _compare_cell(cell, BigReal(1, 30))
+        assert report.deviation == cell.tolerance == Fraction(1, 10)
+        assert not report.matches and not report.printed_matches
 
 
 def copy_fixture_tree(tmp_path):
@@ -168,7 +187,7 @@ class TestVerification:
     def test_clean_tables_verify(self, name):
         report = verify_table(name, 50)
         assert report.ok, [
-            (m.cell.row, m.cell.column, m.deviation.to_decimal_string(20))
+            (m.cell.row, m.cell.column, float(m.deviation))
             for m in report.mismatches
         ]
         assert not report.stale_flags
@@ -196,7 +215,7 @@ class TestVerification:
             (3, "a2"), (4, "a2"), (5, "a2"), (6, "a2"), (7, "a2"),
         }
         for m in report.mismatches:
-            assert m.deviation < big("2.5e-17", 50)
+            assert m.deviation < BigReal("2.5e-17", 50)
 
     def test_coeff20_lam_column_within_consumption_tolerance(self):
         # every lam cell, flagged ones against their correction, lies within
@@ -205,7 +224,8 @@ class TestVerification:
         values = recompute_table("coeff20", 50)
         for row in table.rows:
             cell = table.cell(row, "lam")
-            assert abs(values[(row, "lam")] - big(cell.target, 50)) < big("0.5e-19", 50), row
+            deviation = abs(values[(row, "lam")] - BigReal(cell.target, 50))
+            assert deviation < BigReal("0.5e-19", 50), row
         report = verify_table("coeff20", 50)
         remaining = {(m.cell.row, m.cell.column) for m in report.mismatches if m.cell.column != "lam"}
         assert len(remaining) == 9
@@ -220,5 +240,5 @@ class TestVerification:
         report = verify_table("ratio_order2", 50)
         for cell in load_golden("ratio_order2").cells.values():
             cr = report.report_for(cell.row, cell.column)
-            assert cr.deviation <= cr.tolerance or not cr.matches
+            assert cr.deviation <= cr.cell.tolerance or not cr.matches
             assert cr.recomputed is not None

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from likeiper.bigreal import BigReal, big
+from likeiper.bigreal import BigReal
 from likeiper.constants import ConstantsError
 from likeiper.lambda_core import (
     conjecture_scan,
@@ -265,7 +265,7 @@ class TestConjectureScan:
     def test_first_ratio_is_one(self):
         rows = conjecture_scan(4, 50)
         assert rows[0].n == 1
-        assert abs(rows[0].ratio - 1) < big(1, 50) / (10**45)
+        assert abs(rows[0].ratio - 1) < BigReal(1, 50) / (10**45)
         assert rows[0].within_bound
 
     def test_all_within_bound_small(self):

@@ -63,7 +63,7 @@ def test_readme_library_example_runs(capsys):
 PUBLIC_SURFACE = {
     "__init__": set(),
     "__main__": set(),
-    "bigreal": {"BigReal", "DEFAULT_DIGITS", "MIN_DIGITS", "PrecisionError", "big"},
+    "bigreal": {"BigReal", "DEFAULT_DIGITS", "MIN_DIGITS", "PrecisionError"},
     "cli": {"cmd_approx", "cmd_lambda", "cmd_probe", "cmd_scan", "cmd_verify", "cmd_zeros",
             "main"},
     "constants": {"ConstantsError", "StieltjesTable", "bernoulli_weight", "euler_gamma",

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from likeiper.bigreal import MIN_DIGITS, BigReal, PrecisionError, big
+from likeiper.bigreal import MIN_DIGITS, BigReal, PrecisionError
 from likeiper.lambda_core import lambda1_closed_form, lambda_table
 from likeiper.recurrences import (
     FULL_HISTORY,
@@ -51,15 +51,15 @@ def poly_values(coeffs, upto):
 class TestDiscreteDerivative:
     def test_second_difference_kills_linear(self):
         f = poly_values([0, 1], 6)  # f(k) = k
-        assert discrete_derivative(f, 6, 2) == 0
+        assert discrete_derivative(f, 2) == 0
 
     def test_second_difference_of_square(self):
         f = poly_values([0, 0, 1], 6)  # f(k) = k^2
-        assert discrete_derivative(f, 6, 2) == 2
+        assert discrete_derivative(f, 2) == 2
 
     def test_third_difference_of_cube(self):
         f = poly_values([0, 0, 0, 1], 6)  # f(k) = k^3
-        assert discrete_derivative(f, 6, 3) == 6
+        assert discrete_derivative(f, 3) == 6
 
     @pytest.mark.parametrize("degree", range(6))
     @pytest.mark.parametrize("order", range(1, 7))
@@ -67,7 +67,7 @@ class TestDiscreteDerivative:
         # order > degree annihilates; order == degree maps leading a to a * order!
         coeffs = [Fraction(d + 2, 2 * d + 3) for d in range(degree + 1)]
         f = poly_values(coeffs, 8)
-        result = discrete_derivative(f, 8, order)
+        result = discrete_derivative(f, order)
         if order > degree:
             assert result == 0
         elif order == degree:
@@ -78,16 +78,16 @@ class TestDiscreteDerivative:
 
     def test_order_zero_is_value(self):
         f = poly_values([5, 1], 4)
-        assert discrete_derivative(f, 4, 0) == f[0]
+        assert discrete_derivative(f, 0) == f[0]
 
     def test_errors(self):
         f = poly_values([0, 1], 3)
         with pytest.raises(ValueError):
-            discrete_derivative(f, 3, -1)
+            discrete_derivative(f, -1)
+        with pytest.raises(HistoryError, match=r"^order m=4 exceeds available index range 0\.\.3$"):
+            discrete_derivative(f, 4)
         with pytest.raises(HistoryError):
-            discrete_derivative(f, 3, 4)
-        with pytest.raises(HistoryError):
-            discrete_derivative([Fraction(0)], 3, 3)
+            discrete_derivative([Fraction(0)], 3)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -99,8 +99,8 @@ class TestDiscreteDerivative:
     )
     def test_linearity(self, f, g, alpha, beta, m):
         combined = [alpha * x + beta * y for x, y in zip(f, g)]
-        lhs = discrete_derivative(combined, 4, m)
-        rhs = alpha * discrete_derivative(f, 4, m) + beta * discrete_derivative(g, 4, m)
+        lhs = discrete_derivative(combined, m)
+        rhs = alpha * discrete_derivative(f, m) + beta * discrete_derivative(g, m)
         assert lhs == rhs
 
     @settings(max_examples=60, deadline=None)
@@ -113,7 +113,20 @@ class TestDiscreteDerivative:
         textbook = sum(
             (-1) ** k * math.comb(m, k) * f[m - k] for k in range(m + 1)
         )
-        assert discrete_derivative(f, len(f) - 1, m) == textbook
+        assert discrete_derivative(f, m) == textbook
+
+    @settings(max_examples=60, deadline=None)
+    @given(tail=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=50),
+                         min_size=2, max_size=14))
+    def test_schemes_are_vanishing_differences(self, tail):
+        # a scheme predicts h[n] by setting a discrete derivative to zero, so it
+        # misses h[n] by exactly that derivative: order m at base n - m, and the
+        # full history at base 0, where h[0] = 0 is the boundary convention
+        h = [Fraction(0), *tail]
+        for n in range(2, len(h)):
+            for m in range(2, n):
+                assert h[n] - predict(order(m), h, n) == discrete_derivative(h[n - m:n + 1], m)
+            assert h[n] - predict(FULL, h, n) == discrete_derivative(h[:n + 1], n)
 
 
 class TestPredictOrderM:
@@ -228,7 +241,7 @@ class TestPredictorsMatchDocstringSums:
             assert predict(order(m), history, n) == reference_order_m(history, n, m)
 
         # zeros come back in the history's own type, BigReal at its tag
-        tagged = [big(x, tag) for x in history]
+        tagged = [BigReal(x, tag) for x in history]
         for scheme in (FULL, VOR):
             empty = predict(scheme, history, 1)
             assert type(empty) is Fraction and empty == 0
@@ -298,7 +311,7 @@ class TestKernelMatchesPerTermBigReal:
                             oracle_binomial(history, n, lambda k: math.comb(m, n - k)))
                 if n <= 12:
                     m = n - 1
-                    assert _bits(discrete_derivative(history, m, m)) == _bits(
+                    assert _bits(discrete_derivative(history, m)) == _bits(
                         oracle_binomial(history, n, lambda k: math.comb(m, k), lowest=0))
 
     def test_runs_bit_identical(self, tagged_histories):
@@ -326,7 +339,7 @@ class TestKernelMatchesPerTermBigReal:
     def test_mixed_tags_give_the_smallest_tag_of_the_terms_read(self):
         exact = [Fraction(0)] + [Fraction(3 * k * k - 7, 11 + k) for k in range(1, 12)]
         tags = [40, 60, 25, 90, 33, 70, 45, 60, 50, 80, 35, 12]
-        history = [big(x, t) for x, t in zip(exact, tags)]
+        history = [BigReal(x, t) for x, t in zip(exact, tags)]
         for n in range(1, 12):
             for scheme in (FULL, VOR):
                 result = predict(scheme, history, n)
@@ -342,7 +355,7 @@ class TestKernelMatchesPerTermBigReal:
             result = predict(VOR, exact, n)
             assert type(result) is Fraction and result == reference_voros(exact, n)
             assert predict(order(2), exact, n) == reference_order_m(exact, n, 2)
-        assert discrete_derivative(exact, 14, 4) == sum(
+        assert discrete_derivative(exact, 4) == sum(
             _sign(k) * math.comb(4, k) * exact[4 - k] for k in range(5))
 
 
@@ -353,7 +366,7 @@ def _every_prediction(history):
         yield ("voros", n), predict(VOR, history, n)
         for m in range(2, n + 1):
             yield ("order", m, n), predict(order(m), history, n)
-        yield ("delta", n), discrete_derivative(history, n - 1, n - 1)
+        yield ("delta", n), discrete_derivative(history, n - 1)
 
 
 def _exact_prediction(key, history):
@@ -379,7 +392,7 @@ class TestKernelIsExactSumRoundedOnce:
     @settings(max_examples=40, deadline=None)
     @given(values=st.lists(st.tuples(_values, st.integers(MIN_DIGITS, 80)), min_size=1, max_size=9))
     def test_bigreal_histories_with_mixed_tags(self, values):
-        history = [big(x, tag) for x, tag in values]
+        history = [BigReal(x, tag) for x, tag in values]
         exact = [h.to_fraction() for h in history]
         for key, got in _every_prediction(history):
             tag = min(h.precision for h in history[:key[-1]])
@@ -404,7 +417,7 @@ class TestKernelIsExactSumRoundedOnce:
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     def test_non_finite_values_raise(self, bad):
         # an inf or nan _mpf_ has a zero mantissa; the kernel must not read it as 0
-        history = [big(0, 30), big(1, 30), BigReal(bad, 30), big(2, 30)]
+        history = [BigReal(0, 30), BigReal(1, 30), BigReal(bad, 30), BigReal(2, 30)]
         with pytest.raises(ValueError, match="non-finite"):
             predict(FULL, history, 4)
         # a term the weights skip, or history[n], is not read
@@ -424,7 +437,7 @@ def _free_20_item_tuples(capfd):
 def test_predictions_leave_no_free_20_item_tuples(capfd):
     # CPython 3.11 frees a 20-item tuple to a free list no allocation draws
     # from, so one made per prediction stays there until the list is full
-    histories = (tuple(big(Fraction(k, 3), 30) for k in range(22)),
+    histories = (tuple(BigReal(Fraction(k, 3), 30) for k in range(22)),
                  tuple(Fraction(k, 3) for k in range(22)))
     predict(VOR, histories[0], 21)
     enabled = gc.isenabled()
@@ -548,7 +561,7 @@ class TestSelfSeeded:
         values = self_seeded_run(scheme, Fraction(1), n_max=10)
         assert values == [Fraction(n * n) for n in range(1, 11)]
         # exact initial values join a BigReal lambda1 at its tag
-        values = self_seeded_run(scheme, big(1, 30), n_max=10)
+        values = self_seeded_run(scheme, BigReal(1, 30), n_max=10)
         assert all(v.precision == 30 for v in values)
         assert [v.to_fraction() for v in values] == [Fraction(n * n) for n in range(1, 11)]
 
@@ -601,8 +614,8 @@ class TestPredictionRun:
         # accuracy sharpens fast as more history becomes available
         rel = [r.rel_error for r in results]
         assert all(rel[i] > rel[i + 1] for i in range(len(rel) - 1))
-        assert rel[0] < big(1, 50) / 4
-        assert rel[-1] < big(1, 50) / 10**3
+        assert rel[0] < BigReal(1, 50) / 4
+        assert rel[-1] < BigReal(1, 50) / 10**3
 
 
 class TestClosedFormCheckLinear:
@@ -677,7 +690,7 @@ class TestPhiNlogn:
             phi1, phi2 = phi_nlogn(n, 50)
             gaps.append(abs(phi1 - phi2))
         assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2] < big(Fraction(31, 100), 50)
+        assert gaps[2] < BigReal(Fraction(31, 100), 50)
 
     def test_rejects_n_below_1(self):
         with pytest.raises(ValueError):
@@ -729,7 +742,7 @@ class TestModelPredictor:
         # with c = (gamma - 1 - log 2pi)/2
         n = 16
         with mp.workdps(60):
-            slope = big((3 * mp.euler - 1 - mp.log(2 * mp.pi)) / 2, 50)
+            slope = BigReal((3 * mp.euler - 1 - mp.log(2 * mp.pi)) / 2, 50)
         phi1, phi2 = phi_nlogn(n, 50)
         assembled = phi1 * (parity_sign(n - 1)) / 2 + slope * n
         assert model_predictor(n, 50).agrees_to(assembled, 44)
@@ -787,10 +800,10 @@ class TestGuardDigits:
     def test_history_below_the_guard_raises(self):
         scheme = RecurrenceScheme(kind=VOROS)
         need = 30 + scheme.guard_digits(32)
-        short = [big(k, need - 1) for k in range(33)]
+        short = [BigReal(k, need - 1) for k in range(33)]
         with pytest.raises(PrecisionError, match=f"need a history tagged {need}, not {need - 1}"):
             prediction_run(scheme, short, 2, 32, 30)
-        results = prediction_run(scheme, [big(k, need) for k in range(33)], 2, 32, 30)
+        results = prediction_run(scheme, [BigReal(k, need) for k in range(33)], 2, 32, 30)
         assert {r.predicted.precision for r in results} == {30}
 
     def test_exact_history_takes_no_tag(self):

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from likeiper.bigreal import BigReal, PrecisionError, big
+from likeiper.bigreal import BigReal, PrecisionError
 from likeiper.lambda_core import LambdaTable, lambda_table
 from likeiper.recurrences import VOROS, RecurrenceScheme
 from likeiper.zeros import (
@@ -32,7 +32,7 @@ class TestLoadZeros:
         assert zeros.digits == 50
         assert zeros.warnings == ()
         first = zeros.ordinates[0]
-        assert big("14.1", 50) < first < big("14.2", 50)
+        assert BigReal("14.1", 50) < first < BigReal("14.2", 50)
 
     def test_strictly_increasing(self, zeros):
         for a, b in zip(zeros.ordinates, zeros.ordinates[1:]):
@@ -83,7 +83,7 @@ class TestZPartial:
 
     @pytest.mark.parametrize("j", range(1, 9))
     def test_dominated_by_first_zero_scale(self, zeros, j):
-        bound = big("14.134", 50) ** (-(2 * j - 1))
+        bound = BigReal("14.134", 50) ** (-(2 * j - 1))
         assert abs(z_partial(j, zeros, 50)[j - 1]) < bound
 
     def test_direct_recomputation(self, zeros):
@@ -196,7 +196,7 @@ class TestTailIntegral:
 
     def test_small_at_moderate_height(self, zeros):
         value = z_tail_bound(1, zeros, 50)[0]
-        assert 0 < value < big(1, 50) / 100
+        assert 0 < value < BigReal(1, 50) / 100
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_matches_quadrature(self, zeros, j):
@@ -263,8 +263,8 @@ class TestZTailBound:
 class TestDeltaBound:
     def test_magnitude_at_5(self):
         d5 = delta_bound(5, 50)[4]
-        assert d5 < big(1, 50) / 10**11
-        assert big(1, 50) / 10**13 < d5 < big(1, 50) / 10**12
+        assert d5 < BigReal(1, 50) / 10**11
+        assert BigReal(1, 50) / 10**13 < d5 < BigReal(1, 50) / 10**12
 
     def test_formula_recomputation(self):
         bounds = delta_bound(8, 50)
@@ -283,7 +283,7 @@ class TestDeltaBound:
         bounds = delta_bound(8, 50)
         for n in range(2, 8):
             ratio = bounds[n] / bounds[n - 1]
-            assert ratio < big(1, 50) / 14**2
+            assert ratio < BigReal(1, 50) / 14**2
 
     def test_rejects_n_below_1(self):
         with pytest.raises(ValueError):
@@ -323,7 +323,7 @@ class TestInversionCheck:
     def test_residual_magnitudes(self, guarded7, zeros):
         assert inversion_check(2, guarded7, zeros, 50)[1].residual.to_decimal_string(11) == "0.00000001582"
         r5 = inversion_check(5, guarded7, zeros, 50)[4].residual
-        assert big("2.8e-23", 50) < r5 < big("2.9e-23", 50)
+        assert BigReal("2.8e-23", 50) < r5 < BigReal("2.9e-23", 50)
 
     def test_zero_allowance_still_consistent_for_n2(self, guarded7, zeros):
         check = inversion_check(2, guarded7, zeros, 50)[1]
@@ -331,7 +331,7 @@ class TestInversionCheck:
 
     def test_tampered_lambda_detected(self, guarded7, zeros):
         bumped = list(guarded7.total)
-        bumped[2] = bumped[2] + big(1, 50) / 1000
+        bumped[2] = bumped[2] + BigReal(1, 50) / 1000
         tampered = LambdaTable(
             n_max=guarded7.n_max,
             precision=guarded7.precision,
