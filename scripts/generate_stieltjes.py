@@ -15,8 +15,8 @@ import mpmath
 from mpmath import mp
 
 K_MAX = 80
-DIGITS = 100
-GUARD = 15
+DIGITS = 130
+GUARD = 20
 
 
 def main() -> None:

@@ -87,11 +87,20 @@ MUTANTS: Tuple[Mutant, ...] = (
            "(zeta >> k)", "(zeta >> (k + 1))",
            ("tests/test_lambda_core.py",)),
     Mutant("trend-no-guard", "likeiper/lambda_core.py",
-           "    work = precision + guard_digits(n_max)\n", "    work = precision\n",
+           "    work = precision + guard_digits(n_max)\n    wp, zetas",
+           "    work = precision\n    wp, zetas",
            ("tests/test_lambda_core.py",)),
     # the tiny series works at the digits its composition cancels
     Mutant("tiny-no-guard", "likeiper/lambda_core.py",
-           "min(precision + guard_digits(n_max), stieltjes.digits)", "min(precision, stieltjes.digits)",
+           "    work = precision + guard_digits(n_max)\n    if n_max",
+           "    work = precision\n    if n_max",
+           ("tests/test_lambda_core.py",)),
+    # ... and refuses a request whose working digits the Stieltjes table lacks
+    Mutant("tiny-silent-cap", "likeiper/lambda_core.py",
+           "    work = precision + guard_digits(n_max)\n"
+           "    if n_max - 1 > stieltjes.k_max or work > stieltjes.digits:",
+           "    work = min(precision + guard_digits(n_max), stieltjes.digits)\n"
+           "    if n_max - 1 > stieltjes.k_max:",
            ("tests/test_lambda_core.py",)),
     # the u^1 coefficient, and lambda(1) with it, carries gamma/2
     Mutant("u1-gamma-not-halved", "likeiper/lambda_core.py",

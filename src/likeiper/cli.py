@@ -7,7 +7,8 @@ one writer, ``_table``: cells joined by the ``--format`` delimiter, ``BigReal``
 cells at ``--digits`` places.  Each subcommand accepts only the options it
 reads; any other option, or one its mode does not read, exits 2.
 Exit codes: 0 success, 1 a verification/consistency check failed, 2 bad input,
-configuration, or data files (every library error is a ``ValueError``).
+configuration, data files, or a lambda table past what the Stieltjes table
+supports, which ``tiny_series`` alone decides (every library error is a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from .bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, _str_digits_limit
-from .constants import ConstantsError, load_stieltjes
+from .constants import load_stieltjes
 from .datafiles import DataFormatError
 from .goldens import TABLE_IDS, TableReport, verify_table
-from .lambda_core import LambdaTable, conjecture_scan, lambda1_closed_form, lambda_table
+from .lambda_core import conjecture_scan, lambda1_closed_form, lambda_table
 from .probe import DEFAULT_PROBE_DIGITS, line_probe
 from .recurrences import (
     FULL_HISTORY,
@@ -197,18 +198,6 @@ def _parse_seed(text: str, digits: int) -> tuple[str, Optional[Fraction]]:
     return "initial", c
 
 
-def _lambda_table(args: argparse.Namespace, guard: int) -> LambdaTable:
-    """The lambda table at --digits plus ``guard`` digits, which a binomial sum
-    of its values cancels."""
-    stieltjes, work = load_stieltjes(args.stieltjes), args.digits + guard
-    if work > stieltjes.digits:
-        raise ConstantsError(
-            f"--digits {args.digits} takes {guard} guard digits at --n-max {args.n_max}, "
-            f"and {work} exceeds the {stieltjes.digits} digits of the Stieltjes table"
-        )
-    return lambda_table(args.n_max, work, stieltjes)
-
-
 def cmd_approx(args: argparse.Namespace) -> int:
     scheme, default_target = _parse_scheme(args.scheme)
     seed_mode, c = _parse_seed(args.seed, args.digits)
@@ -246,7 +235,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
         return _EXIT_OK
 
     target = args.target or default_target
-    table = _lambda_table(args, scheme.guard_digits(args.n_max))
+    guard = scheme.guard_digits(args.n_max)  # digits the binomial sum of the history cancels
+    table = lambda_table(args.n_max, args.digits + guard, load_stieltjes(args.stieltjes))
     history = {"tiny": table.tiny, "trend": table.trend, "lambda": table.total}[target]
     n_lo = max(2, scheme.m or 2)
     if n_lo > args.n_max:
@@ -293,7 +283,8 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         )
     lines = [f"# warning: {warning}" for warning in zeros.warnings]
     if args.inversion:
-        table = _lambda_table(args, RecurrenceScheme(kind=VOROS).guard_digits(args.n_max))
+        guard = RecurrenceScheme(kind=VOROS).guard_digits(args.n_max)
+        table = lambda_table(args.n_max, args.digits + guard, load_stieltjes(args.stieltjes))
         checks = inversion_check(args.n_max, table, zeros, args.digits)
         lines += _table(
             args, ("n", "lhs", "z_partial", "residual", "bound_plus_allowance", "consistent"),

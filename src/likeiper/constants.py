@@ -60,8 +60,9 @@ def log_pi(precision: int = DEFAULT_DIGITS) -> BigReal:
 class StieltjesTable(NamedTuple):
     """Stieltjes coefficients gamma_0..gamma_{k_max} at a common digit count.
 
-    ``entries`` holds the file's text, checked by ``load_stieltjes``;
-    ``gamma(k)`` converts entry k to a ``BigReal`` when it is read."""
+    ``entries`` holds the file's text, checked by ``load_stieltjes``; ``gamma(k)``
+    converts entry k to a ``BigReal`` when read.  ``tiny_series`` alone decides
+    which entries, at how many digits, a lambda request may read."""
 
     entries: Dict[int, str]
     digits: int
@@ -77,14 +78,6 @@ class StieltjesTable(NamedTuple):
             raise ConstantsError(
                 f"Stieltjes table covers k <= {self.k_max}; gamma_{k} missing"
             ) from None
-
-    def require(self, k_max: int) -> None:
-        for k in range(k_max + 1):
-            if k not in self.entries:
-                raise ConstantsError(
-                    f"Stieltjes table is missing gamma_{k} "
-                    f"(need k = 0..{k_max}, table has k <= {self.k_max})"
-                )
 
 
 def load_stieltjes(path: Optional[Path] = None) -> StieltjesTable:

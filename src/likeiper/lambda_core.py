@@ -57,9 +57,9 @@ def tiny_series(
 
     Built as log((s-1) zeta(s)) expanded in u = s-1 from the Stieltjes table,
     composed through u = z/(1-z), then series_log.  The constant term is
-    exactly zero; coefficient 1 is the Euler constant.  Reads gamma_0 to
-    gamma_{n_max-1} from the table, and raises ``ConstantsError`` when
-    ``precision`` exceeds the table's digits.
+    exactly zero; coefficient 1 is the Euler constant.  The one check of what
+    the table supports: it must hold gamma_0..gamma_{n_max-1} at work = precision
+    + guard_digits(n_max) digits, or ``ConstantsError`` is raised; nothing is capped.
 
     Each (-1)^k gamma_k / k! is one rounded int at 2^wp; those compose exactly,
     and series_log runs on them tagged at the working digits, whose bits are wp.
@@ -68,12 +68,11 @@ def tiny_series(
         raise ValueError("tiny_series needs n_max >= 1")
     if stieltjes is None:
         stieltjes = load_stieltjes()
-    stieltjes.require(n_max - 1)
-    if precision > stieltjes.digits:
-        raise ConstantsError(
-            f"precision {precision} exceeds the {stieltjes.digits} digits of the Stieltjes table"
-        )
-    work = min(precision + guard_digits(n_max), stieltjes.digits)
+    work = precision + guard_digits(n_max)
+    if n_max - 1 > stieltjes.k_max or work > stieltjes.digits:
+        raise ConstantsError(f"lambda to n = {n_max} at {precision} digits reads gamma_0.."
+                             f"gamma_{n_max - 1} at {work} digits; the Stieltjes table has "
+                             f"gamma_0..gamma_{stieltjes.k_max} at {stieltjes.digits}")
     wp = _bits(work + 5)
     coeffs = [1 << wp]
     for k in range(n_max):

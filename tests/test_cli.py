@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import re
 import shlex
 import shutil
@@ -16,6 +17,8 @@ from likeiper.bigreal import BigReal
 from likeiper.cli import main
 from likeiper.datafiles import default_stieltjes_path, default_zeros_path
 from likeiper.goldens import load_golden, tables_dir
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "reference.json"
 
 
 def run(*argv):
@@ -50,6 +53,30 @@ class TestLambda:
             n = int(row[0])
             target = Decimal(targets.cell(n, "lam").target)
             assert abs(Decimal(row[3]) - target) <= Decimal("0.5e-19")
+
+    def test_digits_100_within_one_unit_of_the_reference(self):
+        # lambda_32_100 of the benchmark's reference, computed at 190 digits
+        # from mpmath primitives alone and stored to 130 significant digits
+        cells = json.loads(REFERENCE.read_text())["ops"]["lambda_32_100"]
+        want = {(int(row), column): Fraction(value) for row, column, _, value, *_ in cells}
+        code, out, err = run("lambda", "--n-max", "32", "--digits", "100")
+        assert code == 0 and err == ""
+        rows = data_rows(out)
+        assert [int(row[0]) for row in rows] == list(range(1, 33))
+        columns = ("trend_over_n", "tiny_over_n", "lambda")
+        wrong = [(int(row[0]), column) for row in rows for column, text in zip(columns, row[1:])
+                 if abs(Fraction(text) - want[int(row[0]), column]) > Fraction(1, 10**100)]
+        assert wrong == []
+
+    def test_digits_at_the_stieltjes_table_boundary(self):
+        # n = 32 works guard_digits(32) = 15 digits past --digits, at most 130
+        code, out, err = run("lambda", "--n-max", "32", "--digits", "115")
+        assert code == 0 and err == ""
+        assert len(data_rows(out)) == 32
+        code, out, err = run("lambda", "--n-max", "32", "--digits", "116")
+        assert code == 2 and out == ""
+        assert err == ("likeiper: error: lambda to n = 32 at 116 digits reads gamma_0..gamma_31 "
+                       "at 131 digits; the Stieltjes table has gamma_0..gamma_80 at 130\n")
 
     def test_single_row(self):
         code, out, _ = run("lambda", "--n-max", "1", "--digits", "20")
@@ -254,12 +281,23 @@ class TestApprox:
             assert Fraction(ratio) == round(r / unit) * unit, n
             assert abs(Fraction(predicted) - lam1 * r) <= unit / 2 * Fraction(1001, 1000), n
 
-    @pytest.mark.parametrize("scheme, digits, guard", [("a2", 100, 22), ("d", 90, 12), ("a1", 97, 4)])
+    # the table is built at --digits + the scheme's guard, and tiny_series works
+    # guard_digits(32) = 15 past that: at most 130, the Stieltjes table's digits
+    @pytest.mark.parametrize("scheme, digits, guard", [
+        ("a2", 100, 22), ("a2", 94, 22), ("d", 104, 12), ("a1", 112, 4)])
     def test_guard_past_the_stieltjes_digits_exit_2(self, scheme, digits, guard):
         code, out, err = run("approx", "--scheme", scheme, "--n-max", "32", "--digits", str(digits))
         assert code == 2 and out == ""
-        assert err == (f"likeiper: error: --digits {digits} takes {guard} guard digits at --n-max 32,"
-                       f" and {digits + guard} exceeds the 100 digits of the Stieltjes table\n")
+        work = digits + guard
+        assert err == (f"likeiper: error: lambda to n = 32 at {work} digits reads gamma_0..gamma_31"
+                       f" at {work + 15} digits; the Stieltjes table has gamma_0..gamma_80 at 130\n")
+
+    @pytest.mark.parametrize("scheme, digits", [("a2", 93), ("d", 90), ("d", 103), ("a1", 97),
+                                                ("a1", 111)])
+    def test_guard_within_the_stieltjes_digits_runs(self, scheme, digits):
+        code, out, err = run("approx", "--scheme", scheme, "--n-max", "32", "--digits", str(digits))
+        assert code == 0 and err == ""
+        assert [int(row[0]) for row in data_rows(out)] == list(range(2, 33))
 
     def test_order_spec_equivalent_to_named(self):
         named = run("approx", "--scheme", "b", "--seed", "exact", "--n-max", "9")
@@ -403,15 +441,15 @@ class TestZeros:
     @pytest.mark.parametrize("digits", [10, 20, 30])
     def test_inversion_catches_a_bumped_lambda(self, monkeypatch, digits, n):
         # 10^(3 - digits) added to lambda_n is far above B(n) and the tail bound
-        real = cli._lambda_table
+        real = cli.lambda_table
 
-        def bumped(args, guard):
-            table = real(args, guard)
+        def bumped(n_max, precision, stieltjes):
+            table = real(n_max, precision, stieltjes)
             total = list(table.total)
             total[n] = total[n] + BigReal(1, table.precision) / 10 ** (digits - 3)
             return table._replace(total=tuple(total))
 
-        monkeypatch.setattr(cli, "_lambda_table", bumped)
+        monkeypatch.setattr(cli, "lambda_table", bumped)
         code, out, _ = run("zeros", "--inversion", "--n-max", "12", "--digits", str(digits))
         assert code == 1
         assert out.splitlines()[-1] == "# result: FAIL"
@@ -697,12 +735,12 @@ class TestCommonValidation:
 
     @pytest.mark.parametrize("command", ["lambda", "scan"])
     def test_digits_beyond_stieltjes_table_exit_2(self, command):
-        code, out, err = run(command, "--n-max", "1", "--digits", "101")
+        # n = 1 works guard_digits(1) = 15 digits past --digits, at most 130
+        code, out, err = run(command, "--n-max", "1", "--digits", "116")
         assert code == 2 and out == ""
-        assert err == (
-            "likeiper: error: precision 101 exceeds the 100 digits of the Stieltjes table\n"
-        )
-        code, out, _ = run(command, "--n-max", "1", "--digits", "100")
+        assert err == ("likeiper: error: lambda to n = 1 at 116 digits reads gamma_0..gamma_0 "
+                       "at 131 digits; the Stieltjes table has gamma_0..gamma_80 at 130\n")
+        code, out, _ = run(command, "--n-max", "1", "--digits", "115")
         assert code == 0
         assert len(data_rows(out)) == 1
 

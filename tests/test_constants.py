@@ -7,7 +7,10 @@ Euler-Maclaurin expansion of sum(log k / k) for the first Stieltjes
 coefficient, and the Apery central-binomial series for zeta(3).
 """
 
+import json
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -30,6 +33,8 @@ from likeiper.constants import (
 from likeiper.datafiles import DataFormatError, default_stieltjes_path, parse_indexed_table
 from likeiper.lambda_core import lambda1_closed_form, tiny_series
 from likeiper.recurrences import model_predictor
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "reference.json"
 
 
 def brent_mcmillan_gamma(dps: int = 70, n: int = 35) -> mpmath.mpf:
@@ -165,15 +170,23 @@ class TestPolygammaHalf:
 
 class TestStieltjesTable:
     def test_load_default(self, stieltjes):
-        assert stieltjes.digits == 100
+        assert stieltjes.digits == 130
         assert stieltjes.k_max == 80
-        stieltjes.require(80)
+        assert sorted(stieltjes.entries) == list(range(81))
 
-    def test_require_beyond_range(self, stieltjes):
-        with pytest.raises(ConstantsError):
-            stieltjes.require(81)
-        with pytest.raises(ConstantsError):
+    def test_gamma_beyond_range_raises(self, stieltjes):
+        message = "Stieltjes table covers k <= 80; gamma_81 missing"
+        with pytest.raises(ConstantsError, match=f"^{re.escape(message)}$"):
             stieltjes.gamma(81)
+
+    def test_within_one_unit_of_the_reference(self, stieltjes):
+        # an independent source: perfbench's reference computed gamma_0..gamma_79
+        # at 190 digits and stored them to 130 significant digits
+        reference = json.loads(REFERENCE.read_text())["stieltjes"]
+        assert len(reference) == 80
+        for k, text in enumerate(reference):
+            unit = Fraction(10) ** (Decimal(text).adjusted() - 129)
+            assert abs(Fraction(stieltjes.entries[k]) - Fraction(text)) <= unit, k
 
     def test_gamma0_oracle(self, stieltjes):
         assert agrees(stieltjes.gamma(0), brent_mcmillan_gamma(), 50)
@@ -242,7 +255,7 @@ class TestShippedTableChecksAtLoad:
         ("8", "table digit count 8 too small (minimum 10)"),
     ])
     def test_bad_digits_header(self, tmp_path, header, message):
-        path = shipped_table_with(tmp_path, r"# digits: 100", f"# digits: {header}")
+        path = shipped_table_with(tmp_path, r"# digits: 130", f"# digits: {header}")
         with pytest.raises(ConstantsError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_stieltjes(path)
 

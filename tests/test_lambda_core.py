@@ -6,6 +6,7 @@ layer, so an arithmetic bug in either side shows up as a mismatch.
 """
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,7 +147,9 @@ class TestLambdaTable:
             assert table12.total[n] is table12.lam(n)
 
     def test_needs_enough_stieltjes_coefficients(self):
-        with pytest.raises(ConstantsError, match="missing gamma_81"):
+        message = ("lambda to n = 82 at 30 digits reads gamma_0..gamma_81 at 59 digits; "
+                   "the Stieltjes table has gamma_0..gamma_80 at 130")
+        with pytest.raises(ConstantsError, match=f"^{re.escape(message)}$"):
             lambda_table(82, 30)
 
     def test_last_stieltjes_coefficient_suffices(self):
@@ -156,10 +159,13 @@ class TestLambdaTable:
         assert table.lam(81) > 0
 
     def test_precision_beyond_stieltjes_digits_raises(self):
-        # the shipped table carries 100 digits; a 101st would be rounding noise
-        with pytest.raises(ConstantsError, match="precision 101 exceeds the 100 digits"):
-            tiny_series(3, 101)
-        assert len(tiny_series(3, 100)) == 4
+        # the shipped table carries 130 digits, and n = 3 works 15 guard digits
+        # past the tag; a 131st would be rounding noise
+        message = ("lambda to n = 3 at 116 digits reads gamma_0..gamma_2 at 131 digits; "
+                   "the Stieltjes table has gamma_0..gamma_80 at 130")
+        with pytest.raises(ConstantsError, match=f"^{re.escape(message)}$"):
+            tiny_series(3, 116)
+        assert len(tiny_series(3, 115)) == 4
 
     def test_precision_stability(self):
         low = lambda_table(8, 30)
@@ -185,13 +191,10 @@ def reference80():
 
 class TestTagHonestyTo80:
     """Every cell of lambda_table(80, D), printed at D places, is within one
-    unit of the reference.  Measured against it: no wrong cell at D = 70, 75,
-    80 and 85; wrong lambda cells at D = 90 for n = 69..80, at D = 95 from
-    n = 53 and at D = 99 from n = 37."""
+    unit of the reference.  tiny_series works at D + guard_digits(80) = D + 29
+    digits, which the 130-digit Stieltjes table holds up to D = 101."""
 
-    @pytest.mark.parametrize("digits", [85, pytest.param(90, marks=pytest.mark.xfail(
-        strict=True, reason="precision_tag: tiny_series works at no more than the Stieltjes "
-        "table's 100 digits, fewer than the 90 + guard_digits(80) its composition cancels"))])
+    @pytest.mark.parametrize("digits", [85, 90, 100])
     def test_every_cell_within_one_unit(self, reference80, digits):
         table, unit = lambda_table(80, digits), Fraction(1, 10 ** digits)
         wrong = []
