@@ -136,6 +136,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("verdict-boundary-inclusive", "likeiper/goldens.py",
            "matches=deviation < cell.tolerance,", "matches=deviation <= cell.tolerance,",
            ("tests/test_goldens.py::TestExactVerdict",)),
+    # ... and a verification refuses digits below the most places a cell prints
+    Mutant("verify-undecidable-places", "likeiper/goldens.py",
+           "    if precision < places:\n", "    if precision < places - 1:\n",
+           ("tests/test_goldens.py::TestVerification",)),
     # a non-finite point is refused before the engine reads it
     Mutant("point-accepts-non-finite", "likeiper/probe.py",
            "    if any(not man and exp for _, man, exp, _ in point):",
@@ -159,6 +163,14 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("sweep-break-at-half-tol", "likeiper/probe.py",
            "if fb.real - fa.real >= tol:", "if fb.real - fa.real >= tol / 2:",
            ("tests/test_probe.py::TestNearCollisionSweep",)),
+    # zero sums and their bounds refuse digits past the zero table, not cap them
+    Mutant("zero-table-clamp", "likeiper/zeros.py",
+           "    if precision > zeros.digits:\n"
+           "        raise PrecisionError(f\"{precision} digits exceed the {zeros.digits} digits of the"
+           " zero table\")\n"
+           "    return precision\n",
+           "    return min(precision, zeros.digits)\n",
+           ("tests/test_zeros.py",)),
     # the inversion allowance covers the table's rounding, B(n)
     Mutant("inversion-no-rounding-bound", "likeiper/zeros.py",
            "allowance = max(floor, BigReal(spread, precision))", "allowance = floor",

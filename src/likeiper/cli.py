@@ -2,13 +2,14 @@
 approximation-scheme runs, the conjecture scan, zero-sum consistency checks,
 and injectivity line probes.
 
-Every numeric table but the probe's (``LineProbeReport.to_tsv``) goes through
-one writer, ``_table``: cells joined by the ``--format`` delimiter, ``BigReal``
-cells at ``--digits`` places.  Each subcommand accepts only the options it
-reads; any other option, or one its mode does not read, exits 2.
+Every numeric table goes through one writer, ``_table``: cells joined by the
+``--format`` delimiter (tab for ``probe``, which has no ``--format``),
+``BigReal`` cells at ``--digits`` places.  Each subcommand accepts only the
+options it reads; any other option, or one its mode does not read, exits 2.
 Exit codes: 0 success, 1 a verification/consistency check failed, 2 bad input,
-configuration, data files, or a lambda table past what the Stieltjes table
-supports, which ``tiny_series`` alone decides (every library error is a ``ValueError``).
+configuration, data files, or digits past what a data table supports
+(``tiny_series`` alone decides the Stieltjes table's, ``zeros`` the zero
+table's); every library error is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Iterable, List, Optional, Sequence
 
 from .bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, _str_digits_limit
 from .constants import load_stieltjes
-from .datafiles import DataFormatError
 from .goldens import TABLE_IDS, TableReport, verify_table
 from .lambda_core import conjecture_scan, lambda1_closed_form, lambda_table
 from .probe import DEFAULT_PROBE_DIGITS, line_probe
@@ -60,10 +60,6 @@ def _check_options(args: argparse.Namespace) -> None:
         raise PrecisionError(f"--digits must be >= {MIN_DIGITS}, got {args.digits}")
     if getattr(args, "n_max", 1) < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    for option in ("stieltjes", "zeros"):
-        path = getattr(args, option, None)
-        if path is not None and not path.is_file():
-            raise DataFormatError(f"--{option}: no such file: {path}")
 
 
 def _delimiter(args: argparse.Namespace) -> str:
@@ -244,11 +240,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
     results = prediction_run(scheme, history, n_lo, args.n_max, args.digits)
     # tiny/trend tabulations are conventionally per-n coefficients
     normalize = target in ("tiny", "trend")
-    rows = []
-    for r in results:
-        predicted = r.predicted / r.n if normalize else r.predicted
-        exact = r.exact / r.n if normalize else r.exact
-        rows.append((r.n, predicted, exact, abs(predicted - exact), r.rel_error))
+    rows = ((r.n, *(v / r.n if normalize else v for v in (r.predicted, r.exact, r.abs_error)),
+             r.rel_error) for r in results)
     _emit(_table(args, ("n", "predicted", "exact", "abs_error", "rel_error"), rows), args)
     return _EXIT_OK
 
@@ -277,10 +270,6 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     if args.stieltjes is not None and not args.inversion:
         raise ValueError("--stieltjes is read only with --inversion")
     zeros = load_zeros(args.zeros)
-    if args.digits > zeros.digits:
-        raise PrecisionError(
-            f"--digits {args.digits} exceeds the {zeros.digits} digits of the zero table"
-        )
     lines = [f"# warning: {warning}" for warning in zeros.warnings]
     if args.inversion:
         guard = RecurrenceScheme(kind=VOROS).guard_digits(args.n_max)
@@ -325,7 +314,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
     report = line_probe(
         args.line, fixed, lo, hi, samples=args.samples, precision=args.digits, tol=args.tol
     )
-    lines = report.to_tsv().splitlines()
+    lines = [f"# line: vary_{args.line}", f"# fixed: {fixed!r}",
+             f"# range: [{lo!r}, {hi!r}] samples: {args.samples}"]
+    lines += _table(args, ("# columns: param", "re_f", "im_f"), report.samples)
     lines.append(f"# failures: {len(report.failures)}")
     for failure in report.failures:
         lines.append(f"# failed at {failure.param!r}: {failure.reason}")
@@ -413,6 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("probe", cmd_probe,
                 "sample the normalized zeta map along a line and "
                 "flag near-collisions (output is always TSV)", [])
+    p.set_defaults(format="tsv")  # for _table; probe takes no --format
     p.add_argument("--digits", type=int, default=DEFAULT_PROBE_DIGITS,
                    help=f"working precision in decimal digits (default {DEFAULT_PROBE_DIGITS})")
     p.add_argument("--line", choices=("re", "im"), required=True,

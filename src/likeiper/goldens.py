@@ -28,7 +28,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .bigreal import DEFAULT_DIGITS, BigReal
+from .bigreal import DEFAULT_DIGITS, BigReal, PrecisionError
 from .constants import euler_gamma
 from .datafiles import DataFormatError, _decimal, data_dir, read_table
 from .lambda_core import conjecture_scan, lambda_table
@@ -281,8 +281,12 @@ def _compare_cell(cell: GoldenCell, recomputed: BigReal) -> CellReport:
 
 def verify_table(name: str, precision: int = DEFAULT_DIGITS) -> TableReport:
     """Recompute a golden table and compare each printed cell at one unit
-    in its last printed decimal place."""
+    in its last printed decimal place; a ``precision`` below the most places
+    a cell prints cannot decide that cell, and raises ``PrecisionError``."""
     table = load_golden(name)
+    places = max(cell.places for cell in table.cells.values())
+    if precision < places:
+        raise PrecisionError(f"{precision} digits cannot decide {table.name}'s {places} places")
     values = recompute_table(table.name, precision)
     reports: List[CellReport] = []
     for (row, column), cell in table.cells.items():  # file order: by row, then column

@@ -325,13 +325,7 @@ class NearCollision(NamedTuple):
 
 
 class LineProbeReport(NamedTuple):
-    kind: str
-    fixed: float
-    lo: float
-    hi: float
     requested_samples: int
-    precision: int
-    tol: float
     grid_step: float
     samples: Tuple[ComplexSample, ...]
     failures: Tuple[SampleFailure, ...]
@@ -340,20 +334,6 @@ class LineProbeReport(NamedTuple):
     @property
     def sampled_injective(self) -> bool:
         return len(self.near_collisions) == 0
-
-    def to_tsv(self) -> str:
-        lines = [
-            f"# line: vary_{self.kind}",
-            f"# fixed: {self.fixed!r}",
-            f"# range: [{self.lo!r}, {self.hi!r}] samples: {self.requested_samples}",
-            "# columns: param\tre_f\tim_f",
-        ]
-        for sample in self.samples:
-            lines.append(
-                f"{sample.param!r}\t{sample.f_re.to_decimal_string(self.precision)}"
-                f"\t{sample.f_im.to_decimal_string(self.precision)}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _near_collisions(points: Sequence[Tuple[float, complex]], step_gate: float,
@@ -445,13 +425,7 @@ def line_probe(
     # Pair search in plain floats: tol is far above double roundoff.
     points = [(c.param, complex(float(c.f_re), float(c.f_im))) for c in collected]
     return LineProbeReport(
-        kind=kind,
-        fixed=fixed,
-        lo=lo,
-        hi=hi,
         requested_samples=samples,
-        precision=precision,
-        tol=tol,
         grid_step=grid_step,
         samples=tuple(collected),
         failures=tuple(failures),

@@ -94,6 +94,14 @@ def load_zeros(path: Optional[Path] = None) -> ZeroList:
     )
 
 
+def _zero_digits(zeros: ZeroList, precision: int) -> int:
+    """``precision``, the digits a zero sum or its bound is tagged; past the
+    digits the ordinates carry, ``PrecisionError``."""
+    if precision > zeros.digits:
+        raise PrecisionError(f"{precision} digits exceed the {zeros.digits} digits of the zero table")
+    return precision
+
+
 def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:
     """Truncated power sums Z(j) = sum_{k=1}^{count} (1/4 + t_k^2)^(-j), j = 1..j_max.
 
@@ -104,19 +112,19 @@ def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> T
     exact value by < 2 ulps, so r_k^j by < 3j ulps after j truncating steps,
     and the running x_1^(-j) is within j ulps: (3 count + 1) j_max bounds the
     error in ulps, and its bit length is added as guard bits.  Values are
-    tagged min(precision, zeros.digits), as the ordinates carry no more.
+    tagged ``precision``; past the digits the ordinates carry, ``PrecisionError``.
     """
     if j_max < 1:
         raise ValueError("z_partial needs j_max >= 1")
-    tag = min(precision, zeros.digits)
-    wp = dps_to_prec(tag + 10) + ((3 * zeros.count + 1) * j_max).bit_length()
+    precision = _zero_digits(zeros, precision)
+    wp = dps_to_prec(precision + 10) + ((3 * zeros.count + 1) * j_max).bit_length()
     xs = [mpf_add(mpf_mul(t.raw, t.raw), _QUARTER) for t in zeros.ordinates]
     ratios = [to_fixed(mpf_div(xs[0], x, wp, round_down), wp) for x in xs]
     step = mpf_div(fone, xs[0], wp, round_nearest)
     powers, scale, sums = ratios, step, []
     for _ in range(j_max):
         total = mpf_mul(from_man_exp(sum(powers), -wp), scale, wp, round_nearest)
-        sums.append(_rounded(total, tag))
+        sums.append(_rounded(total, precision))
         powers = [p * r >> wp for p, r in zip(powers, ratios)]
         scale = mpf_mul(scale, step, wp, round_nearest)
     return tuple(sums)
@@ -153,11 +161,10 @@ def z_tail_bound(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -
     Twice the density integral beyond the last ingested ordinate: the
     zero-counting function fluctuates around the smooth density, and the
     factor 2 absorbs that fluctuation over every range relevant here.
-    Tagged min(precision, zeros.digits), as z_partial is: T = t_count
-    carries no more.
+    Tagged ``precision``, which T = t_count must carry, as in z_partial.
     """
-    tag = min(precision, zeros.digits)
-    return tuple([tail * 2 for tail in _density_tails(j_max, zeros.last.raw, tag)])
+    tails = _density_tails(j_max, zeros.last.raw, _zero_digits(zeros, precision))
+    return tuple([tail * 2 for tail in tails])
 
 
 def delta_bound(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:
@@ -210,10 +217,11 @@ def inversion_check(
     P-th significant digit of each lambda_k, evaluated in floating point.
     The table's values are closer than that, so B(n) bounds their rounding
     with slack.  One ``z_partial`` and one ``z_tail_bound`` pass give every
-    Z(n) and its bound, tagged min(precision, zeros.digits).  The weights
-    C(2n, n-k) amplify the table's rounding, so the table must be tagged
-    that plus the Voros scheme's ``guard_digits(n_max)`` (``PrecisionError``
-    otherwise); each LHS is tagged like Z(n).
+    Z(n) and its bound, so ``precision`` past the zero table's digits raises
+    ``PrecisionError`` as they do.  The weights C(2n, n-k) amplify the
+    table's rounding, so the table must be tagged ``precision`` plus the
+    Voros scheme's ``guard_digits(n_max)`` (``PrecisionError`` otherwise).
+    Every field is tagged ``precision``.
     """
     # here, so that loading zeros loads no predictor
     from .recurrences import VOROS, RecurrenceScheme, _binomial_row, _predict_binomial
@@ -224,22 +232,22 @@ def inversion_check(
         raise ValueError(
             f"lambda table covers n <= {lambdas.n_max}, need n = {n_max}"
         )
-    tag, voros = min(precision, zeros.digits), RecurrenceScheme(kind=VOROS)
-    need = tag + voros.guard_digits(n_max)
+    sums = zip(z_partial(n_max, zeros, precision), z_tail_bound(n_max, zeros, precision))
+    voros = RecurrenceScheme(kind=VOROS)
+    need = precision + voros.guard_digits(n_max)
     if lambdas.precision < need:
         raise PrecisionError(
-            f"the inversion to n = {n_max} at {tag} digits needs a lambda table tagged "
+            f"the inversion to n = {n_max} at {precision} digits needs a lambda table tagged "
             f"{need}, not {lambdas.precision}"
         )
     floor = BigReal(1, precision) / (10 ** 40)
     sizes = [abs(float(lam)) for lam in lambdas.total]
     half_unit = 10.0 ** (1 - lambdas.precision) / 2
-    sums = zip(z_partial(n_max, zeros, precision), z_tail_bound(n_max, zeros, precision))
     rows = []
     for n, (z_trunc, bound) in enumerate(sums, 1):
         weights = _binomial_row(voros.top(n), n)  # C(2n, n - k) at index n - k
         lhs = _predict_binomial(lambdas.total, n + 1, lambda k: weights[n - k])
-        lhs = BigReal(lhs * parity_sign(n - 1), tag)
+        lhs = BigReal(lhs * parity_sign(n - 1), precision)
         spread = half_unit * sum(weights[n - k] * sizes[k] for k in range(1, n + 1))
         allowance = max(floor, BigReal(spread, precision))
         rows.append(InversionCheck(

@@ -172,6 +172,15 @@ class TestVerify:
     def test_deterministic(self):
         assert run("verify", "--table", "4") == run("verify", "--table", "4")
 
+    def test_digits_below_the_printed_places_exit_2(self):
+        # table 4 prints 12 places, which 11 digits cannot decide
+        code, out, err = run("verify", "--table", "4", "--digits", "11")
+        assert (code, out) == (2, "")
+        assert err == "likeiper: error: 11 digits cannot decide trend_fullhistory's 12 places\n"
+        code, out, _ = run("verify", "--table", "4", "--digits", "12")
+        assert code == 0
+        assert out.splitlines()[-1] == "# result: pass"
+
 
 def _self_seeded_ratio(scheme, c, n):
     """lambda(n)/lambda(1) of a self-seeded run: n^2 for a2, (c/2 - 1) n (n-1) + n
@@ -467,21 +476,22 @@ class TestZeros:
 
     @pytest.mark.parametrize("mode", [(), ("--inversion",)])
     def test_digits_beyond_zero_table_exit_2(self, tmp_path, mode):
+        # zeros.z_partial and z_tail_bound refuse; the CLI only reports
         code, out, err = run("zeros", *mode, "--n-max", "2", "--digits", "51")
         assert code == 2 and out == ""
-        assert "--digits 51 exceeds the 50 digits of the zero table" in err
+        assert err == "likeiper: error: 51 digits exceed the 50 digits of the zero table\n"
         path = tmp_path / "zeros.tsv"
         path.write_text("# digits: 20\n1\t14.134725141734693790\n")
         code, _, err = run("zeros", *mode, "--n-max", "2", "--digits", "21", "--zeros", str(path))
         assert code == 2
-        assert "--digits 21 exceeds the 20 digits of the zero table" in err
+        assert err == "likeiper: error: 21 digits exceed the 20 digits of the zero table\n"
         # no header: the tag is the significant digits of the shortest ordinate
         shipped = default_zeros_path().read_text().splitlines()
         rows = [line.split("\t") for line in shipped if not line.startswith("#")][:10]
         path.write_text("".join(f"{k}\t{Decimal(t):.10f}\n" for k, t in rows))
         code, out, err = run("zeros", *mode, "--n-max", "2", "--digits", "13", "--zeros", str(path))
         assert code == 2 and out == ""
-        assert "--digits 13 exceeds the 12 digits of the zero table" in err
+        assert err == "likeiper: error: 13 digits exceed the 12 digits of the zero table\n"
 
     @pytest.mark.parametrize("header", ["", "# digits: 8\n"], ids=["no-header", "header"])
     def test_zero_table_below_digit_floor_exit_2(self, tmp_path, header):
@@ -506,7 +516,7 @@ class TestZeros:
         ))
         code, out, err = run("zeros", *mode, "--n-max", "2", "--digits", "40", "--zeros", str(path))
         assert code == 2 and out == ""
-        assert "--digits 40 exceeds the 20 digits of the zero table" in err
+        assert err == "likeiper: error: 40 digits exceed the 20 digits of the zero table\n"
 
     @pytest.mark.parametrize("command, option, shipped", [
         ("zeros", "--zeros", default_zeros_path()),
@@ -520,9 +530,12 @@ class TestZeros:
         assert err == f"likeiper: error: {path}: '# digits: abc' is not a digit count\n"
 
     def test_missing_zero_file(self, tmp_path):
-        code, _, err = run("zeros", "--zeros", str(tmp_path / "nope.tsv"))
-        assert code == 2
-        assert "likeiper: error:" in err
+        # datafiles.read_table refuses it; the CLI checks no path itself
+        path = tmp_path / "nope.tsv"
+        code, out, err = run("zeros", "--zeros", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"likeiper: error: cannot read data file {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestProbe:

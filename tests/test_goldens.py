@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from likeiper.bigreal import BigReal
+from likeiper.bigreal import BigReal, PrecisionError
 from likeiper.datafiles import DataFormatError
 from likeiper.goldens import (
     TABLE_IDS,
@@ -230,6 +230,16 @@ class TestVerification:
         remaining = {(m.cell.row, m.cell.column) for m in report.mismatches if m.cell.column != "lam"}
         assert len(remaining) == 9
         assert all(col in ("a1", "a2") for _, col in remaining)
+
+    def test_precision_below_the_printed_places_raises(self):
+        # 12 digits would rule on cells printed to 20 places: seven more
+        # mismatches than the fixture's own twelve
+        with pytest.raises(PrecisionError, match="^19 digits cannot decide coeff20's 20 places$"):
+            verify_table("coeff20", 19)
+        mismatches = {(m.cell.row, m.cell.column) for m in verify_table("coeff20", 20).mismatches}
+        assert len(mismatches) == 12
+        assert mismatches == {(m.cell.row, m.cell.column)
+                              for m in verify_table("coeff20", 50).mismatches}
 
     def test_report_for_unknown_cell(self):
         report = verify_table("scan_ratios", 50)

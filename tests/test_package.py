@@ -107,6 +107,35 @@ def test_public_surface():
     assert surface == PUBLIC_SURFACE
 
 
+def imported_names(tree: ast.AST) -> dict:
+    """Each name an import binds in a module, with the import's line;
+    ``from __future__`` imports bind nothing a module reads."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    return names
+
+
+def test_no_unused_imports():
+    # no linter runs on src/, and deleting code can leave its imports behind;
+    # __init__ imports only to re-export
+    package = Path(likeiper.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported_names(tree).items() if name not in read]
+    assert not unused
+
+
 def test_import_loads_neither_cli_goldens_nor_probe():
     run_fresh(
         "import sys, likeiper; "

@@ -6,6 +6,8 @@ circle of radius 0.3, must reproduce lambda_tiny(n)/gamma. Everything the
 probe reports flows through f_eval, so this one identity anchors it all.
 """
 
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -21,6 +23,7 @@ from mpmath.libmp import from_man_exp
 
 import likeiper.probe as probe_module
 from likeiper.bigreal import BigReal
+from likeiper.cli import main
 from likeiper.constants import euler_gamma
 from likeiper.probe import (
     DEFAULT_PROBE_DIGITS,
@@ -31,6 +34,12 @@ from likeiper.probe import (
     zeta_complex,
     zeta_deriv,
 )
+
+
+def _printed(report, places):
+    """Each sample's parameter and f at ``places`` places, as the CLI prints them."""
+    return [(s.param, s.f_re.to_decimal_string(places), s.f_im.to_decimal_string(places))
+            for s in report.samples]
 
 
 # Grid samples from both 100-sample benchmark probe lines (b = 1 with
@@ -308,7 +317,8 @@ class TestLineProbe:
         outputs = []
         for dps in (5, 15, 500):
             with mp.workdps(dps):
-                outputs.append(line_probe(kind, fixed, lo, hi, samples=5, precision=30).to_tsv())
+                report = line_probe(kind, fixed, lo, hi, samples=5, precision=30)
+                outputs.append(_printed(report, 30))
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_argument_validation(self):
@@ -361,22 +371,25 @@ class TestLineProbe:
             line_probe(kind, fixed, lo, hi, samples=samples, precision=15)
 
     def test_tsv_format(self):
+        # the CLI writes a probe line's samples through its one table writer
+        argv = "probe --line im --b 1.0 --t0 1 --t1 2 --samples 4 --digits 20".split()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        lines = out.getvalue().splitlines()
+        assert lines[:4] == ["# line: vary_im", "# fixed: 1.0", "# range: [1.0, 2.0] samples: 4",
+                             "# columns: param\tre_f\tim_f"]
         report = line_probe("im", 1.0, 1.0, 2.0, samples=4, precision=20)
-        text = report.to_tsv()
-        lines = text.splitlines()
-        assert lines[0] == "# line: vary_im"
-        assert lines[1].startswith("# fixed: ")
-        assert any(line.startswith("# columns: param") for line in lines)
-        data = [line for line in lines if not line.startswith("#")]
-        assert len(data) == len(report.samples)
-        for row in data:
-            param, f_re, f_im = row.split("\t")
-            float(param), float(f_re), float(f_im)
+        data = [tuple(line.split("\t")) for line in lines if not line.startswith("#")]
+        assert data == [(repr(p), re_f, im_f) for p, re_f, im_f in _printed(report, 20)]
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])  # probe output is always TSV
+        assert exc.value.code == 2
 
     def test_deterministic(self):
-        a = line_probe("im", 1.0, 1.0, 3.0, samples=20, precision=20).to_tsv()
-        b = line_probe("im", 1.0, 1.0, 3.0, samples=20, precision=20).to_tsv()
-        assert a == b
+        a = line_probe("im", 1.0, 1.0, 3.0, samples=20, precision=20)
+        b = line_probe("im", 1.0, 1.0, 3.0, samples=20, precision=20)
+        assert _printed(a, 20) == _printed(b, 20)
 
 
 def _brute_force_collisions(points, step_gate, tol):
@@ -505,13 +518,11 @@ class TestLineStepping:
         report = line_probe(kind, fixed, lo, hi, samples=samples, precision=30)
         assert nudges
         monkeypatch.setattr(probe_module, "_nudge", None)  # a fresh state never nudges
-        rows = [line for line in report.to_tsv().splitlines() if not line.startswith("#")]
-        assert len(rows) == len(report.samples) > 0
-        for row, sample in zip(rows, report.samples):
-            p = sample.param
+        rows = _printed(report, 30)
+        assert rows
+        for p, *printed in rows:
             f = f_eval(complex(p, fixed) if kind == "re" else complex(fixed, p), 30)
-            re_f, im_f = (BigReal(x, 30).to_decimal_string(30) for x in (f.real, f.imag))
-            assert row == f"{p!r}\t{re_f}\t{im_f}"
+            assert printed == [BigReal(x, 30).to_decimal_string(30) for x in (f.real, f.imag)]
 
     @pytest.mark.parametrize("wp", [64, 100, 200, 333])
     @pytest.mark.parametrize("bits", [32, 33, 40, 45, 47, 52, 60])

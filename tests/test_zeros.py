@@ -14,6 +14,7 @@ import pytest
 from mpmath import mp
 
 from likeiper.bigreal import BigReal, PrecisionError
+from likeiper.datafiles import default_zeros_path
 from likeiper.lambda_core import LambdaTable, lambda_table
 from likeiper.recurrences import VOROS, RecurrenceScheme
 from likeiper.zeros import (
@@ -111,10 +112,15 @@ def _fsum_oracle(j, zeros, precision):
 
 
 def _short_table(tmp_path, count):
+    """The first ``count`` rows of the shipped table, with its 50 digits."""
     path = tmp_path / f"zeros{count}.tsv"
-    rows = ["14.134725141734693790", "21.022039638771554993"][:count]
-    path.write_text("# digits: 20\n" + "".join(f"{k}\t{t}\n" for k, t in enumerate(rows, 1)))
+    rows = [line for line in default_zeros_path().read_text().splitlines()
+            if not line.startswith("#")]
+    path.write_text("# digits: 50\n" + "".join(f"{row}\n" for row in rows[:count]))
     return load_zeros(path)
+
+
+_BEYOND_THE_TABLE = "^51 digits exceed the 50 digits of the zero table$"
 
 
 class TestZPartialKernel:
@@ -122,15 +128,14 @@ class TestZPartialKernel:
 
     @staticmethod
     def _assert_matches_oracle(zeros, precision, j_max):
-        tag = min(precision, zeros.digits)
         values = z_partial(j_max, zeros, precision)
         assert len(values) == j_max
         for j, got in enumerate(values, 1):
-            assert got.precision == tag
+            assert got.precision == precision
             expected = _fsum_oracle(j, zeros, precision)
             with mp.workdps(precision + 30):
                 error = abs(got.value - expected) / expected
-            assert error < mpmath.mpf(10) ** -(tag + 4), (j, error)
+            assert error < mpmath.mpf(10) ** -(precision + 4), (j, error)
 
     @pytest.mark.parametrize("precision", [12, 30, 50])
     def test_shipped_table_through_j_80(self, zeros, precision):
@@ -141,10 +146,11 @@ class TestZPartialKernel:
     def test_one_and_two_ordinate_tables(self, tmp_path, count, precision):
         self._assert_matches_oracle(_short_table(tmp_path, count), precision, 80)
 
-    def test_tag_capped_at_table_digits(self, zeros):
-        # the shipped ordinates carry 50 digits, so 100 requested digits give 50
-        assert [z.precision for z in z_partial(3, zeros, 100)] == [50, 50, 50]
-        assert [z.precision for z in z_partial(3, zeros, 30)] == [30, 30, 30]
+    def test_digits_beyond_the_table_raise(self, zeros):
+        # the shipped ordinates carry 50 digits: 51 are refused, not capped at 50
+        with pytest.raises(PrecisionError, match=_BEYOND_THE_TABLE):
+            z_partial(3, zeros, 51)
+        assert [z.precision for z in z_partial(3, zeros, 50)] == [50, 50, 50]
 
     def test_prefix_of_longer_pass(self, zeros):
         short, long = z_partial(5, zeros, 50), z_partial(32, zeros, 50)
@@ -217,10 +223,9 @@ class TestTailIntegral:
         assert low[0] > z_tail_bound(1, zeros, 40)[0] / 2
 
     def test_accepts_bigreal_height(self, tmp_path):
-        # the bound starts at the last ordinate of the list it is given, and is
-        # tagged with no more digits than that ordinate carries
+        # the bound starts at the last ordinate of the list it is given
         short = _short_table(tmp_path, 2)
-        expected = [_tail_integral(j, short.last, min(40, short.digits)) * 2 for j in (1, 2)]
+        expected = [_tail_integral(j, short.last, 40) * 2 for j in (1, 2)]
         assert _bits(z_tail_bound(2, short, 40)) == _bits(expected)
 
     def test_rejects_j_below_1(self, zeros):
@@ -241,19 +246,16 @@ class TestZTailBound:
         for a, b in zip(bounds, bounds[1:]):
             assert a > b > 0
 
-    @pytest.mark.parametrize("digits", [12, 30, 50, 100])
+    @pytest.mark.parametrize("digits", [12, 30, 50])
     def test_bit_identical_to_per_j_closed_form(self, zeros, digits):
-        tag = min(digits, zeros.digits)
-        z_expected = [_tail_integral(j, zeros.last, tag) * 2 for j in range(1, 41)]
-        assert _bits(z_tail_bound(40, zeros, digits)) == _bits(z_expected)
-        d_expected = [_tail_integral(n, 14, digits) for n in range(1, 41)]
-        assert _bits(delta_bound(40, digits)) == _bits(d_expected)
+        expected = [_tail_integral(j, zeros.last, digits) * 2 for j in range(1, 41)]
+        assert _bits(z_tail_bound(40, zeros, digits)) == _bits(expected)
 
-    def test_tag_capped_at_table_digits(self, zeros):
+    def test_digits_beyond_the_table_raise(self, zeros):
         # T = t_100 carries 50 digits, as in z_partial
-        assert zeros.digits == 50
-        assert z_tail_bound(1, zeros, 100)[0].precision == zeros.digits
-        assert [b.precision for b in z_tail_bound(3, zeros, 30)] == [30, 30, 30]
+        with pytest.raises(PrecisionError, match=_BEYOND_THE_TABLE):
+            z_tail_bound(1, zeros, 51)
+        assert [b.precision for b in z_tail_bound(3, zeros, 50)] == [50, 50, 50]
 
     def test_prefix_of_longer_pass(self, zeros):
         assert _bits(z_tail_bound(5, zeros, 50)) == _bits(z_tail_bound(32, zeros, 50)[:5])
@@ -261,6 +263,12 @@ class TestZTailBound:
 
 
 class TestDeltaBound:
+    @pytest.mark.parametrize("digits", [12, 30, 50, 100])
+    def test_bit_identical_to_per_n_closed_form(self, digits):
+        # no zero table is read, so no digit count caps the bound
+        expected = [_tail_integral(n, 14, digits) for n in range(1, 41)]
+        assert _bits(delta_bound(40, digits)) == _bits(expected)
+
     def test_magnitude_at_5(self):
         d5 = delta_bound(5, 50)[4]
         assert d5 < BigReal(1, 50) / 10**11
@@ -342,14 +350,13 @@ class TestInversionCheck:
         check = inversion_check(2, tampered, zeros, 50)[1]
         assert not check.consistent
 
-    @pytest.mark.parametrize("digits", [30, 50, 100])
+    @pytest.mark.parametrize("digits", [30, 50])
     def test_lhs_bit_identical_to_ascending_loop(self, zeros, digits):
         # oracle: the alternating central-binomial sum added exactly in
-        # ascending k, then rounded once at the digits the zero table carries
-        tag = min(digits, zeros.digits)
-        table = lambda_table(32, tag + _voros_guard(32))
+        # ascending k, then rounded once at the requested digits
+        table = lambda_table(32, digits + _voros_guard(32))
         for n in range(1, 33):
-            expected = BigReal(_exact_lhs(n, table), tag)
+            expected = BigReal(_exact_lhs(n, table), digits)
             lhs = inversion_check(n, table, zeros, digits)[n - 1].lhs
             assert lhs.precision == expected.precision
             assert lhs.value._mpf_ == expected.value._mpf_, n
@@ -365,6 +372,20 @@ class TestInversionCheck:
             for a, b in zip(got, expected):
                 assert (a.precision, a.value._mpf_) == (b.precision, b.value._mpf_), row.n
             assert row.consistent == expected[4]
+
+    def test_every_field_tagged_at_the_requested_digits(self, guarded7, zeros):
+        rows = inversion_check(7, guarded7, zeros, 30)
+        fields = [(r.lhs, r.z_truncated, r.tail_bound, r.allowance, r.residual) for r in rows]
+        assert {value.precision for row in fields for value in row} == {30}
+
+    def test_digits_beyond_the_zero_table_raise(self, zeros):
+        # the lambda table carries the digits; the zero table does not
+        table = lambda_table(3, 51 + _voros_guard(3))
+        with pytest.raises(PrecisionError, match=_BEYOND_THE_TABLE):
+            inversion_check(3, table, zeros, 51)
+        # and that refusal comes before the lambda table's own
+        with pytest.raises(PrecisionError, match=_BEYOND_THE_TABLE):
+            inversion_check(3, lambda_table(3, 20), zeros, 51)
 
     def test_argument_validation(self, table7, zeros):
         with pytest.raises(ValueError):
