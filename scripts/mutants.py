@@ -106,6 +106,11 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("u1-gamma-not-halved", "likeiper/lambda_core.py",
            "(1 << wp) - (gamma >> 1)", "(1 << wp) - gamma",
            ("tests/test_lambda_core.py",)),
+    # approx predicts the history its target names, each built alone
+    Mutant("approx-tiny-target-reads-trend", "likeiper/cli.py",
+           "        exact = history(tiny_series(args.n_max, work, load_stieltjes(args.stieltjes)))\n",
+           "        exact = history(trend_series(args.n_max, work))\n",
+           ("tests/test_cli.py::TestApprox",)),
     # the binomial kernel: an exact integer sum, rounded once at the smallest tag
     Mutant("kernel-exponent-off-by-one", "likeiper/recurrences.py",
            "_fixed(total, den.bit_length() - 1,", "_fixed(total, den.bit_length(),",

@@ -25,7 +25,8 @@ from typing import Iterable, List, Optional, Sequence
 from .bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, _str_digits_limit
 from .constants import load_stieltjes
 from .goldens import TABLE_IDS, TableReport, verify_table
-from .lambda_core import conjecture_scan, lambda1_closed_form, lambda_table
+from .lambda_core import (conjecture_scan, history, lambda1_closed_form, lambda_table, tiny_series,
+                          trend_series)
 from .probe import DEFAULT_PROBE_DIGITS, line_probe
 from .recurrences import (
     FULL_HISTORY,
@@ -231,13 +232,19 @@ def cmd_approx(args: argparse.Namespace) -> int:
         return _EXIT_OK
 
     target = args.target or default_target
-    guard = scheme.guard_digits(args.n_max)  # digits the binomial sum of the history cancels
-    table = lambda_table(args.n_max, args.digits + guard, load_stieltjes(args.stieltjes))
-    history = {"tiny": table.tiny, "trend": table.trend, "lambda": table.total}[target]
+    work = args.digits + scheme.guard_digits(args.n_max)  # the digits the binomial sum cancels
+    if target == "lambda":  # each target builds only the part it reads
+        exact = lambda_table(args.n_max, work, load_stieltjes(args.stieltjes)).total
+    elif target == "tiny":
+        exact = history(tiny_series(args.n_max, work, load_stieltjes(args.stieltjes)))
+    elif args.stieltjes is not None:
+        raise ValueError("--target trend reads no --stieltjes")
+    else:
+        exact = history(trend_series(args.n_max, work))
     n_lo = max(2, scheme.m or 2)
     if n_lo > args.n_max:
         raise ValueError(f"--n-max {args.n_max} below the scheme's first index {n_lo}")
-    results = prediction_run(scheme, history, n_lo, args.n_max, args.digits)
+    results = prediction_run(scheme, exact, n_lo, args.n_max, args.digits)
     # tiny/trend tabulations are conventionally per-n coefficients
     normalize = target in ("tiny", "trend")
     rows = ((r.n, *(v / r.n if normalize else v for v in (r.predicted, r.exact, r.abs_error)),

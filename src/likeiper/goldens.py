@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .bigreal import DEFAULT_DIGITS, BigReal, PrecisionError
 from .constants import euler_gamma
 from .datafiles import DataFormatError, _decimal, data_dir, read_table
-from .lambda_core import conjecture_scan, lambda_table
+from .lambda_core import conjecture_scan, history, lambda_table, tiny_series, trend_series
 from .recurrences import FULL_HISTORY, ORDER_M, VOROS, RecurrenceScheme, phi_nlogn, predict
 
 
@@ -132,32 +132,32 @@ _FULL, _VOROS = RecurrenceScheme(FULL_HISTORY), RecurrenceScheme(VOROS)
 
 
 def _build_ratio_order_m(m: int, precision: int) -> Dict[Tuple[int, str], BigReal]:
-    table = lambda_table(11, precision)
+    tiny = history(tiny_series(11, precision))
     gamma, scheme = euler_gamma(precision), RecurrenceScheme(ORDER_M, m)
     out: Dict[Tuple[int, str], BigReal] = {}
     for n in range(2, 12):
         if n >= m:
-            out[(n, "pred")] = predict(scheme, table.tiny, n) / (gamma * n)
-        out[(n, "exact")] = table.tiny[n] / (gamma * n)
+            out[(n, "pred")] = predict(scheme, tiny, n) / (gamma * n)
+        out[(n, "exact")] = tiny[n] / (gamma * n)
     return out
 
 
 def _build_tiny_fullhistory(precision: int) -> Dict[Tuple[int, str], BigReal]:
-    table = lambda_table(15, precision)
+    tiny = history(tiny_series(15, precision))
     out: Dict[Tuple[int, str], BigReal] = {}
     for n in range(2, 16):
-        out[(n, "pred")] = predict(_FULL, table.tiny, n) / n
-        out[(n, "exact")] = table.tiny[n] / n
+        out[(n, "pred")] = predict(_FULL, tiny, n) / n
+        out[(n, "exact")] = tiny[n] / n
     return out
 
 
 def _build_trend_fullhistory(precision: int) -> Dict[Tuple[int, str], BigReal]:
-    table = lambda_table(15, precision)
+    trend = history(trend_series(15, precision))  # reads no Stieltjes table
     out: Dict[Tuple[int, str], BigReal] = {}
     for n in range(1, 16):
-        exact = table.trend[n] / n
+        exact = trend[n] / n
         # at n = 1 no lower indices exist; the tabulation repeats the exact value
-        out[(n, "pred")] = predict(_FULL, table.trend, n) / n if n > 1 else exact
+        out[(n, "pred")] = predict(_FULL, trend, n) / n if n > 1 else exact
         out[(n, "exact")] = exact
     return out
 

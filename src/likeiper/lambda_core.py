@@ -118,6 +118,11 @@ def _u1(wp: int) -> Tuple[int, int]:
     return gamma, (1 << wp) - (gamma >> 1) - log2 - (logpi >> 1)
 
 
+def history(series: Tuple[BigReal, ...]) -> Tuple[BigReal, ...]:
+    """Coefficient n times n: the index-n history the predictors read, 0 at n = 0."""
+    return tuple([c * n for n, c in enumerate(series)])
+
+
 class LambdaTable(NamedTuple):
     """lambda(n) = trend + tiny, each an index-n tuple for n = 0..n_max.
 
@@ -146,12 +151,12 @@ def lambda_table(
 ) -> LambdaTable:
     """Assemble lambda(n) = lambda_trend(n) + lambda_tiny(n) for n = 0..n_max.
 
-    Each part is its series coefficient times n (the constant terms are
-    exactly zero), and the total is formed as the sum of the two parts (not
+    Each part is its series' ``history`` (the constant terms are exactly
+    zero), and the total is formed as the sum of the two parts (not
     re-rounded independently), so total = trend + tiny holds identically.
     """
-    tiny = tuple([c * n for n, c in enumerate(tiny_series(n_max, precision, stieltjes))])
-    trend = tuple([c * n for n, c in enumerate(trend_series(n_max, precision))])
+    tiny = history(tiny_series(n_max, precision, stieltjes))
+    trend = history(trend_series(n_max, precision))
     return LambdaTable(n_max=n_max, precision=precision, trend=trend, tiny=tiny,
                        total=tuple([t + s for t, s in zip(trend, tiny)]))
 

@@ -12,11 +12,11 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from likeiper import cli
+from likeiper import cli, lambda_core
 from likeiper.bigreal import BigReal
 from likeiper.cli import main
 from likeiper.datafiles import default_stieltjes_path, default_zeros_path
-from likeiper.goldens import load_golden, tables_dir
+from likeiper.goldens import load_golden, recompute_table, tables_dir
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "reference.json"
 
@@ -400,6 +400,77 @@ class TestApprox:
                     f"indices 2..{top}, which no option supplies; only a1, m:2, d and a2 "
                     "self-seed from the command line\n"
                 )
+
+
+class TestOnlyThePartRead:
+    """``approx --target tiny|trend`` and ``verify`` tables 1-4 build only the
+    lambda part they print; the trend reads no Stieltjes table."""
+
+    @staticmethod
+    def refuse(monkeypatch, name):
+        # every likeiper module that holds lambda_core's function gets one that raises
+        original = getattr(lambda_core, name)
+
+        def unread(*args, **kwargs):
+            raise AssertionError(f"{name} built for a command that prints none of it")
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("likeiper")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, unread)
+
+    @pytest.mark.parametrize("argv", [
+        *(("approx", "--scheme", s, "--n-max", "32", "--digits", "50")
+          for s in ("a1", "b", "d", "m:4")),
+        ("approx", "--scheme", "a2", "--target", "tiny", "--n-max", "12", "--digits", "30"),
+        *(("verify", "--table", t, "--digits", "30") for t in ("1", "2", "3")),
+    ], ids=" ".join)
+    def test_tiny_commands_build_no_trend(self, monkeypatch, argv):
+        expected = run(*argv)
+        self.refuse(monkeypatch, "trend_series")
+        assert run(*argv) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        *(("approx", "--scheme", s, "--target", "trend", "--n-max", "32", "--digits", "50")
+          for s in ("a1", "d", "a2")),
+        ("verify", "--table", "4", "--digits", "30"),
+    ], ids=" ".join)
+    def test_trend_commands_build_no_tiny(self, monkeypatch, argv):
+        expected = run(*argv)
+        self.refuse(monkeypatch, "tiny_series")
+        assert run(*argv) == expected
+        assert expected[0] == 0
+
+    def test_trend_approx_past_the_stieltjes_table(self):
+        # tiny_series would work at 120 + 15 digits, past the table's 130
+        argv = ("approx", "--scheme", "a1", "--target", "trend", "--n-max", "2")
+        code, out, err = run(*argv, "--digits", "116")
+        assert code == 0 and err == ""
+        _, finer, _ = run(*argv, "--digits", "136")
+        unit = Fraction(1, 10**116)
+        rows, finer_rows = data_rows(out), data_rows(finer)
+        assert [row[0] for row in rows] == [row[0] for row in finer_rows] == ["2"]
+        for row, finer_row in zip(rows, finer_rows):
+            for text, finer_text in zip(row[1:], finer_row[1:]):
+                assert abs(Fraction(text) - Fraction(finer_text)) <= unit, (text, finer_text)
+
+    def test_trend_table_past_the_stieltjes_table(self):
+        code, out, err = run("verify", "--table", "4", "--digits", "116")
+        assert code == 0 and err == ""
+        assert out == run("verify", "--table", "4", "--digits", "136")[1]
+        assert out.endswith("# result: pass\n")
+        values = recompute_table("trend_fullhistory", 116)
+        finer = recompute_table("trend_fullhistory", 136)
+        for key, value in values.items():
+            assert abs(value.to_fraction() - finer[key].to_fraction()) <= Fraction(1, 10**116), key
+
+    def test_trend_target_refuses_stieltjes(self):
+        # even a table that exists: the trend reads none
+        code, out, err = run("approx", "--scheme", "a1", "--target", "trend",
+                             "--stieltjes", str(default_stieltjes_path()))
+        assert (code, out) == (2, "")
+        assert err == "likeiper: error: --target trend reads no --stieltjes\n"
 
 
 class TestScan:

@@ -9,15 +9,30 @@ The argv mix edge values (0, -1, the zero table's 50/51 digits, the Stieltjes
 table's 81/82 indices and 115/116 digits, nan, inf, 1e400, malformed text)
 with options a mode does not read and data paths that do not exist.
 ``--n-max`` and ``--samples`` stay small, so that each call is short.
+
+Over ``--digits`` the data tables support, every cell of ``lambda``, ``scan``,
+``approx`` at its default target and the ``lhs``/``z_partial`` columns of
+``zeros --inversion`` is within one unit in its last place of the benchmark's
+reference values (``perfbench/reference/reference.json``, computed from mpmath
+primitives alone at 190 digits and stored to 130 significant digits).
 """
 
 import contextlib
 import io
+import json
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from likeiper.cli import main
+from likeiper.bigreal import MIN_DIGITS
+from likeiper.cli import _parse_scheme, main
+from likeiper.constants import load_stieltjes
+from likeiper.lambda_core import guard_digits
+from likeiper.recurrences import VOROS, RecurrenceScheme
+from likeiper.zeros import load_zeros
 
 EDGES = ("0", "-1", "2", "10", "50", "51", "81", "82", "115", "116", "nan", "inf", "1e400", "abc")
 COUNTS = ("0", "-1", "2", "10", "81", "82", "nan", "abc")
@@ -129,3 +144,79 @@ def test_exit_code_message_and_places(argv):
         for cell in cells:
             if "." in cell:
                 assert len(cell.split(".")[1]) == digits, (argv, line)
+
+
+REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                        / "reference.json").read_text())["ops"]
+
+#: per command: the reference op whose cells it is checked against, the
+#: largest n that op covers, and the columns checked
+_REFERENCED = {
+    "lambda": ("lambda_80_50", 80, ("trend_over_n", "tiny_over_n", "lambda")),
+    "scan": ("scan_32_80", 32, ("ratio",)),
+    **{f"approx {scheme}": (f"approx_{scheme.replace(':', '')}", 32,
+                            ("predicted", "exact", "abs_error", "rel_error"))
+       for scheme in ("a1", "b", "d", "a2", "m:4")},
+    "zeros --inversion": ("inversion_32_50", 32, ("lhs", "z_partial")),
+}
+
+
+def _reference(op_id):
+    """The op's number cells as exact rationals, by (n, column)."""
+    return {(int(row), column): Fraction(value)
+            for row, column, kind, value, *_ in REFERENCE[op_id] if kind == "num"}
+
+
+@st.composite
+def supported_runs(draw):
+    """An argv, the reference op and columns it is checked against, and its
+    --digits, drawn at most the digits the Stieltjes and zero tables serve."""
+    name = draw(st.sampled_from(sorted(_REFERENCED)))
+    op_id, n_top, columns = _REFERENCED[name]
+    command, *rest = name.split()
+    guard, n_low = 0, 1
+    if command == "approx":
+        scheme, _ = _parse_scheme(rest[0])
+        rest, n_low = ["--scheme", rest[0]], max(2, scheme.m or 2)
+    n_max = draw(st.integers(n_low, n_top))
+    if command == "approx":
+        guard = scheme.guard_digits(n_max)
+    elif command == "zeros":
+        guard = RecurrenceScheme(kind=VOROS).guard_digits(n_max)
+    top = load_stieltjes().digits - guard_digits(n_max) - guard
+    if command == "zeros":
+        top = min(top, load_zeros().digits)
+    digits = draw(st.integers(MIN_DIGITS, top))
+    return [command, *rest, "--n-max", str(n_max), "--digits", str(digits)], op_id, columns, digits
+
+
+@settings(max_examples=100, deadline=None)
+@given(supported_runs())
+def test_cells_within_one_unit_of_the_reference(run):
+    argv, op_id, columns, digits = run
+    code, out, err = _run(argv)
+    assert code == 0 and err == "", (argv, err)
+    want, unit = _reference(op_id), Fraction(1, 10**digits)
+    lines = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
+    header, rows = lines[0], lines[1:]
+    assert rows, argv
+    checked = [header.index(column) for column in columns]
+    wrong = [(row[0], header[i]) for row in rows for i in checked
+             if abs(Fraction(row[i]) - want[int(row[0]), header[i]]) > unit]
+    assert wrong == [], argv
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: cells with k integer digits print k "
+                                       "places past their tag; 17 cells are off by more than "
+                                       "one unit, the worst by 1.35e4")
+def test_a2_tiny_target_within_one_unit_of_80_digits():
+    argv = ["approx", "--scheme", "a2", "--target", "tiny", "--n-max", "20"]
+    code, out, _ = _run(argv + ["--digits", "40"])
+    finer_code, finer, _ = _run(argv + ["--digits", "80"])
+    assert code == finer_code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    finer_rows = [line.split("\t") for line in finer.splitlines()[1:]]
+    assert [row[0] for row in rows] == [row[0] for row in finer_rows]
+    wrong = [(row[0], i) for row, finer_row in zip(rows, finer_rows) for i in range(1, 5)
+             if abs(Fraction(row[i]) - Fraction(finer_row[i])) > Fraction(1, 10**40)]
+    assert wrong == []

@@ -73,7 +73,7 @@ PUBLIC_SURFACE = {
                   "parse_indexed_table", "read_table", "table_digits"},
     "goldens": {"Builder", "CellReport", "GoldenCell", "GoldenTable", "TABLE_IDS", "TABLE_NAMES",
                 "TableReport", "load_golden", "recompute_table", "tables_dir", "verify_table"},
-    "lambda_core": {"LambdaTable", "ScanRow", "conjecture_scan", "guard_digits",
+    "lambda_core": {"LambdaTable", "ScanRow", "conjecture_scan", "guard_digits", "history",
                     "lambda1_closed_form", "lambda_table", "tiny_series", "trend_series"},
     "probe": {"ComplexLike", "ComplexSample", "DEFAULT_PROBE_DIGITS", "LineProbeReport",
               "NearCollision", "ProbeEvaluationError", "SampleFailure", "VARY_IM", "VARY_RE",
