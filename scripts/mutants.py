@@ -61,10 +61,11 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("compose-h-one-short", "likeiper/series.py",
            "        h = [a_k, *accumulate(h)]\n", "        h = [a_k, *accumulate(h)][:len(a) - 2]\n",
            ("tests/test_series.py",)),
-    # decimal text read in integer arithmetic, and printed rounding half to even
-    Mutant("decimal-no-sticky-bit", "likeiper/bigreal.py",
-           "    quotient = (quotient << 1) | (remainder != 0)\n", "    quotient = quotient << 1\n",
-           ("tests/test_bigreal.py",)),
+    # a data file's decimal is read exactly, sign included
+    Mutant("decimal-reader-drops-sign", "likeiper/datafiles.py",
+           '    return -value if text[0] == "-" else value\n', "    return value\n",
+           ("tests/test_datafiles.py",)),
+    # printed rounding half to even
     Mutant("print-ties-away-from-zero", "likeiper/bigreal.py",
            "if 2 * rest + (units & 1) > denominator:", "if 2 * rest >= denominator:",
            ("tests/test_bigreal.py",)),
@@ -94,6 +95,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("tiny-no-guard", "likeiper/lambda_core.py",
            "    work = precision + guard_digits(n_max)\n    if n_max",
            "    work = precision\n    if n_max",
+           ("tests/test_lambda_core.py",)),
+    # ... and rounds each gamma_k / k! to nearest, once
+    Mutant("tiny-gamma-floored", "likeiper/lambda_core.py",
+           "coeffs.append((num + den) // (2 * den))", "coeffs.append(num // (2 * den))",
            ("tests/test_lambda_core.py",)),
     # ... and refuses a request whose working digits the Stieltjes table lacks
     Mutant("tiny-silent-cap", "likeiper/lambda_core.py",

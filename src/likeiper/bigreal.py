@@ -9,19 +9,14 @@ Every operation is one ``mpmath.libmp`` call on the raw tuples, rounded to
 nearest at the bits of ``tag + 5`` digits, its result stored as it comes.  A
 plain operand (``int``, ``Fraction``, ``str``, ``mpf``) is rounded once to
 those bits as ``BigReal(operand, tag)`` would be (a ``Fraction`` as
-``libmp.from_rational`` does it), with no object made for it.  Nothing here
-reads mpmath's global state.
-
-A plain decimal string (``[+-]digits[.digits]``, blanks around it allowed) is
-read in integer arithmetic: one division of its digits by a power of ten,
-rounded to nearest with ties to even.  That is mpmath's value bit for bit,
-except past 400 decimals after the point, where mpmath rounds twice, and for
-``.0``, which mpmath cannot read.  Any other string goes through mpmath.
+``libmp.from_rational`` does it, a string as mpmath reads it), with no object
+made for it.  Nothing here reads mpmath's global state.  The data files'
+decimals are not read here: ``datafiles.exact_decimal`` gives their exact
+values, which the kernels round at their own bits.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -37,9 +32,6 @@ DEFAULT_DIGITS = 50
 MIN_DIGITS = 10
 
 _Number = Union[int, str, Fraction, "BigReal", mpmath.mpf]
-
-#: A plain decimal literal, no exponent: the one rule for data files and the integer fast path.
-_PLAIN_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
 
 _make = mpmath.mp.make_mpf  # wraps a raw tuple as it is: no rounding, no context read
 _str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit (< 3.10.7)
@@ -62,21 +54,7 @@ def _raw(value: _Number, prec: int) -> tuple:
         return from_int(value, prec, round_nearest)
     if isinstance(value, Fraction):
         return from_rational(value.numerator, value.denominator, prec, round_nearest)
-    if isinstance(value, str) and _PLAIN_DECIMAL.fullmatch(text := value.strip()):
-        return _from_plain_decimal(text, prec)
     return mpmath.mpf(value, prec=prec, rounding=round_nearest)._mpf_
-
-
-def _from_plain_decimal(text: str, prec: int) -> tuple:
-    """A ``_PLAIN_DECIMAL`` match as man / 10^places, rounded to nearest at ``prec``
-    bits, ties to even: a quotient of at least prec + 2 bits, then a sticky bit."""
-    whole, _, fraction = text.lstrip("+-").partition(".")
-    fraction = fraction.rstrip("0")
-    man, scale = int(whole + fraction or "0"), 10 ** len(fraction)
-    shift = max(0, prec + 2 - man.bit_length() + scale.bit_length())
-    quotient, remainder = divmod(man << shift, scale)
-    quotient = (quotient << 1) | (remainder != 0)
-    return from_man_exp(-quotient if text[0] == "-" else quotient, -shift - 1, prec, round_nearest)
 
 
 def _ordering(test):

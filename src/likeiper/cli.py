@@ -232,6 +232,9 @@ def cmd_approx(args: argparse.Namespace) -> int:
         return _EXIT_OK
 
     target = args.target or default_target
+    n_lo = max(2, scheme.m or 2)
+    if n_lo > args.n_max:  # refused before any lambda part is built
+        raise ValueError(f"--n-max {args.n_max} below the scheme's first index {n_lo}")
     work = args.digits + scheme.guard_digits(args.n_max)  # the digits the binomial sum cancels
     if target == "lambda":  # each target builds only the part it reads
         exact = lambda_table(args.n_max, work, load_stieltjes(args.stieltjes)).total
@@ -241,9 +244,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
         raise ValueError("--target trend reads no --stieltjes")
     else:
         exact = history(trend_series(args.n_max, work))
-    n_lo = max(2, scheme.m or 2)
-    if n_lo > args.n_max:
-        raise ValueError(f"--n-max {args.n_max} below the scheme's first index {n_lo}")
     results = prediction_run(scheme, exact, n_lo, args.n_max, args.digits)
     # tiny/trend tabulations are conventionally per-n coefficients
     normalize = target in ("tiny", "trend")

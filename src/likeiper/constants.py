@@ -11,12 +11,14 @@ Euler-Maclaurin pass with an explicit error cutoff and no library zeta routine;
 it shares each n^-k across k, and the weights B_2j/(2j)! (one lazily built
 table per wp) with the probe's complex sum.  ``_elementary`` gives gamma, log 2
 and log pi as such ints, from libmp's fixed-point routines at explicit bits.
-``lambda_core`` consumes the ints as they are; ``zeta_int``, ``polygamma_half``
-and the constants' functions tag them; nothing reads mpmath's global context.
+``lambda_core``, ``recurrences.model_predictor`` and the probe consume the ints
+as they are; ``zeta_int``, ``polygamma_half`` and ``euler_gamma`` tag them;
+nothing reads mpmath's global context.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -24,21 +26,17 @@ from mpmath.libmp import (bernfrac, dps_to_prec, euler_fixed, ifac, ln2_fixed, m
                           to_fixed)
 
 from .bigreal import BigReal, DEFAULT_DIGITS, _fixed
-from .datafiles import default_stieltjes_path, parse_indexed_table, table_digits
+from .datafiles import default_stieltjes_path, exact_decimal, parse_indexed_table, table_digits
 
 
 class ConstantsError(ValueError):
     """Raised for unusable constants tables or out-of-domain requests."""
 
 
-def _log_pi_fixed(wp: int) -> int:
-    return to_fixed(mpf_log(mpf_pi(wp + 10), wp + 10), wp)
-
-
 def _elementary(wp: int) -> Tuple[int, int, int]:
     """(gamma, log 2, log pi) * 2^wp, each within a few units of its last place;
     a value tagged P takes wp = the bits of P + 15 digits."""
-    return euler_fixed(wp), ln2_fixed(wp), _log_pi_fixed(wp)
+    return euler_fixed(wp), ln2_fixed(wp), to_fixed(mpf_log(mpf_pi(wp + 10), wp + 10), wp)
 
 
 def euler_gamma(precision: int = DEFAULT_DIGITS) -> BigReal:
@@ -47,22 +45,13 @@ def euler_gamma(precision: int = DEFAULT_DIGITS) -> BigReal:
     return _fixed(euler_fixed(wp), wp, precision)
 
 
-def log_two(precision: int = DEFAULT_DIGITS) -> BigReal:
-    wp = dps_to_prec(precision + 15)
-    return _fixed(ln2_fixed(wp), wp, precision)
-
-
-def log_pi(precision: int = DEFAULT_DIGITS) -> BigReal:
-    wp = dps_to_prec(precision + 15)
-    return _fixed(_log_pi_fixed(wp), wp, precision)
-
-
 class StieltjesTable(NamedTuple):
     """Stieltjes coefficients gamma_0..gamma_{k_max} at a common digit count.
 
     ``entries`` holds the file's text, checked by ``load_stieltjes``; ``gamma(k)``
-    converts entry k to a ``BigReal`` when read.  ``tiny_series`` alone decides
-    which entries, at how many digits, a lambda request may read."""
+    reads entry k's exact value when it is asked for, and the caller rounds it
+    once at its own bits.  ``tiny_series`` alone decides which entries, at how
+    many digits, a lambda request may read."""
 
     entries: Dict[int, str]
     digits: int
@@ -71,9 +60,9 @@ class StieltjesTable(NamedTuple):
     def k_max(self) -> int:
         return max(self.entries)
 
-    def gamma(self, k: int) -> BigReal:
+    def gamma(self, k: int) -> Fraction:
         try:
-            return BigReal(self.entries[k], self.digits)
+            return exact_decimal(self.entries[k])
         except KeyError:
             raise ConstantsError(
                 f"Stieltjes table covers k <= {self.k_max}; gamma_{k} missing"
@@ -89,7 +78,7 @@ def load_stieltjes(path: Optional[Path] = None) -> StieltjesTable:
     independently computed Euler constant to the table's digit count (minus a
     2-digit margin for the table's own final-place rounding), since a wrong
     gamma_0 poisons every downstream coefficient.  Only gamma_0 is converted
-    here; the entries keep the file's text.
+    here, rounded to the table's digits; the entries keep the file's text.
     """
     if path is None:
         path = default_stieltjes_path()
@@ -102,7 +91,7 @@ def load_stieltjes(path: Optional[Path] = None) -> StieltjesTable:
                 f"expected {expected}, found {index}"
             )
     table = StieltjesTable(entries=dict(rows), digits=digits)
-    gamma0, reference = table.gamma(0), euler_gamma(digits)
+    gamma0, reference = BigReal(table.gamma(0), digits), euler_gamma(digits)
     if not gamma0.agrees_to(reference, digits - 2):
         raise ConstantsError(
             f"{path}: gamma_0 entry {gamma0.digits_str(20)} does not match "
@@ -184,7 +173,7 @@ def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     """
     if not isinstance(k, int) or k < 0:
         raise ConstantsError(f"polygamma_half needs an integer k >= 0, got {k!r}")
-    if k == 0:  # one rounding of the ints, as euler_gamma and log_two make
+    if k == 0:  # one rounding of the ints, as euler_gamma makes
         wp = dps_to_prec(precision + 15)
         gamma, log2, _ = _elementary(wp)
         return _fixed(-(gamma + 2 * log2), wp, precision)

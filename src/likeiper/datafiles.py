@@ -4,18 +4,24 @@ Every data file is TSV, read by ``read_table``: ``#`` lines are comments
 (``# key: value`` comments carry metadata), and each row is an integer index
 and one tab-separated field per name in the ``# columns:`` header (one field
 without it), indices strictly increasing.  Value tables hold one plain
-decimal per row.  The directory holding the files can be overridden with the
-``LIKEIPER_DATA_DIR`` environment variable.
+decimal per row, ``_PLAIN_DECIMAL``, and ``exact_decimal`` is the one reader of
+its value: exact, so that each kernel rounds it once at its own bits.  The
+directory holding the files can be overridden with the ``LIKEIPER_DATA_DIR``
+environment variable.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Tuple, Type
 
-from .bigreal import _PLAIN_DECIMAL, MIN_DIGITS
+from .bigreal import MIN_DIGITS
+
+#: A plain decimal literal, no exponent: the one number format of the value tables.
+_PLAIN_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
 
 
 class DataFormatError(ValueError):
@@ -116,10 +122,17 @@ def table_digits(path: Path, metadata: dict, rows: list, error: Type[ValueError]
     return digits
 
 
+def exact_decimal(text: str) -> Fraction:
+    """The exact value of ``text``, a plain decimal without blanks (as
+    ``parse_indexed_table`` gives it): its digits over a power of ten."""
+    whole, _, places = text.lstrip("+-").partition(".")
+    value = Fraction(int(whole + places or "0"), 10 ** len(places))
+    return -value if text[0] == "-" else value
+
+
 def _decimal(text: str, what: str = "value") -> str:
     """``text`` without surrounding blanks if it is a plain decimal literal
-    (no exponent), else ``ValueError``: the strings ``BigReal`` reads in
-    integer arithmetic."""
+    (no exponent), else ``ValueError``: the strings ``exact_decimal`` reads."""
     if not _PLAIN_DECIMAL.fullmatch(text.strip()):
         raise ValueError(f"{what} {text!r} is not a plain decimal")
     return text.strip()

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Tuple
 
-from mpmath.libmp import dps_to_prec, to_fixed
+from mpmath.libmp import dps_to_prec
 
 from .bigreal import BigReal, DEFAULT_DIGITS, _bits, _fixed
 from .constants import (ConstantsError, StieltjesTable, _elementary, euler_gamma, load_stieltjes,
@@ -61,8 +61,10 @@ def tiny_series(
     the table supports: it must hold gamma_0..gamma_{n_max-1} at work = precision
     + guard_digits(n_max) digits, or ``ConstantsError`` is raised; nothing is capped.
 
-    Each (-1)^k gamma_k / k! is one rounded int at 2^wp; those compose exactly,
-    and series_log runs on them tagged at the working digits, whose bits are wp.
+    Each (-1)^k gamma_k / k! is one integer division of the table's exact
+    decimal by k! times its power of ten, rounded to nearest at 2^wp: the one
+    rounding of gamma_k.  Those compose exactly, and series_log runs on them
+    tagged at the working digits, whose bits are wp.
     """
     if n_max < 1:
         raise ValueError("tiny_series needs n_max >= 1")
@@ -76,8 +78,9 @@ def tiny_series(
     wp = _bits(work + 5)
     coeffs = [1 << wp]
     for k in range(n_max):
-        gamma, fact = to_fixed(stieltjes.gamma(k).raw, wp), math.factorial(k)
-        coeffs.append((2 * parity_sign(k) * gamma + fact) // (2 * fact))
+        gamma, fact = stieltjes.gamma(k), math.factorial(k)
+        num, den = parity_sign(k) * gamma.numerator << (wp + 1), gamma.denominator * fact
+        coeffs.append((num + den) // (2 * den))
     logged = series_log([_fixed(c, wp, work + 5) for c in series_compose_zmap(coeffs)])
     return tuple([BigReal(c, precision) for c in logged])
 

@@ -51,7 +51,7 @@ from mpmath.libmp import (dps_to_prec, fone, from_float, from_man_exp, ften, log
                           round_nearest, to_fixed, to_float)
 
 from .bigreal import BigReal, _fixed
-from .constants import bernoulli_weight, euler_gamma
+from .constants import _elementary, bernoulli_weight
 
 DEFAULT_PROBE_DIGITS = 30
 
@@ -296,7 +296,7 @@ def _f_on_line(s: Tuple[tuple, tuple], precision: int, line: dict,
             "(too near a zero)"
         )
     if ("1/gamma", wp) not in line:
-        line["1/gamma", wp] = (one << wp) // to_fixed(euler_gamma(precision).raw, wp)
+        line["1/gamma", wp] = (one << wp) // _elementary(wp)[0]
     q = ((dzr * zr + dzi * zi) << wp) // den, ((dzi * zr - dzr * zi) << wp) // den  # zeta'/zeta
     fr, fi = _mul(_mul((sre, sim), (sre - one, sim), wp), q, wp)
     inv_gamma = line["1/gamma", wp]

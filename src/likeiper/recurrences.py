@@ -54,7 +54,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 from mpmath.libmp import dps_to_prec, log_int_fixed
 
 from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError, _fixed
-from .constants import euler_gamma, log_pi, log_two
+from .constants import _elementary
 from .series import parity_sign
 
 Value = Union[BigReal, Fraction]
@@ -360,12 +360,15 @@ def model_predictor(n: int, precision: int = DEFAULT_DIGITS) -> BigReal:
         g(k) = (1/2) k log k + (c + gamma) k,
 
     where c = (gamma - 1 - log 2pi)/2.  The predictor is linear and maps the
-    sequence k to n exactly, so this is (-1)^(n-1) phi1(n) / 2 + (c + gamma) n.
+    sequence k to n exactly, so this is (-1)^(n-1) phi1(n) / 2 + (c + gamma) n,
+    the second term (3 gamma - 1 - log 2 - log pi) n / 2 formed on
+    ``_elementary``'s ints and tagged once.
     """
     if n < 2:
         raise ValueError("model_predictor needs n >= 2")
     work = precision + 10
-    gamma = euler_gamma(work)
-    c = (gamma - 1 - log_two(work) - log_pi(work)) / 2  # log 2pi = log 2 + log pi
+    wp = dps_to_prec(work + 15)
+    gamma, log2, logpi = _elementary(wp)
+    linear = _fixed((3 * gamma - (1 << wp) - log2 - logpi) * n, wp + 1, work)
     phi1, _ = phi_nlogn(n, work)
-    return BigReal(phi1 * parity_sign(n - 1) / 2 + (c + gamma) * n, precision)
+    return BigReal(phi1 * parity_sign(n - 1) / 2 + linear, precision)

@@ -9,28 +9,25 @@ truncated sums (in fixed point) and rigorous-to-a-factor bounds on their tails
 and on the dropped remainders from the zero-counting density
 (1/2pi) log(t/2pi) dt; and the inversion consistency check.
 
-Ordinates are ingested from a data file, never computed here; the shipped
-table carries provenance in its header.
+Ordinates are ingested from a data file, never computed here, and kept as
+their exact decimal values; the shipped table carries provenance in its header.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
-from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_log,
-                          mpf_mul, mpf_pi, mpf_pow_int, mpf_shift, round_down, round_nearest,
-                          to_fixed)
+from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, from_rational, mpf_add,
+                          mpf_div, mpf_log, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift, round_nearest)
 
 from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError, _rounded
-from .datafiles import default_zeros_path, parse_indexed_table, table_digits
+from .datafiles import default_zeros_path, exact_decimal, parse_indexed_table, table_digits
 from .series import parity_sign
 
 if TYPE_CHECKING:
     from .lambda_core import LambdaTable
-
-
-_QUARTER = from_man_exp(1, -2)
 
 
 class ZeroDataError(ValueError):
@@ -38,9 +35,10 @@ class ZeroDataError(ValueError):
 
 
 class ZeroList(NamedTuple):
-    """Validated, strictly increasing zero ordinates t_1 < t_2 < ..."""
+    """Validated, strictly increasing zero ordinates t_1 < t_2 < ..., each the
+    exact value of its decimal in the file, which carries ``digits`` digits."""
 
-    ordinates: Tuple[BigReal, ...]
+    ordinates: Tuple[Fraction, ...]
     digits: int
     warnings: Tuple[str, ...] = ()
 
@@ -49,7 +47,7 @@ class ZeroList(NamedTuple):
         return len(self.ordinates)
 
     @property
-    def last(self) -> BigReal:
+    def last(self) -> Fraction:
         return self.ordinates[-1]
 
 
@@ -59,17 +57,18 @@ def load_zeros(path: Optional[Path] = None) -> ZeroList:
     Hard failures: non-increasing ordinates, or a first ordinate outside
     (14.1, 14.2) — both indicate a corrupt or mislabeled file.  A file with
     very few ordinates is accepted but carries a warning, since tail bounds
-    then dominate every partial sum.  Without a ``# digits:`` header the
-    ordinates are tagged with the significant digits of the shortest one.
+    then dominate every partial sum.  Every check compares exact values.
+    Without a ``# digits:`` header the table carries the significant digits
+    of its shortest ordinate.
     """
     if path is None:
         path = default_zeros_path()
     metadata, rows = parse_indexed_table(path)
     digits = table_digits(path, metadata, rows, ZeroDataError)
-    ordinates: List[BigReal] = []
+    ordinates: List[Fraction] = []
     previous = None
     for index, text in rows:
-        t = BigReal(text, digits)
+        t = exact_decimal(text)
         if previous is not None and not (t > previous):
             raise ZeroDataError(
                 f"{path}: ordinate #{index} = {text} is not strictly increasing"
@@ -77,10 +76,10 @@ def load_zeros(path: Optional[Path] = None) -> ZeroList:
         previous = t
         ordinates.append(t)
     first = ordinates[0]
-    if not (BigReal("14.1", digits) < first < BigReal("14.2", digits)):
+    if not (Fraction(141, 10) < first < Fraction(142, 10)):
         raise ZeroDataError(
-            f"{path}: first ordinate {first.digits_str(10)} outside (14.1, 14.2); "
-            "not a table of nontrivial-zero ordinates from the start"
+            f"{path}: first ordinate {BigReal(first, digits).digits_str(10)} outside "
+            "(14.1, 14.2); not a table of nontrivial-zero ordinates from the start"
         )
     warnings: List[str] = []
     if len(ordinates) < 10:
@@ -105,22 +104,25 @@ def _zero_digits(zeros: ZeroList, precision: int) -> int:
 def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, ...]:
     """Truncated power sums Z(j) = sum_{k=1}^{count} (1/4 + t_k^2)^(-j), j = 1..j_max.
 
-    One fixed-point pass: with x_k = 1/4 + t_k^2 (exact) and r_k = x_1/x_k
-    <= 1 as 2^wp-scaled ints, Z(j) = x_1^(-j) sum_k r_k^j, each r_k^j one
-    multiply and shift from r_k^(j-1).  Scaling by x_1 keeps the sum >= 1, so
-    the fixed point is relative (Z(32) is near 10^-74).  Each r_k is below its
-    exact value by < 2 ulps, so r_k^j by < 3j ulps after j truncating steps,
-    and the running x_1^(-j) is within j ulps: (3 count + 1) j_max bounds the
-    error in ulps, and its bit length is added as guard bits.  Values are
-    tagged ``precision``; past the digits the ordinates carry, ``PrecisionError``.
+    One fixed-point pass: with x_k = 1/4 + t_k^2 = a_k / (4 q_k^2), exact for
+    t_k = p_k / q_k and a_k = 4 p_k^2 + q_k^2, and r_k = x_1/x_k <= 1 as
+    2^wp-scaled ints, Z(j) = x_1^(-j) sum_k r_k^j, each r_k^j one multiply and
+    shift from r_k^(j-1).  Scaling by x_1 keeps the sum >= 1, so the fixed
+    point is relative (Z(32) is near 10^-74).  Each r_k is one integer
+    division, a_1 q_k^2 2^wp // (q_1^2 a_k), below its exact value by < 1 ulp,
+    so r_k^j by < 2j ulps after j truncating steps, and the running x_1^(-j)
+    is within j ulps: (2 count + 1) j_max bounds the error in ulps, and its
+    bit length is added as guard bits.  Values are tagged ``precision``; past
+    the digits the ordinates carry, ``PrecisionError``.
     """
     if j_max < 1:
         raise ValueError("z_partial needs j_max >= 1")
     precision = _zero_digits(zeros, precision)
-    wp = dps_to_prec(precision + 10) + ((3 * zeros.count + 1) * j_max).bit_length()
-    xs = [mpf_add(mpf_mul(t.raw, t.raw), _QUARTER) for t in zeros.ordinates]
-    ratios = [to_fixed(mpf_div(xs[0], x, wp, round_down), wp) for x in xs]
-    step = mpf_div(fone, xs[0], wp, round_nearest)
+    wp = dps_to_prec(precision + 10) + ((2 * zeros.count + 1) * j_max).bit_length()
+    xs = [(4 * t.numerator**2 + t.denominator**2, t.denominator**2) for t in zeros.ordinates]
+    a1, qq1 = xs[0]  # x_k = a / (4 qq)
+    ratios = [(a1 * qq << wp) // (qq1 * a) for a, qq in xs]
+    step = from_rational(4 * qq1, a1, wp, round_nearest)
     powers, scale, sums = ratios, step, []
     for _ in range(j_max):
         total = mpf_mul(from_man_exp(sum(powers), -wp), scale, wp, round_nearest)
@@ -130,19 +132,21 @@ def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> T
     return tuple(sums)
 
 
-def _density_tails(j_max: int, T: tuple, precision: int) -> Tuple[BigReal, ...]:
-    """The density integral over the omitted tail (T a libmp tuple), for j = 1..j_max:
+def _density_tails(j_max: int, T: Fraction, precision: int) -> Tuple[BigReal, ...]:
+    """The density integral over the omitted tail beyond the exact height T, for j = 1..j_max:
 
         integral_T^inf (1/2pi) log(t/2pi) t^(-2j) dt
           = (1/2pi) T^(-(2j-1)) (1/(2j-1)) (log(T/2pi) + 1/(2j-1)).
 
-    1/2pi and log(T/2pi) are computed once; each j takes its own power of T
-    and evaluates the closed form left to right at precision + 10 digits, so
-    every value has the bits of a separate evaluation for that j alone.
+    T is rounded once to precision + 10 digits; 1/2pi and log(T/2pi) are
+    computed once; each j takes its own power of T and evaluates the closed
+    form left to right at those digits, so every value has the bits of a
+    separate evaluation for that j alone.
     """
     if j_max < 1:
         raise ValueError("tail bounds need j_max >= 1")
     prec, rnd = dps_to_prec(precision + 10), round_nearest
+    T = from_rational(T.numerator, T.denominator, prec, rnd)
     twopi = mpf_shift(mpf_pi(prec, rnd), 1)
     scale = mpf_div(fone, twopi, prec, rnd)
     log_term = mpf_log(mpf_div(T, twopi, prec, rnd), prec, rnd)
@@ -163,7 +167,7 @@ def z_tail_bound(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -
     factor 2 absorbs that fluctuation over every range relevant here.
     Tagged ``precision``, which T = t_count must carry, as in z_partial.
     """
-    tails = _density_tails(j_max, zeros.last.raw, _zero_digits(zeros, precision))
+    tails = _density_tails(j_max, zeros.last, _zero_digits(zeros, precision))
     return tuple([tail * 2 for tail in tails])
 
 
@@ -175,7 +179,7 @@ def delta_bound(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, .
     This is the density integral from the first-zero height; it does not
     assume anything about the real parts of the zeros.
     """
-    return _density_tails(n_max, from_int(14), precision)
+    return _density_tails(n_max, Fraction(14), precision)
 
 
 class InversionCheck(NamedTuple):

@@ -11,9 +11,8 @@ from mpmath import mp
 from mpmath.libmp import (dps_to_prec, from_int, from_rational, from_str, fzero, mpf_add,
                           mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest)
 
-from likeiper import bigreal
-from likeiper.bigreal import _PLAIN_DECIMAL, DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError
-from likeiper.datafiles import _decimal
+from likeiper.bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError
+from likeiper.datafiles import _PLAIN_DECIMAL, exact_decimal
 
 
 class TestConstruction:
@@ -405,7 +404,10 @@ def test_operators_are_one_libmp_call_at_the_smaller_tag(kind, x, data):
     assert got == expected
 
 
-# -- plain decimals in integer arithmetic -----------------------------------------
+# -- a data file's decimal: its exact value, rounded once at the tag --------------
+#
+# The data files' decimals reach a BigReal only as datafiles.exact_decimal's exact
+# value; BigReal rounds that Fraction once, which is mpmath's own reading of the text.
 
 def _mpmath_value(text, tag):
     """mpmath's own reading of ``text`` at ``tag``'s working bits: the oracle."""
@@ -445,14 +447,14 @@ def _unreadable_to_mpmath(text):
 @given(text=_plain_decimals, tag=_fast_tags)
 def test_plain_decimals_are_mpmaths_value(text, tag):
     expected = fzero if _unreadable_to_mpmath(text) else _mpmath_value(text, tag)
-    assert BigReal(text, tag).value._mpf_ == expected
+    assert BigReal(exact_decimal(text.strip()), tag).value._mpf_ == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_binary_fractions())
 def test_plain_decimal_ties_round_to_even(case):
     text, tag = case
-    assert BigReal(text, tag).value._mpf_ == _mpmath_value(text, tag)
+    assert BigReal(exact_decimal(text), tag).value._mpf_ == _mpmath_value(text, tag)
 
 
 @pytest.mark.parametrize("text, expected", [("-0.000", 0), ("1.", 1), (".5", Fraction(1, 2)),
@@ -460,7 +462,8 @@ def test_plain_decimal_ties_round_to_even(case):
                                             (".0", 0), ("-.000", 0)])
 @pytest.mark.parametrize("tag", [MIN_DIGITS, 50, 500])
 def test_plain_decimal_edge_forms(text, expected, tag):
-    x = BigReal(text, tag)
+    assert exact_decimal(text) == expected
+    x = BigReal(exact_decimal(text), tag)
     if not _unreadable_to_mpmath(text):
         assert x.value._mpf_ == _mpmath_value(text, tag)
     assert x.to_fraction() == expected
@@ -468,13 +471,13 @@ def test_plain_decimal_edge_forms(text, expected, tag):
 
 
 def test_plain_decimal_past_400_places_rounds_once():
-    # mpmath multiplies by a rounded 10^-places past 400 places; the fast path
-    # stays the correctly rounded quotient, libmp's from_rational
+    # mpmath multiplies by a rounded 10^-places past 400 places; the exact value
+    # rounded once is the correctly rounded quotient, libmp's from_rational
     text = "0." + "3" * 320 + "1415926535" * 9
     prec = dps_to_prec(55)
     man = int(text[2:])
-    assert BigReal(text, 50).value._mpf_ == from_rational(man, 10 ** (len(text) - 2), prec,
-                                                          round_nearest)
+    assert BigReal(exact_decimal(text), 50).value._mpf_ == from_rational(
+        man, 10 ** (len(text) - 2), prec, round_nearest)
 
 
 def _value_or_error(compute):
@@ -488,22 +491,8 @@ def _value_or_error(compute):
                                   "٣.١٤", "１２", "", ".", "+", "-.",
                                   " ", "1.2.3", "0x10", "1,5", "abc"])
 @pytest.mark.parametrize("tag", [MIN_DIGITS, 500])
-def test_other_strings_keep_mpmaths_value_or_error(text, tag, monkeypatch):
-    monkeypatch.setattr(bigreal, "_from_plain_decimal", None)  # calling it would fail
+def test_other_strings_keep_mpmaths_value_or_error(text, tag):
+    # a string operand is mpmath's to read, whatever its form
     got = _value_or_error(lambda: BigReal(text, tag).value._mpf_)
     assert got == _value_or_error(lambda: _mpmath_value(text, tag))
 
-
-@settings(max_examples=200, deadline=None)
-@given(text=st.one_of(_plain_decimals, st.text(max_size=12),
-                      st.text("0123456789+-. e_", max_size=12)))
-def test_the_table_reader_and_the_fast_path_accept_the_same_strings(text):
-    calls = []  # a spy by hand: hypothesis reruns the body, a monkeypatch fixture would not
-    original = bigreal._from_plain_decimal
-    bigreal._from_plain_decimal = lambda text, prec: calls.append(text) or original(text, prec)
-    try:
-        _value_or_error(lambda: BigReal(text, MIN_DIGITS))
-    finally:
-        bigreal._from_plain_decimal = original
-    accepted = _value_or_error(lambda: _decimal(text)) is not ValueError
-    assert bool(calls) == accepted

@@ -442,6 +442,15 @@ class TestOnlyThePartRead:
         assert run(*argv) == expected
         assert expected[0] == 0
 
+    @pytest.mark.parametrize("target", [(), ("--target", "lambda"), ("--target", "trend")],
+                             ids=lambda t: " ".join(t) or "default")
+    def test_index_refused_before_any_part_is_built(self, monkeypatch, target):
+        for name in ("tiny_series", "trend_series", "lambda_table"):
+            self.refuse(monkeypatch, name)
+        code, out, err = run("approx", "--scheme", "m:80", "--n-max", "79", *target)
+        assert (code, out) == (2, "")
+        assert err == "likeiper: error: --n-max 79 below the scheme's first index 80\n"
+
     def test_trend_approx_past_the_stieltjes_table(self):
         # tiny_series would work at 120 + 15 digits, past the table's 130
         argv = ("approx", "--scheme", "a1", "--target", "trend", "--n-max", "2")

@@ -18,14 +18,13 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
-from likeiper import bigreal
+from likeiper import bigreal, constants
 from likeiper.bigreal import BigReal
 from likeiper.constants import (
     ConstantsError,
+    _elementary,
     euler_gamma,
     load_stieltjes,
-    log_pi,
-    log_two,
     polygamma_half,
     zeta_int,
     zeta_ints,
@@ -145,7 +144,8 @@ class TestPolygammaHalf:
 
     def test_base_value_closed_form(self):
         # psi(1/2) = -gamma - 2 log 2
-        expected = -euler_gamma(60) - BigReal(2, 60) * log_two(60)
+        with mp.workdps(70):
+            expected = BigReal(-mp.euler - 2 * mp.log(2), 60)
         assert polygamma_half(0, 60).agrees_to(expected, 55)
 
     def test_base_value_rounded_once(self):
@@ -189,30 +189,31 @@ class TestStieltjesTable:
             assert abs(Fraction(stieltjes.entries[k]) - Fraction(text)) <= unit, k
 
     def test_gamma0_oracle(self, stieltjes):
-        assert agrees(stieltjes.gamma(0), brent_mcmillan_gamma(), 50)
+        assert agrees(BigReal(stieltjes.gamma(0), 60), brent_mcmillan_gamma(), 50)
 
     def test_gamma1_oracle(self, stieltjes):
-        assert agrees(stieltjes.gamma(1), euler_maclaurin_gamma1(), 35)
+        assert agrees(BigReal(stieltjes.gamma(1), 60), euler_maclaurin_gamma1(), 35)
 
     def test_default_path_exists(self):
         assert default_stieltjes_path().is_file()
 
     def test_gamma_converts_the_file_text_at_the_table_digits(self, stieltjes):
+        # gamma(k) is the text's exact value; rounded once at the table's digits
+        # it is mpmath's own reading of the text
         _, rows = parse_indexed_table(default_stieltjes_path())
         prec = dps_to_prec(stieltjes.digits + 5)
         for k, text in rows:
             assert stieltjes.entries[k] == text
-            gamma = stieltjes.gamma(k)
-            assert gamma.value._mpf_ == BigReal(text, stieltjes.digits).value._mpf_
+            assert stieltjes.gamma(k) == Fraction(text)
+            gamma = BigReal(stieltjes.gamma(k), stieltjes.digits)
             assert gamma.value._mpf_ == mpmath.mpf(text, prec=prec, rounding="n")._mpf_
-            assert gamma.precision == stieltjes.digits
 
     def test_tiny_series_converts_only_the_gammas_it_reads(self, monkeypatch):
         table = load_stieltjes()
         converted = []
-        original = bigreal._from_plain_decimal
-        monkeypatch.setattr(bigreal, "_from_plain_decimal",
-                            lambda text, prec: converted.append(text) or original(text, prec))
+        original = constants.exact_decimal
+        monkeypatch.setattr(constants, "exact_decimal",
+                            lambda text: converted.append(text) or original(text))
         tiny_series(11, 30, table)
         assert converted == [table.entries[k] for k in range(11)]
 
@@ -315,7 +316,9 @@ class TestFundamentalConstants:
             assert agrees(lambda1_closed_form(60), 1 + mp.euler / 2 - mp.log(4 * mp.pi) / 2, 55)
         # log(4 pi) - log(2 pi) = log 2 turns lambda(1) = 1 + gamma/2 - log(4 pi)/2
         # and c = (gamma - 1 - log 2pi)/2 into lambda(1) = c + (3 - log 2)/2
-        assert lambda1_closed_form(60).agrees_to(model_constant(60) + (3 - log_two(60)) / 2, 55)
+        with mp.workdps(70):
+            log_two = BigReal(mp.log(2), 60)
+        assert lambda1_closed_form(60).agrees_to(model_constant(60) + (3 - log_two) / 2, 55)
 
     def test_c_model_definition(self):
         # c = (gamma - 1 - log 2pi) / 2
@@ -323,6 +326,10 @@ class TestFundamentalConstants:
             assert agrees(model_constant(60), (mp.euler - 1 - mp.log(2 * mp.pi)) / 2, 55)
 
     def test_log_helpers(self):
-        with mp.workdps(70):
-            assert agrees(log_pi(60), mp.log(mp.pi), 55)
-            assert agrees(log_two(60), mp.log(2), 55)
+        # gamma, log 2 and log pi as 2^wp-scaled ints, within a few units of mpmath's
+        for digits in (10, 60, 150):
+            wp = dps_to_prec(digits + 15)
+            with mp.workprec(wp + 40):
+                exact = [mp.euler, mp.log(2), mp.log(mp.pi)]
+                for got, value in zip(_elementary(wp), exact):
+                    assert abs(got - value * 2**wp) < 4, digits

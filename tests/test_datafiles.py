@@ -1,12 +1,17 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from likeiper.datafiles import (
+    _PLAIN_DECIMAL,
     DataFormatError,
     data_dir,
     default_stieltjes_path,
     default_zeros_path,
+    exact_decimal,
     parse_indexed_table,
 )
 
@@ -98,3 +103,23 @@ class TestDataDir:
     def test_empty_override_falls_back(self, monkeypatch):
         monkeypatch.setenv("LIKEIPER_DATA_DIR", "")
         assert data_dir().name == "data"
+
+
+_digits = st.text("0123456789", max_size=450)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.builds(lambda sign, whole, point, places: f"{sign}{whole}{point}{places}",
+                      st.sampled_from(["", "+", "-"]), _digits, st.sampled_from(["", "."]),
+                      _digits).filter(_PLAIN_DECIMAL.fullmatch))
+@example(text="-7")
+@example(text="+.5")
+@example(text="5.")
+@example(text="-0.0")
+@example(text="-.000")
+@example(text="-007.50")
+@example(text="0." + "9" * 449 + "7")
+@example(text="-3." + "1415926535" * 45)
+def test_exact_decimal_is_fractions_reading(text):
+    # the one reader of the data files' decimals, against Python's own
+    assert exact_decimal(text) == Fraction(text)

@@ -13,13 +13,13 @@ from mpmath import mp
 
 import likeiper
 from likeiper.bigreal import BigReal
-from likeiper.constants import euler_gamma, log_pi, log_two, polygamma_half
+from likeiper.constants import euler_gamma, polygamma_half
 from likeiper.lambda_core import (conjecture_scan, lambda1_closed_form, lambda_table, tiny_series,
                                   trend_series)
 from likeiper.probe import f_eval, zeta_complex
 from likeiper.recurrences import (RecurrenceScheme, VOROS, model_predictor, phi_nlogn,
                                   self_seeded_run)
-from likeiper.zeros import delta_bound
+from likeiper.zeros import delta_bound, load_zeros, z_partial, z_tail_bound
 
 SRC = Path(likeiper.__file__).parent
 _CONTEXT = re.compile(r"workdps|workprec|mp\.prec|mp\.dps")
@@ -37,13 +37,13 @@ _POINT = mpmath.mpc(mpmath.mpf("0.666666666666666666666666666666666667", prec=20
 
 CONVERTED = {
     "euler_gamma": lambda: euler_gamma(80),
-    "log_two": lambda: log_two(40),
-    "log_pi": lambda: log_pi(40),
     "polygamma_half": lambda: polygamma_half(0, 40),
     "lambda1_closed_form": lambda: lambda1_closed_form(60),
     "phi_nlogn": lambda: phi_nlogn(30, 30),
     "model_predictor": lambda: model_predictor(12, 30),
     "delta_bound": lambda: delta_bound(8, 40),
+    "z_partial": lambda: z_partial(8, load_zeros(), 40),
+    "z_tail_bound": lambda: z_tail_bound(8, load_zeros(), 40),
     "trend_series": lambda: trend_series(40, 50),
     "tiny_series": lambda: tiny_series(32, 50),
     "lambda_table": lambda: lambda_table(20, 40),

@@ -6,6 +6,7 @@ layer, so an arithmetic bug in either side shows up as a mismatch.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from likeiper import lambda_core
 from likeiper.bigreal import BigReal
 from likeiper.constants import ConstantsError
 from likeiper.lambda_core import (
@@ -217,6 +219,24 @@ class TestSeriesAccessors:
         s = trend_series(ORACLE_N, 50)
         for n in range(1, ORACLE_N + 1):
             assert s[n].agrees_to(table12.trend[n] / n, 48)
+
+
+class TestTinySeriesRoundsEachGammaOnce:
+    """The u-series tiny_series composes holds (-1)^k gamma_k / k! as the
+    table's exact decimal times 2^wp, rounded once to the nearest int."""
+
+    @pytest.mark.parametrize("n_max, digits", [(32, 50), (81, 20)])
+    def test_composed_ints(self, monkeypatch, stieltjes, n_max, digits):
+        seen = []
+        monkeypatch.setattr(lambda_core, "series_compose_zmap",
+                            lambda a: seen.append(a) or series_compose_zmap(a))
+        tiny_series(n_max, digits, stieltjes)
+        (coeffs,) = seen
+        wp = coeffs[0].bit_length() - 1
+        assert coeffs[0] == 1 << wp and len(coeffs) == n_max + 1
+        for k in range(n_max):
+            exact = (-1) ** k * Fraction(stieltjes.entries[k]) * 2**wp / math.factorial(k)
+            assert coeffs[k + 1] == round(exact), k
 
 
 def _exact(x):

@@ -67,10 +67,9 @@ PUBLIC_SURFACE = {
     "cli": {"cmd_approx", "cmd_lambda", "cmd_probe", "cmd_scan", "cmd_verify", "cmd_zeros",
             "main"},
     "constants": {"ConstantsError", "StieltjesTable", "bernoulli_weight", "euler_gamma",
-                  "load_stieltjes", "log_pi", "log_two", "polygamma_half", "zeta_int",
-                  "zeta_ints"},
+                  "load_stieltjes", "polygamma_half", "zeta_int", "zeta_ints"},
     "datafiles": {"DataFormatError", "data_dir", "default_stieltjes_path", "default_zeros_path",
-                  "parse_indexed_table", "read_table", "table_digits"},
+                  "exact_decimal", "parse_indexed_table", "read_table", "table_digits"},
     "goldens": {"Builder", "CellReport", "GoldenCell", "GoldenTable", "TABLE_IDS", "TABLE_NAMES",
                 "TableReport", "load_golden", "recompute_table", "tables_dir", "verify_table"},
     "lambda_core": {"LambdaTable", "ScanRow", "conjecture_scan", "guard_digits", "history",

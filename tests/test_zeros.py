@@ -5,9 +5,12 @@ line: the function must essentially vanish at each ordinate and must NOT
 vanish between consecutive ones, which catches shifted or duplicated rows.
 The closed-form tail integral is checked against adaptive quadrature, and
 the one-pass bounds bit for bit against the closed form evaluated per j.
+The oracles read each ordinate's exact value, rounded once at their own
+precision by ``_mpf``.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -27,13 +30,21 @@ from likeiper.zeros import (
 )
 
 
+def _mpf(t):
+    """The exact ordinate ``t`` (or an integer height) rounded once at mpmath's
+    context precision: mpmath reads ``p/q`` with one correctly rounded division."""
+    return mpmath.mpf(str(t))
+
+
 class TestLoadZeros:
     def test_default_table(self, zeros):
         assert zeros.count == 100
         assert zeros.digits == 50
         assert zeros.warnings == ()
         first = zeros.ordinates[0]
-        assert BigReal("14.1", 50) < first < BigReal("14.2", 50)
+        assert Fraction("14.1") < first < Fraction("14.2")
+        # the file's decimal, exactly
+        assert first == Fraction("14.134725141734693790457251983562470270784257115699")
 
     def test_strictly_increasing(self, zeros):
         for a, b in zip(zeros.ordinates, zeros.ordinates[1:]):
@@ -64,14 +75,14 @@ class TestOrdinateOracle:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_zeta_vanishes_at_ordinates(self, zeros, k):
         with mp.workdps(60):
-            t = zeros.ordinates[k].value
+            t = _mpf(zeros.ordinates[k])
             value = mpmath.zeta(mpmath.mpc(mpmath.mpf(1) / 2, t))
             assert abs(value) < mpmath.mpf(10) ** -30
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_zeta_not_small_between_ordinates(self, zeros, k):
         with mp.workdps(40):
-            mid = (zeros.ordinates[k].value + zeros.ordinates[k + 1].value) / 2
+            mid = _mpf((zeros.ordinates[k] + zeros.ordinates[k + 1]) / 2)
             value = mpmath.zeta(mpmath.mpc(mpmath.mpf(1) / 2, mid))
             assert abs(value) > mpmath.mpf("0.05")
 
@@ -90,7 +101,7 @@ class TestZPartial:
     def test_direct_recomputation(self, zeros):
         with mp.workdps(60):
             expected = mpmath.fsum(
-                (mpmath.mpf(1) / 4 + t.value**2) ** -3 for t in zeros.ordinates
+                (mpmath.mpf(1) / 4 + _mpf(t) ** 2) ** -3 for t in zeros.ordinates
             )
             got = z_partial(3, zeros, 50)[2]
             assert abs(got.value - expected) < mpmath.mpf(10) ** -45
@@ -108,7 +119,7 @@ class TestZPartial:
 def _fsum_oracle(j, zeros, precision):
     """sum_k (1/4 + t_k^2)^(-j) by mpmath.fsum at precision + 30 digits."""
     with mp.workdps(precision + 30):
-        return mpmath.fsum((mpmath.mpf(1) / 4 + t.value**2) ** -j for t in zeros.ordinates)
+        return mpmath.fsum((mpmath.mpf(1) / 4 + _mpf(t) ** 2) ** -j for t in zeros.ordinates)
 
 
 def _short_table(tmp_path, count):
@@ -163,7 +174,7 @@ def _per_n_inversion_row(n, lambdas, zeros, precision):
         total = mpmath.mpf(0)
         quarter = mpmath.mpf(1) / 4
         for t in zeros.ordinates:
-            total += (quarter + t.value * t.value) ** (-n)
+            total += (quarter + _mpf(t) ** 2) ** (-n)
         z_trunc = BigReal(total, precision)
     lhs = BigReal(_exact_lhs(n, lambdas), precision)
     bound = _tail_integral(n, zeros.last, precision) * 2
@@ -182,10 +193,10 @@ def _exact_lhs(n, lambdas):
 
 
 def _tail_integral(j, T, precision):
-    """The density integral beyond height T for one j, by the closed form as
-    first written, one call per j: the oracle for the one-pass bounds."""
+    """The density integral beyond the exact height T for one j, by the closed
+    form as first written, one call per j: the oracle for the one-pass bounds."""
     with mp.workdps(precision + 10):
-        Tv = T.value if isinstance(T, BigReal) else mpmath.mpf(T)
+        Tv = _mpf(T)
         twopi = 2 * mp.pi
         inv = mpmath.mpf(1) / (2 * j - 1)
         value = (1 / twopi) * Tv ** (-(2 * j - 1)) * inv * (mpmath.log(Tv / twopi) + inv)
@@ -215,15 +226,15 @@ class TestTailIntegral:
             got = delta_bound(3, 40)[j - 1]
             assert abs(got.value - integral(14)) < mpmath.mpf(10) ** -30
             got = z_tail_bound(3, zeros, 40)[j - 1]
-            assert abs(got.value - 2 * integral(zeros.last.value)) < mpmath.mpf(10) ** -30
+            assert abs(got.value - 2 * integral(_mpf(zeros.last))) < mpmath.mpf(10) ** -30
 
     def test_decreasing_in_j_and_height(self, zeros):
         low = delta_bound(2, 40)
         assert low[0] > low[1]
         assert low[0] > z_tail_bound(1, zeros, 40)[0] / 2
 
-    def test_accepts_bigreal_height(self, tmp_path):
-        # the bound starts at the last ordinate of the list it is given
+    def test_starts_at_the_last_ordinate(self, tmp_path):
+        # the bound starts at the exact last ordinate of the list it is given
         short = _short_table(tmp_path, 2)
         expected = [_tail_integral(j, short.last, 40) * 2 for j in (1, 2)]
         assert _bits(z_tail_bound(2, short, 40)) == _bits(expected)
