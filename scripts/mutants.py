@@ -169,6 +169,15 @@ MUTANTS: Tuple[Mutant, ...] = (
            "y0, y1 = q0 * ab0 - q1 * ab1 + p0 * apb - p1 * s2, q0 * ab1 + q1 * ab0 + p0 * s2 + p1 * apb",
            "y0, y1 = q0 * ab0 - q1 * ab1, q0 * ab1 + q1 * ab0",
            ("tests/test_probe.py::TestEngineOracle",)),
+    # a probe sample's error budget carries zeta'/zeta's share of zeta's error, and
+    # its f parts are tagged with their integer digits, so every printed place holds
+    Mutant("probe-budget-drops-quotient-term", "likeiper/probe.py",
+           "dq = e * (one + q) // (max(abs(zr), abs(zi)) - e) + 1",
+           "dq = e * one // (max(abs(zr), abs(zi)) - e) + 1",
+           ("tests/test_probe.py::TestPrintedPlaces",)),
+    Mutant("probe-tag-ignores-integer-digits", "likeiper/probe.py",
+           'precision + len(str(abs(x) >> wp).lstrip("0"))', "precision",
+           ("tests/test_probe.py::TestPrintedPlaces",)),
     # the near-collision sweep stops where the real gap reaches tol
     Mutant("sweep-break-at-half-tol", "likeiper/probe.py",
            "if fb.real - fa.real >= tol:", "if fb.real - fa.real >= tol / 2:",

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .bigreal import DEFAULT_DIGITS, BigReal, PrecisionError
 from .constants import euler_gamma
-from .datafiles import DataFormatError, _decimal, data_dir, read_table
+from .datafiles import DataFormatError, _decimal, data_dir, exact_decimal, read_table
 from .lambda_core import conjecture_scan, history, lambda_table, tiny_series, trend_series
 from .recurrences import FULL_HISTORY, ORDER_M, VOROS, RecurrenceScheme, phi_nlogn, predict
 
@@ -98,7 +98,7 @@ def _parse_cell(text: str) -> Optional[Tuple[str, Optional[str], int]]:
             places = int(value)
         else:
             raise ValueError(f"unknown cell annotation {annotation!r}")
-    _decimal(printed, "printed value")
+    printed = _decimal(printed, "printed value")
     if places is None:  # the decimals of the value a recomputation should reproduce
         places = len((expect or printed).partition(".")[2])
     return printed, expect, places
@@ -269,13 +269,13 @@ class TableReport(NamedTuple):
 
 def _compare_cell(cell: GoldenCell, recomputed: BigReal) -> CellReport:
     value = recomputed.to_fraction()
-    deviation = abs(value - Fraction(cell.target))
+    deviation = abs(value - exact_decimal(cell.target))
     return CellReport(
         cell=cell,
         recomputed=recomputed,
         matches=deviation < cell.tolerance,
         deviation=deviation,
-        printed_matches=abs(value - Fraction(cell.printed)) < cell.tolerance,
+        printed_matches=abs(value - exact_decimal(cell.printed)) < cell.tolerance,
     )
 
 

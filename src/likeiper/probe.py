@@ -34,8 +34,10 @@ exp(-(delta - delta0) log p), so log runs once per prime and wp, and exp
 and cos/sin about once per prime and line.  f follows on the same ints: a
 line's points enter as the exact mpf parts of their floats, zeta'/zeta is
 one integer complex division, and each part of f is rounded once, into the
-``BigReal`` a sample keeps.  mpc appears only where ``zeta_complex``,
-``zeta_deriv`` and ``f_eval`` take and return values.
+``BigReal`` a sample keeps, tagged with the digits asked for plus its integer
+digits.  A sample's working digits come from its propagated error budget, with
+one retry where the first pass falls short.  mpc appears only where
+``zeta_complex``, ``zeta_deriv`` and ``f_eval`` take and return values.
 """
 
 from __future__ import annotations
@@ -107,10 +109,12 @@ def _step(line: dict, log_p: int, step: Tuple[int, int, int, int]) -> Tuple[int,
     return value
 
 
-def _zeta_fixed(s: Tuple[tuple, tuple], precision: int, line: dict,
+def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
                 guard: int) -> Tuple[int, Tuple[int, int], Tuple[int, int], Tuple[int, int]]:
     """wp, s, zeta(s) and zeta'(s) as (re, im) pairs of 2^wp-scaled ints, from one
-    Euler-Maclaurin pass in fixed point; ``s`` is a pair of raw mpf tuples.
+    Euler-Maclaurin pass in fixed point; ``s`` is a pair of raw mpf tuples, and
+    ``work`` the working digits: precision + 15 for ``zeta_complex`` and
+    ``zeta_deriv``, what its error budget asks for in a probe sample.
 
     N direct terms, then Bernoulli corrections c_j P_j N^(-s) (c_j = B_2j/(2j)!,
     P_j = s (s+1) ... (s+2j-2) N^(1-2j)) until one is below 10^-(work+5).  As
@@ -135,7 +139,7 @@ def _zeta_fixed(s: Tuple[tuple, tuple], precision: int, line: dict,
     sieve and log n, which depend on N and wp only, are kept under ("log",
     wp) and extended as N grows, and the ratios c_(j+1)/c_j under ("ratios", wp).
     """
-    work, L = precision + 15, (precision + 20) * math.log(10)
+    L = (work + 5) * math.log(10)
     # the bound reads Re s in [-4 _MAX_LIFT_DIGITS, L] and |Im s| up to 7 _MAX_TERMS as
     # floats; past those ends a point is refused, or its first correction is below target
     sig = min(max(to_float(s[0], rnd=round_nearest), -4.0 * _MAX_LIFT_DIGITS), L)
@@ -251,7 +255,7 @@ def _mpc(v: Sequence[int], wp: int, precision: int) -> mpmath.mpc:
 
 def _zeta_and_deriv(s: ComplexLike, precision: int) -> Tuple[mpmath.mpc, mpmath.mpc]:
     """zeta(s) and zeta'(s) from ``_zeta_fixed``, converted at the API boundary."""
-    wp, _, z, dz = _zeta_fixed(_point(s, precision), precision, {}, 0)
+    wp, _, z, dz = _zeta_fixed(_point(s, precision), precision + 15, {}, 0)
     return _mpc(z, wp, precision), _mpc(dz, wp, precision)
 
 
@@ -272,7 +276,8 @@ def f_eval(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
     Rejects points too close to s = 1 (the formula has a 0/0 there; the
     analytic continuation exists but the quotient form does not) and points
     where |zeta(s)| < 10^(-precision/2) (log-derivative blows up near a
-    zero, and roundoff with it).  It is a one-point line of ``_f_on_line``.
+    zero, and roundoff with it).  It is a one-point line of ``_f_on_line``, so
+    its working digits come from the sample's error budget.
     """
     wp, f = _f_on_line(_point(s, precision), precision, {}, 0)
     return _mpc(f, wp, precision)
@@ -280,27 +285,43 @@ def f_eval(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
 
 def _f_on_line(s: Tuple[tuple, tuple], precision: int, line: dict,
                guard: int) -> Tuple[int, Tuple[int, int]]:
-    """wp and f(s) as a pair of 2^wp-scaled ints, for a sample of a probe line;
-    ``s``, ``line`` and ``guard`` as in ``_zeta_fixed``."""
+    """wp and f(s) as 2^wp-scaled ints within 10^-precision min(1, |f|)/20 for a sample of
+    a probe line (``s``, ``line`` and ``guard`` as in ``_zeta_fixed``): at precision + 3
+    working digits, then once more at the digits its error budget asks for if those are
+    more (A. Ziv, ACM TOMS 17 (1991)), from a fresh state that leaves the line's alone."""
     prec = dps_to_prec(precision + 15)  # |s - 1| < 10^-6 as mpmath tests it at that precision
     if mpf_lt(mpc_abs(mpc_sub_mpf(s, fone, prec, round_nearest), prec, round_nearest),
               mpf_pow_int(ften, -6, prec, round_nearest)):
         raise ProbeEvaluationError(
             f"s = {complex(mp.make_mpc(s))} too close to s = 1 for the quotient form"
         )
-    wp, (sre, sim), (zr, zi), (dzr, dzi) = _zeta_fixed(s, precision, line, guard)
-    den, one = zr * zr + zi * zi, 1 << wp
-    if den * 100 ** (precision // 2) < one * one:
-        raise ProbeEvaluationError(
-            f"|zeta({complex(mp.make_mpc(s))})| below safe floor 1e-{precision // 2} "
-            "(too near a zero)"
-        )
-    if ("1/gamma", wp) not in line:
-        line["1/gamma", wp] = (one << wp) // _elementary(wp)[0]
-    q = ((dzr * zr + dzi * zi) << wp) // den, ((dzi * zr - dzr * zi) << wp) // den  # zeta'/zeta
-    fr, fi = _mul(_mul((sre, sim), (sre - one, sim), wp), q, wp)
-    inv_gamma = line["1/gamma", wp]
-    return wp, ((fr + sre) * inv_gamma >> wp, (fi + sim) * inv_gamma >> wp)
+    work = precision + 3
+    for line, guard in (line, guard), ({}, 0):
+        wp, (sre, sim), (zr, zi), (dzr, dzi) = _zeta_fixed(s, work, line, guard)
+        den, one = zr * zr + zi * zi, 1 << wp
+        if den * 100 ** (precision // 2) < one * one:
+            raise ProbeEvaluationError(
+                f"|zeta({complex(mp.make_mpc(s))})| below safe floor 1e-{precision // 2} "
+                "(too near a zero)"
+            )
+        if ("1/gamma", wp) not in line:
+            line["1/gamma", wp] = (one << wp) // _elementary(wp)[0]
+        q = ((dzr * zr + dzi * zi) << wp) // den, ((dzi * zr - dzr * zi) << wp) // den  # zeta'/zeta
+        a = _mul((sre, sim), (sre - one, sim), wp)  # s (s - 1)
+        fr, fi = _mul(a, q, wp)
+        inv_gamma = line["1/gamma", wp]
+        fr, fi = (fr + sre) * inv_gamma >> wp, (fi + sim) * inv_gamma >> wp
+        # The budget in units of 2^-wp, on |re| + |im| >= |x| >= max(|re|, |im|): zeta and
+        # zeta' within e = 10^-(work+4), ten times the engine's target, put zeta'/zeta within
+        # dq = (e + |q| e)/(|zeta| - e), and f within 2 |s(s-1)| dq (1/gamma < 2) plus roundings.
+        e, a, q = one // 10 ** (work + 4) + 1, abs(a[0]) + abs(a[1]) + 2, abs(q[0]) + abs(q[1]) + 2
+        dq = e * (one + q) // (max(abs(zr), abs(zi)) - e) + 1
+        err = 20 * 10**precision * (2 * (a * dq + 2 * (a + q) + abs(fr) + abs(fi) >> wp) + 8)
+        allowed = min(one, max(abs(fr), abs(fi)))  # 20 |df| <= 10^-precision min(1, |f|)
+        if err <= allowed or work > precision + 3:
+            return wp, (fr, fi)
+        # err falls as 10^-work and err/allowed < 2^bits (1234/4096 > log10 2): one digit more
+        work += 1 - (-(err.bit_length() - allowed.bit_length() + 1) * 1234 >> 12)
 
 
 VARY_RE = "re"
@@ -409,7 +430,8 @@ def line_probe(
         except ProbeEvaluationError as exc:
             failures.append(SampleFailure(param=param, reason=str(exc)))
             continue
-        f_re, f_im = (_fixed(x, wp, precision) for x in f)
+        # each part's tag counts its integer digits too, so every printed place is backed
+        f_re, f_im = (_fixed(x, wp, precision + len(str(abs(x) >> wp).lstrip("0"))) for x in f)
         collected.append(ComplexSample(param=param, f_re=f_re, f_im=f_im))
     if len(collected) < 2:
         raise ProbeEvaluationError(

@@ -167,6 +167,17 @@ class TestStrictParsing:
             self.write_and_load(monkeypatch, tmp_path, f"# columns: ratio pred\n1\t{cell}\t1.0\n")
         assert str(info.value).endswith(f"scan_ratios.tsv:2: {message}")
 
+    def test_cells_keep_the_stripped_decimal(self, monkeypatch, tmp_path):
+        # the text the decimal check accepted, blanks stripped, is the one kept and
+        # read exactly, so the places count its decimals only
+        table = self.write_and_load(monkeypatch, tmp_path,
+                                    "# columns: ratio pred\n1\t1.25 \t -.5!expect=-0.50 \n")
+        cell, flagged = table.cell(1, "ratio"), table.cell(1, "pred")
+        assert (cell.printed, cell.places) == ("1.25", 2)
+        assert (flagged.printed, flagged.expect, flagged.places) == ("-.5", "-0.50", 2)
+        report = _compare_cell(flagged, BigReal(Fraction(-1, 2), 20))
+        assert report.deviation == 0 and report.matches and report.printed_matches
+
     def test_no_data_rows(self, monkeypatch, tmp_path):
         with pytest.raises(DataFormatError, match="no data rows"):
             self.write_and_load(monkeypatch, tmp_path, "# columns: ratio\n")

@@ -211,13 +211,14 @@ class TestFEval:
         assert f_eval(s, 15).real > 10**399
 
     def test_line_records_points_past_the_caps(self, monkeypatch):
-        # N from the remainder bound at 30 digits on Re s = 2: 37, 49, 69 and 88
-        # for t = 0, 50, 100 and 150, then 103, 119 and 134; a cap of 100 refuses t >= 200
-        monkeypatch.setattr(probe_module, "_MAX_TERMS", 100)
+        # N from the remainder bound at 30 digits (33 working digits) on Re s = 2: 29,
+        # 42, 60 and 78 for t = 0, 50, 100 and 150, then 93, 107 and 122; a cap of 90
+        # refuses t >= 200
+        monkeypatch.setattr(probe_module, "_MAX_TERMS", 90)
         report = line_probe("im", 2.0, 0.0, 300.0, samples=7)
         assert [s.param for s in report.samples] == [0.0, 50.0, 100.0, 150.0]
         assert [f.param for f in report.failures] == [200.0, 250.0, 300.0]
-        assert all("more than 100 direct terms" in f.reason for f in report.failures)
+        assert all("more than 90 direct terms" in f.reason for f in report.failures)
 
     def test_rejects_near_zero_of_zeta(self, zeros):
         t1 = float(zeros.ordinates[0])
@@ -392,6 +393,59 @@ class TestLineProbe:
         assert _printed(a, 20) == _printed(b, 20)
 
 
+# The float nearest the first zero's ordinate, 14.1347251417346937904...
+T1 = "14.134725141734694"
+
+
+def _exact_value(x):
+    """An mpf's exact value as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+class TestPrintedPlaces:
+    """Every printed probe cell within one unit of its last place.
+
+    The oracle is mpmath's own zeta and zeta' at --digits + 40, independent of
+    ``_zeta_fixed``.  Near a zero |f| has up to 17 integer digits and the
+    quotient zeta'/zeta magnifies the engine's error by 1/|zeta|, so each sample
+    needs working digits sized from its own error budget, and a tag that counts
+    the integer digits too.
+    """
+
+    @pytest.mark.parametrize("line", [
+        # through rho_1 + 10^-14 .. 10^-10, and rho_1 - 10^-10 .. 10^-14
+        f"--line re --t {T1} --b0 0.50000000000001 --b1 0.5000000001 --samples 5 --digits 30",
+        f"--line re --t {T1} --b0 0.4999999999 --b1 0.49999999999999 --samples 5 --digits 30",
+        f"--line re --t {T1} --b0 0.50000000000001 --b1 0.5000000001 --samples 5 --digits 50",
+        # Re s = 0.5 across the ordinates of rho_1 and rho_2 (21.0220396387715...)
+        "--line im --b 0.5 --t0 14.1347251416 --t1 14.1347251418 --samples 5 --digits 30",
+        "--line im --b 0.5 --t0 21.0220396387 --t1 21.0220396389 --samples 5 --digits 30",
+        # Re s < 0: lifted working precisions
+        "--line re --t 5 --b0 -60 --b1 -20 --samples 5 --digits 30",
+    ])
+    def test_every_cell_within_one_unit_of_mpmath(self, line):
+        argv = ["probe", *line.split()]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) in (0, 1)
+        digits = int(argv[argv.index("--digits") + 1])
+        kind, fixed = argv[2], float(argv[4])
+        rows = [row.split("\t") for row in out.getvalue().splitlines() if not row.startswith("#")]
+        assert len(rows) >= 4
+        wrong = []
+        with mp.workdps(digits + 40):
+            for param, *printed in rows:
+                re_s, im_s = (float(param), fixed) if kind == "re" else (fixed, float(param))
+                s = mpmath.mpc(re_s, im_s)
+                f = (s + s * (s - 1) * mpmath.zeta(s, derivative=1) / mpmath.zeta(s)) / mpmath.euler
+                for text, exact in zip(printed, (f.real, f.imag)):
+                    units = abs(Fraction(text) - _exact_value(exact)) * 10**digits
+                    if units > 1:
+                        wrong.append((param, text, float(units)))
+        assert wrong == []
+
+
 def _brute_force_collisions(points, step_gate, tol):
     """Every pair a < b compared in turn: the oracle for the sorted sweep."""
     near = []
@@ -507,6 +561,8 @@ class TestLineStepping:
             # Re s < 0: lifted working precisions, |p^(-s)| > 1
             ("im", -3.0, 1.0, 40.0, 60),
             ("re", 30.0, -1.0, 1.0, 21),
+            # toward rho_1: the samples within about 0.03 of it retry at more digits
+            ("im", 0.5, 13.9, 14.13, 100),
         ],
     )
     def test_rows_match_one_point_f_eval(self, monkeypatch, kind, fixed, lo, hi, samples):
@@ -539,21 +595,51 @@ class TestLineStepping:
                 assert abs(got[0] - exact.real) <= terms and abs(got[1] - exact.imag) <= terms
 
     def test_exp_and_cos_sin_once_per_prime_and_step(self, monkeypatch):
-        # the 100-sample benchmark im line; t <= 30 at 30 digits gives N <= 43.
-        # A prime's power comes from exp and cos/sin at its first sample and at its
-        # first grid step, or again where N dips below it and grows back; every
-        # later step is nudged, though the grid has 8 distinct steps.
-        calls = []
+        # At each of a line's working precisions a prime's power comes from exp and
+        # cos/sin at its first sample and at its first grid step, or again where N dips
+        # below it and grows back; every later step is nudged, though the benchmark
+        # line's grid has 8 distinct steps.  A sample whose budget asks for more digits
+        # is evaluated again from a fresh state, one exp and cos/sin per prime, and
+        # leaves the line's state as it was.
+        states, calls = [], []
+        engine = probe_module._zeta_fixed
+
+        def recording(s, work, line, guard):
+            states.append(line)
+            return engine(s, work, line, guard)
+
+        monkeypatch.setattr(probe_module, "_zeta_fixed", recording)
         for name in ("mpf_exp", "mpf_cos_sin"):
             original = getattr(probe_module, name)
-            monkeypatch.setattr(
-                probe_module, name, lambda *a, _f=original: calls.append(1) or _f(*a)
-            )
-        report = line_probe("im", 1.0, 0.0, 30.0, samples=100, precision=30)
-        steps = _distinct_steps([s.param for s in report.samples])
-        primes = sum(all(p % q for q in range(2, p)) for p in range(2, 44))
-        assert (primes, len(steps)) == (14, 8)
-        assert len(calls) <= 4 * primes
+            monkeypatch.setattr(probe_module, name, lambda *a, _f=original: calls.append(
+                (len(states) - 1, a[1])) or _f(*a))
+
+        def primes(state):  # up to the state's largest N
+            n = max(len(v[0]) for k, v in state.items() if isinstance(k, tuple) and k[0] == "log")
+            return sum(all(p % q for q in range(2, p)) for p in range(2, n))
+
+        for kind, fixed, lo, hi, retries in [
+            # the 100-sample benchmark im line: no sample retries, and N <= 36 crosses
+            # 32, so the line steps at two working precisions
+            ("im", 1.0, 0.0, 30.0, False),
+            # toward rho_1 on the critical line: the samples within about 0.03 of it retry
+            ("im", 0.5, 13.9, 14.13, True),
+        ]:
+            states.clear()
+            calls.clear()
+            report = line_probe(kind, fixed, lo, hi, samples=100, precision=30)
+            line = states[0]
+            wps = {k[1] for k in line if isinstance(k, tuple) and k[0] == "log"}
+            on_line = [wp for i, wp in calls if states[i] is line]
+            assert set(on_line) == wps
+            assert all(on_line.count(wp) <= 4 * primes(line) for wp in wps)
+            fresh = [i for i, state in enumerate(states) if state is not line]
+            assert bool(fresh) == retries
+            for i in fresh:
+                assert sum(j == i for j, _ in calls) <= 2 * primes(states[i])
+            if not retries:
+                steps = _distinct_steps([s.param for s in report.samples])
+                assert (primes(line), len(wps), len(steps)) == (11, 2, 8)
 
     def test_log_once_per_prime_and_working_precision(self, monkeypatch):
         # the line keeps its sieve and log n, extended as N grows to 43
