@@ -59,7 +59,8 @@ DEFAULT_PROBE_DIGITS = 30
 
 #: Caps on one zeta evaluation, checked before any list is built: the direct
 #: terms N, which grow with the digits and |s|, and the digits that Re s < 0
-#: lifts the working precision by.  A point past either is refused.
+#: lifts the working precision by, or that a sample's error budget adds to the
+#: digits asked for.  A point past either is refused.
 _MAX_TERMS = 100_000
 _MAX_LIFT_DIGITS = 10_000
 
@@ -109,6 +110,25 @@ def _step(line: dict, log_p: int, step: Tuple[int, int, int, int]) -> Tuple[int,
     return value
 
 
+def _size(s: Tuple[tuple, tuple], work: int) -> Tuple[int, int, float]:
+    """M, N and the digits Re s < 0 lifts wp by, for ``_zeta_fixed`` at ``work`` digits."""
+    L = (work + 5) * math.log(10)
+    # the bound reads Re s in [-4 _MAX_LIFT_DIGITS, L] and |Im s| up to 7 _MAX_TERMS as
+    # floats; past those ends a point is refused, or its first correction is below target
+    sig = min(max(to_float(s[0], rnd=round_nearest), -4.0 * _MAX_LIFT_DIGITS), L)
+    t = min(to_float(mpf_abs(s[1]), rnd=round_nearest), 7.0 * _MAX_TERMS)
+    M = math.ceil(L / 5 + math.sqrt(L * t) / 6 - min(sig, 0.0))
+    m, log_prod = 2 * M - 1, 0.0
+    for i0, i1 in ((m * k // 4, m * (k + 1) // 4) for k in range(4)):  # runs of i < m
+        mid = sig + (i0 + i1 - 1) / 2
+        log_prod += (i1 - i0) / 2 * math.log(1 + t * t + mid * mid + ((i1 - i0) ** 2 - 1) / 12)
+    exponent = (L + math.log(4 * (m + 12)) + log_prod - (m + 1) * math.log(2 * math.pi)) / (m + sig)
+    N = math.ceil(max(math.exp(min(exponent, 50.0)), (math.hypot(sig, t) + m) / (2 * math.pi), 2))
+    # Direct terms reach N^(-Re s) and cancel, so Re s < 0 lifts the digits.  N grows
+    # with -Re s too, so a point past both caps is refused for its lift.
+    return M, N, max(0.0, -sig) * math.log10(N)
+
+
 def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
                 guard: int) -> Tuple[int, Tuple[int, int], Tuple[int, int], Tuple[int, int]]:
     """wp, s, zeta(s) and zeta'(s) as (re, im) pairs of 2^wp-scaled ints, from one
@@ -128,9 +148,12 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     Q_j = P_j' - log(N) P_j.  The tail carries c_j P_j and c_j Q_j, stepped by
     c_(j+1)/c_j, so a small c_j costs no precision.
 
+    Past Re s = 2 wp the terms past n = 1 are 0 at wp: zeta = 1, zeta' = 0 exactly.
+
     ``line``, one probe line's state, keeps each prime's last p^(-s), s and
     wp; a prime with none at this wp (first evaluated sample, new prime, new
-    lift or N bit length) steps from p^0 = 1.  p^(-delta), delta the exact
+    lift) steps from p^0 = 1; the line's largest N, under "N", sizes wp's bits
+    for N's roundings, so they share wp.  p^(-delta), delta the exact
     fixed-point difference, is kept under (p, delta, wp); the float grid
     lo + i step has few deltas, which differ by ulps, so ``_step`` nudges the
     prime's last fresh p^(-delta0) and exp and cos/sin run about once per
@@ -139,31 +162,19 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     sieve and log n, which depend on N and wp only, are kept under ("log",
     wp) and extended as N grows, and the ratios c_(j+1)/c_j under ("ratios", wp).
     """
-    L = (work + 5) * math.log(10)
-    # the bound reads Re s in [-4 _MAX_LIFT_DIGITS, L] and |Im s| up to 7 _MAX_TERMS as
-    # floats; past those ends a point is refused, or its first correction is below target
-    sig = min(max(to_float(s[0], rnd=round_nearest), -4.0 * _MAX_LIFT_DIGITS), L)
-    t = min(to_float(mpf_abs(s[1]), rnd=round_nearest), 7.0 * _MAX_TERMS)
-    M = math.ceil(L / 5 + math.sqrt(L * t) / 6 - min(sig, 0.0))
-    m, log_prod = 2 * M - 1, 0.0
-    for i0, i1 in ((m * k // 4, m * (k + 1) // 4) for k in range(4)):  # runs of i < m
-        mid = sig + (i0 + i1 - 1) / 2
-        log_prod += (i1 - i0) / 2 * math.log(1 + t * t + mid * mid + ((i1 - i0) ** 2 - 1) / 12)
-    exponent = (L + math.log(4 * (m + 12)) + log_prod - (m + 1) * math.log(2 * math.pi)) / (m + sig)
-    N = math.ceil(max(math.exp(min(exponent, 50.0)), (math.hypot(sig, t) + m) / (2 * math.pi), 2))
-    # Direct terms reach N^(-Re s) and cancel, so Re s < 0 lifts the digits;
-    # the extra bits absorb N roundings of about |s| log N ulps each.  N grows
-    # with -Re s too, so a point past both caps is refused for its lift.
-    lift = max(0.0, -sig) * math.log10(N)
+    M, N, lift = _size(s, work)
     if N > _MAX_TERMS or lift > _MAX_LIFT_DIGITS:
         need = (f"more than {_MAX_LIFT_DIGITS} extra digits for Re s < 0" if lift > _MAX_LIFT_DIGITS
                 else f"more than {_MAX_TERMS} direct terms")
         raise ProbeEvaluationError(f"zeta evaluation at {complex(mp.make_mpc(s))} needs {need}")
-    wp = dps_to_prec(work + 5 + math.ceil(lift)) + 2 * N.bit_length() + 10 + guard
+    n_bits = max(N, line.get("N", 0)).bit_length()  # absorb N roundings of |s| log N ulps each
+    wp = dps_to_prec(work + 5 + math.ceil(lift)) + 2 * n_bits + 10 + guard
     one = 1 << wp
     sre, sim = to_fixed(s[0], wp), to_fixed(s[1], wp)
     if (sre, sim) == (one, 0):
         raise ProbeEvaluationError("zeta has its pole at s = 1")
+    if sre >= 2 * wp * one:  # every term past n = 1 is below 2^-2wp, so 0 at wp, as in the sum
+        return wp, (sre, sim), (one, 0), (0, 0)
     spf, logs = line.get(("log", wp), ((), [0, 0]))
     if len(spf) <= N:  # log n: log_int_fixed at primes, one add per composite
         spf = list(range(N + 1))
@@ -276,8 +287,8 @@ def f_eval(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
     Rejects points too close to s = 1 (the formula has a 0/0 there; the
     analytic continuation exists but the quotient form does not) and points
     where |zeta(s)| < 10^(-precision/2) (log-derivative blows up near a
-    zero, and roundoff with it).  It is a one-point line of ``_f_on_line``, so
-    its working digits come from the sample's error budget.
+    zero, and roundoff with it).  It is a one-point line of ``_f_on_line``, whose
+    budget is absolute past |f| = 1: |f| = 10^k takes about k + precision digits.
     """
     wp, f = _f_on_line(_point(s, precision), precision, {}, 0)
     return _mpc(f, wp, precision)
@@ -285,10 +296,11 @@ def f_eval(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
 
 def _f_on_line(s: Tuple[tuple, tuple], precision: int, line: dict,
                guard: int) -> Tuple[int, Tuple[int, int]]:
-    """wp and f(s) as 2^wp-scaled ints within 10^-precision min(1, |f|)/20 for a sample of
-    a probe line (``s``, ``line`` and ``guard`` as in ``_zeta_fixed``): at precision + 3
-    working digits, then once more at the digits its error budget asks for if those are
-    more (A. Ziv, ACM TOMS 17 (1991)), from a fresh state that leaves the line's alone."""
+    """wp and f(s) as 2^wp-scaled ints for a sample of a probe line (``s``, ``line`` and
+    ``guard`` as in ``_zeta_fixed``): at precision + 3 working digits, then once more at the
+    digits its error budget asks for if those are more (A. Ziv, ACM TOMS 17 (1991)), from a
+    fresh state that leaves the line's alone.  A sample whose retry still misses its budget,
+    or that asks for more than ``_MAX_LIFT_DIGITS`` extra digits, is refused."""
     prec = dps_to_prec(precision + 15)  # |s - 1| < 10^-6 as mpmath tests it at that precision
     if mpf_lt(mpc_abs(mpc_sub_mpf(s, fone, prec, round_nearest), prec, round_nearest),
               mpf_pow_int(ften, -6, prec, round_nearest)):
@@ -315,13 +327,19 @@ def _f_on_line(s: Tuple[tuple, tuple], precision: int, line: dict,
         # zeta' within e = 10^-(work+4), ten times the engine's target, put zeta'/zeta within
         # dq = (e + |q| e)/(|zeta| - e), and f within 2 |s(s-1)| dq (1/gamma < 2) plus roundings.
         e, a, q = one // 10 ** (work + 4) + 1, abs(a[0]) + abs(a[1]) + 2, abs(q[0]) + abs(q[1]) + 2
+        a = a if sre < 2 * wp * one else 0  # zeta'/zeta = 0 exactly, s(s-1) zeta'/zeta < 2^-wp
         dq = e * (one + q) // (max(abs(zr), abs(zi)) - e) + 1
         err = 20 * 10**precision * (2 * (a * dq + 2 * (a + q) + abs(fr) + abs(fi) >> wp) + 8)
-        allowed = min(one, max(abs(fr), abs(fi)))  # 20 |df| <= 10^-precision min(1, |f|)
-        if err <= allowed or work > precision + 3:
+        # 20 |df| <= 10^-precision min(1, |f|), or 10^-2 precision where |f| < 10^-precision
+        allowed = min(one, max(abs(fr), abs(fi), one // 10**precision))
+        if err <= allowed:
             return wp, (fr, fi)
         # err falls as 10^-work and err/allowed < 2^bits (1234/4096 > log10 2): one digit more
         work += 1 - (-(err.bit_length() - allowed.bit_length() + 1) * 1234 >> 12)
+        if work > precision + _MAX_LIFT_DIGITS:
+            break
+    raise ProbeEvaluationError(f"f at {complex(mp.make_mpc(s))} needs about {work} working digits,"
+                               f" more than one retry or {_MAX_LIFT_DIGITS} extra digits allow")
 
 
 VARY_RE = "re"
@@ -420,13 +438,15 @@ def line_probe(
     grid_step = (hi - lo) / (samples - 1)
     collected: List[ComplexSample] = []
     failures: List[SampleFailure] = []
-    line, guard = {}, (samples - 1).bit_length()  # see _zeta_fixed
-    for i in range(samples):
-        param = lo + i * grid_step
-        # floats are exact as mpf tuples: the point needs no rounding
-        re_s, im_s = (param, fixed) if kind == VARY_RE else (fixed, param)
+    params = [lo + i * grid_step for i in range(samples)]
+    # floats are exact as mpf tuples: the points need no rounding
+    points = [tuple(map(from_float, (p, fixed) if kind == VARY_RE else (fixed, p))) for p in params]
+    # see _zeta_fixed: the largest N at a first pass's digits, and the step count's bits
+    line = {"N": max(_size(point, precision + 3)[1] for point in points)}
+    guard = (samples - 1).bit_length()
+    for param, point in zip(params, points):
         try:
-            wp, f = _f_on_line((from_float(re_s), from_float(im_s)), precision, line, guard)
+            wp, f = _f_on_line(point, precision, line, guard)
         except ProbeEvaluationError as exc:
             failures.append(SampleFailure(param=param, reason=str(exc)))
             continue
