@@ -169,6 +169,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "y0, y1 = q0 * ab0 - q1 * ab1 + p0 * apb - p1 * s2, q0 * ab1 + q1 * ab0 + p0 * s2 + p1 * apb",
            "y0, y1 = q0 * ab0 - q1 * ab1, q0 * ab1 + q1 * ab0",
            ("tests/test_probe.py::TestEngineOracle",)),
+    # ... and is stepped by c_(j+1)/(c_j N^2), one table per working precision and N
+    Mutant("tail-table-keyed-by-wp-alone", "likeiper/probe.py",
+           '    key = "tail", wp, N\n', '    key = "tail", wp\n',
+           ("tests/test_probe.py::TestEngineOracle",)),
     # a probe sample's error budget carries zeta'/zeta's share of zeta's error, and
     # its f parts are tagged with their integer digits, so every printed place holds
     Mutant("probe-budget-drops-quotient-term", "likeiper/probe.py",

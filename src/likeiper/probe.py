@@ -26,18 +26,22 @@ leaves exp and cos/sin to primes, Re s < 0 lifts wp by the digits the direct
 terms cancel, and the weights B_2j/(2j)! come from ``constants``' table.
 A non-finite point, or one whose N or lift passes ``_MAX_TERMS`` or
 ``_MAX_LIFT_DIGITS``, is refused with ``ProbeEvaluationError`` before any work.
-A probe line keeps one state: the sieve and log n per wp, grown with N, and
+A probe line keeps one state: each grid point's M, N and lift, sized once; per
+wp the sieve and log n, grown with N, 1/gamma and the budget's powers of ten;
+per (wp, N) the tail's multipliers c_(j+1)/(c_j N^2) and the primes <= N; and
 each prime's power, stepped as p^(-s') = p^(-s) p^(-delta) for the exact
 difference delta of the points.  A delta within float ulps of the prime's
 last fresh one, delta0, nudges p^(-delta0) by a short Taylor series of
 exp(-(delta - delta0) log p), so log runs once per prime and wp, and exp
 and cos/sin about once per prime and line.  f follows on the same ints: a
-line's points enter as the exact mpf parts of their floats, zeta'/zeta is
-one integer complex division, and each part of f is rounded once, into the
-``BigReal`` a sample keeps, tagged with the digits asked for plus its integer
-digits.  A sample's working digits come from its propagated error budget, with
-one retry where the first pass falls short.  mpc appears only where
-``zeta_complex``, ``zeta_deriv`` and ``f_eval`` take and return values.
+line's points enter as the exact mpf parts of their floats, |s - 1| < 10^-6 is
+decided on those ints, zeta'/zeta is one integer complex division, and each
+part of f is rounded once, into the ``BigReal`` a sample keeps, tagged with the
+digits asked for plus its integer digits.  A sample's working digits come from
+its propagated error budget, absolute for a line's printed places and relative
+to |f| for ``f_eval``, with one retry where the first pass falls short.  mpc
+appears only where ``zeta_complex``, ``zeta_deriv`` and ``f_eval`` take and
+return values.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_man_exp, ften, log_int_fixed, mpc_abs,
-                          mpc_sub_mpf, mpf_abs, mpf_cos_sin, mpf_exp, mpf_lt, mpf_pow_int,
-                          round_nearest, to_fixed, to_float)
+from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, log_int_fixed, mpf_abs, mpf_cos_sin,
+                          mpf_exp, round_nearest, to_fixed, to_float)
 
 from .bigreal import BigReal, _fixed
 from .constants import _elementary, bernoulli_weight
@@ -146,27 +149,30 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     bound at M below the target and at least (|s| + 2M)/(2 pi), so they
     decrease.  zeta' is taken term by term: -log(n) n^(-s) and c_j Q_j N^(-s),
     Q_j = P_j' - log(N) P_j.  The tail carries c_j P_j and c_j Q_j, stepped by
-    c_(j+1)/c_j, so a small c_j costs no precision.
+    r_j = c_(j+1)/(c_j N^2), so a small c_j costs no precision.  |c_(j+1)/c_j| >=
+    1/60 and N^2 < 2^(2b), b = N's bit length, so r_j held to 2^-(wp + 2b) is
+    within a relative 2^(6-wp): each step adds at most that and one unit of 2^-wp.
 
     Past Re s = 2 wp the terms past n = 1 are 0 at wp: zeta = 1, zeta' = 0 exactly.
 
     ``line``, one probe line's state, keeps each prime's last p^(-s), s and
     wp; a prime with none at this wp (first evaluated sample, new prime, new
-    lift) steps from p^0 = 1; the line's largest N, under "N", sizes wp's bits
-    for N's roundings, so they share wp.  p^(-delta), delta the exact
-    fixed-point difference, is kept under (p, delta, wp); the float grid
-    lo + i step has few deltas, which differ by ulps, so ``_step`` nudges the
-    prime's last fresh p^(-delta0) and exp and cos/sin run about once per
-    prime and line.  Lines run lo -> hi, so |p^(-delta)| <= 1 and k steps add
-    O(k) ulps, which ``guard``, the step count's bit length, absorbs.  The
-    sieve and log n, which depend on N and wp only, are kept under ("log",
-    wp) and extended as N grows, and the ratios c_(j+1)/c_j under ("ratios", wp).
+    lift) steps from p^0 = 1; a grid point's M, N and lift are kept under (s,
+    work); the line's largest N, under "N", sizes wp's bits for N's roundings,
+    so they share wp.  p^(-delta), delta the exact fixed-point difference, is
+    kept under (p, delta, wp); the float grid lo + i step has few deltas, which
+    differ by ulps, so ``_step`` nudges the prime's last fresh p^(-delta0) and
+    exp and cos/sin run about once per prime and line.  Lines run lo -> hi, so
+    |p^(-delta)| <= 1 and k steps add O(k) ulps, which ``guard``, the step
+    count's bit length, absorbs.  The sieve and log n, which depend on N and wp
+    only, are kept under ("log", wp) and extended as N grows; the r_j, M of
+    them, and the primes <= N under ("tail", wp, N).
     """
-    M, N, lift = _size(s, work)
+    M, N, lift = line.get((s, work)) or _size(s, work)
     if N > _MAX_TERMS or lift > _MAX_LIFT_DIGITS:
         need = (f"more than {_MAX_LIFT_DIGITS} extra digits for Re s < 0" if lift > _MAX_LIFT_DIGITS
                 else f"more than {_MAX_TERMS} direct terms")
-        raise ProbeEvaluationError(f"zeta evaluation at {complex(mp.make_mpc(s))} needs {need}")
+        raise ProbeEvaluationError(f"zeta evaluation at {_where(s)} needs {need}")
     n_bits = max(N, line.get("N", 0)).bit_length()  # absorb N roundings of |s| log N ulps each
     wp = dps_to_prec(work + 5 + math.ceil(lift)) + 2 * n_bits + 10 + guard
     one = 1 << wp
@@ -198,7 +204,13 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
             a, b, c, d = xs[p], ys[p], xs[n // p], ys[n // p]
         xs.append((a * c - b * d) >> wp)
         ys.append((a * d + b * c) >> wp)
-    line.update((p, (sre, sim, wp, xs[p], ys[p])) for p in range(2, N + 1) if spf[p] == p)
+    key = "tail", wp, N
+    multipliers, primes = line.get(key, ((), ()))
+    if len(multipliers) < M:  # |c_j| > 2^(1 - 5.31 j): at 2^(wp + 6 (M // 32 + 1) 32) c_j keeps wp bits
+        c = [bernoulli_weight(j, wp + 6 * (M // 32 + 1) * 32) for j in range(1, M + 2)]
+        r = [(b << wp + 2 * N.bit_length()) // (a * N * N) for a, b in zip(c, c[1:])]
+        multipliers, primes = line[key] = r, [p for p in range(2, N + 1) if spf[p] == p]
+    line.update((p, (sre, sim, wp, xs[p], ys[p])) for p in primes)
     z = sum(xs[:N]), sum(ys[:N])
     dz = [-sum(map(operator.mul, logs, v[:N])) >> wp for v in (xs, ys)]
 
@@ -213,12 +225,7 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     # |term|^2 |w|^2 < target^2 as |term|^2 < bound, exact for integer |term|^2
     limit, w2 = (one // 10 ** (work + 5)) ** 2 << 2 * wp, w[0] * w[0] + w[1] * w[1]
     bound = -(-limit // w2) if w2 else math.inf
-    ratios = line.get(("ratios", wp), ())
-    if len(ratios) < M:  # |c_j| > 2^(1 - 5.31 j), so at 2^(wp + 6 size) each c_j keeps wp bits
-        size = (M // 32 + 1) * 32
-        c = [bernoulli_weight(j, wp + 6 * size) for j in range(1, size + 1)]
-        ratios = line["ratios", wp] = [(b << wp) // a for a, b in zip(c, c[1:])]
-    NN, wp2, s2 = N * N, 2 * wp, 2 * sim
+    shift, s2 = 2 * wp + 2 * N.bit_length(), 2 * sim
     # T_j = c_j P_j and U_j = c_j Q_j from T_1 = s/(12 N) and U_1 = (1 - s log N)/(12 N);
     # a = s + 2j - 1, b = a + 1: ab = a (a + 1) and a + b advance by additions
     p0, p1, a, previous = sre // (12 * N), sim // (12 * N), sre + one, None
@@ -230,23 +237,39 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
         if magnitude < bound and q0 * q0 + q1 * q1 < bound:
             break
         if previous is not None and magnitude > previous:
-            raise ProbeEvaluationError(
-                f"zeta evaluation at {complex(mp.make_mpc(s))} stopped converging (j={j}); "
-                "point too far outside the supported region"
-            )
-        previous, r = magnitude, ratios[j - 1]
-        # T <- r T ab / N^2, U <- r (U ab + T (a + b)) / N^2, r = c_(j+1)/c_j
+            raise ProbeEvaluationError(f"zeta evaluation at {_where(s)} stopped converging (j={j}); "
+                                       "point too far outside the supported region")
+        previous, r = magnitude, multipliers[j - 1]
+        # T <- r T ab, U <- r (U ab + T (a + b)), r = c_(j+1)/(c_j N^2)
         x0, x1 = p0 * ab0 - p1 * ab1, p0 * ab1 + p1 * ab0
         y0, y1 = q0 * ab0 - q1 * ab1 + p0 * apb - p1 * s2, q0 * ab1 + q1 * ab0 + p0 * s2 + p1 * apb
-        p0, p1 = (x0 * r >> wp2) // NN, (x1 * r >> wp2) // NN
-        q0, q1 = (y0 * r >> wp2) // NN, (y1 * r >> wp2) // NN
+        p0, p1, q0, q1 = x0 * r >> shift, x1 * r >> shift, y0 * r >> shift, y1 * r >> shift
         ab0, ab1, apb = ab0 + 2 * apb + 4 * one, ab1 + 2 * s2, apb + 4 * one
     else:
-        raise ProbeEvaluationError(
-            f"zeta evaluation at {complex(mp.make_mpc(s))} missed the precision target"
-        )
+        raise ProbeEvaluationError(f"zeta evaluation at {_where(s)} missed the precision target")
     (wr, wi), (dwr, dwi) = _mul(w, (tr, ti), wp), _mul(w, (dtr, dti), wp)
     return wp, (sre, sim), (z[0] + wr, z[1] + wi), (dz[0] + dwr, dz[1] + dwi)
+
+
+def _near_pole(s: Tuple[tuple, tuple]) -> bool:
+    """|s - 1| < 10^-6, exactly, on the ints of the raw mpf parts.  x^2 = 10^-12 has no dyadic
+    root, so with x = Re s - 1 on a 2^e grid it misses by 2^(2e+12) 10^-12, and an Im s under
+    2^(e-20) cannot turn the verdict (e = 0 where x = 0): it is dropped, not scaled."""
+    (sx, mx, ex, bx), (_, my, ey, by) = s
+    if sx or ex + bx not in (0, 1) or my and ey + by > -18:  # Re s outside [1/2, 2), |Im s| > 2^-18
+        return False
+    e = min(ex, 0)
+    if not my or ey + by < e - 20:
+        my, ey = 0, e
+    k = max(-e, -ey)
+    x, y = (mx << ex + k) - (1 << k), my << ey + k
+    return (x * x + y * y) * 10**12 < 1 << 2 * k
+
+
+def _where(s: Tuple[tuple, tuple]) -> str:
+    """``s`` for a message: as a Python complex where its parts are floats, else by ``nstr``."""
+    z = mp.make_mpc(s)
+    return str(complex(z)) if complex(z) == z else mpmath.nstr(z, 15)
 
 
 def _point(s: ComplexLike, precision: int) -> Tuple[tuple, tuple]:
@@ -287,8 +310,8 @@ def f_eval(s: ComplexLike, precision: int = DEFAULT_PROBE_DIGITS) -> mpmath.mpc:
     Rejects points too close to s = 1 (the formula has a 0/0 there; the
     analytic continuation exists but the quotient form does not) and points
     where |zeta(s)| < 10^(-precision/2) (log-derivative blows up near a
-    zero, and roundoff with it).  It is a one-point line of ``_f_on_line``, whose
-    budget is absolute past |f| = 1: |f| = 10^k takes about k + precision digits.
+    zero, and roundoff with it).  It is a one-point line of ``_f_on_line`` whose
+    budget is relative to |f|, as its value holds precision + 15 significant digits.
     """
     wp, f = _f_on_line(_point(s, precision), precision, {}, 0)
     return _mpc(f, wp, precision)
@@ -301,44 +324,40 @@ def _f_on_line(s: Tuple[tuple, tuple], precision: int, line: dict,
     digits its error budget asks for if those are more (A. Ziv, ACM TOMS 17 (1991)), from a
     fresh state that leaves the line's alone.  A sample whose retry still misses its budget,
     or that asks for more than ``_MAX_LIFT_DIGITS`` extra digits, is refused."""
-    prec = dps_to_prec(precision + 15)  # |s - 1| < 10^-6 as mpmath tests it at that precision
-    if mpf_lt(mpc_abs(mpc_sub_mpf(s, fone, prec, round_nearest), prec, round_nearest),
-              mpf_pow_int(ften, -6, prec, round_nearest)):
-        raise ProbeEvaluationError(
-            f"s = {complex(mp.make_mpc(s))} too close to s = 1 for the quotient form"
-        )
-    work = precision + 3
+    if _near_pole(s):
+        raise ProbeEvaluationError(f"s = {_where(s)} too close to s = 1 for the quotient form")
+    work, absolute = precision + 3, "N" in line  # a line's state has "N"; its cells print places
     for line, guard in (line, guard), ({}, 0):
         wp, (sre, sim), (zr, zi), (dzr, dzi) = _zeta_fixed(s, work, line, guard)
-        den, one = zr * zr + zi * zi, 1 << wp
-        if den * 100 ** (precision // 2) < one * one:
-            raise ProbeEvaluationError(
-                f"|zeta({complex(mp.make_mpc(s))})| below safe floor 1e-{precision // 2} "
-                "(too near a zero)"
-            )
-        if ("1/gamma", wp) not in line:
-            line["1/gamma", wp] = (one << wp) // _elementary(wp)[0]
+        den, one, key = zr * zr + zi * zi, 1 << wp, ("budget", wp, work, precision)
+        if key not in line:  # 1/gamma, e (below), |zeta|^2's floor, f's floor, 20 10^precision
+            line[key] = ((one << wp) // _elementary(wp)[0], one // 10 ** (work + 4) + 1,
+                         -(-one * one // 100 ** (precision // 2)), one // 10**precision,
+                         20 * 10**precision)
+        inv_gamma, e, floor, tiny, scale = line[key]
+        if den < floor:
+            raise ProbeEvaluationError(f"|zeta({_where(s)})| below safe floor 1e-{precision // 2} "
+                                       "(too near a zero)")
         q = ((dzr * zr + dzi * zi) << wp) // den, ((dzi * zr - dzr * zi) << wp) // den  # zeta'/zeta
         a = _mul((sre, sim), (sre - one, sim), wp)  # s (s - 1)
         fr, fi = _mul(a, q, wp)
-        inv_gamma = line["1/gamma", wp]
         fr, fi = (fr + sre) * inv_gamma >> wp, (fi + sim) * inv_gamma >> wp
         # The budget in units of 2^-wp, on |re| + |im| >= |x| >= max(|re|, |im|): zeta and
         # zeta' within e = 10^-(work+4), ten times the engine's target, put zeta'/zeta within
         # dq = (e + |q| e)/(|zeta| - e), and f within 2 |s(s-1)| dq (1/gamma < 2) plus roundings.
-        e, a, q = one // 10 ** (work + 4) + 1, abs(a[0]) + abs(a[1]) + 2, abs(q[0]) + abs(q[1]) + 2
+        a, q = abs(a[0]) + abs(a[1]) + 2, abs(q[0]) + abs(q[1]) + 2
         a = a if sre < 2 * wp * one else 0  # zeta'/zeta = 0 exactly, s(s-1) zeta'/zeta < 2^-wp
         dq = e * (one + q) // (max(abs(zr), abs(zi)) - e) + 1
-        err = 20 * 10**precision * (2 * (a * dq + 2 * (a + q) + abs(fr) + abs(fi) >> wp) + 8)
-        # 20 |df| <= 10^-precision min(1, |f|), or 10^-2 precision where |f| < 10^-precision
-        allowed = min(one, max(abs(fr), abs(fi), one // 10**precision))
+        err = scale * (2 * (a * dq + 2 * (a + q) + abs(fr) + abs(fi) >> wp) + 8)
+        # 20 |df| <= 10^-precision max(|f|, 10^-precision), |f| capped at 1 on a line
+        allowed = min(one if absolute else math.inf, max(abs(fr), abs(fi), tiny))
         if err <= allowed:
             return wp, (fr, fi)
         # err falls as 10^-work and err/allowed < 2^bits (1234/4096 > log10 2): one digit more
         work += 1 - (-(err.bit_length() - allowed.bit_length() + 1) * 1234 >> 12)
         if work > precision + _MAX_LIFT_DIGITS:
             break
-    raise ProbeEvaluationError(f"f at {complex(mp.make_mpc(s))} needs about {work} working digits,"
+    raise ProbeEvaluationError(f"f at {_where(s)} needs about {work} working digits,"
                                f" more than one retry or {_MAX_LIFT_DIGITS} extra digits allow")
 
 
@@ -441,8 +460,9 @@ def line_probe(
     params = [lo + i * grid_step for i in range(samples)]
     # floats are exact as mpf tuples: the points need no rounding
     points = [tuple(map(from_float, (p, fixed) if kind == VARY_RE else (fixed, p))) for p in params]
-    # see _zeta_fixed: the largest N at a first pass's digits, and the step count's bits
-    line = {"N": max(_size(point, precision + 3)[1] for point in points)}
+    # see _zeta_fixed: each point's size at a first pass's digits, the largest N, the step count's bits
+    sizes = {(point, precision + 3): _size(point, precision + 3) for point in points}
+    line = dict(sizes, N=max(N for _, N, _ in sizes.values()))
     guard = (samples - 1).bit_length()
     for param, point in zip(params, points):
         try:

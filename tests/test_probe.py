@@ -150,6 +150,28 @@ class TestEngineOracle:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
+    def test_line_values_where_n_changes(self, monkeypatch):
+        # the benchmark im line at 30 digits: N runs 25..36 along it, and the tail's
+        # multipliers c_(j+1)/(c_j N^2) are one table per working precision and N
+        seen = []
+        engine = probe_module._zeta_fixed
+
+        def recording(s, work, *line):
+            result = engine(s, work, *line)
+            seen.append((mp.make_mpc(s), *(mp.make_mpc(tuple(from_man_exp(x, -result[0]) for x in v))
+                                          for v in result[2:])))
+            return result
+
+        monkeypatch.setattr(probe_module, "_zeta_fixed", recording)
+        points = [probe_module._point(complex(1.0, 30 * i / 29), 30) for i in range(1, 30)]
+        assert len({probe_module._size(s, 33)[1] for s in points}) >= 10
+        line_probe("im", 1.0, 0.0, 30.0, samples=30, precision=30)
+        assert len(seen) == 29
+        with mp.workdps(60):
+            for s, z, dz in seen:
+                assert abs(z - mpmath.zeta(s)) <= mpmath.mpf(10) ** -30 * abs(z), s
+                assert abs(dz - mpmath.zeta(s, derivative=1)) <= mpmath.mpf(10) ** -30 * abs(dz), s
+
     def test_f_eval_runs_the_engine_once(self, monkeypatch):
         calls = []
         engine = probe_module._zeta_fixed
@@ -186,14 +208,30 @@ class TestFEval:
     @pytest.mark.parametrize("s, message", [
         (complex(1, 1e30), "more than 100000 direct terms"),
         (complex(-1e300, 0), "more than 10000 extra digits for Re s < 0"),
-        # |f| = 10^12000: its budget asks for 12000 more digits than the 30 requested
-        (mpmath.mpf("1e12000"), "more than one retry or 10000 extra digits allow"),
     ])
     def test_refuses_points_past_the_caps(self, s, message):
-        # refused before the sieve or 2^wp is built (the first two raised OverflowError),
-        # or before a retry at the digits the budget asks for
+        # refused before the sieve or 2^wp is built (both raised OverflowError)
         with pytest.raises(ProbeEvaluationError, match=message):
             f_eval(s, 30)
+
+    @pytest.mark.parametrize("s", [mpmath.mpf("1e4000"), mpmath.mpf("1e12000")], ids=str)
+    def test_answers_huge_points_relative_to_f(self, s):
+        # f_eval's budget is relative to |f|: an absolute one asked for 4000 and 12000 more
+        # digits here, and refused 10^12000 for its 10000-digit cap
+        got = f_eval(s, 30)
+        with mp.workdps(40):
+            expected = s / mpmath.euler  # s (s-1) zeta'/zeta is about -s^2 2^-s log 2
+            assert abs(got - expected) <= mpmath.mpf(10) ** -15 * abs(expected)
+
+    @pytest.mark.parametrize("s, point", [
+        (mpmath.mpc(0.5, mpmath.mpf("1e400")), "(0.5 + 1.0e+400j)"),
+        (mpmath.mpc(mpmath.mpf("-1e400"), 0), "(-1.0e+400 + 0.0j)"),
+    ])
+    def test_refusals_name_the_point(self, s, point):
+        # complex() of these parts overflows: the messages once read (0.5+infj), (-inf+0j)
+        with pytest.raises(ProbeEvaluationError) as refused:
+            zeta_complex(s, 15)
+        assert str(refused.value).startswith(f"zeta evaluation at {point} needs more than")
 
     @pytest.mark.parametrize("evaluate", [zeta_complex, zeta_deriv, f_eval],
                              ids=lambda f: f.__name__)
@@ -215,8 +253,8 @@ class TestFEval:
 
     def test_huge_real_point_builds_no_sum(self, monkeypatch):
         # past Re s = 2 wp zeta = 1 and zeta' = 0 are exact and s(s-1) zeta'/zeta is
-        # below 2^-wp: the budget asks only for 1/gamma's 400 integer digits and the
-        # 15 places, and the engine builds neither sum nor Bernoulli weight for them
+        # below 2^-wp: the relative budget holds at the first pass, and the engine
+        # builds neither sum nor Bernoulli weight
         works = []
         engine = probe_module._zeta_fixed
         monkeypatch.setattr(probe_module, "_zeta_fixed",
@@ -225,19 +263,20 @@ class TestFEval:
         monkeypatch.setattr(probe_module, "log_int_fixed", None)
         s = mpmath.mpf("1e400")
         got = f_eval(s, 15)
-        assert max(works) <= 15 + 400 + 10
-        with mp.workdps(40):  # f is rounded at 30 digits
-            assert abs(got - s / mpmath.euler) <= mpmath.mpf(10) ** 370
+        assert works == [15 + 3]
+        with mp.workdps(40):
+            assert abs(got - s / mpmath.euler) <= mpmath.mpf(10) ** -15 * s / mpmath.euler
 
     def test_refuses_a_retry_that_misses_the_budget(self, monkeypatch):
         # an engine that ignores the digits asked for: the retry is no better than the
-        # first pass, and the sample is refused rather than returned
+        # first pass, and the sample is refused rather than returned.  A line's budget is
+        # absolute, so the roundings of |f| ~ 10^11 at the first pass's wp miss it too.
         engine = probe_module._zeta_fixed
         monkeypatch.setattr(probe_module, "_zeta_fixed",
                             lambda s, work, *a: engine(s, 33, *a))
-        s = complex(0.5, float(T1) + 1e-9)  # |zeta| ~ 1e-9: the first pass falls short
+        t = float(T1) + 1e-9  # |zeta| ~ 1e-9: the first pass falls short
         with pytest.raises(ProbeEvaluationError, match="more than one retry"):
-            f_eval(s, 30)
+            line_probe("im", 0.5, t, t + 1e-9, samples=2, precision=30)
 
     def test_f_vanishes_at_s_0(self):
         # f(0) = 0 exactly: a relative budget alone could never be met there
@@ -672,6 +711,68 @@ class TestLineStepping:
             if not retries:
                 steps = _distinct_steps([s.param for s in report.samples])
                 assert (line["N"], primes(line), len(steps)) == (36, 11, 8)
+
+    def test_size_once_per_grid_point(self, monkeypatch):
+        # the line sizes each grid point once, before its first sample, and _zeta_fixed
+        # reads that size; a sample that retries, from a fresh state, sizes its point again
+        sizes, fresh = [], []
+        size, engine = probe_module._size, probe_module._zeta_fixed
+        monkeypatch.setattr(probe_module, "_size", lambda *a: sizes.append(1) or size(*a))
+        monkeypatch.setattr(probe_module, "_zeta_fixed",
+                            lambda s, work, line, guard: fresh.append(not line)
+                            or engine(s, work, line, guard))
+        for fixed, lo, hi, retries in [(1.0, 0.0, 30.0, False), (0.5, 13.9, 14.13, True)]:
+            sizes.clear()
+            fresh.clear()
+            line_probe("im", fixed, lo, hi, samples=100, precision=30)
+            assert any(fresh) == retries
+            assert len(sizes) == 100 + sum(fresh)
+
+    # |s - 1| = 10^-6 and one float ulp either side of it, on both axes; the benchmark
+    # im line's t = 0 sample is s = 1 itself
+    _GUARD_POINTS = [
+        (1.0, 0.0), (1.0, 1e-6), (1.0, -1e-6), (1 + 1e-6, 0.0), (1 - 1e-6, 0.0),
+        *((1.0, math.nextafter(1e-6, d)) for d in (0, 1)),
+        *((1.0, -math.nextafter(1e-6, d)) for d in (0, 1)),
+        *((math.nextafter(1 + 1e-6, d), 0.0) for d in (0, 2)),
+        *((math.nextafter(1 - 1e-6, d), 0.0) for d in (0, 2)),
+        (1 + 5e-7, 8.660254037844386e-7), (1 + 6e-7, 8e-7), (1.0, 1e-300), (1 - 2**-40, 9.9e-7),
+        (0.5, 0.0), (2.0, 0.0), (1.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("precision", [10, 30, 60])
+    def test_pole_guard_verdict(self, precision):
+        # the verdict of the mpmath test it replaces, |s - 1| < 10^-6 at precision + 15 digits
+        from mpmath.libmp import fone, ften, mpc_abs, mpc_sub_mpf, mpf_lt, mpf_pow_int
+
+        prec = mpmath.libmp.dps_to_prec(precision + 15)
+        for re_s, im_s in self._GUARD_POINTS:
+            s = tuple(mpmath.libmp.from_float(x) for x in (re_s, im_s))
+            before = mpf_lt(mpc_abs(mpc_sub_mpf(s, fone, prec, "n"), prec, "n"),
+                            mpf_pow_int(ften, -6, prec, "n"))
+            assert probe_module._near_pole(s) == before, (re_s, im_s)
+        point = probe_module._point
+        assert probe_module._near_pole(point(1, precision))
+        assert not probe_module._near_pole(point(complex(1, 1.0000001e-6), precision))
+        assert probe_module._near_pole(point(mpmath.mpc(1, mpmath.mpf("1e-400000000")), precision))
+
+    def test_pole_guard_calls_no_mpmath_function(self):
+        called = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name != "_near_pole":
+                called.append(frame.f_code.co_filename)
+            elif event == "c_call" and arg is not sys.setprofile:
+                called.append(getattr(arg, "__module__", None) or "")
+
+        points = [tuple(mpmath.libmp.from_float(x) for x in s) for s in self._GUARD_POINTS]
+        sys.setprofile(profile)
+        try:
+            for s in points:
+                probe_module._near_pole(s)
+        finally:
+            sys.setprofile(None)
+        assert called and set(called) == {"builtins"}  # min and max
 
     def test_log_once_per_prime_and_working_precision(self, monkeypatch):
         # the line keeps its sieve and log n, extended as N grows to 36
