@@ -186,6 +186,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("sweep-break-at-half-tol", "likeiper/probe.py",
            "if fb.real - fa.real >= tol:", "if fb.real - fa.real >= tol / 2:",
            ("tests/test_probe.py::TestNearCollisionSweep",)),
+    # the Stieltjes table's gamma_0 is checked to its digits less a 2-digit margin, no looser
+    Mutant("gamma0-margin-loosened", "likeiper/constants.py",
+           "Fraction(1, 2 * 10 ** (digits - 2))", "Fraction(1, 2 * 10 ** (digits - 3))",
+           ("tests/test_constants.py::TestGamma0Boundary",)),
     # zero sums and their bounds refuse digits past the zero table, not cap them
     Mutant("zero-table-clamp", "likeiper/zeros.py",
            "    if precision > zeros.digits:\n"

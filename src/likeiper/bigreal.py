@@ -28,18 +28,12 @@ from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, from_rational, fz
                           mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_sub, round_nearest,
                           to_float, to_str)
 
-DEFAULT_DIGITS = 50
-MIN_DIGITS = 10
+from .datafiles import DEFAULT_DIGITS, MIN_DIGITS, PrecisionError  # re-exported, mpmath-free there
 
 _Number = Union[int, str, Fraction, "BigReal", mpmath.mpf]
 
 _make = mpmath.mp.make_mpf  # wraps a raw tuple as it is: no rounding, no context read
 _str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit (< 3.10.7)
-
-
-class PrecisionError(ValueError):
-    """Raised for precision tags below the supported minimum, and for a value
-    printed with more integer digits than its tag."""
 
 
 @lru_cache(maxsize=None)

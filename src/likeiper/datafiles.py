@@ -7,7 +7,8 @@ without it), indices strictly increasing.  Value tables hold one plain
 decimal per row, ``_PLAIN_DECIMAL``, and ``exact_decimal`` is the one reader of
 its value: exact, so that each kernel rounds it once at its own bits.  The
 directory holding the files can be overridden with the ``LIKEIPER_DATA_DIR``
-environment variable.
+environment variable.  The module imports only the standard library, so it is
+the mpmath-free home of ``DEFAULT_DIGITS``, ``MIN_DIGITS`` and ``PrecisionError``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Tuple, Type
 
-from .bigreal import MIN_DIGITS
+DEFAULT_DIGITS = 50
+MIN_DIGITS = 10
 
 #: A plain decimal literal, no exponent: the one number format of the value tables.
 _PLAIN_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
+
+
+class PrecisionError(ValueError):
+    """Raised for precision tags below the supported minimum, and for a value
+    printed with more integer digits than its tag."""
 
 
 class DataFormatError(ValueError):

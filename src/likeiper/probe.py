@@ -52,11 +52,11 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, log_int_fixed, mpf_abs, mpf_cos_sin,
-                          mpf_exp, round_nearest, to_fixed, to_float)
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_man_exp, fzero, log_int_fixed, mpf_abs,
+                          mpf_cos_sin, mpf_exp, round_nearest, to_fixed, to_float)
 
 from .bigreal import BigReal, _fixed
-from .constants import _elementary, bernoulli_weight
+from .constants import _euler_int, bernoulli_weight
 
 DEFAULT_PROBE_DIGITS = 30
 
@@ -177,8 +177,9 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     wp = dps_to_prec(work + 5 + math.ceil(lift)) + 2 * n_bits + 10 + guard
     one = 1 << wp
     sre, sim = to_fixed(s[0], wp), to_fixed(s[1], wp)
-    if (sre, sim) == (one, 0):
-        raise ProbeEvaluationError("zeta has its pole at s = 1")
+    if (sre, sim) == (one, 0):  # s = 1 exactly, or within 2^-wp of it
+        near = "" if s == (fone, fzero) else f"; s = {_where(s)} lies within 2^-{wp} of it"
+        raise ProbeEvaluationError(f"zeta has its pole at s = 1{near}")
     if sre >= 2 * wp * one:  # every term past n = 1 is below 2^-2wp, so 0 at wp, as in the sum
         return wp, (sre, sim), (one, 0), (0, 0)
     spf, logs = line.get(("log", wp), ((), [0, 0]))
@@ -331,7 +332,7 @@ def _f_on_line(s: Tuple[tuple, tuple], precision: int, line: dict,
         wp, (sre, sim), (zr, zi), (dzr, dzi) = _zeta_fixed(s, work, line, guard)
         den, one, key = zr * zr + zi * zi, 1 << wp, ("budget", wp, work, precision)
         if key not in line:  # 1/gamma, e (below), |zeta|^2's floor, f's floor, 20 10^precision
-            line[key] = ((one << wp) // _elementary(wp)[0], one // 10 ** (work + 4) + 1,
+            line[key] = ((one << wp) // _euler_int(wp), one // 10 ** (work + 4) + 1,
                          -(-one * one // 100 ** (precision // 2)), one // 10**precision,
                          20 * 10**precision)
         inv_gamma, e, floor, tiny, scale = line[key]

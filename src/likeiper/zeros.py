@@ -11,22 +11,22 @@ and on the dropped remainders from the zero-counting density
 
 Ordinates are ingested from a data file, never computed here, and kept as
 their exact decimal values; the shipped table carries provenance in its header.
+The module imports only ``datafiles`` at load, so that ``load_zeros``, which
+compares exact values, loads no mpmath; the sums, bounds and the inversion check
+import libmp, ``bigreal`` and the predictors in their bodies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
-from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, from_rational, mpf_add,
-                          mpf_div, mpf_log, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift, round_nearest)
-
-from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError, _rounded
-from .datafiles import default_zeros_path, exact_decimal, parse_indexed_table, table_digits
-from .series import parity_sign
+from .datafiles import (DEFAULT_DIGITS, PrecisionError, default_zeros_path, exact_decimal,
+                        parse_indexed_table, table_digits)
 
 if TYPE_CHECKING:
+    from .bigreal import BigReal
     from .lambda_core import LambdaTable
 
 
@@ -65,32 +65,20 @@ def load_zeros(path: Optional[Path] = None) -> ZeroList:
         path = default_zeros_path()
     metadata, rows = parse_indexed_table(path)
     digits = table_digits(path, metadata, rows, ZeroDataError)
-    ordinates: List[Fraction] = []
-    previous = None
-    for index, text in rows:
-        t = exact_decimal(text)
-        if previous is not None and not (t > previous):
-            raise ZeroDataError(
-                f"{path}: ordinate #{index} = {text} is not strictly increasing"
-            )
-        previous = t
-        ordinates.append(t)
+    ordinates = tuple([exact_decimal(text) for _, text in rows])
+    for (index, text), t, previous in zip(rows[1:], ordinates[1:], ordinates):
+        if not t > previous:
+            raise ZeroDataError(f"{path}: ordinate #{index} = {text} is not strictly increasing")
     first = ordinates[0]
     if not (Fraction(141, 10) < first < Fraction(142, 10)):
+        from .bigreal import BigReal
         raise ZeroDataError(
             f"{path}: first ordinate {BigReal(first, digits).digits_str(10)} outside "
             "(14.1, 14.2); not a table of nontrivial-zero ordinates from the start"
         )
-    warnings: List[str] = []
-    if len(ordinates) < 10:
-        warnings.append(
-            f"only {len(ordinates)} ordinate(s): tail bounds dominate partial sums"
-        )
-    return ZeroList(
-        ordinates=tuple(ordinates),
-        digits=digits,
-        warnings=tuple(warnings),
-    )
+    warnings = () if len(ordinates) >= 10 else (
+        f"only {len(ordinates)} ordinate(s): tail bounds dominate partial sums",)
+    return ZeroList(ordinates=ordinates, digits=digits, warnings=warnings)
 
 
 def _zero_digits(zeros: ZeroList, precision: int) -> int:
@@ -115,6 +103,8 @@ def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> T
     bit length is added as guard bits.  Values are tagged ``precision``; past
     the digits the ordinates carry, ``PrecisionError``.
     """
+    from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, mpf_mul, round_nearest
+    from .bigreal import _rounded
     if j_max < 1:
         raise ValueError("z_partial needs j_max >= 1")
     precision = _zero_digits(zeros, precision)
@@ -143,6 +133,9 @@ def _density_tails(j_max: int, T: Fraction, precision: int) -> Tuple[BigReal, ..
     form left to right at those digits, so every value has the bits of a
     separate evaluation for that j alone.
     """
+    from mpmath.libmp import (dps_to_prec, fone, from_int, from_rational, mpf_add, mpf_div, mpf_log,
+                              mpf_mul, mpf_pi, mpf_pow_int, mpf_shift, round_nearest)
+    from .bigreal import _rounded
     if j_max < 1:
         raise ValueError("tail bounds need j_max >= 1")
     prec, rnd = dps_to_prec(precision + 10), round_nearest
@@ -228,7 +221,9 @@ def inversion_check(
     Every field is tagged ``precision``.
     """
     # here, so that loading zeros loads no predictor
+    from .bigreal import BigReal
     from .recurrences import VOROS, RecurrenceScheme, _binomial_row, _predict_binomial
+    from .series import parity_sign
 
     if n_max < 1:
         raise ValueError("inversion_check needs n_max >= 1")

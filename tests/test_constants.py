@@ -16,7 +16,7 @@ from pathlib import Path
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, euler_fixed, ln2_fixed
 
 from likeiper import bigreal, constants
 from likeiper.bigreal import BigReal
@@ -297,6 +297,37 @@ class TestLoadErrors:
         table = load_stieltjes(path)
         assert table.k_max == 1
         assert table.digits == 30
+
+
+class TestGamma0Boundary:
+    """A 30-digit table's gamma_0 may be off by less than 1/2 10^-28, and no more."""
+
+    @staticmethod
+    def table_off_by(tmp_path, units):
+        # gamma_0 at 40 places, off gamma by `units` 10^-40, rounding below 10^-40
+        with mp.workdps(60):
+            places = int(mp.nint(mp.euler * 10**40)) + units
+        return write_table(tmp_path, f"0\t0.{places}\n1\t{GAMMA1}\n")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_just_under_the_margin_loads(self, tmp_path, sign):
+        assert load_stieltjes(self.table_off_by(tmp_path, sign * (5 * 10**11 - 10**6))).digits == 30
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_just_over_the_margin_raises_the_old_message(self, tmp_path, sign):
+        path = self.table_off_by(tmp_path, sign * (5 * 10**11 + 10**6))
+        message = (f"{path}: gamma_0 entry 0.57721566490153286061 does not match "
+                   "the Euler constant 0.57721566490153286061")
+        with pytest.raises(ConstantsError, match=f"^{re.escape(message)}$"):
+            load_stieltjes(path)
+
+
+class TestIntConstants:
+    def test_bit_identical_to_libmp(self):
+        # gamma by Brent-McMillan and log 2 by atanh(1/3) are libmp's ints, bit for bit
+        for wp in range(20, 1201, 7):
+            assert constants._euler_int(wp) == euler_fixed(wp), wp
+            assert constants._ln2_int(wp) == ln2_fixed(wp), wp
 
 
 def model_constant(precision):

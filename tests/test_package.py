@@ -43,11 +43,19 @@ def traced_modules():
     return sorted({module for module, _ in traced_targets()})
 
 
+LIBRARY_NAMES = {"lambda_table", "inversion_check", "load_zeros", "conjecture_scan"}
+
+
 def test_root_exports_only_the_library_example_names():
+    # the four resolve on first use, so resolve them before reading the namespace
+    for name in LIBRARY_NAMES:
+        getattr(likeiper, name)
     public = {name for name in vars(likeiper) if not name.startswith("_")}
     modules = {name for name in public if isinstance(getattr(likeiper, name), ModuleType)}
-    assert public - modules == {"lambda_table", "inversion_check", "load_zeros", "conjecture_scan"}
+    assert public - modules == LIBRARY_NAMES
     assert likeiper.__version__
+    with pytest.raises(AttributeError, match="has no attribute 'BigReal'"):
+        likeiper.BigReal
 
 
 def test_readme_library_example_runs(capsys):
@@ -63,13 +71,14 @@ def test_readme_library_example_runs(capsys):
 PUBLIC_SURFACE = {
     "__init__": set(),
     "__main__": set(),
-    "bigreal": {"BigReal", "DEFAULT_DIGITS", "MIN_DIGITS", "PrecisionError"},
+    "bigreal": {"BigReal"},
     "cli": {"cmd_approx", "cmd_lambda", "cmd_probe", "cmd_scan", "cmd_verify", "cmd_zeros",
             "main"},
     "constants": {"ConstantsError", "StieltjesTable", "bernoulli_weight", "euler_gamma",
                   "load_stieltjes", "polygamma_half", "zeta_int", "zeta_ints"},
-    "datafiles": {"DataFormatError", "data_dir", "default_stieltjes_path", "default_zeros_path",
-                  "exact_decimal", "parse_indexed_table", "read_table", "table_digits"},
+    "datafiles": {"DEFAULT_DIGITS", "DataFormatError", "MIN_DIGITS", "PrecisionError", "data_dir",
+                  "default_stieltjes_path", "default_zeros_path", "exact_decimal",
+                  "parse_indexed_table", "read_table", "table_digits"},
     "goldens": {"Builder", "CellReport", "GoldenCell", "GoldenTable", "TABLE_IDS", "TABLE_NAMES",
                 "TableReport", "load_golden", "recompute_table", "tables_dir", "verify_table"},
     "lambda_core": {"LambdaTable", "ScanRow", "conjecture_scan", "guard_digits", "history",
@@ -155,6 +164,16 @@ def test_loading_the_tables_does_not_load_the_predictors():
     run_fresh(
         "import sys, likeiper, likeiper.constants, likeiper.zeros; "
         "assert 'likeiper.recurrences' not in sys.modules"
+    )
+
+
+def test_loading_the_tables_loads_neither_mpmath_nor_bigreal():
+    # the benchmark's set-up path: the tables are checked in exact rationals
+    run_fresh(
+        "import sys, likeiper, likeiper.constants, likeiper.zeros; "
+        "likeiper.constants.load_stieltjes(), likeiper.zeros.load_zeros(); "
+        "loaded = {'mpmath', 'likeiper.bigreal'} & set(sys.modules); "
+        "assert not loaded, loaded"
     )
 
 

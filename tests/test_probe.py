@@ -10,6 +10,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -81,6 +82,17 @@ class TestZetaComplex:
         with mp.workdps(40):
             diff = abs(zeta_complex(k, 30) - zeta_int(k, 30).value)
             assert diff < mpmath.mpf(10) ** -20
+
+    @pytest.mark.parametrize("s", [1, mpmath.mpf(1), complex(1, 0), mpmath.mpc(1, 0)])
+    def test_pole_exactly_at_one(self, s):
+        with pytest.raises(ProbeEvaluationError, match=r"^zeta has its pole at s = 1$"):
+            zeta_complex(s, 15)
+
+    def test_a_point_that_rounds_onto_the_pole_is_named(self):
+        # Im s = 1e-400 is 0 at the engine's 2^-140, but s is not 1
+        message = "zeta has its pole at s = 1; s = (1.0 + 1.0e-400j) lies within 2^-140 of it"
+        with pytest.raises(ProbeEvaluationError, match=f"^{re.escape(message)}$"):
+            zeta_complex(mpmath.mpc(1, mpmath.mpf("1e-400")), 15)
 
 
 class TestZetaDeriv:
