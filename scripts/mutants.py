@@ -73,6 +73,12 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("tag-rule-ge", "likeiper/bigreal.py",
            "            if digits > bound:", "            if digits >= bound:",
            ("tests/test_bigreal.py",)),
+    # a value printed at P places is tagged P plus its integer digits: probe samples,
+    # predictions and seeded rows (named for the probe, where the rule began)
+    Mutant("probe-tag-ignores-integer-digits", "likeiper/bigreal.py",
+           "    return places + digits + (abs(whole) >= 10**digits)\n", "    return places\n",
+           ("tests/test_probe.py::TestPrintedPlaces",
+            "tests/test_contract.py::test_approx_cells_within_one_unit_of_40_more_digits")),
     # arithmetic between two values is tagged with the smaller tag
     Mutant("binary-largest-tag", "likeiper/bigreal.py",
            "precision = min(precision, other.precision)", "precision = max(precision, other.precision)",
@@ -173,15 +179,21 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("tail-table-keyed-by-wp-alone", "likeiper/probe.py",
            '    key = "tail", wp, N\n', '    key = "tail", wp\n',
            ("tests/test_probe.py::TestEngineOracle",)),
-    # a probe sample's error budget carries zeta'/zeta's share of zeta's error, and
-    # its f parts are tagged with their integer digits, so every printed place holds
+    # a probe sample's error budget carries zeta'/zeta's share of zeta's error, so
+    # every printed place holds
     Mutant("probe-budget-drops-quotient-term", "likeiper/probe.py",
            "dq = e * (one + q) // (max(abs(zr), abs(zi)) - e) + 1",
            "dq = e * one // (max(abs(zr), abs(zi)) - e) + 1",
            ("tests/test_probe.py::TestPrintedPlaces",)),
-    Mutant("probe-tag-ignores-integer-digits", "likeiper/probe.py",
-           'precision + len(str(abs(x) >> wp).lstrip("0"))', "precision",
-           ("tests/test_probe.py::TestPrintedPlaces",)),
+    # zeta near s = 1: s - 1 formed exactly lifts wp by the bits it costs the pole term
+    Mutant("pole-lift-dropped", "likeiper/probe.py",
+           "lift = max(0, pole[1] - (pole[0].bit_length() - 1) // 2 - 2 * n_bits - 10) * math.log10(2)",
+           "lift = 0",
+           ("tests/test_probe.py::TestZetaComplex::test_relative_error_near_the_pole",)),
+    # a point whose direct terms pass _MAX_TERMS is refused, not summed
+    Mutant("max-terms-unchecked", "likeiper/probe.py",
+           "    if N > _MAX_TERMS or lift > _MAX_LIFT_DIGITS:\n", "    if lift > _MAX_LIFT_DIGITS:\n",
+           ("tests/test_probe.py::TestFEval::test_line_records_points_past_the_caps",)),
     # the near-collision sweep stops where the real gap reaches tol
     Mutant("sweep-break-at-half-tol", "likeiper/probe.py",
            "if fb.real - fa.real >= tol:", "if fb.real - fa.real >= tol / 2:",

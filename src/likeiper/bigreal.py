@@ -25,8 +25,7 @@ from typing import Union
 import mpmath
 from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, from_rational, fzero, mpf_abs,
                           mpf_add, mpf_div, mpf_eq, mpf_ge, mpf_gt, mpf_hash, mpf_le, mpf_lt,
-                          mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_sub, round_nearest,
-                          to_float, to_str)
+                          mpf_mul, mpf_neg, mpf_pos, mpf_sub, round_nearest, to_float, to_str)
 
 from .datafiles import DEFAULT_DIGITS, MIN_DIGITS, PrecisionError  # re-exported, mpmath-free there
 
@@ -34,6 +33,14 @@ _Number = Union[int, str, Fraction, "BigReal", mpmath.mpf]
 
 _make = mpmath.mp.make_mpf  # wraps a raw tuple as it is: no rounding, no context read
 _str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit (< 3.10.7)
+
+
+def _places_tag(places: int, whole: int) -> int:
+    """The tag that backs ``places`` decimal places of a value with integer part ``whole``:
+    ``places`` plus the decimal digits of |whole| (none for 0).  Probe samples, predictions
+    and seeded rows, whose integer digits can pass the 5-digit pad, are tagged by it."""
+    digits = int(whole.bit_length() * 0.3010299956639812)  # |whole| has this many or one more
+    return places + digits + (abs(whole) >= 10**digits)
 
 
 @lru_cache(maxsize=None)
@@ -92,9 +99,6 @@ class BigReal:
             a, b = b, a
         return _tagged(op(a, b, _bits(precision), round_nearest), precision)
 
-    def _unary(self, op, *args) -> "BigReal":
-        return _tagged(op(self.raw, *args, _bits(self.precision), round_nearest), self.precision)
-
     def __add__(self, other: _Number) -> "BigReal":
         return self._binary(other, mpf_add)
 
@@ -117,16 +121,11 @@ class BigReal:
     def __rtruediv__(self, other: _Number) -> "BigReal":
         return self._binary(other, mpf_div, swap=True)
 
-    def __pow__(self, exponent: int) -> "BigReal":
-        if not isinstance(exponent, int):
-            raise TypeError("BigReal exponent must be an integer")
-        return self._unary(mpf_pow_int, exponent)
-
     def __neg__(self) -> "BigReal":
-        return self._unary(mpf_neg)
+        return _tagged(mpf_neg(self.raw), self.precision)  # exact, as raw is already rounded
 
     def __abs__(self) -> "BigReal":
-        return self._unary(mpf_abs)
+        return _tagged(mpf_abs(self.raw), self.precision)
 
     # -- comparisons (on the underlying values) --------------------------------
 
@@ -182,8 +181,7 @@ class BigReal:
         limit = _str_digits_limit()
         bound = self.precision + places  # digits that may print
         if units.bit_length() > 3 * (min(bound, limit) if limit else bound):  # below 2^(3n) < 10^n
-            digits = int(units.bit_length() * 0.3010299956639812)  # units has this or one more
-            digits += units >= 10**digits
+            digits = _places_tag(0, units)  # units' decimal digits
             if limit and digits > limit:
                 raise ValueError(f"cannot print a value with {digits - places} integer digits at"
                                  f" {places} places: past Python's {limit}-digit int-string limit")
@@ -216,8 +214,7 @@ class BigReal:
         diff = mpf_abs(mpf_sub(self.raw, other.raw, prec, round_nearest))
         if not mpf_lt(size, from_int(1)):
             diff = mpf_div(diff, size, prec, round_nearest)
-        power = mpf_pow_int(from_int(10), -digits - 1, prec, round_nearest)
-        return mpf_lt(diff, mpf_mul(from_int(5), power, prec, round_nearest))
+        return mpf_lt(diff, from_rational(1, 2 * 10**digits, prec, round_nearest))
 
 
 _set_raw, _set_precision = BigReal.raw.__set__, BigReal.precision.__set__

@@ -22,7 +22,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from .bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, _str_digits_limit
+from .bigreal import (DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError, _places_tag,
+                      _str_digits_limit)
 from .constants import load_stieltjes
 from .goldens import TABLE_IDS, TableReport, verify_table
 from .lambda_core import (conjecture_scan, history, lambda1_closed_form, lambda_table, tiny_series,
@@ -215,11 +216,10 @@ def cmd_approx(args: argparse.Namespace) -> int:
                 "--seed initial runs from the closed-form lambda(1); "
                 "it reads no --stieltjes and no --target"
             )
-        # the scheme is linear with integer weights: row n is lambda(1) times the
-        # exact ratio r_n, so lambda(1) needs only r's integer digits more
+        # row n is lambda(1) times the exact ratio r_n (the scheme is linear with integer
+        # weights): lambda(1) is tagged for the largest r's places, capped where rows refuse r
         ratios = self_seeded_run(scheme, Fraction(1), c=c, n_max=args.n_max)
-        whole = int(max(map(abs, ratios))).bit_length() // 3 + 1
-        tag = args.digits + min(whole, args.digits)
+        tag = min(_places_tag(args.digits, int(max(map(abs, ratios)))), 2 * args.digits)
         lam1 = lambda1_closed_form(tag)
 
         def row(n: int, r: Fraction) -> tuple:

@@ -21,9 +21,10 @@ differentiated analytically term by term, so each sample of f costs one
 sum; there are no finite differences.
 
 The sum runs in fixed point on scalar 2^wp-scaled ints (the idiom of F.
-Johansson, Numer. Algorithms 69 (2015)): a smallest-prime-factor sieve
-leaves exp and cos/sin to primes, Re s < 0 lifts wp by the digits the direct
-terms cancel, and the weights B_2j/(2j)! come from ``constants``' table.
+Johansson, Numer. Algorithms 69 (2015)): a smallest-prime-factor sieve leaves
+exp and cos/sin to primes, Re s < 0 lifts wp by the digits the direct terms
+cancel and s near 1 by the bits s - 1, formed exactly, costs in the pole term,
+and the weights B_2j/(2j)! come from ``constants``' table.
 A non-finite point, or one whose N or lift passes ``_MAX_TERMS`` or
 ``_MAX_LIFT_DIGITS``, is refused with ``ProbeEvaluationError`` before any work.
 A probe line keeps one state: each grid point's M, N and lift, sized once; per
@@ -36,10 +37,10 @@ exp(-(delta - delta0) log p), so log runs once per prime and wp, and exp
 and cos/sin about once per prime and line.  f follows on the same ints: a
 line's points enter as the exact mpf parts of their floats, |s - 1| < 10^-6 is
 decided on those ints, zeta'/zeta is one integer complex division, and each
-part of f is rounded once, into the ``BigReal`` a sample keeps, tagged with the
-digits asked for plus its integer digits.  A sample's working digits come from
-its propagated error budget, absolute for a line's printed places and relative
-to |f| for ``f_eval``, with one retry where the first pass falls short.  mpc
+part of f is rounded once, into the ``BigReal`` a sample keeps, tagged for the
+places asked for.  A sample's working digits come from its propagated error
+budget, absolute for a line's printed places and relative to |f| for
+``f_eval``, with one retry where the first pass falls short.  mpc
 appears only where ``zeta_complex``, ``zeta_deriv`` and ``f_eval`` take and
 return values.
 """
@@ -48,14 +49,14 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_man_exp, fzero, log_int_fixed, mpf_abs,
+from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, log_int_fixed, mpf_abs,
                           mpf_cos_sin, mpf_exp, round_nearest, to_fixed, to_float)
 
-from .bigreal import BigReal, _fixed
+from .bigreal import BigReal, _fixed, _places_tag
 from .constants import _euler_int, bernoulli_weight
 
 DEFAULT_PROBE_DIGITS = 30
@@ -169,17 +170,20 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     them, and the primes <= N under ("tail", wp, N).
     """
     M, N, lift = line.get((s, work)) or _size(s, work)
+    n_bits = max(N, line.get("N", 0)).bit_length()  # absorb N roundings of |s| log N ulps each
+    pole = _near_pole(s)  # |s - 1| = r^(1/2) 2^-k >= 2^-a: s - 1 at wp is off by 2^(a - wp)
+    if pole:  # relative, so a lifts wp, less the 2 n_bits + 10 bits wp has over its target
+        if not pole[0]:
+            raise ProbeEvaluationError("zeta has its pole at s = 1")
+        lift = max(0, pole[1] - (pole[0].bit_length() - 1) // 2 - 2 * n_bits - 10) * math.log10(2)
     if N > _MAX_TERMS or lift > _MAX_LIFT_DIGITS:
-        need = (f"more than {_MAX_LIFT_DIGITS} extra digits for Re s < 0" if lift > _MAX_LIFT_DIGITS
+        near = "s near 1" if pole else "Re s < 0"
+        need = (f"more than {_MAX_LIFT_DIGITS} extra digits for {near}" if lift > _MAX_LIFT_DIGITS
                 else f"more than {_MAX_TERMS} direct terms")
         raise ProbeEvaluationError(f"zeta evaluation at {_where(s)} needs {need}")
-    n_bits = max(N, line.get("N", 0)).bit_length()  # absorb N roundings of |s| log N ulps each
     wp = dps_to_prec(work + 5 + math.ceil(lift)) + 2 * n_bits + 10 + guard
     one = 1 << wp
     sre, sim = to_fixed(s[0], wp), to_fixed(s[1], wp)
-    if (sre, sim) == (one, 0):  # s = 1 exactly, or within 2^-wp of it
-        near = "" if s == (fone, fzero) else f"; s = {_where(s)} lies within 2^-{wp} of it"
-        raise ProbeEvaluationError(f"zeta has its pole at s = 1{near}")
     if sre >= 2 * wp * one:  # every term past n = 1 is below 2^-2wp, so 0 at wp, as in the sum
         return wp, (sre, sim), (one, 0), (0, 0)
     spf, logs = line.get(("log", wp), ((), [0, 0]))
@@ -252,19 +256,21 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     return wp, (sre, sim), (z[0] + wr, z[1] + wi), (dz[0] + dwr, dz[1] + dwi)
 
 
-def _near_pole(s: Tuple[tuple, tuple]) -> bool:
-    """|s - 1| < 10^-6, exactly, on the ints of the raw mpf parts.  x^2 = 10^-12 has no dyadic
-    root, so with x = Re s - 1 on a 2^e grid it misses by 2^(2e+12) 10^-12, and an Im s under
-    2^(e-20) cannot turn the verdict (e = 0 where x = 0): it is dropped, not scaled."""
+def _near_pole(s: Tuple[tuple, tuple]) -> Optional[Tuple[int, int]]:
+    """(r, k) with |s - 1|^2 = r 4^-k, on the ints of the raw mpf parts, for s in the window
+    Re s in [1/2, 2), |Im s| <= 2^-18, else None; exact on Re s = 1.  Off it x = Re s - 1 is on
+    a 2^e grid, and an Im s under 2^(e-20) is dropped: it moves |s - 1| by under 2^-40 of itself
+    and, as x^2 = 10^-12 misses by 2^(2e+12) 10^-12, cannot turn |s - 1| < 10^-6."""
     (sx, mx, ex, bx), (_, my, ey, by) = s
     if sx or ex + bx not in (0, 1) or my and ey + by > -18:  # Re s outside [1/2, 2), |Im s| > 2^-18
-        return False
-    e = min(ex, 0)
-    if not my or ey + by < e - 20:
-        my, ey = 0, e
-    k = max(-e, -ey)
+        return None
+    if (mx, ex) == (1, 0):  # Re s = 1: s - 1 = i Im s
+        return my * my, -ey
+    if not my or ey + by < ex - 20:
+        my, ey = 0, ex
+    k = max(-ex, -ey)
     x, y = (mx << ex + k) - (1 << k), my << ey + k
-    return (x * x + y * y) * 10**12 < 1 << 2 * k
+    return x * x + y * y, k
 
 
 def _where(s: Tuple[tuple, tuple]) -> str:
@@ -325,7 +331,7 @@ def _f_on_line(s: Tuple[tuple, tuple], precision: int, line: dict,
     digits its error budget asks for if those are more (A. Ziv, ACM TOMS 17 (1991)), from a
     fresh state that leaves the line's alone.  A sample whose retry still misses its budget,
     or that asks for more than ``_MAX_LIFT_DIGITS`` extra digits, is refused."""
-    if _near_pole(s):
+    if (pole := _near_pole(s)) and (pole[0] * 10**12).bit_length() <= 2 * pole[1]:  # |s-1| < 10^-6
         raise ProbeEvaluationError(f"s = {_where(s)} too close to s = 1 for the quotient form")
     work, absolute = precision + 3, "N" in line  # a line's state has "N"; its cells print places
     for line, guard in (line, guard), ({}, 0):
@@ -471,8 +477,7 @@ def line_probe(
         except ProbeEvaluationError as exc:
             failures.append(SampleFailure(param=param, reason=str(exc)))
             continue
-        # each part's tag counts its integer digits too, so every printed place is backed
-        f_re, f_im = (_fixed(x, wp, precision + len(str(abs(x) >> wp).lstrip("0"))) for x in f)
+        f_re, f_im = (_fixed(x, wp, _places_tag(precision, abs(x) >> wp)) for x in f)
         collected.append(ComplexSample(param=param, f_re=f_re, f_im=f_im))
     if len(collected) < 2:
         raise ProbeEvaluationError(

@@ -51,9 +51,9 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from mpmath.libmp import dps_to_prec, log_int_fixed
+from mpmath.libmp import dps_to_prec, log_int_fixed, to_int
 
-from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError, _fixed
+from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError, _fixed, _places_tag
 from .constants import _elementary
 from .series import parity_sign
 
@@ -233,8 +233,8 @@ def prediction_run(
     n itself whenever the error columns are wanted).  A history with
     ``BigReal`` values must be tagged at least ``precision`` plus
     ``scheme.guard_digits(n_hi)`` (``PrecisionError`` otherwise), and each
-    prediction from it is tagged ``precision``, the digits it holds; an exact
-    history gives exact predictions.
+    prediction and error from it is tagged to hold ``precision`` places (see
+    ``bigreal._places_tag``); an exact history gives exact predictions.
     """
     tags = [h.precision for h in history if isinstance(h, BigReal)]
     if tags:
@@ -247,16 +247,13 @@ def prediction_run(
     results = []
     for n in range(n_lo, n_hi + 1):
         predicted = predict(scheme, history, n)
-        if tags:
-            predicted = BigReal(predicted, precision)
         exact = history[n] if n < len(history) else None
-        abs_err = rel_err = None
-        if exact is not None:
-            abs_err = abs(predicted - exact)
-            rel_err = abs_err / abs(exact) if exact != 0 else None
-        results.append(
-            PredictionResult(n=n, predicted=predicted, exact=exact, abs_error=abs_err, rel_error=rel_err)
-        )
+        abs_err = None if exact is None else abs(predicted - exact)
+        rel_err = abs_err / abs(exact) if exact else None  # none at a zero exact value
+        if tags:  # each formed at the history's tag, then tagged once for its places
+            predicted, abs_err, rel_err = (v if v is None else BigReal(v, _places_tag(
+                precision, to_int(v.raw))) for v in (predicted, abs_err, rel_err))
+        results.append(PredictionResult(n, predicted, exact, abs_err, rel_err))
     return results
 
 

@@ -14,7 +14,9 @@ Over ``--digits`` the data tables support, every cell of ``lambda``, ``scan``,
 ``approx`` at its default target and the ``lhs``/``z_partial`` columns of
 ``zeros --inversion`` is within one unit in its last place of the benchmark's
 reference values (``perfbench/reference/reference.json``, computed from mpmath
-primitives alone at 190 digits and stored to 130 significant digits).
+primitives alone at 190 digits and stored to 130 significant digits).  Every
+``approx`` target at n <= 20, which the reference does not cover, is within one
+unit of the same command at 40 more digits.
 """
 
 import contextlib
@@ -206,9 +208,6 @@ def test_cells_within_one_unit_of_the_reference(run):
     assert wrong == [], argv
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: cells with k integer digits print k "
-                                       "places past their tag; 17 cells are off by more than "
-                                       "one unit, the worst by 1.35e4")
 def test_a2_tiny_target_within_one_unit_of_80_digits():
     argv = ["approx", "--scheme", "a2", "--target", "tiny", "--n-max", "20"]
     code, out, _ = _run(argv + ["--digits", "40"])
@@ -219,4 +218,22 @@ def test_a2_tiny_target_within_one_unit_of_80_digits():
     assert [row[0] for row in rows] == [row[0] for row in finer_rows]
     wrong = [(row[0], i) for row, finer_row in zip(rows, finer_rows) for i in range(1, 5)
              if abs(Fraction(row[i]) - Fraction(finer_row[i])) > Fraction(1, 10**40)]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("target", ["tiny", "trend", "lambda"])
+@pytest.mark.parametrize("scheme", ["a1", "b", "d", "a2", "m:4"])
+def test_approx_cells_within_one_unit_of_40_more_digits(scheme, target):
+    # every target at small n, which the reference does not cover: a2's tiny and trend
+    # predictions reach 10 integer digits, past a 5-digit pad over --digits significant
+    wrong = []
+    for n_max, digits in (20, 40), (11, 30), (20, 12):
+        argv = ["approx", "--scheme", scheme, "--target", target, "--n-max", str(n_max)]
+        runs = [_run(argv + ["--digits", str(d)]) for d in (digits, digits + 40)]
+        assert [code for code, _, _ in runs] == [0, 0], argv
+        rows, finer = ([line.split("\t") for line in out.splitlines()[1:]] for _, out, _ in runs)
+        assert [row[0] for row in rows] == [row[0] for row in finer] != []
+        wrong += [(n_max, digits, row[0], i)
+                  for row, finer_row in zip(rows, finer) for i in range(1, 5)
+                  if abs(Fraction(row[i]) - Fraction(finer_row[i])) > Fraction(1, 10**digits)]
     assert wrong == []

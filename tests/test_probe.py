@@ -88,11 +88,31 @@ class TestZetaComplex:
         with pytest.raises(ProbeEvaluationError, match=r"^zeta has its pole at s = 1$"):
             zeta_complex(s, 15)
 
-    def test_a_point_that_rounds_onto_the_pole_is_named(self):
-        # Im s = 1e-400 is 0 at the engine's 2^-140, but s is not 1
-        message = "zeta has its pole at s = 1; s = (1.0 + 1.0e-400j) lies within 2^-140 of it"
+    def test_a_point_that_rounds_onto_the_pole_evaluates(self):
+        # Im s = 1e-400 is 0 at the engine's unlifted 2^-140, but s is not 1
+        s = mpmath.mpc(1, mpmath.mpf("1e-400"))
+        got = zeta_complex(s, 15)
+        with mp.workprec(2000):
+            expected = mpmath.zeta(s)
+            assert abs(got - expected) <= mpmath.mpf(10) ** -15 * abs(expected)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_relative_error_near_the_pole(self, sign):
+        # s - 1 is formed exactly, and lifts wp by the bits |s - 1| costs: without the lift
+        # Im s = -1e-45 floored to one unit of 2^-wp and zeta came out with relative error 0.999
+        for k in range(10, 61):
+            s = mpmath.mpc(1, sign * mpmath.mpf(10) ** -k)
+            got, dgot = probe_module._zeta_and_deriv(s, 15)
+            with mp.workdps(55):
+                z, dz = mpmath.zeta(s), mpmath.zeta(s, derivative=1)
+                assert abs(got - z) <= mpmath.mpf(10) ** -15 * abs(z), k
+                assert abs(dgot - dz) <= mpmath.mpf(10) ** -15 * abs(dz), k
+
+    def test_a_point_past_the_lift_cap_near_the_pole_is_named(self):
+        message = ("zeta evaluation at (1.0 + 1.0e-400000000j) needs more than 10000 extra digits"
+                   " for s near 1")
         with pytest.raises(ProbeEvaluationError, match=f"^{re.escape(message)}$"):
-            zeta_complex(mpmath.mpc(1, mpmath.mpf("1e-400")), 15)
+            zeta_complex(mpmath.mpc(1, mpmath.mpf("1e-400000000")), 15)
 
 
 class TestZetaDeriv:
@@ -754,19 +774,26 @@ class TestLineStepping:
 
     @pytest.mark.parametrize("precision", [10, 30, 60])
     def test_pole_guard_verdict(self, precision):
-        # the verdict of the mpmath test it replaces, |s - 1| < 10^-6 at precision + 15 digits
+        # f_eval refuses as the mpmath test it replaces did, |s - 1| < 10^-6 at precision + 15
+        # digits, and evaluates every other point
         from mpmath.libmp import fone, ften, mpc_abs, mpc_sub_mpf, mpf_lt, mpf_pow_int
+
+        def refused(s):
+            try:
+                f_eval(s, precision)
+            except ProbeEvaluationError as exc:
+                assert "too close to s = 1" in str(exc)
+                return True
+            return False
 
         prec = mpmath.libmp.dps_to_prec(precision + 15)
         for re_s, im_s in self._GUARD_POINTS:
             s = tuple(mpmath.libmp.from_float(x) for x in (re_s, im_s))
             before = mpf_lt(mpc_abs(mpc_sub_mpf(s, fone, prec, "n"), prec, "n"),
                             mpf_pow_int(ften, -6, prec, "n"))
-            assert probe_module._near_pole(s) == before, (re_s, im_s)
-        point = probe_module._point
-        assert probe_module._near_pole(point(1, precision))
-        assert not probe_module._near_pole(point(complex(1, 1.0000001e-6), precision))
-        assert probe_module._near_pole(point(mpmath.mpc(1, mpmath.mpf("1e-400000000")), precision))
+            assert refused(complex(re_s, im_s)) == before, (re_s, im_s)
+        assert not refused(complex(1, 1.0000001e-6))
+        assert refused(mpmath.mpc(1, mpmath.mpf("1e-400000000")))
 
     def test_pole_guard_calls_no_mpmath_function(self):
         called = []

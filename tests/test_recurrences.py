@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from likeiper.bigreal import MIN_DIGITS, BigReal, PrecisionError
+from likeiper.bigreal import MIN_DIGITS, BigReal, PrecisionError, _places_tag
 from likeiper.lambda_core import lambda1_closed_form, lambda_table
 from likeiper.recurrences import (
     FULL_HISTORY,
@@ -325,8 +325,10 @@ class TestKernelMatchesPerTermBigReal:
                     prediction_run(scheme, history, 3, 32, MIN_DIGITS)
                 continue
             for r in prediction_run(scheme, history, 3, 32, digits):
-                assert _bits(r.predicted) == _bits(
-                    BigReal(oracle_binomial(history, r.n, _weight(scheme, r.n)), digits))
+                # the reference rounded at the same tag, the rule's for its integer part
+                reference = oracle_binomial(history, r.n, _weight(scheme, r.n))
+                tag = _places_tag(digits, int(reference.to_fraction()))
+                assert _bits(r.predicted) == _bits(BigReal(reference, tag))
         # the self-seeded run is exact and rounds each output once at lambda(1)'s tag
         values = self_seeded_run(RecurrenceScheme(kind=VOROS), history[1], n_max=32)
         exact = [Fraction(0), history[1].to_fraction()]
@@ -804,7 +806,9 @@ class TestGuardDigits:
         with pytest.raises(PrecisionError, match=f"need a history tagged {need}, not {need - 1}"):
             prediction_run(scheme, short, 2, 32, 30)
         results = prediction_run(scheme, [BigReal(k, need) for k in range(33)], 2, 32, 30)
-        assert {r.predicted.precision for r in results} == {30}
+        # 30 places of each prediction, the integer digits on top
+        assert {r.predicted.precision - len(str(abs(int(r.predicted.to_fraction()))).lstrip("0"))
+                for r in results} == {30}
 
     def test_exact_history_takes_no_tag(self):
         results = prediction_run(RecurrenceScheme(kind=VOROS), poly_values([0, 0, 1], 9), 2, 9, 30)
@@ -826,7 +830,8 @@ class TestTagHonesty:
             for r in prediction_run(scheme, history, scheme.m or 2, 32, digits):
                 weight = _weight(scheme, r.n)
                 exact = sum(parity_sign(k - r.n + 1) * weight(k) * truth[k] for k in range(1, r.n))
-                assert r.predicted.precision == digits
                 error = abs(exact - truth[r.n])
-                assert r.predicted.agrees_to(BigReal(exact, 120), digits), (target, r.n)
-                assert r.abs_error.agrees_to(BigReal(error, 120), digits), (target, r.n)
+                for got, want in (r.predicted, exact), (r.abs_error, error):
+                    tag = _places_tag(digits, int(want))
+                    assert got.precision == tag, (target, r.n)
+                    assert got.agrees_to(BigReal(want, 120), tag), (target, r.n)

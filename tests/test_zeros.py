@@ -95,7 +95,7 @@ class TestZPartial:
 
     @pytest.mark.parametrize("j", range(1, 9))
     def test_dominated_by_first_zero_scale(self, zeros, j):
-        bound = BigReal("14.134", 50) ** (-(2 * j - 1))
+        bound = Fraction(14134, 1000) ** (-(2 * j - 1))
         assert abs(z_partial(j, zeros, 50)[j - 1]) < bound
 
     def test_direct_recomputation(self, zeros):
