@@ -83,6 +83,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("binary-largest-tag", "likeiper/bigreal.py",
            "precision = min(precision, other.precision)", "precision = max(precision, other.precision)",
            ("tests/test_bigreal.py",)),
+    # a fixed-point int is tagged through the one check of a requested tag
+    Mutant("tag-check-skipped-in-fixed", "likeiper/bigreal.py",
+           "_bits(_checked(precision))", "_bits(precision)",
+           ("tests/test_bigreal.py::test_every_producer_refuses_a_tag_below_the_floor",)),
     # a Fraction is its exact numerator divided once
     Mutant("fraction-numerator-rounded-first", "likeiper/bigreal.py",
            "from_rational(value.numerator, value.denominator, prec, round_nearest)",
@@ -175,10 +179,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "y0, y1 = q0 * ab0 - q1 * ab1 + p0 * apb - p1 * s2, q0 * ab1 + q1 * ab0 + p0 * s2 + p1 * apb",
            "y0, y1 = q0 * ab0 - q1 * ab1, q0 * ab1 + q1 * ab0",
            ("tests/test_probe.py::TestEngineOracle",)),
-    # ... and is stepped by c_(j+1)/(c_j N^2), one table per working precision and N
-    Mutant("tail-table-keyed-by-wp-alone", "likeiper/probe.py",
-           '    key = "tail", wp, N\n', '    key = "tail", wp\n',
-           ("tests/test_probe.py::TestEngineOracle",)),
+    # every sample of a line sums to the line's one N, so no prime drops out and comes back
+    Mutant("line-n-per-sample", "likeiper/probe.py",
+           '    N = max(N, line.get("N", 0))\n    n_bits = N.bit_length()',
+           '    n_bits = max(N, line.get("N", 0)).bit_length()',
+           ("tests/test_probe.py::TestLineStepping::"
+            "test_power_at_most_twice_per_prime_on_the_benchmark_line",)),
     # a probe sample's error budget carries zeta'/zeta's share of zeta's error, so
     # every printed place holds
     Mutant("probe-budget-drops-quotient-term", "likeiper/probe.py",

@@ -13,6 +13,9 @@ those bits as ``BigReal(operand, tag)`` would be (a ``Fraction`` as
 made for it.  Nothing here reads mpmath's global state.  The data files'
 decimals are not read here: ``datafiles.exact_decimal`` gives their exact
 values, which the kernels round at their own bits.
+
+This module alone decides what a tag may be and reads ``raw``: ``_checked`` is
+the one check of a requested tag, and ``_dyadic`` the one exact reader of a value.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Tuple, Union
 
 import mpmath
 from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, from_rational, fzero, mpf_abs,
                           mpf_add, mpf_div, mpf_eq, mpf_ge, mpf_gt, mpf_hash, mpf_le, mpf_lt,
-                          mpf_mul, mpf_neg, mpf_pos, mpf_sub, round_nearest, to_float, to_str)
+                          mpf_mul, mpf_pos, mpf_sub, round_nearest, to_float, to_str)
 
 from .datafiles import DEFAULT_DIGITS, MIN_DIGITS, PrecisionError  # re-exported, mpmath-free there
 
@@ -33,6 +36,15 @@ _Number = Union[int, str, Fraction, "BigReal", mpmath.mpf]
 
 _make = mpmath.mp.make_mpf  # wraps a raw tuple as it is: no rounding, no context read
 _str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit (< 3.10.7)
+
+
+def _checked(precision: int) -> int:
+    """``precision`` if a value may be tagged with it, an int >= ``MIN_DIGITS``; else
+    ``PrecisionError``.  Both ways in, ``BigReal(x, tag)`` and ``_fixed``, call it, and so
+    does a producer that would size its work from the tag before it reaches them."""
+    if not isinstance(precision, int) or precision < MIN_DIGITS:
+        raise PrecisionError(f"precision must be an integer >= {MIN_DIGITS}, got {precision!r}")
+    return precision
 
 
 def _places_tag(places: int, whole: int) -> int:
@@ -69,10 +81,7 @@ class BigReal:
     __slots__ = ("raw", "precision")  # not "_mpf_": mpmath would take a BigReal for its own
 
     def __init__(self, value: _Number, precision: int = DEFAULT_DIGITS):
-        if not isinstance(precision, int) or precision < MIN_DIGITS:
-            raise PrecisionError(
-                f"precision must be an integer >= {MIN_DIGITS}, got {precision!r}"
-            )
+        _checked(precision)
         if isinstance(value, BigReal):  # its raw tuple, rounded once
             precision = min(precision, value.precision)
             _set_raw(self, mpf_pos(value.raw, _bits(precision), round_nearest))
@@ -87,17 +96,14 @@ class BigReal:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _binary(self, other: _Number, op, swap: bool = False) -> "BigReal":
+    def _binary(self, other: _Number, op) -> "BigReal":
         precision = self.precision
         if isinstance(other, BigReal):
             precision = min(precision, other.precision)
             b = other.raw
         else:  # rounded as BigReal(other, precision) would be, without making one
             b = _raw(other, _bits(precision))
-        a = self.raw
-        if swap:
-            a, b = b, a
-        return _tagged(op(a, b, _bits(precision), round_nearest), precision)
+        return _tagged(op(self.raw, b, _bits(precision), round_nearest), precision)
 
     def __add__(self, other: _Number) -> "BigReal":
         return self._binary(other, mpf_add)
@@ -107,9 +113,6 @@ class BigReal:
     def __sub__(self, other: _Number) -> "BigReal":
         return self._binary(other, mpf_sub)
 
-    def __rsub__(self, other: _Number) -> "BigReal":
-        return self._binary(other, mpf_sub, swap=True)
-
     def __mul__(self, other: _Number) -> "BigReal":
         return self._binary(other, mpf_mul)
 
@@ -117,12 +120,6 @@ class BigReal:
 
     def __truediv__(self, other: _Number) -> "BigReal":
         return self._binary(other, mpf_div)
-
-    def __rtruediv__(self, other: _Number) -> "BigReal":
-        return self._binary(other, mpf_div, swap=True)
-
-    def __neg__(self) -> "BigReal":
-        return _tagged(mpf_neg(self.raw), self.precision)  # exact, as raw is already rounded
 
     def __abs__(self) -> "BigReal":
         return _tagged(mpf_abs(self.raw), self.precision)
@@ -154,12 +151,8 @@ class BigReal:
         return to_float(self.raw, rnd=round_nearest)
 
     def to_fraction(self) -> Fraction:
-        """Exact rational value of ``raw``, read from its mantissa and exponent."""
-        sign, man, exp, _ = self.raw
-        if man == 0 and exp != 0:
-            raise ValueError("cannot convert a non-finite value to Fraction")
-        frac = Fraction(int(man)) * Fraction(2) ** exp
-        return -frac if sign else frac
+        """Exact rational value of ``raw``."""
+        return Fraction(*_dyadic(self))
 
     def to_decimal_string(self, places: int) -> str:
         """Fixed-point decimal string, round-half-even, exact quantization.
@@ -171,11 +164,8 @@ class BigReal:
         never changed, and ``PrecisionError`` for more integer digits than the
         tag: those are noise.
         """
-        sign, man, exp, _ = self.raw
-        if man == 0 and exp != 0:
-            raise ValueError("cannot format a non-finite value")
-        denominator = 1 << max(-exp, 0)
-        units, rest = divmod(int(man) * 10**places << max(exp, 0), denominator)
+        numerator, denominator = _dyadic(self)
+        units, rest = divmod(abs(numerator) * 10**places, denominator)
         if 2 * rest + (units & 1) > denominator:  # above half, or half and odd
             units += 1
         limit = _str_digits_limit()
@@ -191,7 +181,7 @@ class BigReal:
         text = str(units).rjust(places + 1, "0")
         if places:
             text = f"{text[:-places]}.{text[-places:]}"
-        return "-" + text if sign and units else text  # never print -0
+        return "-" + text if numerator < 0 and units else text  # never print -0
 
     def digits_str(self, significant: int | None = None) -> str:
         """Significant-digit string (mpmath ``nstr``), default = the tag."""
@@ -199,22 +189,6 @@ class BigReal:
 
     def __repr__(self) -> str:
         return f"BigReal({self.digits_str(min(self.precision, 20))!r}, precision={self.precision})"
-
-    # -- tolerance convention ----------------------------------------------------
-
-    def agrees_to(self, other: _Number, digits: int) -> bool:
-        """Shared "agrees to D digits" convention.
-
-        Absolute difference below 0.5*10^-D when |self| < 1, otherwise relative
-        difference below 0.5*10^-D.
-        """
-        other = other if isinstance(other, BigReal) else BigReal(other, self.precision)
-        prec = _bits(max(self.precision, other.precision))
-        size = mpf_abs(self.raw)
-        diff = mpf_abs(mpf_sub(self.raw, other.raw, prec, round_nearest))
-        if not mpf_lt(size, from_int(1)):
-            diff = mpf_div(diff, size, prec, round_nearest)
-        return mpf_lt(diff, from_rational(1, 2 * 10**digits, prec, round_nearest))
 
 
 _set_raw, _set_precision = BigReal.raw.__set__, BigReal.precision.__set__
@@ -228,11 +202,16 @@ def _tagged(raw: tuple, precision: int) -> BigReal:
     return value
 
 
-def _rounded(raw: tuple, precision: int) -> BigReal:
-    """The libmp tuple ``raw`` as a ``BigReal`` tagged ``precision``, rounded once."""
-    return _tagged(mpf_pos(raw, _bits(precision), round_nearest), precision)
-
-
 def _fixed(value: int, wp: int, precision: int) -> BigReal:
     """The 2^wp-scaled int ``value`` as a ``BigReal`` tagged ``precision``, rounded once."""
-    return _tagged(from_man_exp(value, -wp, _bits(precision), round_nearest), precision)
+    return _tagged(from_man_exp(value, -wp, _bits(_checked(precision)), round_nearest), precision)
+
+
+def _dyadic(value: BigReal) -> Tuple[int, int]:
+    """``value`` exactly as (numerator, denominator), the denominator a power of two: the one
+    reader of ``raw``.  An inf or nan has neither and raises ``ValueError``."""
+    sign, man, exp, _ = value.raw
+    if not man and exp:
+        raise ValueError(f"cannot read the non-finite value {value} exactly")
+    man = -man if sign else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)

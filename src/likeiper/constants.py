@@ -194,10 +194,10 @@ def zeta_ints(k_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[int, Dict[in
 
 def zeta_int(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     """zeta(k) for integer k >= 2 (``zeta_ints`` at one k)."""
-    from .bigreal import _fixed
+    from .bigreal import _checked, _fixed
     if not isinstance(k, int) or k < 2:
         raise ConstantsError(f"zeta_int needs an integer k >= 2, got {k!r}")
-    wp, values = zeta_ints(k, precision)
+    wp, values = zeta_ints(k, _checked(precision))
     return _fixed(values[k], wp, precision)
 
 
@@ -210,13 +210,13 @@ def polygamma_half(k: int, precision: int = DEFAULT_DIGITS) -> BigReal:
 
     an exact integer multiple of ``zeta_ints``' fixed-point value.
     """
-    from .bigreal import _bits, _fixed
+    from .bigreal import _bits, _checked, _fixed
     if not isinstance(k, int) or k < 0:
         raise ConstantsError(f"polygamma_half needs an integer k >= 0, got {k!r}")
     if k == 0:  # one rounding of the ints, as euler_gamma makes
         wp = _bits(precision + 10)
         gamma, log2, _ = _elementary(wp)
         return _fixed(-(gamma + 2 * log2), wp, precision)
-    wp, values = zeta_ints(k + 1, precision + 5)
+    wp, values = zeta_ints(k + 1, _checked(precision) + 5)
     factor = (-1) ** (k + 1) * factorial(k) * ((2 << k) - 1)
     return _fixed(factor * values[k + 1], wp, precision)

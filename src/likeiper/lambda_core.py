@@ -32,7 +32,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from mpmath.libmp import dps_to_prec
 
-from .bigreal import BigReal, DEFAULT_DIGITS, _bits, _fixed
+from .bigreal import BigReal, DEFAULT_DIGITS, _bits, _checked, _fixed
 from .constants import (ConstantsError, StieltjesTable, _elementary, euler_gamma, load_stieltjes,
                         zeta_ints)
 from .series import parity_sign, series_compose_zmap, series_log
@@ -68,6 +68,7 @@ def tiny_series(
     """
     if n_max < 1:
         raise ValueError("tiny_series needs n_max >= 1")
+    _checked(precision)
     if stieltjes is None:
         stieltjes = load_stieltjes()
     work = precision + guard_digits(n_max)
@@ -105,6 +106,7 @@ def trend_series(n_max: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, 
     """
     if n_max < 1:
         raise ValueError("trend_series needs n_max >= 1")
+    _checked(precision)
     work = precision + guard_digits(n_max)
     wp, zetas = zeta_ints(n_max, work + 5)
     one = 1 << wp

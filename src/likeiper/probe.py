@@ -27,9 +27,9 @@ cancel and s near 1 by the bits s - 1, formed exactly, costs in the pole term,
 and the weights B_2j/(2j)! come from ``constants``' table.
 A non-finite point, or one whose N or lift passes ``_MAX_TERMS`` or
 ``_MAX_LIFT_DIGITS``, is refused with ``ProbeEvaluationError`` before any work.
-A probe line keeps one state: each grid point's M, N and lift, sized once; per
-wp the sieve and log n, grown with N, 1/gamma and the budget's powers of ten;
-per (wp, N) the tail's multipliers c_(j+1)/(c_j N^2) and the primes <= N; and
+A probe line keeps one state: each grid point's M and lift, sized once, and one
+N, the largest; per wp the sieve and log n, 1/gamma and the budget's powers of
+ten, the tail's multipliers c_(j+1)/(c_j N^2) and the primes <= N; and
 each prime's power, stepped as p^(-s') = p^(-s) p^(-delta) for the exact
 difference delta of the points.  A delta within float ulps of the prime's
 last fresh one, delta0, nudges p^(-delta0) by a short Taylor series of
@@ -56,7 +56,7 @@ from mpmath import mp
 from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, log_int_fixed, mpf_abs,
                           mpf_cos_sin, mpf_exp, round_nearest, to_fixed, to_float)
 
-from .bigreal import BigReal, _fixed, _places_tag
+from .bigreal import BigReal, _checked, _fixed, _places_tag
 from .constants import _euler_int, bernoulli_weight
 
 DEFAULT_PROBE_DIGITS = 30
@@ -115,7 +115,7 @@ def _step(line: dict, log_p: int, step: Tuple[int, int, int, int]) -> Tuple[int,
 
 
 def _size(s: Tuple[tuple, tuple], work: int) -> Tuple[int, int, float]:
-    """M, N and the digits Re s < 0 lifts wp by, for ``_zeta_fixed`` at ``work`` digits."""
+    """M, N and -min(Re s, 0), for ``_zeta_fixed`` at ``work`` digits."""
     L = (work + 5) * math.log(10)
     # the bound reads Re s in [-4 _MAX_LIFT_DIGITS, L] and |Im s| up to 7 _MAX_TERMS as
     # floats; past those ends a point is refused, or its first correction is below target
@@ -128,9 +128,7 @@ def _size(s: Tuple[tuple, tuple], work: int) -> Tuple[int, int, float]:
         log_prod += (i1 - i0) / 2 * math.log(1 + t * t + mid * mid + ((i1 - i0) ** 2 - 1) / 12)
     exponent = (L + math.log(4 * (m + 12)) + log_prod - (m + 1) * math.log(2 * math.pi)) / (m + sig)
     N = math.ceil(max(math.exp(min(exponent, 50.0)), (math.hypot(sig, t) + m) / (2 * math.pi), 2))
-    # Direct terms reach N^(-Re s) and cancel, so Re s < 0 lifts the digits.  N grows
-    # with -Re s too, so a point past both caps is refused for its lift.
-    return M, N, max(0.0, -sig) * math.log10(N)
+    return M, N, max(0.0, -sig)
 
 
 def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
@@ -157,20 +155,24 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     Past Re s = 2 wp the terms past n = 1 are 0 at wp: zeta = 1, zeta' = 0 exactly.
 
     ``line``, one probe line's state, keeps each prime's last p^(-s), s and
-    wp; a prime with none at this wp (first evaluated sample, new prime, new
-    lift) steps from p^0 = 1; a grid point's M, N and lift are kept under (s,
-    work); the line's largest N, under "N", sizes wp's bits for N's roundings,
-    so they share wp.  p^(-delta), delta the exact fixed-point difference, is
-    kept under (p, delta, wp); the float grid lo + i step has few deltas, which
-    differ by ulps, so ``_step`` nudges the prime's last fresh p^(-delta0) and
-    exp and cos/sin run about once per prime and line.  Lines run lo -> hi, so
+    wp; a prime with none at this wp (first evaluated sample, new lift) steps
+    from p^0 = 1; a grid point's M, N and -min(Re s, 0) are kept under (s,
+    work); the line's largest N within ``_MAX_TERMS``, under "N", is every
+    point's N, so they share the primes and wp.  p^(-delta), delta the exact
+    fixed-point difference, is kept under (p, delta, wp); the float grid lo + i
+    step has few deltas, which differ by ulps, so ``_step`` nudges the prime's
+    last fresh p^(-delta0) and exp and cos/sin run about once per prime and line.  Lines run lo -> hi, so
     |p^(-delta)| <= 1 and k steps add O(k) ulps, which ``guard``, the step
     count's bit length, absorbs.  The sieve and log n, which depend on N and wp
     only, are kept under ("log", wp) and extended as N grows; the r_j, M of
-    them, and the primes <= N under ("tail", wp, N).
+    them, and the primes <= N under ("tail", wp), as a state has one N.
     """
-    M, N, lift = line.get((s, work)) or _size(s, work)
-    n_bits = max(N, line.get("N", 0)).bit_length()  # absorb N roundings of |s| log N ulps each
+    M, N, cancel = line.get((s, work)) or _size(s, work)
+    N = max(N, line.get("N", 0))
+    n_bits = N.bit_length()  # absorb N roundings of |s| log N ulps each
+    # Direct terms reach N^(-Re s) and cancel, so Re s < 0 lifts the digits.  N grows
+    # with -Re s too, so a point past both caps is refused for its lift.
+    lift = cancel * math.log10(N)
     pole = _near_pole(s)  # |s - 1| = r^(1/2) 2^-k >= 2^-a: s - 1 at wp is off by 2^(a - wp)
     if pole:  # relative, so a lifts wp, less the 2 n_bits + 10 bits wp has over its target
         if not pole[0]:
@@ -209,7 +211,7 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
             a, b, c, d = xs[p], ys[p], xs[n // p], ys[n // p]
         xs.append((a * c - b * d) >> wp)
         ys.append((a * d + b * c) >> wp)
-    key = "tail", wp, N
+    key = "tail", wp
     multipliers, primes = line.get(key, ((), ()))
     if len(multipliers) < M:  # |c_j| > 2^(1 - 5.31 j): at 2^(wp + 6 (M // 32 + 1) 32) c_j keeps wp bits
         c = [bernoulli_weight(j, wp + 6 * (M // 32 + 1) * 32) for j in range(1, M + 2)]
@@ -449,6 +451,7 @@ def line_probe(
     or evaluated samples that are all grid neighbours (always the case with
     ``samples=2``), raise ``ProbeEvaluationError``.
     """
+    _checked(precision)
     if kind not in (VARY_RE, VARY_IM):
         raise ValueError(f"kind must be '{VARY_RE}' or '{VARY_IM}', got {kind!r}")
     if samples < 2:
@@ -469,7 +472,7 @@ def line_probe(
     points = [tuple(map(from_float, (p, fixed) if kind == VARY_RE else (fixed, p))) for p in params]
     # see _zeta_fixed: each point's size at a first pass's digits, the largest N, the step count's bits
     sizes = {(point, precision + 3): _size(point, precision + 3) for point in points}
-    line = dict(sizes, N=max(N for _, N, _ in sizes.values()))
+    line = dict(sizes, N=max([N for _, N, _ in sizes.values() if N <= _MAX_TERMS], default=0))
     guard = (samples - 1).bit_length()
     for param, point in zip(params, points):
         try:

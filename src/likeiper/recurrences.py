@@ -51,9 +51,10 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from mpmath.libmp import dps_to_prec, log_int_fixed, to_int
+from mpmath.libmp import dps_to_prec, log_int_fixed
 
-from .bigreal import BigReal, DEFAULT_DIGITS, PrecisionError, _fixed, _places_tag
+from .bigreal import (BigReal, DEFAULT_DIGITS, PrecisionError, _checked, _dyadic, _fixed,
+                      _places_tag)
 from .constants import _elementary
 from .series import parity_sign
 
@@ -191,11 +192,11 @@ def _ratio(value: Union[Value, int]) -> Tuple[int, int]:
     """``value`` exactly as (numerator, denominator); a ``BigReal``'s
     denominator is a power of two."""
     if isinstance(value, BigReal):
-        sign, man, exp, _ = value.raw
-        if not man and exp:
-            raise ValueError(f"a binomial prediction cannot sum the non-finite value {value}")
-        man = -man if sign else man
-        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+        try:
+            return _dyadic(value)
+        except ValueError:
+            raise ValueError(f"a binomial prediction cannot sum the non-finite value {value}"
+                             ) from None
     if isinstance(value, (Fraction, int)):
         return value.numerator, value.denominator
     raise TypeError(f"predictions sum BigReal, Fraction or int values, not {type(value).__name__}")
@@ -252,7 +253,7 @@ def prediction_run(
         rel_err = abs_err / abs(exact) if exact else None  # none at a zero exact value
         if tags:  # each formed at the history's tag, then tagged once for its places
             predicted, abs_err, rel_err = (v if v is None else BigReal(v, _places_tag(
-                precision, to_int(v.raw))) for v in (predicted, abs_err, rel_err))
+                precision, int(v.to_fraction()))) for v in (predicted, abs_err, rel_err))
         results.append(PredictionResult(n, predicted, exact, abs_err, rel_err))
     return results
 
@@ -363,7 +364,7 @@ def model_predictor(n: int, precision: int = DEFAULT_DIGITS) -> BigReal:
     """
     if n < 2:
         raise ValueError("model_predictor needs n >= 2")
-    work = precision + 10
+    work = _checked(precision) + 10
     wp = dps_to_prec(work + 15)
     gamma, log2, logpi = _elementary(wp)
     linear = _fixed((3 * gamma - (1 << wp) - log2 - logpi) * n, wp + 1, work)

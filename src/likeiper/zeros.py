@@ -103,8 +103,9 @@ def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> T
     bit length is added as guard bits.  Values are tagged ``precision``; past
     the digits the ordinates carry, ``PrecisionError``.
     """
+    from mpmath import mp
     from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, mpf_mul, round_nearest
-    from .bigreal import _rounded
+    from .bigreal import BigReal
     if j_max < 1:
         raise ValueError("z_partial needs j_max >= 1")
     precision = _zero_digits(zeros, precision)
@@ -116,7 +117,7 @@ def z_partial(j_max: int, zeros: ZeroList, precision: int = DEFAULT_DIGITS) -> T
     powers, scale, sums = ratios, step, []
     for _ in range(j_max):
         total = mpf_mul(from_man_exp(sum(powers), -wp), scale, wp, round_nearest)
-        sums.append(_rounded(total, precision))
+        sums.append(BigReal(mp.make_mpf(total), precision))
         powers = [p * r >> wp for p, r in zip(powers, ratios)]
         scale = mpf_mul(scale, step, wp, round_nearest)
     return tuple(sums)
@@ -133,9 +134,10 @@ def _density_tails(j_max: int, T: Fraction, precision: int) -> Tuple[BigReal, ..
     form left to right at those digits, so every value has the bits of a
     separate evaluation for that j alone.
     """
+    from mpmath import mp
     from mpmath.libmp import (dps_to_prec, fone, from_int, from_rational, mpf_add, mpf_div, mpf_log,
                               mpf_mul, mpf_pi, mpf_pow_int, mpf_shift, round_nearest)
-    from .bigreal import _rounded
+    from .bigreal import BigReal
     if j_max < 1:
         raise ValueError("tail bounds need j_max >= 1")
     prec, rnd = dps_to_prec(precision + 10), round_nearest
@@ -148,7 +150,7 @@ def _density_tails(j_max: int, T: Fraction, precision: int) -> Tuple[BigReal, ..
         inv = mpf_div(fone, from_int(2 * j - 1), prec, rnd)
         tail = mpf_mul(scale, mpf_pow_int(T, 1 - 2 * j, prec, rnd), prec, rnd)
         tail = mpf_mul(mpf_mul(tail, inv, prec, rnd), mpf_add(log_term, inv, prec, rnd), prec, rnd)
-        tails.append(_rounded(tail, precision))
+        tails.append(BigReal(mp.make_mpf(tail), precision))
     return tuple(tails)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from likeiper.bigreal import BigReal
 from likeiper.constants import load_stieltjes
 from likeiper.lambda_core import lambda_table
 from likeiper.zeros import load_zeros
@@ -31,3 +32,12 @@ def table15():
 def table32():
     """lambda(1..32) at 50 digits."""
     return lambda_table(32, 50)
+
+
+def agrees_to(x, other, digits):
+    """The tests' "x agrees with ``other`` to D digits": |x - other| < 1/2 10^-D, relative to
+    |x| when |x| >= 1, decided exactly.  An ``other`` that is not a ``BigReal`` is read as
+    ``BigReal(other, x.precision)``."""
+    a = x.to_fraction()
+    b = (other if isinstance(other, BigReal) else BigReal(other, x.precision)).to_fraction()
+    return abs(a - b) < max(abs(a), 1) / (2 * 10**digits)

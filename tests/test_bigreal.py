@@ -2,6 +2,7 @@ import operator
 import re
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,8 +12,15 @@ from mpmath import mp
 from mpmath.libmp import (dps_to_prec, from_int, from_rational, from_str, fzero, mpf_add,
                           mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest)
 
+from conftest import agrees_to
+from likeiper import bigreal
 from likeiper.bigreal import DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionError
+from likeiper.constants import euler_gamma, polygamma_half, zeta_int
 from likeiper.datafiles import _PLAIN_DECIMAL, exact_decimal
+from likeiper.lambda_core import conjecture_scan, lambda1_closed_form, tiny_series, trend_series
+from likeiper.probe import line_probe
+from likeiper.recurrences import model_predictor, phi_nlogn
+from likeiper.zeros import delta_bound, z_partial, z_tail_bound
 
 
 class TestConstruction:
@@ -62,8 +70,8 @@ class TestArithmetic:
         a = BigReal("1.5", 25)
         assert float(a + 1) == 2.5
         assert float(2 * a) == 3.0
-        assert float(1 - a) == -0.5
-        assert float(3 / a) == 2.0
+        assert float(a - 1) == 0.5
+        assert float(a / 3) == 0.5
         assert (a + 1).precision == 25
 
     def test_ambient_context_independence(self):
@@ -73,7 +81,7 @@ class TestArithmetic:
 
         def compute():
             x = BigReal(text, 50)
-            y = -((-x) * 3 + abs(-x)) / 7
+            y = (abs(x - 1) * 3 + x) / 7
             return y.to_decimal_string(45)
 
         mp.dps = 15
@@ -84,8 +92,9 @@ class TestArithmetic:
 
     def test_neg_abs_preserve_digits(self):
         x = BigReal("0.577215664901532860606512090082402431042159335939", 48)
-        assert (-(-x)).to_decimal_string(45) == x.to_decimal_string(45)
-        assert abs(-x).to_decimal_string(45) == x.to_decimal_string(45)
+        negative = BigReal("-0.577215664901532860606512090082402431042159335939", 48)
+        assert abs(negative).to_decimal_string(45) == x.to_decimal_string(45)
+        assert abs(x).to_decimal_string(45) == x.to_decimal_string(45)
 
 
 class TestComparisons:
@@ -130,17 +139,18 @@ class TestConversions:
         assert BigReal("2.5", 20).to_decimal_string(0) == "2"
         assert BigReal("3.5", 20).to_decimal_string(0) == "4"
 
+    # the tests' "agrees to D digits" helper (conftest.py), not a BigReal method
     def test_agrees_to_absolute_below_one(self):
         a = BigReal("0.1234567", 30)
         b = BigReal("0.1234568", 30)
-        assert a.agrees_to(b, 6)
-        assert not a.agrees_to(b, 8)
+        assert agrees_to(a, b, 6)
+        assert not agrees_to(a, b, 8)
 
     def test_agrees_to_relative_above_one(self):
         a = BigReal("12345.678", 30)
         b = a * (1 + BigReal("1e-12", 30))
-        assert a.agrees_to(b, 11)
-        assert not a.agrees_to(b, 14)
+        assert agrees_to(a, b, 11)
+        assert not agrees_to(a, b, 14)
 
     def test_repr_mentions_precision(self):
         assert "precision=20" in repr(BigReal(1, 20))
@@ -261,13 +271,13 @@ _plain = st.one_of(
 )
 _bigreals = st.builds(BigReal, _plain, _tags)
 
-_BINARY = [
-    lambda a, b: a + b,
-    lambda a, b: a - b,
-    lambda a, b: a * b,
-    lambda a, b: a / b,
-]
-_UNARY = [lambda a: -a, abs]
+_BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+_REFLECTED = (operator.add, operator.mul)  # the operators a plain left operand may take
+
+
+def _reflects(op, other):
+    """Whether ``op(other, x)`` is an operation for a ``BigReal`` x."""
+    return isinstance(other, BigReal) or op in _REFLECTED
 
 
 @pytest.mark.parametrize("ambient", [5, 500])
@@ -275,18 +285,18 @@ _UNARY = [lambda a: -a, abs]
 @given(x=_bigreals, other=st.one_of(_bigreals, _plain), data=st.data())
 def test_operations_bit_identical_to_context_semantics(ambient, x, other, data):
     op = data.draw(st.sampled_from(_BINARY))
-    unary = data.draw(st.sampled_from(_UNARY))
     expected = [
         _outcome(lambda: _old_binary(x, other, op)),
-        _outcome(lambda: _old_binary(x, other, lambda a, b: op(b, a))),
-        _outcome(lambda: _old_unary(x, unary)),
+        _outcome(lambda: _old_binary(x, other, lambda a, b: op(b, a))) if _reflects(op, other)
+        else None,
+        _outcome(lambda: _old_unary(x, abs)),
         _old_construct(other, x.precision),
     ]
     with mp.workdps(ambient):
         got = [
             _outcome(lambda: op(x, other)),
-            _outcome(lambda: op(other, x)),
-            _outcome(lambda: unary(x)),
+            _outcome(lambda: op(other, x)) if _reflects(op, other) else None,
+            _outcome(lambda: abs(x)),
             _outcome(lambda: BigReal(other, x.precision)),
         ]
     assert got == expected
@@ -392,9 +402,11 @@ def test_operators_are_one_libmp_call_at_the_smaller_tag(kind, x, data):
     tag = min(x.precision, other.precision) if kind == "BigReal" else x.precision
     prec = dps_to_prec(tag + 5)
     a, b = x.value._mpf_, _libmp_operand(other, prec)  # at x's tag unless other is a BigReal
-    expected = [_outcome(lambda: (libmp_op(a, b, prec, round_nearest), tag)),
-                _outcome(lambda: (libmp_op(b, a, prec, round_nearest), tag))]
-    got = [_outcome(lambda: op(x, other)), _outcome(lambda: op(other, x))]
+    expected = [_outcome(lambda: (libmp_op(a, b, prec, round_nearest), tag))]
+    got = [_outcome(lambda: op(x, other))]
+    if _reflects(op, other):
+        expected.append(_outcome(lambda: (libmp_op(b, a, prec, round_nearest), tag)))
+        got.append(_outcome(lambda: op(other, x)))
     assert got == expected
 
 
@@ -490,3 +502,52 @@ def test_other_strings_keep_mpmaths_value_or_error(text, tag):
     got = _value_or_error(lambda: BigReal(text, tag).value._mpf_)
     assert got == _value_or_error(lambda: _mpmath_value(text, tag))
 
+
+
+# -- bigreal alone decides what a tag is ----------------------------------------------
+
+_PRODUCERS = {
+    "BigReal": lambda p, zeros: BigReal(1, p),
+    "euler_gamma": lambda p, zeros: euler_gamma(p),
+    "zeta_int": lambda p, zeros: zeta_int(2, p),
+    "polygamma_half(0)": lambda p, zeros: polygamma_half(0, p),
+    "polygamma_half(1)": lambda p, zeros: polygamma_half(1, p),
+    "trend_series": lambda p, zeros: trend_series(5, p),
+    "tiny_series": lambda p, zeros: tiny_series(5, p),
+    "lambda1_closed_form": lambda p, zeros: lambda1_closed_form(p),
+    "conjecture_scan": lambda p, zeros: conjecture_scan(5, p),
+    "phi_nlogn": lambda p, zeros: phi_nlogn(5, p),
+    "model_predictor": lambda p, zeros: model_predictor(5, p),
+    "z_partial": lambda p, zeros: z_partial(3, zeros, p),
+    "z_tail_bound": lambda p, zeros: z_tail_bound(3, zeros, p),
+    "delta_bound": lambda p, zeros: delta_bound(3, p),
+    "line_probe": lambda p, zeros: line_probe("im", 2.0, 0.0, 1.0, samples=3, precision=p),
+}
+
+
+@pytest.mark.parametrize("tag", [MIN_DIGITS - 1, 0, -4, 30.5])
+@pytest.mark.parametrize("producer", sorted(_PRODUCERS))
+def test_every_producer_refuses_a_tag_below_the_floor(producer, tag, zeros):
+    with pytest.raises(PrecisionError, match=re.escape(
+            f"precision must be an integer >= {MIN_DIGITS}, got {tag!r}") + "$"):
+        _PRODUCERS[producer](tag, zeros)
+
+
+def test_only_bigreal_reads_the_carrier():
+    src = Path(bigreal.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "bigreal.py":
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"\.raw\b|\b_tagged\b", text), path.name
+    assert not hasattr(bigreal, "_rounded")
+
+
+def test_bigreal_surface():
+    # what a carrier in place of the libmp tuple has to provide, and no more
+    plain = set(vars(type("Plain", (), {"__slots__": ()})))
+    assert set(vars(BigReal)) - plain == {
+        "raw", "precision", "__init__", "__setattr__", "value",
+        "_binary", "__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+        "__abs__", "_cmp_raw", "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__",
+        "__bool__", "__float__", "to_fraction", "to_decimal_string", "digits_str", "__repr__",
+    }

@@ -15,6 +15,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from conftest import agrees_to
 from likeiper import lambda_core
 from likeiper.bigreal import BigReal
 from likeiper.constants import ConstantsError
@@ -114,7 +115,7 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("n", range(1, ORACLE_N + 1))
     def test_total_is_sum(self, table12, n):
         total = table12.trend[n] + table12.tiny[n]
-        assert table12.lam(n).agrees_to(total, 48)
+        assert agrees_to(table12.lam(n), total, 48)
 
 
 class TestLambda1:
@@ -126,7 +127,7 @@ class TestLambda1:
             assert abs(got.value - expected) < mp.mpf(10) ** -55
 
     def test_matches_table(self, table12):
-        assert lambda1_closed_form(50).agrees_to(table12.lam(1), 48)
+        assert agrees_to(lambda1_closed_form(50), table12.lam(1), 48)
 
     def test_leading_digits(self):
         assert lambda1_closed_form(50).to_decimal_string(12) == "0.023095708966"
@@ -173,7 +174,7 @@ class TestLambdaTable:
         low = lambda_table(8, 30)
         high = lambda_table(8, 60)
         for n in range(1, 9):
-            assert low.lam(n).agrees_to(BigReal(high.lam(n), 30), 27)
+            assert agrees_to(low.lam(n), BigReal(high.lam(n), 30), 27)
 
     @pytest.mark.parametrize("digits", [20, 30, 50])
     def test_tiny_series_keeps_its_tag_through_the_cancellation(self, digits):
@@ -181,7 +182,7 @@ class TestLambdaTable:
         # n = 80; the guard digits keep every coefficient good to its tag
         low, high = tiny_series(80, digits), tiny_series(80, 75)
         for n in range(1, 81):
-            assert low[n].agrees_to(high[n], digits), n
+            assert agrees_to(low[n], high[n], digits), n
 
 
 @pytest.fixture(scope="module")
@@ -213,12 +214,12 @@ class TestSeriesAccessors:
         s = tiny_series(ORACLE_N, 50)
         assert s[0].to_fraction() == 0
         for n in range(1, ORACLE_N + 1):
-            assert s[n].agrees_to(table12.tiny[n] / n, 48)
+            assert agrees_to(s[n], table12.tiny[n] / n, 48)
 
     def test_trend_series_matches_table(self, table12):
         s = trend_series(ORACLE_N, 50)
         for n in range(1, ORACLE_N + 1):
-            assert s[n].agrees_to(table12.trend[n] / n, 48)
+            assert agrees_to(s[n], table12.trend[n] / n, 48)
 
 
 class TestTinySeriesRoundsEachGammaOnce:
@@ -263,7 +264,7 @@ class TestTrendOnInts:
         assert got[0] == 0
         for n in range(1, n_max + 1):
             assert got[n].precision == digits
-            assert got[n].agrees_to(BigReal(want[n], 2 * digits), digits), n
+            assert agrees_to(got[n], BigReal(want[n], 2 * digits), digits), n
 
 
 class TestGuardDigits:
@@ -314,4 +315,4 @@ class TestConjectureScan:
         gamma = euler_gamma(50)
         for row in rows:
             expected = abs(table12.tiny[row.n]) / (gamma * row.n)
-            assert row.ratio.agrees_to(expected, 45)
+            assert agrees_to(row.ratio, expected, 45)

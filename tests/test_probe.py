@@ -700,10 +700,9 @@ class TestLineStepping:
 
     def test_exp_and_cos_sin_once_per_prime_and_step(self, monkeypatch):
         # A prime's power comes from exp and cos/sin at its first sample and at its
-        # first grid step, or again where N dips below it and grows back; every later
-        # step is nudged, though the benchmark line's grid has 8 distinct steps.  The
-        # line sizes its guard bits from its largest N, so it steps at one working
-        # precision.  A sample whose budget asks for more digits is evaluated again from
+        # first grid step; every later step is nudged, though the benchmark line's grid
+        # has 8 distinct steps.  Every sample of the line sums to its largest N, so it
+        # steps at one working precision.  A sample whose budget asks for more digits is evaluated again from
         # a fresh state, one exp and cos/sin per prime, and leaves the line's state alone.
         states, calls = [], []
         engine = probe_module._zeta_fixed
@@ -743,6 +742,22 @@ class TestLineStepping:
             if not retries:
                 steps = _distinct_steps([s.param for s in report.samples])
                 assert (line["N"], primes(line), len(steps)) == (36, 11, 8)
+
+    def test_power_at_most_twice_per_prime_on_the_benchmark_line(self, monkeypatch):
+        # every sample sums to the line's one N, so no prime drops out of the sum where a
+        # point's own N dips, and comes back to step from a stale held power
+        counts = {}
+        power = probe_module._power
+
+        def counting(log_n, re, im, wp):
+            p = round(math.exp(log_n / 2**wp))
+            counts[p] = counts.get(p, 0) + 1
+            return power(log_n, re, im, wp)
+
+        monkeypatch.setattr(probe_module, "_power", counting)
+        line_probe("im", 1.0, 0.0, 30.0, samples=100, precision=30)
+        assert sorted(counts) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        assert max(counts.values()) <= 2, counts
 
     def test_size_once_per_grid_point(self, monkeypatch):
         # the line sizes each grid point once, before its first sample, and _zeta_fixed

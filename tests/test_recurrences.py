@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from conftest import agrees_to
 from likeiper.bigreal import MIN_DIGITS, BigReal, PrecisionError, _places_tag
 from likeiper.lambda_core import lambda1_closed_form, lambda_table
 from likeiper.recurrences import (
@@ -468,7 +469,7 @@ class TestSelfSeededIsExact:
         for n, value in enumerate(values, start=1):
             assert value.precision == 30
             expected = lam1.to_fraction() * closed_form(n)
-            assert value.agrees_to(BigReal(expected, 60), 30), n
+            assert agrees_to(value, BigReal(expected, 60), 30), n
             assert _bits(value) == _bits(BigReal(expected, 30)), n
 
     def test_voros_to_60(self):
@@ -612,7 +613,7 @@ class TestPredictionRun:
         results = prediction_run(scheme, guarded15.tiny, 2, 7, 50)
         for r in results:
             assert r.exact is guarded15.tiny[r.n]
-            assert r.abs_error.agrees_to(abs(r.predicted - r.exact), 45)
+            assert agrees_to(r.abs_error, abs(r.predicted - r.exact), 45)
         # accuracy sharpens fast as more history becomes available
         rel = [r.rel_error for r in results]
         assert all(rel[i] > rel[i + 1] for i in range(len(rel) - 1))
@@ -708,7 +709,7 @@ class TestPhiNlogn:
                                for k in range(2, n))
             phi2 = parity_sign(n - 1) * n * mpmath.log(n)
         for got, exact in zip(phi_nlogn(n, digits), (phi1, phi2)):
-            assert got.precision == digits and got.agrees_to(exact, digits)
+            assert got.precision == digits and agrees_to(got, exact, digits)
 
     @pytest.mark.parametrize("n", [60, 80, 120])
     def test_accurate_to_its_tag_past_the_table(self, n):
@@ -747,7 +748,7 @@ class TestModelPredictor:
             slope = BigReal((3 * mp.euler - 1 - mp.log(2 * mp.pi)) / 2, 50)
         phi1, phi2 = phi_nlogn(n, 50)
         assembled = phi1 * (parity_sign(n - 1)) / 2 + slope * n
-        assert model_predictor(n, 50).agrees_to(assembled, 44)
+        assert agrees_to(model_predictor(n, 50), assembled, 44)
 
     def test_deviation_from_smooth_model_is_half_phi_gap(self):
         # predictor(g)/n - ((1/2) log n + c + gamma) = (phi2 - phi1)/(2n)
@@ -834,4 +835,4 @@ class TestTagHonesty:
                 for got, want in (r.predicted, exact), (r.abs_error, error):
                     tag = _places_tag(digits, int(want))
                     assert got.precision == tag, (target, r.n)
-                    assert got.agrees_to(BigReal(want, 120), tag), (target, r.n)
+                    assert agrees_to(got, BigReal(want, 120), tag), (target, r.n)

@@ -16,6 +16,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from conftest import agrees_to
 from likeiper.bigreal import BigReal, PrecisionError
 from likeiper.datafiles import default_zeros_path
 from likeiper.lambda_core import LambdaTable, lambda_table
@@ -250,7 +251,7 @@ class TestZTailBound:
     def test_is_twice_the_integral(self, zeros):
         bounds = z_tail_bound(6, zeros, 50)
         for j in (1, 3, 6):
-            assert bounds[j - 1].agrees_to(_tail_integral(j, zeros.last, 50) * 2, 45)
+            assert agrees_to(bounds[j - 1], _tail_integral(j, zeros.last, 50) * 2, 45)
 
     def test_decreasing_in_j(self, zeros):
         bounds = z_tail_bound(6, zeros, 50)
@@ -335,7 +336,7 @@ class TestInversionCheck:
         # lambda(1) equals the full zero sum, so it must sit between the
         # truncated sum and the truncated sum plus the tail bound
         check = inversion_check(1, guarded7, zeros, 50)[0]
-        assert check.lhs.agrees_to(guarded7.lam(1), 45)
+        assert agrees_to(check.lhs, guarded7.lam(1), 45)
         gap = check.lhs - check.z_truncated
         assert BigReal(0, 50) < gap < check.tail_bound
 
