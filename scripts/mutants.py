@@ -83,6 +83,11 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("binary-largest-tag", "likeiper/bigreal.py",
            "precision = min(precision, other.precision)", "precision = max(precision, other.precision)",
            ("tests/test_bigreal.py",)),
+    # a value past Python's int-string limit is refused with the library's message, not
+    # Python's
+    Mutant("print-past-int-string-limit", "likeiper/bigreal.py",
+           "            if limit and digits > limit:\n", "            if False:\n",
+           ("tests/test_cli.py::TestApprox::test_value_past_int_string_limit_exit_2",)),
     # a fixed-point int is tagged through the one check of a requested tag
     Mutant("tag-check-skipped-in-fixed", "likeiper/bigreal.py",
            "_bits(_checked(precision))", "_bits(precision)",
@@ -126,6 +131,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        exact = history(tiny_series(args.n_max, work, load_stieltjes(args.stieltjes)))\n",
            "        exact = history(trend_series(args.n_max, work))\n",
            ("tests/test_cli.py::TestApprox",)),
+    # a --seed c past the int-string limit is refused before its power of ten is built; the
+    # test's first case, c = 1e-limit, kills it before a larger exponent is tried
+    Mutant("seed-int-string-limit-skipped", "likeiper/cli.py",
+           "    if limit and len(places) + abs(exponent) > limit:\n", "    if False:\n",
+           ("tests/test_cli.py::TestApprox::test_seed_digits_stop_at_the_int_string_limit",)),
     # the binomial kernel: an exact integer sum, rounded once at the smallest tag
     Mutant("kernel-exponent-off-by-one", "likeiper/recurrences.py",
            "_fixed(total, den.bit_length() - 1,", "_fixed(total, den.bit_length(),",
@@ -165,26 +175,17 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    if any(not man and exp for _, man, exp, _ in point):",
            "    if False:",
            ("tests/test_probe.py::TestFEval",)),
-    # a prime's p^(-delta) near its kept p^(-delta0): the whole Taylor series of
-    # exp(-(delta - delta0) log p), with the sign of the difference
-    Mutant("nudge-one-term-short", "likeiper/probe.py",
-           "    for k in range(1, terms):", "    for k in range(1, terms - 1):",
-           ("tests/test_probe.py::TestLineStepping",)),
-    Mutant("nudge-delta-sign-flipped", "likeiper/probe.py",
-           "e0, e1 = -(dre - kept[0]) * log_p >> wp, -(dim - kept[1]) * log_p >> wp",
-           "e0, e1 = (dre - kept[0]) * log_p >> wp, (dim - kept[1]) * log_p >> wp",
-           ("tests/test_probe.py::TestLineStepping",)),
     # the tail's U_j = c_j (P_j' - log(N) P_j) takes P's share of the derivative
     Mutant("tail-u-without-t-term", "likeiper/probe.py",
            "y0, y1 = q0 * ab0 - q1 * ab1 + p0 * apb - p1 * s2, q0 * ab1 + q1 * ab0 + p0 * s2 + p1 * apb",
            "y0, y1 = q0 * ab0 - q1 * ab1, q0 * ab1 + q1 * ab0",
            ("tests/test_probe.py::TestEngineOracle",)),
-    # every sample of a line sums to the line's one N, so no prime drops out and comes back
+    # every sample of a line sums to the line's one N, so no prime drops out and comes back,
+    # and each prime's power comes from _power once per distinct step
     Mutant("line-n-per-sample", "likeiper/probe.py",
            '    N = max(N, line.get("N", 0))\n    n_bits = N.bit_length()',
            '    n_bits = max(N, line.get("N", 0)).bit_length()',
-           ("tests/test_probe.py::TestLineStepping::"
-            "test_power_at_most_twice_per_prime_on_the_benchmark_line",)),
+           ("tests/test_probe.py::TestLineStepping::test_power_once_per_prime_and_distinct_step",)),
     # a probe sample's error budget carries zeta'/zeta's share of zeta's error, so
     # every printed place holds
     Mutant("probe-budget-drops-quotient-term", "likeiper/probe.py",

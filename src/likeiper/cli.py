@@ -306,6 +306,9 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    for name in ("t", "b0", "b1") if args.line == "im" else ("b", "t0", "t1"):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--line {args.line} reads no --{name}")
     if args.line == "im":
         if args.b is None:
             raise ValueError("--line im needs --b (fixed real part)")

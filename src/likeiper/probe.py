@@ -28,13 +28,12 @@ and the weights B_2j/(2j)! come from ``constants``' table.
 A non-finite point, or one whose N or lift passes ``_MAX_TERMS`` or
 ``_MAX_LIFT_DIGITS``, is refused with ``ProbeEvaluationError`` before any work.
 A probe line keeps one state: each grid point's M and lift, sized once, and one
-N, the largest; per wp the sieve and log n, 1/gamma and the budget's powers of
-ten, the tail's multipliers c_(j+1)/(c_j N^2) and the primes <= N; and
-each prime's power, stepped as p^(-s') = p^(-s) p^(-delta) for the exact
-difference delta of the points.  A delta within float ulps of the prime's
-last fresh one, delta0, nudges p^(-delta0) by a short Taylor series of
-exp(-(delta - delta0) log p), so log runs once per prime and wp, and exp
-and cos/sin about once per prime and line.  f follows on the same ints: a
+N, the largest, at which each per-wp table is built: the sieve and log n, the
+tail's multipliers c_(j+1)/(c_j N^2) and the primes <= N; per wp also 1/gamma
+and the budget's powers of ten; and each prime's power, stepped as p^(-s') =
+p^(-s) p^(-delta) for the exact difference delta of the points.  p^(-delta)
+comes from exp and cos/sin once per prime and distinct delta, of which a float
+grid has few, and log once per prime and wp.  f follows on the same ints: a
 line's points enter as the exact mpf parts of their floats, |s - 1| < 10^-6 is
 decided on those ints, zeta'/zeta is one integer complex division, and each
 part of f is rounded once, into the ``BigReal`` a sample keeps, tagged for the
@@ -89,31 +88,6 @@ def _power(log_n: int, re: int, im: int, wp: int) -> Tuple[int, int]:
     return mag * to_fixed(cos, wp) >> wp, mag * to_fixed(sin, wp) >> wp
 
 
-def _nudge(x: int, y: int, e0: int, e1: int, wp: int) -> Tuple[int, int]:
-    """(x + i y) exp(e0 + i e1) for 2^wp-scaled |e0| + |e1| < 2^(wp-b), b >= 32: the
-    Taylor terms below ceil(wp/b), each rounded once, leave out under 2^-wp |x + i y|."""
-    terms = -(-wp // (wp - (abs(e0) + abs(e1)).bit_length()))
-    tx, ty = x, y
-    for k in range(1, terms):
-        tx, ty = (tx * e0 - ty * e1 >> wp) // k, (tx * e1 + ty * e0 >> wp) // k
-        x, y = x + tx, y + ty
-    return x, y
-
-
-def _step(line: dict, log_p: int, step: Tuple[int, int, int, int]) -> Tuple[int, int]:
-    """p^(-delta) for ``step`` = (p, delta re, delta im, wp): the prime's kept p^(-delta0)
-    nudged when |delta - delta0| log p < 2^-32, else exp and cos/sin, kept in turn."""
-    p, dre, dim, wp = step
-    kept = line.get((p, wp))
-    if kept:
-        e0, e1 = -(dre - kept[0]) * log_p >> wp, -(dim - kept[1]) * log_p >> wp
-        if (abs(e0) + abs(e1)).bit_length() <= wp - 32:
-            return _nudge(kept[2], kept[3], e0, e1, wp)
-    value = _power(log_p, dre, dim, wp)
-    line[p, wp] = dre, dim, *value
-    return value
-
-
 def _size(s: Tuple[tuple, tuple], work: int) -> Tuple[int, int, float]:
     """M, N and -min(Re s, 0), for ``_zeta_fixed`` at ``work`` digits."""
     L = (work + 5) * math.log(10)
@@ -159,13 +133,12 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     from p^0 = 1; a grid point's M, N and -min(Re s, 0) are kept under (s,
     work); the line's largest N within ``_MAX_TERMS``, under "N", is every
     point's N, so they share the primes and wp.  p^(-delta), delta the exact
-    fixed-point difference, is kept under (p, delta, wp); the float grid lo + i
-    step has few deltas, which differ by ulps, so ``_step`` nudges the prime's
-    last fresh p^(-delta0) and exp and cos/sin run about once per prime and line.  Lines run lo -> hi, so
-    |p^(-delta)| <= 1 and k steps add O(k) ulps, which ``guard``, the step
-    count's bit length, absorbs.  The sieve and log n, which depend on N and wp
-    only, are kept under ("log", wp) and extended as N grows; the r_j, M of
-    them, and the primes <= N under ("tail", wp), as a state has one N.
+    fixed-point difference, comes from ``_power`` and is kept under (p, delta re,
+    delta im, wp); the float grid lo + i step has few distinct deltas.  Lines run
+    lo -> hi, so |p^(-delta)| <= 1 and k steps add O(k) ulps, which ``guard``, the
+    step count's bit length, absorbs.  Each per-wp table is built at the state's
+    one N: the sieve and log n under ("log", wp), the r_j, M of them, and the
+    primes <= N under ("tail", wp).
     """
     M, N, cancel = line.get((s, work)) or _size(s, work)
     N = max(N, line.get("N", 0))
@@ -188,12 +161,12 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
     sre, sim = to_fixed(s[0], wp), to_fixed(s[1], wp)
     if sre >= 2 * wp * one:  # every term past n = 1 is below 2^-2wp, so 0 at wp, as in the sum
         return wp, (sre, sim), (one, 0), (0, 0)
-    spf, logs = line.get(("log", wp), ((), [0, 0]))
+    spf, logs = line.get(("log", wp), ((), ()))
     if len(spf) <= N:  # log n: log_int_fixed at primes, one add per composite
-        spf = list(range(N + 1))
+        spf, logs = list(range(N + 1)), [0, 0]
         for p in range(2, math.isqrt(N) + 1):
             spf[p * p :: p] = [min(q, p) for q in spf[p * p :: p]]
-        for n in range(len(logs), N + 1):
+        for n in range(2, N + 1):
             logs.append(log_int_fixed(n, wp) if spf[n] == n else logs[spf[n]] + logs[n // spf[n]])
         line[("log", wp)] = spf, logs
     # n^(-s) = x + i y for n <= N: exp and cos/sin at primes, one multiply per composite
@@ -205,7 +178,7 @@ def _zeta_fixed(s: Tuple[tuple, tuple], work: int, line: dict,
             held = held if held and held[2] == wp else (0, 0, wp, one, 0)
             step = (n, sre - held[0], sim - held[1], wp)
             if step not in line:
-                line[step] = _step(line, logs[n], step)
+                line[step] = _power(logs[n], *step[1:])
             (a, b), (c, d) = held[3:], line[step]
         else:
             a, b, c, d = xs[p], ys[p], xs[n // p], ys[n // p]

@@ -311,29 +311,6 @@ def _exact(value: Value) -> Fraction:
     return value.to_fraction() if isinstance(value, BigReal) else Fraction(value)
 
 
-def closed_form_check_linear(
-    alpha: Value, beta: Value, n_max: int
-) -> List[Tuple[int, Value, Value]]:
-    """Feed the linear family f(k) = alpha*k + beta through the full-history
-    predictor and report (n, predicted, residual) with residual = predicted
-    minus alpha*n.
-
-    Linear-through-origin sequences are exact fixed points (residual 0); a
-    constant offset beta survives as residual 0 for odd n and 2*beta for
-    even n, which is why the fitted solution must have zero intercept.
-
-    Rows cover 2 <= n <= n_max: a prediction at n draws on indices below n,
-    so n = 1 has nothing to predict from.
-    """
-    rows = []
-    history = [alpha * 0] + [alpha * k + beta for k in range(1, n_max)]
-    for n in range(2, n_max + 1):
-        predicted = predict(RecurrenceScheme(FULL_HISTORY), history[:n], n)
-        residual = predicted - alpha * n
-        rows.append((n, predicted, residual))
-    return rows
-
-
 def phi_nlogn(n: int, precision: int = DEFAULT_DIGITS) -> Tuple[BigReal, BigReal]:
     """The two n log n sums of the large-n model comparison:
 

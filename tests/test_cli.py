@@ -697,6 +697,16 @@ class TestProbe:
         assert "the 2 evaluated samples of 4 are all grid neighbours" in err
         assert "sampled_injective" not in out
 
+    @pytest.mark.parametrize("line, unread", [("im", "--t"), ("im", "--b0"), ("im", "--b1"),
+                                              ("re", "--b"), ("re", "--t0"), ("re", "--t1")])
+    def test_line_refuses_the_other_lines_options(self, line, unread):
+        read = {"im": ("--b", "2", "--t0", "1", "--t1", "2"),
+                "re": ("--t", "5", "--b0", "2", "--b1", "3")}
+        code, out, err = run("probe", "--line", line, *read[line], unread, "7",
+                             "--samples", "3", "--digits", "10")
+        assert (code, out) == (2, "")
+        assert err == f"likeiper: error: --line {line} reads no {unread}\n"
+
     def test_trivial_zeros_fail_far_left(self):
         # s = -42 and -40 are trivial zeros; the samples between are accurate
         code, out, _ = run(

@@ -88,8 +88,8 @@ PUBLIC_SURFACE = {
               "f_eval", "line_probe", "zeta_complex", "zeta_deriv"},
     "recurrences": {"FULL_HISTORY", "HistoryError", "ORDER_M", "PredictionResult",
                     "RecurrenceScheme", "VOROS", "Value", "binomial_guard_digits",
-                    "closed_form_check_linear", "discrete_derivative", "model_predictor",
-                    "phi_nlogn", "predict", "prediction_run", "self_seeded_run"},
+                    "discrete_derivative", "model_predictor", "phi_nlogn", "predict",
+                    "prediction_run", "self_seeded_run"},
     "series": {"Coefficient", "SeriesDomainError", "SeriesOrderError", "parity_sign",
                "series_compose_zmap", "series_log", "series_mul"},
     "zeros": {"InversionCheck", "ZeroDataError", "ZeroList", "delta_bound", "inversion_check",

@@ -669,62 +669,43 @@ class TestLineStepping:
             ("im", 0.5, 13.9, 14.13, 100),
         ],
     )
-    def test_rows_match_one_point_f_eval(self, monkeypatch, kind, fixed, lo, hi, samples):
-        # f_eval starts from an empty line, so every p^(-s) there comes from exp and
-        # cos/sin; the line's are stepped, mostly through nudged p^(-delta)
-        nudges = []
-        nudge = probe_module._nudge
-        monkeypatch.setattr(probe_module, "_nudge", lambda *a: nudges.append(1) or nudge(*a))
+    def test_rows_match_one_point_f_eval(self, kind, fixed, lo, hi, samples):
+        # f_eval starts from an empty line, so each p^(-s) there is one _power call; the
+        # line's are stepped through its cached p^(-delta)
         report = line_probe(kind, fixed, lo, hi, samples=samples, precision=30)
-        assert nudges
-        monkeypatch.setattr(probe_module, "_nudge", None)  # a fresh state never nudges
         rows = _printed(report, 30)
         assert rows
         for p, *printed in rows:
             f = f_eval(complex(p, fixed) if kind == "re" else complex(fixed, p), 30)
             assert printed == [BigReal(x, 30).to_decimal_string(30) for x in (f.real, f.imag)]
 
-    @pytest.mark.parametrize("wp", [64, 100, 200, 333])
-    @pytest.mark.parametrize("bits", [32, 33, 40, 45, 47, 52, 60])
-    def test_nudge_matches_exp(self, wp, bits):
-        # (x + i y) exp(e0 + i e1) with |e0| + |e1| just under 2^(wp - bits), against
-        # mpmath at twice the bits: within one unit per term, so no term may be left out
-        scale = (1 << (wp - bits)) - 1
-        with mp.workprec(2 * wp):
-            for x, y, c0, c1 in [(7, 0, -8, 0), (3, -4, 4, -4), (-2, 7, -3, 5), (0, 6, 1, 7)]:
-                x, y, e0, e1 = x << (wp - 3), y << (wp - 3), c0 * scale // 8, c1 * scale // 8
-                got = probe_module._nudge(x, y, e0, e1, wp)
-                exact = mpmath.mpc(x, y) * mpmath.exp(mpmath.mpc(e0, e1) / 2**wp)
-                terms = -(-wp // bits)
-                assert abs(got[0] - exact.real) <= terms and abs(got[1] - exact.imag) <= terms
-
-    def test_exp_and_cos_sin_once_per_prime_and_step(self, monkeypatch):
-        # A prime's power comes from exp and cos/sin at its first sample and at its
-        # first grid step; every later step is nudged, though the benchmark line's grid
-        # has 8 distinct steps.  Every sample of the line sums to its largest N, so it
-        # steps at one working precision.  A sample whose budget asks for more digits is evaluated again from
-        # a fresh state, one exp and cos/sin per prime, and leaves the line's state alone.
+    def test_power_once_per_prime_and_distinct_step(self, monkeypatch):
+        # Every sample of a line sums to its one N at one working precision, so each
+        # prime's power comes from _power at its first sample and at each distinct step
+        # after it: no prime drops out where a point's own N dips, to come back and step
+        # from a stale held power.  A sample whose budget asks for more digits is evaluated
+        # again from a fresh state, one _power per prime, and leaves the line's state alone.
         states, calls = [], []
-        engine = probe_module._zeta_fixed
+        engine, power = probe_module._zeta_fixed, probe_module._power
 
         def recording(s, work, line, guard):
             states.append(line)
             return engine(s, work, line, guard)
 
-        monkeypatch.setattr(probe_module, "_zeta_fixed", recording)
-        for name in ("mpf_exp", "mpf_cos_sin"):
-            original = getattr(probe_module, name)
-            monkeypatch.setattr(
-                probe_module, name, lambda *a, _f=original: calls.append(len(states) - 1) or _f(*a)
-            )
+        def counting(log_n, re, im, wp):
+            calls.append((len(states) - 1, round(math.exp(log_n / 2**wp))))
+            return power(log_n, re, im, wp)
 
-        def primes(state):  # up to the state's largest N
+        monkeypatch.setattr(probe_module, "_zeta_fixed", recording)
+        monkeypatch.setattr(probe_module, "_power", counting)
+
+        def primes(state):  # up to the state's one N
             n = max(len(v[0]) for k, v in state.items() if isinstance(k, tuple) and k[0] == "log")
-            return sum(all(p % q for q in range(2, p)) for p in range(2, n))
+            return [p for p in range(2, n) if all(p % q for q in range(2, p))]
 
         for kind, fixed, lo, hi, retries in [
-            # the 100-sample benchmark im line: no sample retries, and t <= 30 at 33
-            # working digits gives N <= 36
+            # the 100-sample benchmark im line: no sample retries, t <= 30 at 33 working
+            # digits gives N = 36, and the sample at the pole is refused before any step
             ("im", 1.0, 0.0, 30.0, False),
             # toward rho_1 on the critical line: the samples within about 0.03 of it retry
             ("im", 0.5, 13.9, 14.13, True),
@@ -734,30 +715,19 @@ class TestLineStepping:
             report = line_probe(kind, fixed, lo, hi, samples=100, precision=30)
             line = states[0]
             assert len([k for k in line if isinstance(k, tuple) and k[0] == "log"]) == 1
-            assert sum(states[i] is line for i in calls) <= 4 * primes(line)
+            steps = _distinct_steps([s.param for s in report.samples])
+            counts = {p: 0 for p in primes(line)}
+            for i, p in calls:
+                if states[i] is line:
+                    counts[p] += 1
+            if not retries:  # 11 primes up to N = 36, 99 samples with 8 distinct steps
+                assert counts == {p: 9 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)}
+                assert (line["N"], len(report.samples), len(steps)) == (36, 99, 8)
+            assert counts == {p: 1 + len(steps) for p in primes(line)}
             fresh = [i for i, state in enumerate(states) if state is not line]
             assert bool(fresh) == retries
             for i in fresh:
-                assert calls.count(i) <= 2 * primes(states[i])
-            if not retries:
-                steps = _distinct_steps([s.param for s in report.samples])
-                assert (line["N"], primes(line), len(steps)) == (36, 11, 8)
-
-    def test_power_at_most_twice_per_prime_on_the_benchmark_line(self, monkeypatch):
-        # every sample sums to the line's one N, so no prime drops out of the sum where a
-        # point's own N dips, and comes back to step from a stale held power
-        counts = {}
-        power = probe_module._power
-
-        def counting(log_n, re, im, wp):
-            p = round(math.exp(log_n / 2**wp))
-            counts[p] = counts.get(p, 0) + 1
-            return power(log_n, re, im, wp)
-
-        monkeypatch.setattr(probe_module, "_power", counting)
-        line_probe("im", 1.0, 0.0, 30.0, samples=100, precision=30)
-        assert sorted(counts) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-        assert max(counts.values()) <= 2, counts
+                assert sorted(p for j, p in calls if j == i) == primes(states[i])
 
     def test_size_once_per_grid_point(self, monkeypatch):
         # the line sizes each grid point once, before its first sample, and _zeta_fixed

@@ -23,7 +23,6 @@ from likeiper.recurrences import (
     HistoryError,
     RecurrenceScheme,
     binomial_guard_digits,
-    closed_form_check_linear,
     discrete_derivative,
     model_predictor,
     phi_nlogn,
@@ -622,18 +621,34 @@ class TestPredictionRun:
 
 
 class TestClosedFormCheckLinear:
+    """The full-history predictor on the linear family f(k) = alpha k + beta, through
+    index n - 1: linear-through-origin sequences are exact fixed points, and a constant
+    offset beta survives as 2 beta on even n and 0 on odd n, which is why the fitted
+    solution must have zero intercept."""
+
+    @staticmethod
+    def rows(alpha, beta, n_max):
+        """(n, predicted, predicted - alpha n) for 2 <= n <= n_max."""
+        history = [alpha * 0] + [alpha * k + beta for k in range(1, n_max)]
+        predicted = [predict(FULL, history[:n], n) for n in range(2, n_max + 1)]
+        return [(n, p, p - alpha * n) for n, p in enumerate(predicted, start=2)]
+
     def test_rows_cover_2_through_n_max(self):
-        rows = closed_form_check_linear(Fraction(1), Fraction(0), 9)
-        assert [n for n, _, _ in rows] == list(range(2, 10))
+        # a prediction at n draws on indices below n only, so n = 1 has nothing to
+        # predict from: its sum is empty
+        history = [Fraction(0)] + [Fraction(k) for k in range(1, 10)]
+        assert predict(FULL, history[:1], 1) == 0
+        for n in range(2, 10):
+            assert predict(FULL, history, n) == predict(FULL, history[:n], n) == n
 
     def test_zero_intercept_is_exact(self):
-        rows = closed_form_check_linear(Fraction(7, 2), Fraction(0), 12)
+        rows = self.rows(Fraction(7, 2), Fraction(0), 12)
         for n, predicted, residual in rows:
             assert predicted == Fraction(7, 2) * n
             assert residual == 0
 
     def test_intercept_survives_on_even_n(self):
-        rows = closed_form_check_linear(Fraction(0), Fraction(1), 10)
+        rows = self.rows(Fraction(0), Fraction(1), 10)
         for n, predicted, residual in rows:
             expected = 2 if n % 2 == 0 else 0
             assert residual == expected
@@ -641,7 +656,7 @@ class TestClosedFormCheckLinear:
 
     def test_general_affine_pattern(self):
         alpha, beta = Fraction(3, 7), Fraction(-2, 5)
-        rows = closed_form_check_linear(alpha, beta, 11)
+        rows = self.rows(alpha, beta, 11)
         for n, predicted, residual in rows:
             expected_residual = 2 * beta if n % 2 == 0 else 0
             assert residual == expected_residual
