@@ -185,7 +185,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("line-n-per-sample", "likeiper/probe.py",
            '    N = max(N, line.get("N", 0))\n    n_bits = N.bit_length()',
            '    n_bits = max(N, line.get("N", 0)).bit_length()',
-           ("tests/test_probe.py::TestLineStepping::test_power_once_per_prime_and_distinct_step",)),
+           ("tests/test_probe.py::TestLineStepping::test_exp_and_cos_sin_once_per_prime_and_step",)),
     # a probe sample's error budget carries zeta'/zeta's share of zeta's error, so
     # every printed place holds
     Mutant("probe-budget-drops-quotient-term", "likeiper/probe.py",

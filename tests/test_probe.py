@@ -679,13 +679,16 @@ class TestLineStepping:
             f = f_eval(complex(p, fixed) if kind == "re" else complex(fixed, p), 30)
             assert printed == [BigReal(x, 30).to_decimal_string(30) for x in (f.real, f.imag)]
 
-    def test_power_once_per_prime_and_distinct_step(self, monkeypatch):
+    def test_exp_and_cos_sin_once_per_prime_and_step(self, monkeypatch):
         # Every sample of a line sums to its one N at one working precision, so each
         # prime's power comes from _power at its first sample and at each distinct step
         # after it: no prime drops out where a point's own N dips, to come back and step
-        # from a stale held power.  A sample whose budget asks for more digits is evaluated
-        # again from a fresh state, one _power per prime, and leaves the line's state alone.
-        states, calls = [], []
+        # from a stale held power.  _power is the one place exp and cos/sin run, and on an
+        # im line only the first sample has a real part to step by, so each prime takes
+        # one exp and one cos/sin per _power call.  A sample whose budget asks for more
+        # digits is evaluated again from a fresh state, one _power per prime, and leaves
+        # the line's state alone.
+        states, calls, kernels = [], [], []
         engine, power = probe_module._zeta_fixed, probe_module._power
 
         def recording(s, work, line, guard):
@@ -698,6 +701,10 @@ class TestLineStepping:
 
         monkeypatch.setattr(probe_module, "_zeta_fixed", recording)
         monkeypatch.setattr(probe_module, "_power", counting)
+        for name in ("mpf_exp", "mpf_cos_sin"):
+            original = getattr(probe_module, name)
+            monkeypatch.setattr(probe_module, name, lambda *a, _n=name, _f=original:
+                                kernels.append((len(states) - 1, _n)) or _f(*a))
 
         def primes(state):  # up to the state's one N
             n = max(len(v[0]) for k, v in state.items() if isinstance(k, tuple) and k[0] == "log")
@@ -712,6 +719,7 @@ class TestLineStepping:
         ]:
             states.clear()
             calls.clear()
+            kernels.clear()
             report = line_probe(kind, fixed, lo, hi, samples=100, precision=30)
             line = states[0]
             assert len([k for k in line if isinstance(k, tuple) and k[0] == "log"]) == 1
@@ -724,6 +732,9 @@ class TestLineStepping:
                 assert counts == {p: 9 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)}
                 assert (line["N"], len(report.samples), len(steps)) == (36, 99, 8)
             assert counts == {p: 1 + len(steps) for p in primes(line)}
+            on_line = [name for i, name in kernels if states[i] is line]
+            assert on_line.count("mpf_exp") == len(counts)
+            assert on_line.count("mpf_cos_sin") == sum(counts.values())
             fresh = [i for i, state in enumerate(states) if state is not line]
             assert bool(fresh) == retries
             for i in fresh:
